@@ -97,11 +97,6 @@ def reduce_mod_lattice(v: list[int], cols: list[list[int]]) -> tuple[int, ...]:
     return tuple(w)
 
 
-def in_lattice(v: list[int], cols: list[list[int]]) -> bool:
-    """True iff v lies in the integer lattice spanned by cols."""
-    return all(x == 0 for x in reduce_mod_lattice(v, cols))
-
-
 def lcm_int(values) -> int:
     out = 1
     for v in values:

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass
-
-from boxball.bbs import BBSState, evolve
+from functools import cached_property
+from math import inf
 
 
 @dataclass(frozen=True)
@@ -46,13 +47,13 @@ class RiggedConfiguration:
         """Partition mu^(a), weakly decreasing."""
         return tuple(sorted((j for j, _ in self.color(a)), reverse=True))
 
+    @cached_property
+    def _vacancies(self) -> "_Vacancies":
+        return _Vacancies(self.L, [Counter(j for j, _ in block) for block in self.strings])
+
     def q(self, a: int, j: int) -> int:
         """Cells in the left j columns of mu^(a); q^(0) = L, q^(n+1) = 0."""
-        if a == 0:
-            return self.L
-        if a > self.rank:
-            return 0
-        return sum(min(j, k) for k, _ in self.color(a))
+        return self._vacancies.q(a, j)
 
     def vacancy(self, a: int, j: int) -> int:
         """p^(a)_j = q^(a-1)_j - 2 q^(a)_j + q^(a+1)_j."""
@@ -60,7 +61,7 @@ class RiggedConfiguration:
             raise ValueError("color out of range")
         if j < 1:
             raise ValueError("length must be >= 1")
-        return self.q(a - 1, j) - 2 * self.q(a, j) + self.q(a + 1, j)
+        return self._vacancies[a, j]
 
     def is_valid(self) -> bool:
         """True iff every rigging sits in [0, vacancy] (a genuine rigged configuration)."""
@@ -91,6 +92,46 @@ class RiggedConfiguration:
         return cls.make(
             d["L"], n, [[tuple(s) for s in d["strings"].get(str(a), [])] for a in range(1, n + 1)]
         )
+
+
+class _Vacancies(dict):
+    """p^(a)_j = q^(a-1)_j - 2 q^(a)_j + q^(a+1)_j memoised per key (a, j), for one
+    L and the shape given by mults[a-1], color a's length -> multiplicity map."""
+
+    def __init__(self, L: int, mults: list[dict[int, int]]):
+        self.L, self.mults = L, mults
+
+    def q(self, a: int, j: int) -> int:
+        if a == 0:
+            return self.L
+        if a > len(self.mults):
+            return 0
+        return sum(min(j, k) * m for k, m in self.mults[a - 1].items())
+
+    def __missing__(self, key: tuple[int, int]) -> int:
+        a, j = key
+        self[key] = p = self.q(a - 1, j) - 2 * self.q(a, j) + self.q(a + 1, j)
+        return p
+
+
+def _grow(mult: Counter, s: list[int], by: int) -> None:
+    """Add by to string s's length and move it in mult (length 0 adds nothing to q)."""
+    mult[s[0]] -= 1
+    if not mult[s[0]]:
+        del mult[s[0]]
+    s[0] += by
+    mult[s[0]] += 1
+
+
+def _pick(block, vac: _Vacancies, c: int, lo, hi, best, rng):
+    """A singular string of color c with lo <= length <= hi and the best (max or
+    min) length among those; rng draws from the ties in block order."""
+    cands = [s for s in block if lo <= s[0] <= hi and s[1] == vac[c, s[0]]]
+    if not cands:
+        return None
+    best_len = best(s[0] for s in cands)
+    pool = [s for s in cands if s[0] == best_len]
+    return rng.choice(pool) if rng else pool[0]
 
 
 def is_highest(word: str | tuple[int, ...], rank: int | None = None) -> bool:
@@ -125,46 +166,30 @@ def kkr_phi(
     if check and not is_highest(letters, rank):
         raise ValueError("path is not highest")
     blocks: list[list[list[int]]] = [[] for _ in range(rank)]  # per color: [length, rigging]
-
-    def vacancy(L, a, j):
-        qm = L if a == 1 else sum(min(j, s[0]) for s in blocks[a - 2])
-        q = sum(min(j, s[0]) for s in blocks[a - 1])
-        qp = 0 if a == rank else sum(min(j, s[0]) for s in blocks[a])
-        return qm - 2 * q + qp
-
+    mults = [Counter() for _ in range(rank)]
     L = 0
     for d in letters:
         L += 1
         if d == 1:
             continue
         # select, for colors d-1 down to 1, the longest singular string with
-        # length bounded by the previous selection
-        chosen: list[tuple[int, list[int] | None]] = []
-        bound = None
+        # length bounded by the previous selection; a new string if none
+        vac = _Vacancies(L - 1, mults)
+        chosen: list[tuple[int, list[int]]] = []
+        bound = inf
         for c in range(d - 1, 0, -1):
-            cands = [
-                s
-                for s in blocks[c - 1]
-                if (bound is None or s[0] <= bound) and s[1] == vacancy(L - 1, c, s[0])
-            ]
-            if cands:
-                best_len = max(s[0] for s in cands)
-                pool = [s for s in cands if s[0] == best_len]
-                s = (rng.choice(pool) if rng else pool[0])
-                chosen.append((c, s))
-                bound = s[0]
-            else:
-                chosen.append((c, None))
-                bound = 0
-        for c, s in chosen:
+            s = _pick(blocks[c - 1], vac, c, 1, bound, max, rng)
             if s is None:
-                blocks[c - 1].append([1, 0])
-            else:
-                s[0] += 1
-        # riggings of the touched strings become singular in the new configuration
+                s = [0, 0]
+                blocks[c - 1].append(s)
+            chosen.append((c, s))
+            bound = s[0]
         for c, s in chosen:
-            t = blocks[c - 1][-1] if s is None else s
-            t[1] = vacancy(L, c, t[0])
+            _grow(mults[c - 1], s, 1)
+        # riggings of the touched strings become singular in the new configuration
+        vac = _Vacancies(L, mults)
+        for c, s in chosen:
+            s[1] = vac[c, s[0]]
     return RiggedConfiguration.make(L, rank, [[tuple(s) for s in b] for b in blocks])
 
 
@@ -172,46 +197,42 @@ def kkr_phi_inv(rc: RiggedConfiguration, rng: random.Random | None = None) -> st
     """Inverse KKR map phi^{-1}: rigged configuration -> path word."""
     rank = rc.rank
     blocks = [[list(s) for s in rc.color(a)] for a in range(1, rank + 1)]
-
-    def vacancy(L, a, j):
-        qm = L if a == 1 else sum(min(j, s[0]) for s in blocks[a - 2])
-        q = sum(min(j, s[0]) for s in blocks[a - 1])
-        qp = 0 if a == rank else sum(min(j, s[0]) for s in blocks[a])
-        return qm - 2 * q + qp
-
+    mults = [Counter(j for j, _ in block) for block in blocks]
     out = []
     L = rc.L
     while L > 0:
+        vac = _Vacancies(L, mults)
+        # a letter 1 changes nothing but L, so every color-1 vacancy drops by
+        # one per 1: emit 1s until the first color-1 string turns singular
+        slack = [vac[1, j] - r for j, r in blocks[0]]
+        ones = min([x for x in slack if x >= 0] + [L])
+        if ones:
+            out.append("1" * ones)
+            L -= ones
+            continue
         chosen: list[tuple[int, list[int]]] = []
         bound = 1
         d = rank + 1
         for c in range(1, rank + 1):
-            cands = [s for s in blocks[c - 1] if s[0] >= bound and s[1] == vacancy(L, c, s[0])]
-            if not cands:
+            s = _pick(blocks[c - 1], vac, c, bound, inf, min, rng)
+            if s is None:
                 d = c
                 break
-            best_len = min(s[0] for s in cands)
-            pool = [s for s in cands if s[0] == best_len]
-            s = rng.choice(pool) if rng else pool[0]
             chosen.append((c, s))
             bound = s[0]
-        out.append(d)
+        out.append(str(d))
         L -= 1
-        if d == 1:
-            continue
-        emptied = []
         for c, s in chosen:
-            s[0] -= 1
+            _grow(mults[c - 1], s, -1)
             if s[0] == 0:
-                emptied.append((c, s))
-        for c, s in emptied:
-            blocks[c - 1].remove(s)
+                blocks[c - 1].remove(s)
+        vac = _Vacancies(L, mults)
         for c, s in chosen:
             if s[0] > 0:
-                s[1] = vacancy(L, c, s[0])
-    assert all(not b for b in blocks), "strings left over; invalid rigged configuration"
-    word = "".join(str(a) for a in reversed(out))
-    return word
+                s[1] = vac[c, s[0]]
+    if any(blocks):
+        raise ValueError("strings left over; invalid rigged configuration")
+    return "".join(reversed(out))
 
 
 def evolve_rc(rc: RiggedConfiguration, l: int | None, steps: int = 1) -> RiggedConfiguration:
@@ -244,11 +265,6 @@ def solve_ivp(word: str, l: int | None, t: int) -> str:
     rc = kkr_phi(padded, rank)
     rc2 = evolve_rc(rc, l, steps=t)
     return kkr_phi_inv(rc2)
-
-
-def solve_ivp_state(word: str, l: int | None, t: int) -> BBSState:
-    """Same as solve_ivp but packaged as a window-trimmed state at origin 0."""
-    return BBSState.parse(solve_ivp(word, l, t), origin=0)
 
 
 def highest_paths(L: int, rank: int):

@@ -20,18 +20,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from math import ceil, comb, floor, gcd
 
 from boxball.intmat import (
     det_int,
     divisors,
-    in_lattice,
     lcm_of_fractions,
     moebius,
     reduce_mod_lattice,
 )
-from boxball.kkr import RiggedConfiguration, is_highest, kkr_phi, kkr_phi_inv
+from boxball.kkr import RiggedConfiguration, kkr_phi, kkr_phi_inv
 from boxball.theta import PeriodMatrix, theta
 
 
@@ -165,18 +164,21 @@ def action_variable(p: PeriodicState) -> ActionVariable:
 
 def _some_highest_rotation(p: PeriodicState) -> tuple[int, PeriodicState]:
     """(d, p_+) with p = T_1^d(p_+) and p_+ highest; smallest such d >= 0."""
-    for d in range(p.L):
-        cand = p.shifted(-d)
-        if is_highest(cand.cells, 1):
-            return d, cand
-    raise ValueError("no highest rotation exists (more balls than boxes?)")
+    return next(all_highest_rotations(p))
 
 
 def all_highest_rotations(p: PeriodicState):
+    """(d, p_+) for every highest rotation p_+ = T_1^{-d}(p), ascending in d.  Cycle
+    lemma: with S the prefix sums of (#empty - #balls), p_+ is highest iff S_d <= S_i
+    for i >= d and S_d <= S_i + S_L for i < d; the first minimum of S qualifies."""
+    S = list(accumulate((1 if c == 1 else -1 for c in p.cells), initial=0))
+    if S[-1] < 0:
+        raise ValueError("no highest rotation exists (more balls than boxes?)")
+    after = list(accumulate(reversed(S), min))[::-1]  # after[d] = min S[d:]
+    before = list(accumulate(S, min))  # before[d] = min S[:d+1]
     for d in range(p.L):
-        cand = p.shifted(-d)
-        if is_highest(cand.cells, 1):
-            yield d, cand
+        if S[d] == after[d] and S[d] - S[-1] <= before[d]:
+            yield d, p.shifted(-d)
 
 
 @dataclass(frozen=True)
@@ -415,6 +417,8 @@ def internal_symmetry(p: PeriodicState) -> tuple[int, ...]:
 def fundamental_period(p: PeriodicState, l: int | None) -> int:
     """Smallest N with T_l^N(p) = p, from determinant ratios of F."""
     mu = action_variable(p)
+    if not mu.I:
+        return 1  # the vacuum is fixed by every T_l
     gamma = internal_symmetry(p)
     F = mu.F()
     g = mu.g

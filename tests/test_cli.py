@@ -91,6 +91,12 @@ def test_kkr_cli_roundtrip(capsys):
     assert out2.strip() == "11112221322433"
 
 
+def test_kkr_inverse_invalid_configuration_exit_code(capsys):
+    code, out, err = run(capsys, "kkr", '{"L":3,"n":1,"strings":{"1":[[5,0]]}}', "--inverse")
+    assert code == 3
+    assert out == "" and "strings left over" in err
+
+
 def test_tau_cli_tsv(capsys):
     code, out, _ = run(capsys, "tau", "112212")
     assert code == 0
@@ -119,6 +125,12 @@ def test_analyze_period(capsys):
     code, out, _ = run(capsys, "analyze", "period", "1212111222")
     assert code == 0
     assert json.loads(out) == {"N1": 10, "N2": 20, "N3": 2}
+
+
+def test_analyze_period_vacuum(capsys):
+    code, out, _ = run(capsys, "analyze", "period", "1111")
+    assert code == 0
+    assert json.loads(out) == {"N1": 1, "N2": 1, "N3": 1}
 
 
 def test_analyze_count_and_decompose(capsys):

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -94,6 +98,29 @@ def test_phi_inv_all_L8_mu211():
 def test_phi_inv_empty():
     assert kkr_phi_inv(RC.make(4, 1, [[]])) == "1111"
     assert kkr_phi_inv(RC.make(5, 3, [[], [], []])) == "11111"
+
+
+def test_phi_inv_rejects_leftover_strings():
+    with pytest.raises(ValueError, match="strings left over"):
+        kkr_phi_inv(RC.make(3, 1, [[(5, 0)]]))
+
+
+def test_phi_inv_rejects_leftover_strings_under_optimize():
+    # the check must not be an assert, which python -O strips
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "from boxball.kkr import RiggedConfiguration, kkr_phi_inv\n"
+        "try:\n"
+        "    print(kkr_phi_inv(RiggedConfiguration.make(3, 1, [[(5, 0)]])))\n"
+        "except ValueError as exc:\n"
+        "    print('ValueError:', exc)\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "ValueError: strings left over; invalid rigged configuration"
 
 
 def test_phi_rejects_non_highest():

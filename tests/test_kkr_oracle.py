@@ -1,0 +1,176 @@
+"""Differential tests of the KKR bijection against the plain scan algorithm.
+
+scan_phi and scan_phi_inv below are the straightforward versions of kkr_phi
+and kkr_phi_inv: every singularity test re-sums min(j, k) over all strings,
+and phi^{-1} emits its letters 1 one at a time.  They serve as the oracle
+for the library's multiplicity-based versions, which must return the same
+values, raise on the same inputs and draw the same random choices.
+"""
+
+import random
+
+from boxball.kkr import (
+    RiggedConfiguration,
+    _letters,
+    evolve_rc,
+    highest_paths,
+    is_highest,
+    kkr_phi,
+    kkr_phi_inv,
+)
+
+
+def scan_phi(word, rank=None, check=True, rng=None):
+    letters = _letters(word)
+    if rank is None:
+        rank = max(max(letters, default=2), 2) - 1
+    if check and not is_highest(letters, rank):
+        raise ValueError("path is not highest")
+    blocks = [[] for _ in range(rank)]
+
+    def vacancy(L, a, j):
+        qm = L if a == 1 else sum(min(j, s[0]) for s in blocks[a - 2])
+        q = sum(min(j, s[0]) for s in blocks[a - 1])
+        qp = 0 if a == rank else sum(min(j, s[0]) for s in blocks[a])
+        return qm - 2 * q + qp
+
+    L = 0
+    for d in letters:
+        L += 1
+        if d == 1:
+            continue
+        chosen = []
+        bound = None
+        for c in range(d - 1, 0, -1):
+            cands = [
+                s
+                for s in blocks[c - 1]
+                if (bound is None or s[0] <= bound) and s[1] == vacancy(L - 1, c, s[0])
+            ]
+            if cands:
+                best_len = max(s[0] for s in cands)
+                pool = [s for s in cands if s[0] == best_len]
+                s = rng.choice(pool) if rng else pool[0]
+                chosen.append((c, s))
+                bound = s[0]
+            else:
+                chosen.append((c, None))
+                bound = 0
+        for c, s in chosen:
+            if s is None:
+                blocks[c - 1].append([1, 0])
+            else:
+                s[0] += 1
+        for c, s in chosen:
+            t = blocks[c - 1][-1] if s is None else s
+            t[1] = vacancy(L, c, t[0])
+    return RiggedConfiguration.make(L, rank, [[tuple(s) for s in b] for b in blocks])
+
+
+def scan_phi_inv(rc, rng=None):
+    rank = rc.rank
+    blocks = [[list(s) for s in rc.color(a)] for a in range(1, rank + 1)]
+
+    def vacancy(L, a, j):
+        qm = L if a == 1 else sum(min(j, s[0]) for s in blocks[a - 2])
+        q = sum(min(j, s[0]) for s in blocks[a - 1])
+        qp = 0 if a == rank else sum(min(j, s[0]) for s in blocks[a])
+        return qm - 2 * q + qp
+
+    out = []
+    L = rc.L
+    while L > 0:
+        chosen = []
+        bound = 1
+        d = rank + 1
+        for c in range(1, rank + 1):
+            cands = [s for s in blocks[c - 1] if s[0] >= bound and s[1] == vacancy(L, c, s[0])]
+            if not cands:
+                d = c
+                break
+            best_len = min(s[0] for s in cands)
+            pool = [s for s in cands if s[0] == best_len]
+            s = rng.choice(pool) if rng else pool[0]
+            chosen.append((c, s))
+            bound = s[0]
+        out.append(d)
+        L -= 1
+        if d == 1:
+            continue
+        emptied = []
+        for c, s in chosen:
+            s[0] -= 1
+            if s[0] == 0:
+                emptied.append((c, s))
+        for c, s in emptied:
+            blocks[c - 1].remove(s)
+        for c, s in chosen:
+            if s[0] > 0:
+                s[1] = vacancy(L, c, s[0])
+    if any(blocks):
+        raise ValueError("strings left over; invalid rigged configuration")
+    return "".join(str(a) for a in reversed(out))
+
+
+def outcome(fn, *args, seed=None, **kwargs):
+    """(value or raised exception, next random() of the generator after the call)."""
+    rng = None if seed is None else random.Random(seed)
+    try:
+        value = fn(*args, rng=rng, **kwargs)
+    except Exception as exc:
+        value = (type(exc), str(exc))
+    return value, rng.random() if rng else None
+
+
+def assert_same_phi(word, rank, seed, check=True):
+    for s in (None, seed):
+        fast = outcome(kkr_phi, word, rank, check=check, seed=s)
+        assert fast == outcome(scan_phi, word, rank, check=check, seed=s), (word, s)
+    return fast[0]
+
+
+def assert_same_phi_inv(rc, seed):
+    for s in (None, seed):
+        fast = outcome(kkr_phi_inv, rc, seed=s)
+        assert fast == outcome(scan_phi_inv, rc, seed=s), (rc, s)
+
+
+def test_agrees_on_every_small_highest_path():
+    seed = 0
+    for rank in (1, 2, 3):
+        for L in range(1, 10):
+            for word in highest_paths(L, rank):
+                seed += 1
+                rc = assert_same_phi(word, rank, seed)
+                assert_same_phi_inv(rc, seed)
+
+
+def test_agrees_on_random_non_highest_words():
+    rng = random.Random(41)
+    non_highest = 0
+    for seed in range(400):
+        n = rng.randint(1, 3)
+        word = "".join(str(rng.randint(1, n + 1)) for _ in range(rng.randint(1, 30)))
+        non_highest += not is_highest(word, n)
+        rc = assert_same_phi(word, n, seed, check=False)
+        assert_same_phi_inv(rc, seed)
+    assert non_highest > 300
+
+
+def test_agrees_on_evolved_configurations():
+    rng = random.Random(42)
+    invalid = raised = 0
+    seed = 0
+    for rank in (1, 2, 3):
+        for L in (6, 9, 12):
+            words = list(highest_paths(L, rank))
+            for word in rng.sample(words, min(len(words), 15)):
+                rc = kkr_phi(word, rank)
+                for l in (1, 2, None):
+                    for t in (1, 3, 8):
+                        seed += 1
+                        evolved = evolve_rc(rc, l, t)
+                        invalid += not evolved.is_valid()
+                        assert_same_phi_inv(evolved, seed)
+                        raised += isinstance(outcome(kkr_phi_inv, evolved)[0], tuple)
+    assert invalid > 100 and raised > 10

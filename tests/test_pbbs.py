@@ -3,10 +3,12 @@ from itertools import product
 
 import pytest
 
+from boxball.kkr import is_highest
 from boxball.pbbs import (
     ActionVariable,
     AngleVariable,
     PeriodicState,
+    _some_highest_rotation,
     action_variable,
     all_highest_rotations,
     angle_equal,
@@ -178,6 +180,25 @@ def test_action_variable_rotation_independent():
         assert p_plus.shifted(d) == p
 
 
+def test_highest_rotations_match_scan_exhaustive():
+    # the cycle-lemma search against trying every rotation with is_highest
+    for L in range(1, 13):
+        for cells in product((1, 2), repeat=L):
+            if 2 * cells.count(2) > L:
+                continue
+            p = PeriodicState(cells)
+            scan = [(d, p.shifted(-d)) for d in range(L) if is_highest(p.shifted(-d).cells, 1)]
+            assert list(all_highest_rotations(p)) == scan
+            assert _some_highest_rotation(p) == scan[0]
+
+
+def test_highest_rotation_rejects_more_balls_than_boxes():
+    p = object.__new__(PeriodicState)
+    object.__setattr__(p, "cells", (2, 1, 2))
+    with pytest.raises(ValueError, match="no highest rotation"):
+        _some_highest_rotation(p)
+
+
 def test_phi_canonical_class_example():
     # the three decompositions of the L=19 state give one class
     p = P("2211221112122111221")
@@ -291,6 +312,11 @@ def _orbit_length(p, l):
         n += 1
         assert n < 10_000
     return n
+
+
+def test_fundamental_period_vacuum():
+    for L in (1, 4, 7):
+        assert [fundamental_period(P("1" * L), l) for l in (1, 2, None)] == [1, 1, 1]
 
 
 def test_fundamental_period_against_orbit_fixtures():
