@@ -101,11 +101,13 @@ def _carrier_step(carrier: list[int], b: int, rank: int) -> tuple[int, int]:
 
 
 def evolve(state: BBSState, l: int | None = None) -> tuple[BBSState, int]:
-    """Apply T_l (T_infinity when l is None) and return (new state, E_l)."""
+    """Apply T_l (T_infinity when l is None, the identity when l = 0); return (state, E_l)."""
+    if l is not None and l < 0:
+        raise ValueError("capacity l must be >= 0")
     n = state.rank
     s = state.trimmed()
     balls = s.balls()
-    if balls == 0:
+    if balls == 0 or l == 0:
         return s, 0
     l_eff = l if l is not None else max(balls, 1)
     pad = l_eff + balls + 2

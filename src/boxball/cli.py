@@ -29,6 +29,13 @@ def _parse_l(text: str) -> int | None:
     return l
 
 
+def _parse_steps(text: str) -> int:
+    steps = int(text)
+    if steps < 0:
+        raise argparse.ArgumentTypeError("steps must be >= 0")
+    return steps
+
+
 def _parse_fracs(text: str) -> list[Fraction]:
     return [Fraction(t) for t in text.replace(",", " ").split()]
 
@@ -258,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state")
     p.add_argument("--periodic", action="store_true")
     p.add_argument("--l", type=_parse_l, default=None, help="capacity, or inf (default)")
-    p.add_argument("--steps", type=int, default=1)
+    p.add_argument("--steps", type=_parse_steps, default=1)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--label", action="store_true", help="prefix rows with t=")
     p.set_defaults(fn=cmd_evolve)
@@ -294,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("data", nargs="?", help="flat Q,W vector / C vector / state")
     p.add_argument("--C", help="conserved values C_1..C_{N+1} (solve)")
     p.add_argument("--z0", help="initial theta argument (solve)")
-    p.add_argument("--steps", type=int, default=5)
+    p.add_argument("--steps", type=_parse_steps, default=5)
     p.add_argument("--leftmost", type=int, default=0, help="distinguished box (embed)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_toda)

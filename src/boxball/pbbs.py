@@ -34,6 +34,13 @@ from boxball.kkr import RiggedConfiguration, kkr_phi, kkr_phi_inv
 from boxball.theta import PeriodMatrix, theta
 
 
+def parse_cells(text: str) -> tuple[int, ...]:
+    """Cells of a word over {1, 2} ('.' = 1); ValueError on any other character."""
+    if set(text) - set("1.2"):
+        raise ValueError(f"cells must be 1, . or 2: {text!r}")
+    return tuple(1 if ch in "1." else 2 for ch in text)
+
+
 @dataclass(frozen=True)
 class PeriodicState:
     """Cyclic word over {1,2} with a distinguished origin cell."""
@@ -58,7 +65,7 @@ class PeriodicState:
 
     @classmethod
     def parse(cls, text: str) -> "PeriodicState":
-        return cls(tuple(1 if ch in "1." else 2 for ch in text))
+        return cls(parse_cells(text))
 
     def render(self) -> str:
         return "".join("." if c == 1 else "2" for c in self.cells)
@@ -83,6 +90,8 @@ def evolve_periodic(p: PeriodicState, l: int | None = None) -> tuple[PeriodicSta
     loading events).  The fixed point is guaranteed for M < L/2 and verified
     by assertion in all cases.
     """
+    if l is not None and l < 0:
+        raise ValueError("capacity l must be >= 0")
     M = p.balls
     if M == 0:
         return p, 0

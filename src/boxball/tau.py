@@ -1,10 +1,11 @@
 """Ultradiscrete tau functions over rigged configurations.
 
 tau_{k,a}(S) = -min over subsets T of S of c_{k,a}(T), where c is the cocharge
-shifted by the color-a length sum and k times the color-1 string count.  The
-subset minimization is exhaustive (2^N with a hard cap, overridable through
-the BOXBALL_SUBSET_CAP environment variable); one scan collects enough data
-to answer every (k, a) query.
+shifted by the color-a length sum and k times the color-1 string count.  c
+depends on T only through its string count per (color, length) class and its
+rigging sum, least on each class's smallest riggings, so the exact minimization
+enumerates prod(m_c + 1) <= 2^N count vectors (m_c strings in class c, N in all,
+N capped by the BOXBALL_SUBSET_CAP environment variable); one scan serves all k, a.
 
 Also here: the corner ball-count rho of an evolution profile, the path
 reconstruction from second differences of tau, and the ultradiscrete
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import accumulate, combinations
 
 from boxball.bbs import BBSState, evolve_takahashi
 from boxball.kkr import RiggedConfiguration
@@ -69,14 +71,11 @@ def cartan(a: int, b: int) -> int:
 
 
 def cocharge(strings) -> int:
-    """c(T) = (1/2) sum C_{cl s, cl t} min(lg s, lg t) + sum rg(s)."""
+    """c(T) = (1/2) sum_{s,t} C_{cl s, cl t} min(lg s, lg t) + sum rg(s), C_{aa} = 2."""
     strings = list(strings)
-    total = 0
-    for a1, l1, _ in strings:
-        for a2, l2, _ in strings:
-            total += cartan(a1, a2) * min(l1, l2)
-    assert total % 2 == 0
-    return total // 2 + sum(r for _, _, r in strings)
+    return sum(l + r for _, l, r in strings) + sum(
+        cartan(a1, a2) * min(l1, l2) for (a1, l1, _), (a2, l2, _) in combinations(strings, 2)
+    )
 
 
 class _TauTable:
@@ -92,37 +91,35 @@ class _TauTable:
             )
         n1 = sum(1 for a, _, _ in s.strings if a == 1)
         self.best = [[None] * (n1 + 1) for _ in range(s.rank + 2)]  # [a][m]
-        pair = [
-            [cartan(a1, a2) * min(l1, l2) for a2, l2, _ in s.strings]
-            for a1, l1, _ in s.strings
-        ]
-        strs = s.strings
+        # with k_c strings of class c = (a, l), at best its k_c smallest riggings:
+        # c(T) = sum_c (l k_c^2 + prefix_c[k_c]) + sum_{c<d} k_c k_d C min(l_c, l_d)
+        classes: dict[tuple[int, int], list[int]] = {}
+        for a, l, r in s.strings:
+            classes.setdefault((a, l), []).append(r)
+        keys = list(classes)
+        prefix = [list(accumulate(sorted(classes[key]), initial=0)) for key in keys]
+        pair = [[cartan(a1, a2) * min(l1, l2) for a2, l2 in keys] for a1, l1 in keys]
         rank = s.rank
         best = self.best
+        counts = [0] * len(keys)
+        lens = [0] * (rank + 2)
 
-        def visit(i, c2, m, lens):
-            # c2 carries 2*c(T) to stay integral during recursion
-            if i == len(strs):
-                c = c2 // 2
+        def visit(i, c, m):
+            if i == len(keys):
                 for a in range(1, rank + 2):
-                    v = c + lens[a]
-                    cur = best[a][m]
-                    if cur is None or v < cur:
-                        best[a][m] = v
+                    if best[a][m] is None or c + lens[a] < best[a][m]:
+                        best[a][m] = c + lens[a]
                 return
-            visit(i + 1, c2, m, lens)
-            a, l, r = strs[i]
-            inc = pair[i][i] + 2 * sum(
-                pair[i][j] for j in range(i) if _in_stack[j]
-            )
-            _in_stack[i] = True
-            lens[a] += l
-            visit(i + 1, c2 + inc + 2 * r, m + (1 if a == 1 else 0), lens)
-            lens[a] -= l
-            _in_stack[i] = False
+            a, l = keys[i]
+            cross = sum(counts[j] * pair[i][j] for j in range(i))
+            base = lens[a]
+            for k, p in enumerate(prefix[i]):
+                counts[i] = k
+                lens[a] = base + k * l
+                visit(i + 1, c + l * k * k + k * cross + p, m + (k if a == 1 else 0))
+            lens[a] = base
 
-        _in_stack = [False] * len(strs)
-        visit(0, 0, 0, [0] * (rank + 2))
+        visit(0, 0, 0)
 
     def tau(self, k: int, a: int) -> int:
         vals = [v - k * m for m, v in enumerate(self.best[a]) if v is not None]

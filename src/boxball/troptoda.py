@@ -211,12 +211,12 @@ def embed_pbbs(word, leftmost: int = 0) -> TodaState:
     run (0 if the box is empty), then alternating empty/ball run lengths; the
     result always has Q_1 = 0 or W_N = 0.
     """
-    from boxball.pbbs import PeriodicState
+    from boxball.pbbs import PeriodicState, parse_cells
 
     if isinstance(word, PeriodicState):
         cells = word.cells
     elif isinstance(word, str):
-        cells = tuple(1 if ch in "1." else 2 for ch in word)
+        cells = parse_cells(word)
     else:
         cells = tuple(word)
     L = len(cells)

@@ -144,6 +144,13 @@ def test_vacuum():
     assert p_symbol(s) == []
 
 
+def test_evolve_capacity_zero_is_identity_and_negative_raises():
+    s = BBSState.parse("..2211.3..")
+    assert evolve(s, 0) == (s.trimmed(), 0)
+    with pytest.raises(ValueError):
+        evolve(s, -1)
+
+
 def test_soliton_content_three_body():
     assert soliton_content(_state(THREE_BODY_ROWS[3])) == {2: 1, 3: 1, 4: 1}
 

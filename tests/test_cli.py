@@ -181,6 +181,36 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("toda", "embed", "12x211211"),
+        ("evolve", "1x1111", "--periodic"),
+        ("analyze", "action", "1x1111"),
+    ],
+)
+def test_bad_cell_character_exit_code(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert "cells must be 1, . or 2" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("evolve", "2211", "--steps", "-3"),
+        ("evolve", "2211", "--periodic", "--steps", "-1"),
+        ("toda", "evolve", "3,4,0,1", "--steps", "-1"),
+        ("evolve", "2211", "--steps", "two"),
+    ],
+)
+def test_negative_steps_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "steps" in capsys.readouterr().err
+
+
 def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0

@@ -571,3 +571,17 @@ def test_t1_to_the_L_is_identity():
         # and the fundamental period under any T_l divides L-step closure of T_1
         if M:
             assert L % fundamental_period(p, 1) == 0
+
+
+def test_parse_accepts_only_1_dot_and_2():
+    assert PeriodicState.parse("1.2.11") == PeriodicState((1, 1, 2, 1, 1, 1))
+    for bad in ("1x1111", "113111", "12 111", "1-2111"):
+        with pytest.raises(ValueError):
+            PeriodicState.parse(bad)
+
+
+def test_evolve_periodic_capacity_zero_and_negative():
+    p = PeriodicState.parse("2211.2....")
+    assert evolve_periodic(p, 0) == (p, 0)
+    with pytest.raises(ValueError):
+        evolve_periodic(p, -1)

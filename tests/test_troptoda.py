@@ -255,3 +255,10 @@ def test_omega_f_omegaprime_triple():
 
     Oprime = matmul(matmul(A, Omega), B)
     assert Oprime == [[16, 11], [11, 16]]
+
+
+def test_embed_rejects_bad_cell_characters():
+    assert embed_pbbs("1.2221.211") == embed_pbbs("1122211211")
+    for bad in ("12x211211", "123", "2a"):
+        with pytest.raises(ValueError):
+            embed_pbbs(bad)
