@@ -251,6 +251,18 @@ def cmd_selftest(args) -> int:
         lambda: troptoda.spectral_data((0, 1, 4, 9)).Omega == ((16, -5), (-5, 10)),
     )
     check(
+        "toda theta solution",
+        lambda: troptoda.evolve_toda(troptoda.theta_state((-1, 8), (0, 2, 6, 19), 0))
+        == troptoda.theta_state((-1, 8), (0, 2, 6, 19), 1),
+    )
+    check(
+        "toda conserved fixture",
+        # cycle Q1 W1 Q2 W2 Q3 W3 = 2 1 0 9 4 3: H_1 = Q2, H_2 = Q2 + Q1 (W1
+        # and W2 neighbour Q2), H_3 = Q1 + Q2 + Q3 < W1 + W2 + W3, H_4 = total
+        lambda: troptoda.conserved_all(troptoda.TodaState.from_flat((2, 1, 0, 9, 4, 3)))
+        == (0, 2, 6, 19),
+    )
+    check(
         "isolevel count fixture",
         lambda: pbbs.isolevel_cardinality(pbbs.ActionVariable(6, (2, 1))) == 12,
     )

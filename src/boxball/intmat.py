@@ -1,4 +1,5 @@
-"""Exact integer/rational matrix helpers: determinants, lattice reduction, LCMs.
+"""Exact integer/rational matrix helpers: determinants, linear solves, the
+LDL^T factorization, lattice reduction, LCMs.
 
 Everything here works over exact integers or fractions.Fraction; no floats.
 """
@@ -15,7 +16,8 @@ def det_int(rows: list[list[int]]) -> int:
     if n == 0:
         return 1
     a = [list(map(int, r)) for r in rows]
-    assert all(len(r) == n for r in a), "matrix must be square"
+    if any(len(r) != n for r in a):
+        raise ValueError("matrix must be square")
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -35,26 +37,45 @@ def det_int(rows: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def det_fraction(rows: list[list[Fraction]]) -> Fraction:
-    """Determinant of a square rational matrix (Gaussian elimination over Fraction)."""
-    n = len(rows)
-    a = [[Fraction(x) for x in r] for r in rows]
-    det = Fraction(1)
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
+def solve(rows, b) -> list[Fraction]:
+    """Exact x with A x = b for a nonsingular square A given by rows
+    (Gauss-Jordan elimination over Fraction)."""
+    g = len(b)
+    a = [[Fraction(rows[i][j]) for j in range(g)] + [Fraction(b[i])] for i in range(g)]
+    for k in range(g):
+        piv = next((i for i in range(k, g) if a[i][k] != 0), None)
         if piv is None:
-            return Fraction(0)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det
-        det *= a[k][k]
+            raise ValueError("matrix must be nonsingular")
+        a[k], a[piv] = a[piv], a[k]
         inv = 1 / a[k][k]
-        for i in range(k + 1, n):
-            f = a[i][k] * inv
-            if f:
-                for j in range(k, n):
-                    a[i][j] -= f * a[k][j]
-    return det
+        a[k] = [x * inv for x in a[k]]
+        for i in range(g):
+            if i != k and a[i][k]:
+                f = a[i][k]
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return [a[i][g] for i in range(g)]
+
+
+def ldl(rows) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """Exact A = L D L^T of a symmetric rational matrix, as (L, D).
+
+    L is unit lower triangular (by rows), D the diagonal.  D_i is the ratio of
+    the i-th to the (i-1)-th leading minor, so A is positive definite iff every
+    D_i > 0; a ValueError is raised at the first D_i <= 0.  O(g^3).
+    """
+    g = len(rows)
+    L = [[Fraction(int(i == j)) for j in range(g)] for i in range(g)]
+    D: list[Fraction] = []
+    for i in range(g):
+        for j in range(i):
+            L[i][j] = (
+                Fraction(rows[i][j]) - sum(L[i][k] * L[j][k] * D[k] for k in range(j))
+            ) / D[j]
+        d = Fraction(rows[i][i]) - sum(L[i][k] * L[i][k] * D[k] for k in range(i))
+        if d <= 0:
+            raise ValueError("matrix must be positive definite")
+        D.append(d)
+    return L, D
 
 
 def column_hnf(cols: list[list[int]]) -> list[list[int]]:
@@ -77,7 +98,8 @@ def column_hnf(cols: list[list[int]]) -> list[list[int]]:
                     h[j][r] -= q * h[i][r]
         if h[i][i] < 0:
             h[i] = [-x for x in h[i]]
-        assert h[i][i] > 0, "lattice basis must be nonsingular"
+        if h[i][i] == 0:
+            raise ValueError("lattice basis must be nonsingular")
     return h
 
 
@@ -113,13 +135,15 @@ def lcm_of_fractions(ratios) -> int:
     nums = []
     for r in ratios:
         r = Fraction(r)
-        assert r != 0
+        if r == 0:
+            raise ValueError("ratios must be nonzero")
         nums.append(abs(r.numerator))
     return lcm_int(nums)
 
 
 def moebius(k: int) -> int:
-    assert k >= 1
+    if k < 1:
+        raise ValueError("k must be >= 1")
     out = 1
     d = 2
     while d * d <= k:
@@ -135,7 +159,8 @@ def moebius(k: int) -> int:
 
 
 def divisors(k: int) -> list[int]:
-    assert k >= 1
+    if k < 1:
+        raise ValueError("k must be >= 1")
     small, big = [], []
     d = 1
     while d * d <= k:

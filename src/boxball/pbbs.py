@@ -29,6 +29,7 @@ from boxball.intmat import (
     lcm_of_fractions,
     moebius,
     reduce_mod_lattice,
+    solve,
 )
 from boxball.kkr import RiggedConfiguration, kkr_phi, kkr_phi_inv
 from boxball.theta import PeriodMatrix, theta
@@ -340,9 +341,8 @@ def _lattice_points_in_box(F_cols, lo, hi):
     if any(l > h for l, h in zip(lo, hi)):
         return
     # bound s by solving F s = corner over the rationals for all corners
-    corners = []
-    for corner in product(*zip(lo, hi)):
-        corners.append(_solve_int_matrix(F_cols, corner))
+    F_rows = [[F_cols[j][i] for j in range(g)] for i in range(g)]
+    corners = [solve(F_rows, corner) for corner in product(*zip(lo, hi))]
     los = [min(c[i] for c in corners) for i in range(g)]
     his = [max(c[i] for c in corners) for i in range(g)]
     ranges = [range(ceil(a) - 1, floor(b) + 2) for a, b in zip(los, his)]
@@ -350,22 +350,6 @@ def _lattice_points_in_box(F_cols, lo, hi):
         img = [sum(F_cols[k][i] * s[k] for k in range(g)) for i in range(g)]
         if all(lo[i] <= img[i] <= hi[i] for i in range(g)):
             yield s
-
-
-def _solve_int_matrix(F_cols, b):
-    """Solve F s = b over the rationals (F given by columns)."""
-    g = len(b)
-    a = [[Fraction(F_cols[j][i]) for j in range(g)] + [Fraction(b[i])] for i in range(g)]
-    for k in range(g):
-        piv = next(i for i in range(k, g) if a[i][k] != 0)
-        a[k], a[piv] = a[piv], a[k]
-        inv = 1 / a[k][k]
-        a[k] = [x * inv for x in a[k]]
-        for i in range(g):
-            if i != k and a[i][k]:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return [a[i][g] for i in range(g)]
 
 
 def theta_state(Jvec, mu: ActionVariable, L: int | None = None) -> PeriodicState:

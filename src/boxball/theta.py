@@ -2,19 +2,24 @@
 quadratic-plus-linear form.
 
 Theta(Z; Xi) = min over integer n of n.(Xi n/2 + Z) for a symmetric positive
-definite Xi.  The minimum is found by scanning sup-norm shells outward; the
-scan stops once a rational lower bound on the smallest eigenvalue proves that
-no further shell can beat the incumbent.  All arithmetic is exact.
+definite Xi.  The minimum is found by Fincke-Pohst enumeration of the
+ellipsoid (n - c).Xi(n - c) <= R around the real minimizer c = -Xi^{-1} Z,
+using the exact LDL^T factorization of Xi (computed once per PeriodMatrix):
+coordinate n_i ranges over an interval found with math.isqrt, visited in
+Schnorr-Euchner order (nearest the center first), and R shrinks to each better
+point found.  The work grows with the number of lattice points in the
+ellipsoid, not with a box around it; genus 5 takes milliseconds per call.
+All arithmetic is exact.  The wide brute-force scan is the test oracle.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import ceil, floor, isqrt
 
-from boxball.intmat import det_fraction
+from boxball.intmat import ldl, solve
 
 
 @dataclass(frozen=True)
@@ -22,6 +27,8 @@ class PeriodMatrix:
     """Symmetric positive definite rational matrix defining a tropical torus."""
 
     rows: tuple[tuple[Fraction, ...], ...]
+    # (L, D) with Xi = L D L^T; building it is the positive definiteness check
+    _ldl: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = len(self.rows)
@@ -29,10 +36,7 @@ class PeriodMatrix:
             raise ValueError("matrix must be square")
         if any(self.rows[i][j] != self.rows[j][i] for i in range(g) for j in range(g)):
             raise ValueError("matrix must be symmetric")
-        for k in range(1, g + 1):
-            minor = [[Fraction(self.rows[i][j]) for j in range(k)] for i in range(k)]
-            if det_fraction(minor) <= 0:
-                raise ValueError("matrix must be positive definite")
+        object.__setattr__(self, "_ldl", ldl(self.rows))
 
     @property
     def g(self) -> int:
@@ -45,24 +49,6 @@ class PeriodMatrix:
     def mul(self, v: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
         return tuple(sum(r[j] * v[j] for j in range(self.g)) for r in self.rows)
 
-    def eigen_lower_bound(self) -> Fraction:
-        """Positive rational lower bound on the smallest eigenvalue.
-
-        max(Gershgorin bound, det/trace^{g-1}); the latter is always positive
-        for a positive definite matrix.
-        """
-        g = self.g
-        if g == 1:
-            return Fraction(self.rows[0][0])
-        gersh = min(
-            self.rows[i][i] - sum(abs(self.rows[i][j]) for j in range(g) if j != i)
-            for i in range(g)
-        )
-        trace = sum(self.rows[i][i] for i in range(g))
-        dt = det_fraction([[Fraction(x) for x in r] for r in self.rows])
-        bound = dt / trace ** (g - 1)
-        return max(gersh, bound) if gersh > 0 else bound
-
 
 def _objective(n, Xi_rows, Z):
     # n.(Xi n / 2 + Z), assembled as (n.Xi n + 2 n.Z)/2
@@ -71,65 +57,75 @@ def _objective(n, Xi_rows, Z):
     return Fraction(quad, 2) + lin
 
 
-def _solve(Xi_rows, b):
-    """Exact solution of Xi x = b (Xi nonsingular) by Gaussian elimination."""
-    g = len(b)
-    a = [[Fraction(Xi_rows[i][j]) for j in range(g)] + [Fraction(b[i])] for i in range(g)]
-    for k in range(g):
-        piv = next(i for i in range(k, g) if a[i][k] != 0)
-        a[k], a[piv] = a[piv], a[k]
-        inv = 1 / a[k][k]
-        a[k] = [x * inv for x in a[k]]
-        for i in range(g):
-            if i != k and a[i][k]:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return tuple(a[i][g] for i in range(g))
+def _interval(center: Fraction, d: Fraction, rem: Fraction) -> range:
+    """The integers x with d (x - center)^2 <= rem, for d > 0 and rem >= 0."""
+    t = rem / d
+    # s <= sqrt(t) < s + 1/den, so each end is at most one short
+    s = Fraction(isqrt(t.numerator * t.denominator), t.denominator)
+    lo, hi = ceil(center - s), floor(center + s)
+    if d * (lo - 1 - center) ** 2 <= rem:
+        lo -= 1
+    if d * (hi + 1 - center) ** 2 <= rem:
+        hi += 1
+    return range(lo, hi + 1)
 
 
 def theta_argmin(Z, Xi: PeriodMatrix) -> tuple[Fraction, tuple[int, ...]]:
     """Tropical theta with a minimizer.
 
-    The search is recentered at the rounded real minimizer n0 of the
-    quadratic, which leaves a residual argument of bounded size; sup-norm
-    shells around n0 are then scanned until the eigenvalue lower bound proves
-    no further shell can beat the incumbent.
+    n.(Xi n/2 + Z) = q(n)/2 - c.Xi c/2 with q(n) = (n - c).Xi(n - c) and
+    c = -Xi^{-1} Z.  With Xi = L D L^T, q(n) = sum_i D_i (n_i - center_i)^2
+    where center_i depends only on n_{i+1..g}, so coordinates are fixed from
+    the last down; a branch is cut as soon as its partial sum exceeds the
+    bound R, which starts at q(n0) for n0 the componentwise rounding of c.
+    Every minimizer is enumerated; among ties the one returned minimizes
+    (max |n - n0|, n - n0 lexicographically), the first a scan of sup-norm
+    shells around n0 meets.
     """
     Z = tuple(Fraction(z) for z in Z)
     g = Xi.g
+    if len(Z) != g:
+        raise ValueError(f"theta argument must have g = {g} entries, got {len(Z)}")
+    L, D = Xi._ldl
+    c = solve(Xi.rows, [-z for z in Z])
     n0 = tuple(
-        int((x.numerator * 2 + x.denominator) // (2 * x.denominator))
-        for x in _solve(Xi.rows, tuple(-z for z in Z))
+        int((x.numerator * 2 + x.denominator) // (2 * x.denominator)) for x in c
     )
-    base = _objective(n0, Xi.rows, Z)
-    Xin0 = Xi.mul(tuple(Fraction(c) for c in n0))
-    Zp = tuple(z + w for z, w in zip(Z, Xin0))  # residual, bounded by Xi alone
-    lam = Xi.eigen_lower_bound()
-    z1 = sum(abs(z) for z in Zp)
-    # theta(Z) = base + min_m (m.(Xi m/2 + Zp)); incumbent m = 0
-    best = Fraction(0)
-    best_m = (0,) * g
-    r = 1
-    while True:
-        # any m on shell r has objective >= lam r^2/2 - z1 r, increasing past the vertex
-        if r * lam >= z1 and lam * r * r / 2 - z1 * r > best:
-            break
-        for m in _shell(g, r):
-            v = _objective(m, Xi.rows, Zp)
-            if v < best:
-                best, best_m = v, m
-        r += 1
-    value = base + best
-    n_star = tuple(a + b for a, b in zip(n0, best_m))
-    assert value <= 0, "minimum must not exceed the n=0 value"
+    n = list(n0)
+
+    def center(i: int) -> Fraction:
+        return c[i] - sum(L[j][i] * (n[j] - c[j]) for j in range(i + 1, g))
+
+    bound = sum(D[i] * (n0[i] - center(i)) ** 2 for i in range(g))
+    ties: list[tuple[int, ...]] = []
+
+    def descend(i: int, partial: Fraction) -> None:
+        nonlocal bound, ties
+        if i < 0:
+            if partial < bound:
+                bound, ties = partial, []
+            ties.append(tuple(n))
+            return
+        ctr = center(i)
+        # Schnorr-Euchner order: |x - ctr| never decreases, so the first x
+        # past the (shrinking) bound ends this level
+        for x in sorted(_interval(ctr, D[i], bound - partial), key=lambda x: abs(x - ctr)):
+            v = partial + D[i] * (x - ctr) ** 2
+            if v > bound:
+                break
+            n[i] = x
+            descend(i - 1, v)
+
+    def shell_order(m):
+        d = tuple(a - b for a, b in zip(m, n0))
+        return max(map(abs, d), default=0), d
+
+    descend(g - 1, Fraction(0))
+    n_star = min(ties, key=shell_order)
+    value = _objective(n_star, Xi.rows, Z)
+    if value > 0:
+        raise ValueError("theta minimum exceeds the n = 0 value")
     return value, n_star
-
-
-def _shell(g, r):
-    """Integer points with sup-norm exactly r."""
-    for n in itertools.product(range(-r, r + 1), repeat=g):
-        if max(abs(c) for c in n) == r:
-            yield n
 
 
 _cache: dict = {}

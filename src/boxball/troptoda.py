@@ -5,14 +5,18 @@ States are cyclic vectors (Q_j, W_j) of exact rationals with sum(Q) < sum(W).
 Integer states stay integer under evolution (checked where relied on).  The
 intermediate conserved quantities H_k interpolate the displayed H_1, H_2, H_N
 as minima over k-element subsets avoiding the pairs {W_j, Q_j} and
-{W_j, Q_{j+1}} (cyclically); invariance is enforced in tests.
+{W_j, Q_{j+1}} (cyclically), i.e. minimum-weight independent k-sets on the
+cycle Q_1 W_1 Q_2 W_2 ... Q_N W_N; conserved_all finds every H_k in one O(N^2)
+dynamic program over that cycle, and the C(2N, k) subset scan survives as the
+test oracle.  Invariance is enforced in tests.  The theta-function solution
+builds its spectral data and period matrix once per call; theta itself is an
+exact Fincke-Pohst enumeration (see boxball.theta).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from boxball.theta import PeriodMatrix, theta
 
@@ -68,12 +72,23 @@ def evolve_toda(s: TodaState) -> TodaState:
     return TodaState(tuple(Qn), tuple(Wn))
 
 
-def _allowed(N: int, subset) -> bool:
-    chosen_q = {i for kind, i in subset if kind == 0}
-    for kind, j in subset:
-        if kind == 1 and (j in chosen_q or (j + 1) % N in chosen_q):
-            return False
-    return True
+def _min(a, b):
+    """Minimum of two optional values; None stands for no candidate."""
+    if a is None:
+        return b
+    return a if b is None or a <= b else b
+
+
+def _path_minima(values, k_max: int) -> list:
+    """m[k] = least sum of k pairwise non-adjacent entries of the path
+    `values` (None if there are fewer than k such entries), k = 0..k_max."""
+    free = [0] + [None] * k_max  # best with the last entry unused
+    used = [None] * (k_max + 1)  # best with the last entry used
+    for v in values:
+        taken = [None] + [None if f is None else f + v for f in free[:-1]]
+        free = [_min(a, b) for a, b in zip(free, used)]
+        used = taken
+    return [_min(a, b) for a, b in zip(free, used)]
 
 
 def conserved(s: TodaState, k: int) -> Fraction:
@@ -81,33 +96,31 @@ def conserved(s: TodaState, k: int) -> Fraction:
 
     H_k for k <= N is the minimum of sum over k-element subsets of
     {Q_1..Q_N, W_1..W_N} containing no pair {W_j, Q_j} or {W_j, Q_{j+1}};
-    H_{N+1} = sum(Q) + sum(W).
+    H_{N+1} = sum(Q) + sum(W).  Read from conserved_all, O(N^2).
     """
-    N = s.N
-    if not 1 <= k <= N + 1:
+    if not 1 <= k <= s.N + 1:
         raise ValueError("k out of range")
-    if k == N + 1:
-        return sum(s.Q) + sum(s.W)
-    items = [(0, i) for i in range(N)] + [(1, i) for i in range(N)]
-
-    def val(it):
-        kind, i = it
-        return s.Q[i] if kind == 0 else s.W[i]
-
-    best = None
-    for subset in combinations(items, k):
-        if not _allowed(N, subset):
-            continue
-        v = sum(val(it) for it in subset)
-        if best is None or v < best:
-            best = v
-    assert best is not None
-    return best
+    return conserved_all(s)[k - 1]
 
 
 def conserved_all(s: TodaState) -> tuple[Fraction, ...]:
-    """C = (H_1, ..., H_{N+1})."""
-    return tuple(conserved(s, k) for k in range(1, s.N + 2))
+    """C = (H_1, ..., H_{N+1}).
+
+    The forbidden pairs are exactly the neighbours on the cycle
+    Q_1 W_1 Q_2 W_2 ... Q_N W_N, so H_k (k <= N) is its minimum-weight
+    independent k-set.  The cycle is closed by two path problems: Q_1 unused
+    leaves the path W_1 Q_2 ... Q_N W_N; Q_1 used excludes both its
+    neighbours and leaves Q_2 W_2 ... Q_N.  One pass each, O(N^2) in all.
+    """
+    N = s.N
+    cycle = s.flat()
+    without_q1 = _path_minima(cycle[1:], N)
+    with_q1 = _path_minima(cycle[2:-1], N - 1)
+    H = [
+        _min(without_q1[k], None if with_q1[k - 1] is None else with_q1[k - 1] + s.Q[0])
+        for k in range(1, N + 1)
+    ]
+    return tuple(H) + (sum(s.Q) + sum(s.W),)
 
 
 def shift_s(s: TodaState) -> TodaState:
@@ -170,19 +183,18 @@ def spectral_data(C) -> SpectralData:
     return SpectralData(C, L, tuple(lam), tuple(eta), Omega, smooth)
 
 
-def theta_solution(Z0, C, t: int, n: int) -> tuple[Fraction, Fraction]:
-    """(Q_n^t, W_n^t) of the theta-function general solution.
-
-    T_n^t = Theta(Z0 + velocity*t - L e_1 n) with velocity
-    (lambda_1, lambda_2 - lambda_1, ...); requires a smooth spectral curve.
-    """
+def _theta_sites(Z0, C):
+    """(Q_n^t, W_n^t) as a function of (t, n), with the spectral data and the
+    period matrix of C built once."""
     sd = spectral_data(C)
     if not sd.smooth or sd.Omega is None:
         raise ValueError("spectral curve is not smooth")
     g = len(C) - 2
+    Z0 = tuple(Fraction(z) for z in Z0)
+    if len(Z0) != g:
+        raise ValueError(f"Z0 must have len(C) - 2 = {g} entries, got {len(Z0)}")
     Xi = PeriodMatrix.from_rows(sd.Omega)
     vel = tuple(sd.lam[i + 1] - sd.lam[i] for i in range(g))
-    Z0 = tuple(Fraction(z) for z in Z0)
 
     def T(tt: int, nn: int) -> Fraction:
         Z = tuple(
@@ -191,15 +203,30 @@ def theta_solution(Z0, C, t: int, n: int) -> tuple[Fraction, Fraction]:
         return theta(Z, Xi)
 
     C1 = sd.C[0]
-    Q = T(t, n - 1) + T(t + 1, n) - T(t + 1, n - 1) - T(t, n) + C1
-    W = T(t + 1, n - 1) + T(t, n + 1) - T(t, n) - T(t + 1, n) + sd.L + C1
-    return Q, W
+
+    def site(t: int, n: int) -> tuple[Fraction, Fraction]:
+        Q = T(t, n - 1) + T(t + 1, n) - T(t + 1, n - 1) - T(t, n) + C1
+        W = T(t + 1, n - 1) + T(t, n + 1) - T(t, n) - T(t + 1, n) + sd.L + C1
+        return Q, W
+
+    return site
+
+
+def theta_solution(Z0, C, t: int, n: int) -> tuple[Fraction, Fraction]:
+    """(Q_n^t, W_n^t) of the theta-function general solution.
+
+    T_n^t = Theta(Z0 + velocity*t - L e_1 n) with velocity
+    (lambda_1, lambda_2 - lambda_1, ...); requires a smooth spectral curve and
+    len(Z0) == len(C) - 2 (the genus), else ValueError.
+    """
+    return _theta_sites(Z0, C)(t, n)
 
 
 def theta_state(Z0, C, t: int) -> TodaState:
-    """Full state at time t from the theta solution."""
-    N = len(C) - 1
-    pairs = [theta_solution(Z0, C, t, n) for n in range(1, N + 1)]
+    """Full state at time t from the theta solution (same conditions as
+    theta_solution)."""
+    site = _theta_sites(Z0, C)
+    pairs = [site(t, n) for n in range(1, len(C))]
     return TodaState.make([q for q, _ in pairs], [w for _, w in pairs])
 
 

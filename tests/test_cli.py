@@ -215,3 +215,22 @@ def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
     assert all(line.startswith("PASS") for line in out.splitlines())
+
+
+@pytest.mark.parametrize(
+    "C, z0", [("0,1,4,9", "1"), ("0,3,8", "9,4"), ("0,3,8", "9,4,1")]
+)
+def test_toda_solve_wrong_z0_length_exit_code(capsys, C, z0):
+    code, out, err = run(capsys, "toda", "solve", "--C", C, "--z0", z0)
+    assert code == 3 and out == ""
+    assert "Z0 must have" in err
+
+
+def test_toda_solve_genus4(capsys):
+    C = "0,1,5,13,30,67"  # the conserved values of Q = (0,1,11,8,10), W = (6,11,8,4,8)
+    code, out, _ = run(capsys, "toda", "solve", "--C", C, "--z0", "3,-7,12,0", "--steps", "3", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    assert len(rows) == 4 and all(len(r) == 10 for r in rows)
+    code, out, _ = run(capsys, "toda", "evolve", ",".join(rows[0]), "--steps", "3", "--format", "json")
+    assert code == 0 and json.loads(out) == rows

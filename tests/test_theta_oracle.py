@@ -1,0 +1,184 @@
+"""Differential tests of the Fincke-Pohst theta_argmin.
+
+Oracles: brute_theta (the wide box scan of tests/test_theta.py) on random
+positive definite matrices, with a box radius that provably contains every
+minimizer; a test-local copy of the earlier sup-norm shell scan, which fixes
+which minimizer is returned among ties; the Sylvester criterion for the
+positive definiteness check; and, at genus 4, inverse scattering of the
+periodic box-ball system.
+"""
+
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
+from itertools import product
+from math import ceil
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from boxball.intmat import det_int, solve
+from boxball.pbbs import ActionVariable, AngleVariable, inverse_scattering, theta_state
+from boxball.theta import PeriodMatrix, _interval, theta, theta_argmin
+from test_theta import brute_theta
+
+F = Fraction
+
+
+def objective(n, rows, Z):
+    g = len(n)
+    quad = sum(n[i] * rows[i][j] * n[j] for i in range(g) for j in range(g))
+    return F(quad, 2) + sum(a * b for a, b in zip(n, Z))
+
+
+def shell_scan_argmin(Z, rows):
+    """The earlier search (genus <= 2): sup-norm shells around the rounded
+    real minimizer n0, stopped by an eigenvalue lower bound."""
+    g = len(rows)
+    n0 = tuple(
+        int((x.numerator * 2 + x.denominator) // (2 * x.denominator))
+        for x in solve(rows, [-z for z in Z])
+    )
+    Zp = tuple(z + sum(rows[i][j] * n0[j] for j in range(g)) for i, z in enumerate(Z))
+    if g == 1:
+        lam = F(rows[0][0])
+    else:
+        gersh = min(rows[i][i] - abs(rows[i][1 - i]) for i in range(2))
+        bound = F(rows[0][0] * rows[1][1] - rows[0][1] ** 2) / (rows[0][0] + rows[1][1])
+        lam = max(gersh, bound) if gersh > 0 else bound
+    z1 = sum(abs(z) for z in Zp)
+    best, best_m, r = F(0), (0,) * g, 1
+    while not (r * lam >= z1 and lam * r * r / 2 - z1 * r > best):
+        for m in product(range(-r, r + 1), repeat=g):
+            if max(abs(c) for c in m) == r:
+                v = objective(m, rows, Zp)
+                if v < best:
+                    best, best_m = v, m
+        r += 1
+    n_star = tuple(a + b for a, b in zip(n0, best_m))
+    return objective(n_star, rows, Z), n_star
+
+
+def pd_matrix(g, entries, d):
+    """A^T A + d I: symmetric, positive definite, smallest eigenvalue >= d."""
+    A = [entries[i * g:(i + 1) * g] for i in range(g)]
+    return [
+        [sum(A[k][i] * A[k][j] for k in range(g)) + (d if i == j else 0) for j in range(g)]
+        for i in range(g)
+    ]
+
+
+@st.composite
+def theta_cases(draw):
+    g = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 4))
+    rows = pd_matrix(g, draw(st.lists(st.integers(-3, 3), min_size=g * g, max_size=g * g)), d)
+    den = draw(st.integers(1, 4))
+    Z = tuple(F(draw(st.integers(-d * den, d * den)), den) for _ in range(g))
+    m = tuple(draw(st.lists(st.integers(-6, 6), min_size=g, max_size=g)))
+    return rows, d, Z, m
+
+
+@settings(max_examples=60, deadline=None)
+@given(theta_cases())
+def test_hypothesis_oracle_random_matrices(case):
+    rows, d, Z, m = case
+    Xi = PeriodMatrix.from_rows(rows)
+    # a minimizer has objective <= 0, so d |n|^2 / 2 <= |Z| |n| and |n| <= 2 |Z|_1 / d
+    expect = brute_theta(Z, rows, radius=ceil(2 * sum(abs(z) for z in Z) / d))
+    value, n = theta_argmin(Z, Xi)
+    assert value == expect == theta(Z, Xi)
+    assert objective(n, rows, Z) == value
+    # quasi-periodicity moves the minimizer far from the origin
+    Zm = tuple(z + sum(rows[i][j] * m[j] for j in range(len(m))) for i, z in enumerate(Z))
+    value_m, n_m = theta_argmin(Zm, Xi)
+    assert value_m == value - objective(m, rows, Z)
+    assert objective(n_m, rows, Zm) == value_m
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[16]], [[2]], [[7, 2], [2, 7]], [[16, -5], [-5, 10]], [[2, 1], [1, 2]], [[4, -2], [-2, 2]]],
+)
+def test_minimizer_matches_shell_scan_ties_included(rows):
+    # half-integer and third arguments put many minimizers at equal value
+    Xi = PeriodMatrix.from_rows(rows)
+    g = len(rows)
+    for k in range(-12, 13):
+        for den in (2, 3):
+            Z = tuple(F(k + 5 * i, den) for i in range(g))
+            assert theta_argmin(Z, Xi) == shell_scan_argmin(Z, [[F(x) for x in r] for r in rows])
+
+
+def test_isqrt_interval_is_exact():
+    # both ends matter: each is at most one short before its correction
+    rng = random.Random(71)
+    for _ in range(3000):
+        center = F(rng.randint(-60, 60), rng.randint(1, 12))
+        d = F(rng.randint(1, 30), rng.randint(1, 6))
+        rem = F(rng.randint(0, 400), rng.randint(1, 9))
+        expect = [x for x in range(-120, 121) if d * (x - center) ** 2 <= rem]
+        assert list(_interval(center, d, rem)) == expect, (center, d, rem)
+
+
+def test_positive_definite_iff_sylvester():
+    for g in (1, 2, 3):
+        for entries in product((-2, 0, 1, 3), repeat=g * (g + 1) // 2):
+            it = iter(entries)
+            rows = [[0] * g for _ in range(g)]
+            for i in range(g):
+                for j in range(i, g):
+                    rows[i][j] = rows[j][i] = next(it)
+            sylvester = all(
+                det_int([r[:k] for r in rows[:k]]) > 0 for k in range(1, g + 1)
+            )
+            try:
+                PeriodMatrix.from_rows(rows)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == sylvester, rows
+
+
+def test_theta_rejects_wrong_argument_length():
+    Xi = PeriodMatrix.from_rows([[7, 2], [2, 7]])
+    for Z in ((1,), (1, 2, 3), ()):
+        with pytest.raises(ValueError, match="theta argument must have"):
+            theta(Z, Xi)
+
+
+@pytest.mark.parametrize("L, parts", [(22, (4, 3, 2, 1)), (27, (5, 3, 2, 1))])
+def test_pbbs_theta_state_genus4_matches_inverse_scattering(L, parts):
+    mu = ActionVariable(L, parts)
+    assert mu.g == 4 and all(mu.m(i) == 1 for i in mu.I)
+    for J in [(0, 0, 0, 0), (1, 2, 3, 1), (5, 1, 0, 2), (7, 11, 4, 9), (-3, 2, 8, -1)]:
+        expect = inverse_scattering(AngleVariable(mu, tuple((j,) for j in J)))
+        assert theta_state(J, mu) == expect
+
+
+def test_checks_survive_optimize():
+    # the checks must not be asserts, which python -O strips
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "from boxball import intmat\n"
+        "from boxball.theta import PeriodMatrix, theta\n"
+        "cases = [lambda: theta((1,), PeriodMatrix.from_rows([[7, 2], [2, 7]])),\n"
+        "         lambda: intmat.det_int([[1, 2]]), lambda: intmat.moebius(0),\n"
+        "         lambda: intmat.divisors(0), lambda: intmat.lcm_of_fractions([0]),\n"
+        "         lambda: intmat.column_hnf([[1, 2], [2, 4]])]\n"
+        "for case in cases:\n"
+        "    try:\n"
+        "        print('returned', case())\n"
+        "    except ValueError:\n"
+        "        print('ValueError')\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split("\n")[:-1] == ["ValueError"] * 6
