@@ -10,6 +10,7 @@ terms vanishing because a vacant carrier scores nothing against empty boxes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 from boxball.crystal import CrystalElement, comb_R
 
@@ -119,9 +120,8 @@ def evolve(state: BBSState, l: int | None = None) -> tuple[BBSState, int]:
         emitted, h = _carrier_step(carrier, b, n)
         out.append(emitted)
         energy += 1 - h
-    assert carrier[0] == l_eff and all(c == 0 for c in carrier[1:]), (
-        "carrier failed to empty; padding too small"
-    )
+    if carrier[0] != l_eff or any(carrier[1:]):
+        raise ValueError("carrier failed to empty; padding too small")
     return BBSState(n, tuple(out), s.origin).trimmed(), energy
 
 
@@ -163,10 +163,12 @@ def soliton_content(state: BBSState) -> dict[int, int]:
     out = {}
     for l in range(1, balls + 1):
         m = -E[l - 1] + 2 * E[l] - E[l + 1]
-        assert m >= 0
+        if m < 0:
+            raise ValueError(f"negative soliton count m_{l} = {m}")
         if m:
             out[l] = m
-    assert sum(l * m for l, m in out.items()) == balls
+    if sum(l * m for l, m in out.items()) != balls:
+        raise ValueError("soliton content does not account for every ball")
     return out
 
 
@@ -178,27 +180,18 @@ def solitons(state: BBSState) -> list[tuple[int, str]]:
     regime); raises ValueError otherwise.
     """
     s = state.trimmed()
-    runs = []
-    i = 0
-    cells = s.cells
-    while i < len(cells):
-        if cells[i] == 1:
-            i += 1
-            continue
-        j = i
-        while j < len(cells) and cells[j] != 1:
-            j += 1
-        runs.append((i, cells[i:j]))
-        i = j
+    # trimmed, so the runs alternate nontrivial, vacuum gap, ..., nontrivial
+    runs = [tuple(run) for _, run in groupby(s.cells, key=lambda c: c != 1)]
     out = []
-    for k, (start, run) in enumerate(runs):
-        if any(run[t] < run[t + 1] for t in range(len(run) - 1)):
-            raise ValueError("run is not weakly decreasing; no canonical solitons")
-        if k + 1 < len(runs):
-            gap = runs[k + 1][0] - (start + len(run))
-            if gap <= len(run):
+    pos = s.origin
+    for k, run in enumerate(runs):
+        if k % 2 == 0:
+            if any(run[t] < run[t + 1] for t in range(len(run) - 1)):
+                raise ValueError("run is not weakly decreasing; no canonical solitons")
+            if k + 1 < len(runs) and len(runs[k + 1]) <= len(run):
                 raise ValueError("solitons too close; no canonical decomposition")
-        out.append((s.origin + start, "".join(str(c) for c in run)))
+            out.append((pos, "".join(str(c) for c in run)))
+        pos += len(run)
     return out
 
 
@@ -254,30 +247,20 @@ def scatter_two_simulated(big: str, small: str) -> tuple[str, str, int]:
             if len(small_out) == lp:  # small soliton has been overtaken
                 delta = sol[1][0] - (x0 + l * t)
                 delta_small = (y0 + lp * t) - sol[0][0]
-                assert delta == delta_small, "phase shifts disagree between solitons"
+                if delta != delta_small:
+                    raise ValueError("phase shifts disagree between solitons")
                 return small_out, big_out, delta
-        assert t < 100 * (l + lp), "scattering simulation did not separate"
+        if t >= 100 * (l + lp):
+            raise ValueError("scattering simulation did not separate")
 
 
 def toda_coords(state: BBSState) -> tuple[list[int], list[int]]:
     """sl2 soliton coordinates: ball-run lengths Q and the gaps W between them."""
     if state.rank != 1:
         raise ValueError("Toda coordinates are defined for sl2 states only")
-    s = state.trimmed()
-    i = 0
-    runs = []
-    while i < len(s.cells):
-        if s.cells[i] == 1:
-            i += 1
-            continue
-        j = i
-        while j < len(s.cells) and s.cells[j] == 2:
-            j += 1
-        runs.append((i, j))
-        i = j
-    Q = [j - i for i, j in runs]
-    W = [runs[k + 1][0] - runs[k][1] for k in range(len(runs) - 1)]
-    return Q, W
+    # trimmed, so the empty runs are exactly the gaps between ball runs
+    runs = [(c, len(list(run))) for c, run in groupby(state.trimmed().cells)]
+    return [n for c, n in runs if c == 2], [n for c, n in runs if c == 1]
 
 
 def toda_evolve(Q: list[int], W: list[int]) -> tuple[list[int], list[int]]:

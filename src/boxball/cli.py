@@ -16,16 +16,12 @@ from fractions import Fraction
 from boxball import bbs, kkr, pbbs, tau as tau_mod, troptoda
 
 
-class DomainError(ValueError):
-    pass
-
-
 def _parse_l(text: str) -> int | None:
     if text in ("inf", "infinity", "oo"):
         return None
     l = int(text)
     if l < 1:
-        raise DomainError("l must be >= 1 or inf")
+        raise ValueError("l must be >= 1 or inf")
     return l
 
 
@@ -107,7 +103,7 @@ def cmd_tau(args) -> int:
 def _parse_mu(text: str) -> tuple[int, ...]:
     parts = tuple(sorted((int(t) for t in text.replace(",", " ").split()), reverse=True))
     if not parts:
-        raise DomainError("empty partition")
+        raise ValueError("empty partition")
     return parts
 
 
@@ -340,7 +336,7 @@ def main(argv=None) -> int:
             args.state = args.data
     try:
         return args.fn(args)
-    except (DomainError, ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

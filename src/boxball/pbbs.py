@@ -8,12 +8,16 @@ for T_l is found by the two-pass construction: one pass of the vacant carrier
 yields the periodic fixed point, a second pass with it produces the evolved
 state and the energy.
 
+One scattering pass (_scatter: a highest rotation, then the KKR map) gives
+the action variable, the raw angle variable and the internal symmetries.
 Angle variables live on quasi-periodic extensions of riggings modulo the
 slide group; with I = {i_1 < ... < i_g} and multiplicities m_i, a slide on
 color k rotates that window by one and adds 2 min(i,k) everywhere, so the
 orbit of a window tuple is parametrized by a rotation vector r and a lattice
 shift F s (F the Bethe-type period matrix).  Canonical forms, class equality
-and the inverse scattering search all come down to this parametrization.
+and the inverse scattering search all come down to this parametrization; F
+(and, for inverse scattering, F^-1) is built once per call.  Fundamental
+periods are Cramer ratios: with F x = h, det F_j / det F = x_j.
 """
 
 from __future__ import annotations
@@ -88,8 +92,8 @@ def evolve_periodic(p: PeriodicState, l: int | None = None) -> tuple[PeriodicSta
 
     Two carrier passes: the vacant carrier's exit load is the periodic fixed
     point; rerunning with it yields T_l(p) and the energy E_l (number of
-    loading events).  The fixed point is guaranteed for M < L/2 and verified
-    by assertion in all cases.
+    loading events).  The fixed point is guaranteed for M < L/2 and checked
+    in all cases (ValueError if the second pass does not close up).
     """
     if l is not None and l < 0:
         raise ValueError("capacity l must be >= 0")
@@ -120,7 +124,8 @@ def evolve_periodic(p: PeriodicState, l: int | None = None) -> tuple[PeriodicSta
 
     v, _, _ = carrier_pass(0)
     v2, out, energy = carrier_pass(v)
-    assert v2 == v, "carrier fixed point failed to close up"
+    if v2 != v:
+        raise ValueError("carrier fixed point failed to close up")
     return PeriodicState(tuple(out)), energy
 
 
@@ -167,9 +172,7 @@ class ActionVariable:
 
 def action_variable(p: PeriodicState) -> ActionVariable:
     """Conserved soliton-amplitude partition, via any highest cyclic rotation."""
-    d, p_plus = _some_highest_rotation(p)
-    rc = kkr_phi(p_plus.word(), rank=1)
-    return ActionVariable(p.L, rc.mu(1))
+    return _scatter(p).mu
 
 
 def _some_highest_rotation(p: PeriodicState) -> tuple[int, PeriodicState]:
@@ -225,6 +228,18 @@ class AngleVariable:
         return AngleVariable(self.mu, tuple(tuple(x + d for x in w) for w in self.windows))
 
 
+def _scatter(p: PeriodicState) -> AngleVariable:
+    """The one scattering pass: KKR of the first highest rotation p_+ = T_1^{-d}(p),
+    whose color-1 riggings, grouped by length, sorted and shifted by d, form
+    the (uncanonicalized) angle variable of p."""
+    d, p_plus = _some_highest_rotation(p)
+    rc = kkr_phi(p_plus.word(), rank=1)
+    mu = ActionVariable(p.L, rc.mu(1))
+    return AngleVariable(
+        mu, tuple(tuple(sorted(r + d for j, r in rc.color(1) if j == i)) for i in mu.I)
+    )
+
+
 def _rotated_window(w: tuple[int, ...], p: int, r: int) -> tuple[int, ...]:
     """Slide the window start forward by r within the extended sequence."""
     m = len(w)
@@ -242,14 +257,13 @@ def _orbit_candidates(J: AngleVariable):
     mu = J.mu
     I = mu.I
     g = len(I)
-    F_cols = [[mu.F()[i][j] for i in range(g)] for j in range(g)]
-    for r in product(*(range(mu.m(i)) for i in I)):
+    vac = [mu.vacancy(i) for i in I]
+    for r in product(*(range(len(w)) for w in J.windows)):
         Mr = [2 * sum(min(I[i], I[k]) * r[k] for k in range(g)) for i in range(g)]
-        rotated = [
-            tuple(x + Mr[i] for x in _rotated_window(J.windows[i], mu.vacancy(I[i]), r[i]))
+        yield [
+            tuple(x + Mr[i] for x in _rotated_window(J.windows[i], vac[i], r[i]))
             for i in range(g)
         ]
-        yield r, rotated, F_cols
 
 
 def canonicalize(J: AngleVariable) -> AngleVariable:
@@ -259,8 +273,9 @@ def canonicalize(J: AngleVariable) -> AngleVariable:
     the base vector is reduced to its canonical residue, and the smallest
     resulting window tuple is taken.
     """
+    F_cols = list(zip(*J.mu.F()))
     best = None
-    for _, rotated, F_cols in _orbit_candidates(J):
+    for rotated in _orbit_candidates(J):
         base = [w[0] for w in rotated]
         residue = reduce_mod_lattice(base, F_cols)
         adjusted = tuple(
@@ -280,14 +295,7 @@ def angle_equal(A: AngleVariable, B: AngleVariable) -> bool:
 
 def direct_scattering(p: PeriodicState) -> AngleVariable:
     """Phi: angle variable of p, canonical; independent of the rotation used."""
-    d, p_plus = _some_highest_rotation(p)
-    rc = kkr_phi(p_plus.word(), rank=1)
-    mu = ActionVariable(p.L, rc.mu(1))
-    windows = []
-    for i in mu.I:
-        riggings = sorted(r for j, r in rc.color(1) if j == i)
-        windows.append(tuple(r + d for r in riggings))
-    return canonicalize(AngleVariable(mu, tuple(windows)))
+    return canonicalize(_scatter(p))
 
 
 def evolve_angle(J: AngleVariable, l: int | None, steps: int = 1) -> AngleVariable:
@@ -311,7 +319,9 @@ def inverse_scattering(J: AngleVariable) -> PeriodicState:
     I = mu.I
     g = len(I)
     vac = [mu.vacancy(i) for i in I]
-    for r, rotated, F_cols in _orbit_candidates(J):
+    F = mu.F()
+    F_inv = list(zip(*(solve(F, [int(i == j) for i in range(g)]) for j in range(g))))
+    for rotated in _orbit_candidates(J):
         spans = [w[-1] - w[0] for w in rotated]
         if any(spans[i] > vac[i] for i in range(g)):
             continue
@@ -320,11 +330,9 @@ def inverse_scattering(J: AngleVariable) -> PeriodicState:
             # need integer s with 0 <= bases + (F s) - e and window top <= vacancy
             target_lo = [e - bases[i] for i in range(g)]
             target_hi = [e - bases[i] + vac[i] - spans[i] for i in range(g)]
-            for s in _lattice_points_in_box(F_cols, target_lo, target_hi):
-                adj = [bases[i] + sum(F_cols[k][i] * s[k] for k in range(g)) - e for i in range(g)]
-                windows = tuple(
-                    tuple(x - bases[i] + adj[i] for x in rotated[i]) for i in range(g)
-                )
+            for s in _lattice_points_in_box(F, F_inv, target_lo, target_hi):
+                Fs = [sum(F[i][k] * s[k] for k in range(g)) for i in range(g)]
+                windows = tuple(tuple(x + Fs[i] - e for x in rotated[i]) for i in range(g))
                 rc = RiggedConfiguration.make(L, 1, [
                     [(i, x) for i, w in zip(I, windows) for x in w]
                 ])
@@ -335,19 +343,18 @@ def inverse_scattering(J: AngleVariable) -> PeriodicState:
     raise ValueError("no rigged-configuration representative found; invalid angle data")
 
 
-def _lattice_points_in_box(F_cols, lo, hi):
-    """Integer s with lo <= (F s)_i <= hi componentwise (F positive definite)."""
+def _lattice_points_in_box(F, F_inv, lo, hi):
+    """Integer s with lo <= (F s)_i <= hi componentwise (F positive definite; by rows)."""
     g = len(lo)
     if any(l > h for l, h in zip(lo, hi)):
         return
-    # bound s by solving F s = corner over the rationals for all corners
-    F_rows = [[F_cols[j][i] for j in range(g)] for i in range(g)]
-    corners = [solve(F_rows, corner) for corner in product(*zip(lo, hi))]
-    los = [min(c[i] for c in corners) for i in range(g)]
-    his = [max(c[i] for c in corners) for i in range(g)]
-    ranges = [range(ceil(a) - 1, floor(b) + 2) for a, b in zip(los, his)]
+    # s_k = sum_j F^-1_kj (F s)_j is extreme over the box where each term is
+    ranges = []
+    for row in F_inv:
+        ends = [(f * l, f * h) for f, l, h in zip(row, lo, hi)]
+        ranges.append(range(ceil(sum(map(min, ends))) - 1, floor(sum(map(max, ends))) + 2))
     for s in product(*ranges):
-        img = [sum(F_cols[k][i] * s[k] for k in range(g)) for i in range(g)]
+        img = [sum(F[i][k] * s[k] for k in range(g)) for i in range(g)]
         if all(lo[i] <= img[i] <= hi[i] for i in range(g)):
             yield s
 
@@ -362,7 +369,7 @@ def theta_state(Jvec, mu: ActionVariable, L: int | None = None) -> PeriodicState
         raise ValueError("theta formula requires all multiplicities 1")
     L = mu.L if L is None else L
     g = mu.g
-    Xi = PeriodMatrix.from_rows([[Fraction(x) for x in row] for row in mu.F()])
+    Xi = PeriodMatrix.from_rows(mu.F())
     pvec = [Fraction(mu.vacancy(i)) for i in mu.I]
     h1 = [Fraction(x) for x in mu.h(1)]
     hinf = [Fraction(x) for x in mu.h(None)]
@@ -387,16 +394,17 @@ def theta_state(Jvec, mu: ActionVariable, L: int | None = None) -> PeriodicState
 def internal_symmetry(p: PeriodicState) -> tuple[int, ...]:
     """Per part size i: the largest divisor gamma of gcd(m_i, p_i) with
     J_{i, a + m_i/gamma} = J_{i, a} + p_i/gamma on the extended rigging."""
-    d, p_plus = _some_highest_rotation(p)
-    rc = kkr_phi(p_plus.word(), rank=1)
-    mu = ActionVariable(p.L, rc.mu(1))
+    return _symmetry(_scatter(p))
+
+
+def _symmetry(J: AngleVariable) -> tuple[int, ...]:
+    # the test is invariant under a uniform shift of J, so any representative works
     out = []
-    for i in mu.I:
-        w = sorted(r for j, r in rc.color(1) if j == i)
+    for i, w in zip(J.mu.I, J.windows):
         m = len(w)
-        pi = mu.vacancy(i)
+        pi = J.mu.vacancy(i)
         gam = 1
-        for cand in sorted(divisors(gcd(m, pi) if pi else m), reverse=True):
+        for cand in sorted(divisors(gcd(m, pi)), reverse=True):
             step = m // cand
             inc = pi // cand
             ext = lambda a: w[a % m] + (a // m) * pi
@@ -408,30 +416,16 @@ def internal_symmetry(p: PeriodicState) -> tuple[int, ...]:
 
 
 def fundamental_period(p: PeriodicState, l: int | None) -> int:
-    """Smallest N with T_l^N(p) = p, from determinant ratios of F."""
-    mu = action_variable(p)
-    if not mu.I:
-        return 1  # the vacuum is fixed by every T_l
-    gamma = internal_symmetry(p)
-    F = mu.F()
-    g = mu.g
-    h = list(mu.h(l))
-    detF = det_int(F)
-    ratios = []
-    for j in range(g):
-        Fj = [row[:] for row in F]
-        for i in range(g):
-            Fj[i][j] = h[i]
-        dj = det_int(Fj)
-        if dj == 0:
-            continue
-        ratios.append(Fraction(detF, gamma[j] * dj))
-    assert ratios, "velocity vector cannot be trivial"
-    return lcm_of_fractions(ratios)
+    """Smallest N with T_l^N(p) = p: the lcm of det F / (gamma_j det F_j) over
+    det F_j != 0 (F_j: column j replaced by h_l), i.e. of 1 / (gamma_j x_j), F x = h_l;
+    1 when there is no such j (the vacuum, or T_0)."""
+    J = _scatter(p)
+    x = solve(J.mu.F(), J.mu.h(l))
+    return lcm_of_fractions(1 / (gam * xj) for gam, xj in zip(_symmetry(J), x) if xj)
 
 
 def isolevel_cardinality(mu: ActionVariable) -> int:
-    """|P_L(mu)| by the determinant form; the product form is asserted equal."""
+    """|P_L(mu)| by the determinant form; ValueError unless the product form agrees."""
     I = mu.I
     detF = det_int(mu.F())
     a = detF
@@ -446,15 +440,17 @@ def isolevel_cardinality(mu: ActionVariable) -> int:
     b = Fraction(mu.L) * Fraction(comb(p_g + m_g, m_g), p_g + m_g)
     for i in I[:-1]:
         b *= comb(mu.vacancy(i) + mu.m(i) - 1, mu.m(i))
-    assert a == b, "the two closed forms disagree"
-    assert a.denominator == 1
+    if a != b:
+        raise ValueError("the two closed forms disagree")
+    if a.denominator != 1:
+        raise ValueError("the cardinality is not an integer")
     return int(a)
 
 
 def _C_gamma(m: int, p: int, gamma: int) -> int:
     """Moebius-counted window classes with exact symmetry gamma."""
     total = 0
-    common = [b for b in divisors(gcd(m, p) if p else m) if b % gamma == 0]
+    common = [b for b in divisors(gcd(m, p)) if b % gamma == 0]
     for beta in common:
         total += moebius(beta // gamma) * comb((p + m) // beta - 1, m // beta - 1)
     return total
@@ -464,28 +460,29 @@ def torus_decomposition(mu: ActionVariable) -> list[tuple[tuple[int, ...], int, 
     """[(gamma, multiplicity, F_gamma)] over all internal symmetries.
 
     F_gamma divides the columns of F by gamma; the multiplicities satisfy
-    sum mult(gamma) det F_gamma = |P_L(mu)| (asserted).
+    sum mult(gamma) det F_gamma = |P_L(mu)| (ValueError otherwise).
     """
     I = mu.I
     F = mu.F()
     out = []
-    gamma_ranges = [
-        divisors(gcd(mu.m(i), mu.vacancy(i)) if mu.vacancy(i) else mu.m(i)) for i in I
-    ]
+    gamma_ranges = [divisors(gcd(mu.m(i), mu.vacancy(i))) for i in I]
     total = 0
     for gamma in product(*gamma_ranges):
         mult = Fraction(1)
         for k, i in enumerate(I):
             mult *= Fraction(gamma[k] * _C_gamma(mu.m(i), mu.vacancy(i), gamma[k]), mu.m(i))
-        assert mult.denominator == 1
+        if mult.denominator != 1:
+            raise ValueError("a torus multiplicity is not an integer")
         mult = int(mult)
         if mult == 0:
             continue
+        if any(F[i][j] % gamma[j] for i in range(len(I)) for j in range(len(I))):
+            raise ValueError("gamma does not divide the columns of F")
         Fg = [[F[i][j] // gamma[j] for j in range(len(I))] for i in range(len(I))]
-        assert all(F[i][j] % gamma[j] == 0 for i in range(len(I)) for j in range(len(I)))
         out.append((gamma, mult, Fg))
         total += mult * det_int(Fg)
-    assert total == isolevel_cardinality(mu), "multiplicities do not add up"
+    if total != isolevel_cardinality(mu):
+        raise ValueError("multiplicities do not add up")
     return out
 
 

@@ -5,7 +5,8 @@ shifted by the color-a length sum and k times the color-1 string count.  c
 depends on T only through its string count per (color, length) class and its
 rigging sum, least on each class's smallest riggings, so the exact minimization
 enumerates prod(m_c + 1) <= 2^N count vectors (m_c strings in class c, N in all,
-N capped by the BOXBALL_SUBSET_CAP environment variable); one scan serves all k, a.
+N capped by the BOXBALL_SUBSET_CAP environment variable); one scan builds the
+whole table of tau_{k,a}, which every query and path reconstruction then reads.
 
 Also here: the corner ball-count rho of an evolution profile, the path
 reconstruction from second differences of tau, and the ultradiscrete
@@ -79,7 +80,8 @@ def cocharge(strings) -> int:
 
 
 class _TauTable:
-    """For each color a and color-1 count m, the minimum of c(T) + lensum_a(T)."""
+    """For each color a and color-1 count m, the minimum of c(T) + lensum_a(T)
+    (best[a][m]), and from it every tau_{k,a} (rows[k][a], k = 0..L, a = 0..n+1)."""
 
     def __init__(self, s: StringSet):
         n = len(s.strings)
@@ -120,10 +122,10 @@ class _TauTable:
             lens[a] = base
 
         visit(0, 0, 0)
-
-    def tau(self, k: int, a: int) -> int:
-        vals = [v - k * m for m, v in enumerate(self.best[a]) if v is not None]
-        return -min(vals)
+        self.rows = []
+        for k in range(s.L + 1):
+            row = [-min(v - k * m for m, v in enumerate(best[a])) for a in range(1, rank + 2)]
+            self.rows.append([row[-1] - k] + row)  # tau_{k,0} = tau_{k,n+1} - k
 
 
 _tables: dict[tuple, _TauTable] = {}
@@ -142,11 +144,17 @@ def tau(s: StringSet, k: int, a: int) -> int:
     """tau_{k,a}(S) for 0 <= k <= L and 0 <= a <= n+1 (a=0 via tau_{k,n+1} - k)."""
     if not 0 <= k <= s.L:
         raise ValueError("k out of range")
-    if a == 0:
-        return _table(s).tau(k, s.rank + 1) - k
-    if not 1 <= a <= s.rank + 1:
+    if not 0 <= a <= s.rank + 1:
         raise ValueError("color out of range")
-    return _table(s).tau(k, a)
+    return _table(s).rows[k][a]
+
+
+def _rows(s: StringSet, L: int | None) -> list[list[int]]:
+    """The tau rows k = 0..L of s (L defaults to s.L)."""
+    L = s.L if L is None else L
+    if L > s.L:
+        raise ValueError("k out of range")
+    return _table(s).rows[: max(L, 0) + 1]
 
 
 def path_from_tau(s: StringSet, L: int | None = None) -> str:
@@ -155,12 +163,12 @@ def path_from_tau(s: StringSet, L: int | None = None) -> str:
     x_{k,a} = tau_{k,a} - tau_{k-1,a} - tau_{k,a-1} + tau_{k-1,a-1} must be a
     unit vector in a for every cell k; ValueError otherwise.
     """
-    L = s.L if L is None else L
+    t = _rows(s, L)
     word = []
-    for k in range(1, L + 1):
+    for k in range(1, len(t)):
         letter = None
         for a in range(1, s.rank + 2):
-            x = tau(s, k, a) - tau(s, k - 1, a) - tau(s, k, a - 1) + tau(s, k - 1, a - 1)
+            x = t[k][a] - t[k - 1][a] - t[k][a - 1] + t[k - 1][a - 1]
             if x not in (0, 1):
                 raise ValueError(f"cell {k} color {a}: x = {x} is not a unit-vector entry")
             if x == 1:
@@ -214,14 +222,14 @@ def check_hirota(s: StringSet, L: int | None = None) -> bool:
                                        taubar_{k-1,a-1} + tau_{k,a} - 1)
     for 1 <= k <= L and 2 <= a <= n+1.
     """
-    L = s.L if L is None else L
-    sbar = s.evolved(None)
-    for k in range(1, L + 1):
+    t = _rows(s, L)
+    tbar = _rows(s.evolved(None), L)
+    for k in range(1, len(t)):
         for a in range(2, s.rank + 2):
-            lhs = tau(sbar, k, a - 1) + tau(s, k - 1, a)
+            lhs = tbar[k][a - 1] + t[k - 1][a]
             rhs = max(
-                tau(sbar, k, a) + tau(s, k - 1, a - 1),
-                tau(sbar, k - 1, a - 1) + tau(s, k, a) - 1,
+                tbar[k][a] + t[k - 1][a - 1],
+                tbar[k - 1][a - 1] + t[k][a] - 1,
             )
             if lhs != rhs:
                 return False
@@ -230,4 +238,4 @@ def check_hirota(s: StringSet, L: int | None = None) -> bool:
 
 def tau_table(s: StringSet) -> list[list[int]]:
     """tau_{k,a} for k = 0..L (rows) and a = 0..n+1 (columns)."""
-    return [[tau(s, k, a) for a in range(s.rank + 2)] for k in range(s.L + 1)]
+    return [list(row) for row in _table(s).rows]

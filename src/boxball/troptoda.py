@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
 from boxball.theta import PeriodMatrix, theta
 
@@ -248,14 +249,7 @@ def embed_pbbs(word, leftmost: int = 0) -> TodaState:
         cells = tuple(word)
     L = len(cells)
     cells = cells[leftmost:] + cells[:leftmost]
-    runs = []
-    i = 0
-    while i < L:
-        j = i
-        while j < L and cells[j] == cells[i]:
-            j += 1
-        runs.append((cells[i], j - i))
-        i = j
+    runs = [(c, len(list(run))) for c, run in groupby(cells)]
     # N = 1 + number of cyclic ball runs (= 1 + soliton count of the isolevel set);
     # a ball run wrapping the distinguished box splits linearly into Q_1 and Q_N
     cyclic_runs = sum(
@@ -266,24 +260,15 @@ def embed_pbbs(word, leftmost: int = 0) -> TodaState:
     N = cyclic_runs + 1
     Q = [Fraction(0)] * N
     W = [Fraction(0)] * N
-    if runs and runs[0][0] == 2:
-        qi, wi = 0, 0
-        for v, ln in runs:
-            if v == 2:
-                Q[qi] = Fraction(ln)
-                qi += 1
-            else:
-                W[wi] = Fraction(ln)
-                wi += 1
-    else:
-        qi, wi = 1, 0
-        for v, ln in runs:
-            if v == 2:
-                Q[qi] = Fraction(ln)
-                qi += 1
-            else:
-                W[wi] = Fraction(ln)
-                wi += 1
+    qi = 0 if runs and runs[0][0] == 2 else 1  # Q_1 = 0 when the box is empty
+    wi = 0
+    for v, ln in runs:
+        if v == 2:
+            Q[qi] = Fraction(ln)
+            qi += 1
+        else:
+            W[wi] = Fraction(ln)
+            wi += 1
     if qi > N or wi > N:
         raise ValueError("more runs than the embedding dimension allows")
     return TodaState(tuple(Q), tuple(W))

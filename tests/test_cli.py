@@ -234,3 +234,16 @@ def test_toda_solve_genus4(capsys):
     assert len(rows) == 4 and all(len(r) == 10 for r in rows)
     code, out, _ = run(capsys, "toda", "evolve", ",".join(rows[0]), "--steps", "3", "--format", "json")
     assert code == 0 and json.loads(out) == rows
+
+
+def test_bad_capacity_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["evolve", "22", "--l", "0"])
+    assert exc.value.code == 2
+    assert "--l" in capsys.readouterr().err
+
+
+def test_empty_partition_exit_code(capsys):
+    code, out, err = run(capsys, "analyze", "count", "--L", "6", "--mu", ",")
+    assert code == 3 and out == ""
+    assert "empty partition" in err

@@ -167,3 +167,17 @@ def test_tau_table_shape():
     s = _S("112212", 1)
     table = tau_table(s)
     assert len(table) == 7 and all(len(r) == 3 for r in table)
+
+
+def test_tau_rows_are_bounded_and_not_shared():
+    s = _S("11112221322433", 3)
+    assert path_from_tau(s, 7) == "1111222"
+    assert path_from_tau(s, 0) == path_from_tau(s, -2) == ""
+    with pytest.raises(ValueError):
+        path_from_tau(s, s.L + 1)
+    with pytest.raises(ValueError):
+        check_hirota(s, s.L + 1)
+    assert check_hirota(s, 5)
+    table = tau_table(s)
+    table[3][2] += 100
+    assert tau_table(s)[3][2] == tau(s, 3, 2) == table[3][2] - 100
