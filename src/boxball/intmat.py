@@ -79,19 +79,22 @@ def ldl(rows) -> tuple[list[list[Fraction]], list[Fraction]]:
 
 
 def column_hnf(cols: list[list[int]]) -> list[list[int]]:
-    """Lower-triangular column Hermite form of a nonsingular integer column lattice basis.
+    """Lower-triangular column Hermite form of the full-rank lattice generated by
+    integer columns (any number of them, even none), as a list of g columns.
 
-    Input and output are lists of columns.  Only triangularity with positive
-    diagonal is needed (canonical coset reduction below fixes a representative
-    relative to this deterministic basis).
+    Only triangularity with positive diagonal is needed (canonical coset
+    reduction below fixes a representative relative to this deterministic
+    basis); such a basis is returned unchanged.
     """
-    g = len(cols)
+    g = len(cols[0]) if cols else 0
     h = [list(c) for c in cols]
+    if len(h) < g:
+        raise ValueError("lattice must have full rank")
     for i in range(g):
-        # clear row i across columns i+1..g-1 by the Euclidean algorithm
-        for j in range(i + 1, g):
+        # clear row i across columns i+1.. by the Euclidean algorithm
+        for j in range(i + 1, len(h)):
             while h[j][i] != 0:
-                if h[i][i] == 0 or (h[j][i] != 0 and abs(h[j][i]) < abs(h[i][i])):
+                if h[i][i] == 0 or abs(h[j][i]) < abs(h[i][i]):
                     h[i], h[j] = h[j], h[i]
                 q = h[j][i] // h[i][i]
                 for r in range(g):
@@ -99,15 +102,16 @@ def column_hnf(cols: list[list[int]]) -> list[list[int]]:
         if h[i][i] < 0:
             h[i] = [-x for x in h[i]]
         if h[i][i] == 0:
-            raise ValueError("lattice basis must be nonsingular")
-    return h
+            raise ValueError("lattice must have full rank")
+    return h[:g]
 
 
 def reduce_mod_lattice(v: list[int], cols: list[list[int]]) -> tuple[int, ...]:
     """Canonical representative of v modulo the integer lattice spanned by cols.
 
     Two vectors reduce to the same representative iff they differ by a lattice
-    element.  Deterministic given the basis.
+    element.  Deterministic given the basis; pass column_hnf(cols) to reuse
+    one Hermite form across calls.
     """
     h = column_hnf(cols)
     w = list(v)
@@ -117,6 +121,23 @@ def reduce_mod_lattice(v: list[int], cols: list[list[int]]) -> tuple[int, ...]:
             for r in range(len(w)):
                 w[r] -= q * h[i][r]
     return tuple(w)
+
+
+def lattice_points_in_box(h: list[list[int]], lo: list[int], hi: list[int]):
+    """Points u of the lattice with basis h (column_hnf output), lo <= u <= hi, in
+    lexicographic order: once the earlier coefficients are fixed, column i alone
+    moves u_i, so each coordinate runs over an exact interval (no padding)."""
+    g = len(lo)
+
+    def walk(i, u):
+        if i == g:
+            yield tuple(u)
+            return
+        d = h[i][i]
+        for c in range(-((u[i] - lo[i]) // d), (hi[i] - u[i]) // d + 1):
+            yield from walk(i + 1, [x + c * y for x, y in zip(u, h[i])])
+
+    yield from walk(0, [0] * g)
 
 
 def lcm_int(values) -> int:

@@ -87,11 +87,27 @@ class RiggedConfiguration:
 
     @classmethod
     def from_json(cls, text: str) -> "RiggedConfiguration":
+        """Inverse of to_json; ValueError on any other structure."""
         d = json.loads(text)
-        n = d["n"]
-        return cls.make(
-            d["L"], n, [[tuple(s) for s in d["strings"].get(str(a), [])] for a in range(1, n + 1)]
-        )
+        if not isinstance(d, dict) or set(d) != {"L", "n", "strings"}:
+            raise ValueError('rigged configuration JSON needs exactly the keys "L", "n", "strings"')
+        L, n, strings = d["L"], d["n"], d["strings"]
+        if not (_is_int(L) and _is_int(n) and n >= 1 and isinstance(strings, dict)):
+            raise ValueError('"L" and "n" must be integers, n >= 1, and "strings" an object')
+        if set(strings) - {str(a) for a in range(1, n + 1)}:
+            raise ValueError(f'"strings" keys must be colors 1..{n}')
+        blocks = [strings.get(str(a), []) for a in range(1, n + 1)]
+        if not all(
+            isinstance(b, list)
+            and all(isinstance(s, list) and len(s) == 2 and all(map(_is_int, s)) for s in b)
+            for b in blocks
+        ):
+            raise ValueError("each color must hold a list of [length, rigging] integer pairs")
+        return cls.make(L, n, [[tuple(s) for s in b] for b in blocks])
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 class _Vacancies(dict):
@@ -163,6 +179,10 @@ def kkr_phi(
     letters = _letters(word)
     if rank is None:
         rank = max(max(letters, default=2), 2) - 1
+    if rank < 1:
+        raise ValueError("rank must be >= 1")
+    if letters and not 1 <= min(letters) <= max(letters) <= rank + 1:
+        raise ValueError(f"letters must lie in 1..{rank + 1} for rank {rank}")
     if check and not is_highest(letters, rank):
         raise ValueError("path is not highest")
     blocks: list[list[list[int]]] = [[] for _ in range(rank)]  # per color: [length, rigging]

@@ -14,10 +14,10 @@ Angle variables live on quasi-periodic extensions of riggings modulo the
 slide group; with I = {i_1 < ... < i_g} and multiplicities m_i, a slide on
 color k rotates that window by one and adds 2 min(i,k) everywhere, so the
 orbit of a window tuple is parametrized by a rotation vector r and a lattice
-shift F s (F the Bethe-type period matrix).  Canonical forms, class equality
-and the inverse scattering search all come down to this parametrization; F
-(and, for inverse scattering, F^-1) is built once per call.  Fundamental
-periods are Cramer ratios: with F x = h, det F_j / det F = x_j.
+shift F s (F the Bethe-type period matrix).  Canonical forms reduce modulo one
+Hermite form of F per call; inverse scattering walks the box of valid riggings
+in Lambda = F Z^g + Z 1 (F 1 = L 1 absorbs the uniform shift) one coordinate
+at a time.  Periods are Cramer ratios: with F x = h, det F_j / det F = x_j.
 """
 
 from __future__ import annotations
@@ -25,11 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations, product
-from math import ceil, comb, floor, gcd
+from math import comb, gcd
 
 from boxball.intmat import (
+    column_hnf,
     det_int,
     divisors,
+    lattice_points_in_box,
     lcm_of_fractions,
     moebius,
     reduce_mod_lattice,
@@ -137,6 +139,8 @@ class ActionVariable:
     parts: tuple[int, ...]  # weakly decreasing
 
     def __post_init__(self):
+        if any(i < 1 for i in self.parts):
+            raise ValueError("parts must be >= 1")
         if list(self.parts) != sorted(self.parts, reverse=True):
             raise ValueError("parts must be weakly decreasing")
         if 2 * sum(self.parts) > self.L:
@@ -273,11 +277,11 @@ def canonicalize(J: AngleVariable) -> AngleVariable:
     the base vector is reduced to its canonical residue, and the smallest
     resulting window tuple is taken.
     """
-    F_cols = list(zip(*J.mu.F()))
+    H = column_hnf(list(zip(*J.mu.F())))
     best = None
     for rotated in _orbit_candidates(J):
         base = [w[0] for w in rotated]
-        residue = reduce_mod_lattice(base, F_cols)
+        residue = reduce_mod_lattice(base, H)
         adjusted = tuple(
             tuple(x - (b - rr) for x in w) for w, b, rr in zip(rotated, base, residue)
         )
@@ -310,53 +314,30 @@ def evolve_angle(J: AngleVariable, l: int | None, steps: int = 1) -> AngleVariab
 def inverse_scattering(J: AngleVariable) -> PeriodicState:
     """Phi^{-1}: the unique state with angle variable J.
 
-    Searches the slide orbit for a representative of the form (rigged
-    configuration) + e with e in 0..L-1, then applies the KKR inverse and
-    shifts.  Existence and uniqueness hold on the image of Phi.
+    A representative (rigged configuration) + e of the slide orbit is a window
+    rotation w plus u = F s - e 1, a point of Lambda = F Z^g + Z 1 in the box
+    -w_i[0] <= u_i <= p_i - w_i[-1]; as F 1 = L 1, u fixes e mod L.  Any such
+    point will do: apply the KKR inverse and shift by e.
     """
     mu = J.mu
     L = mu.L
     I = mu.I
-    g = len(I)
     vac = [mu.vacancy(i) for i in I]
     F = mu.F()
-    F_inv = list(zip(*(solve(F, [int(i == j) for i in range(g)]) for j in range(g))))
+    # coordinates from the largest part size down: its window is the narrowest
+    H = column_hnf([col[::-1] for col in zip(*F)] + [[1] * len(I)])
     for rotated in _orbit_candidates(J):
-        spans = [w[-1] - w[0] for w in rotated]
-        if any(spans[i] > vac[i] for i in range(g)):
-            continue
-        bases = [w[0] for w in rotated]
-        for e in range(L):
-            # need integer s with 0 <= bases + (F s) - e and window top <= vacancy
-            target_lo = [e - bases[i] for i in range(g)]
-            target_hi = [e - bases[i] + vac[i] - spans[i] for i in range(g)]
-            for s in _lattice_points_in_box(F, F_inv, target_lo, target_hi):
-                Fs = [sum(F[i][k] * s[k] for k in range(g)) for i in range(g)]
-                windows = tuple(tuple(x + Fs[i] - e for x in rotated[i]) for i in range(g))
-                rc = RiggedConfiguration.make(L, 1, [
-                    [(i, x) for i, w in zip(I, windows) for x in w]
-                ])
-                if not rc.is_valid():
-                    continue
-                word = kkr_phi_inv(rc)
-                return PeriodicState.parse(word).shifted(e)
+        lo = [-w[0] for w in reversed(rotated)]
+        hi = [p - w[-1] for p, w in zip(reversed(vac), reversed(rotated))]
+        for u in lattice_points_in_box(H, lo, hi):
+            u = u[::-1]
+            # F s = u + e 1 gives s = F^-1 u + (e / L) 1 with s integral
+            e = int(-L * solve(F, u)[0] % L) if I else 0
+            rc = RiggedConfiguration.make(
+                L, 1, [[(i, x + ui) for i, w, ui in zip(I, rotated, u) for x in w]]
+            )
+            return PeriodicState.parse(kkr_phi_inv(rc)).shifted(e)
     raise ValueError("no rigged-configuration representative found; invalid angle data")
-
-
-def _lattice_points_in_box(F, F_inv, lo, hi):
-    """Integer s with lo <= (F s)_i <= hi componentwise (F positive definite; by rows)."""
-    g = len(lo)
-    if any(l > h for l, h in zip(lo, hi)):
-        return
-    # s_k = sum_j F^-1_kj (F s)_j is extreme over the box where each term is
-    ranges = []
-    for row in F_inv:
-        ends = [(f * l, f * h) for f, l, h in zip(row, lo, hi)]
-        ranges.append(range(ceil(sum(map(min, ends))) - 1, floor(sum(map(max, ends))) + 2))
-    for s in product(*ranges):
-        img = [sum(F[i][k] * s[k] for k in range(g)) for i in range(g)]
-        if all(lo[i] <= img[i] <= hi[i] for i in range(g)):
-            yield s
 
 
 def theta_state(Jvec, mu: ActionVariable, L: int | None = None) -> PeriodicState:

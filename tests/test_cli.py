@@ -247,3 +247,26 @@ def test_empty_partition_exit_code(capsys):
     code, out, err = run(capsys, "analyze", "count", "--L", "6", "--mu", ",")
     assert code == 3 and out == ""
     assert "empty partition" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("kkr", "1213", "--rank", "1"), "letters must lie in 1..2"),
+        (("tau", "1213", "--rank", "1"), "letters must lie in 1..2"),
+        (("kkr", "12", "--rank", "0"), "rank must be >= 1"),
+        (("analyze", "count", "--L", "6", "--mu", "0"), "parts must be >= 1"),
+        (("analyze", "count", "--L", "6", "--mu", "-1"), "parts must be >= 1"),
+        (("analyze", "decompose", "--L", "6", "--mu", "2,0"), "parts must be >= 1"),
+        (("kkr", '{"L":3}', "--inverse"), "keys"),
+        (("kkr", "[1]", "--inverse"), "keys"),
+        (("kkr", '{"L":3,"n":"1","strings":{}}', "--inverse"), "must be integers"),
+        (("kkr", '{"L":3,"n":1,"strings":{"2":[]}}', "--inverse"), "colors 1..1"),
+        (("kkr", '{"L":3,"n":1,"strings":{"1":[[1]]}}', "--inverse"), "integer pairs"),
+        (("kkr", "{", "--inverse"), ""),
+    ],
+)
+def test_bad_input_exit_code(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and message in err and "Traceback" not in err

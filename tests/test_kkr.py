@@ -277,6 +277,39 @@ def test_json_roundtrip():
     assert RiggedConfiguration.from_json(text) == WORKED_RC
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"L": 3}',
+        "[1]",
+        "7",
+        '{"L": 3, "n": 1, "strings": {}, "extra": 0}',
+        '{"L": 3.5, "n": 1, "strings": {}}',
+        '{"L": 3, "n": true, "strings": {}}',
+        '{"L": 3, "n": 0, "strings": {}}',
+        '{"L": 3, "n": 1, "strings": []}',
+        '{"L": 3, "n": 1, "strings": {"0": []}}',
+        '{"L": 3, "n": 1, "strings": {"1": [1, 0]}}',
+        '{"L": 3, "n": 1, "strings": {"1": [[1, 0, 2]]}}',
+        '{"L": 3, "n": 1, "strings": {"1": [[1, "0"]]}}',
+    ],
+)
+def test_json_rejects_malformed_structure(text):
+    with pytest.raises(ValueError):
+        RiggedConfiguration.from_json(text)
+
+
+def test_phi_rejects_letters_outside_rank_and_bad_rank():
+    with pytest.raises(ValueError, match="letters must lie in 1..2"):
+        kkr_phi("1213", rank=1)
+    with pytest.raises(ValueError, match="letters must lie in 1..3"):
+        kkr_phi((1, 0, 2), rank=2, check=False)
+    for rank in (0, -1):
+        with pytest.raises(ValueError, match="rank must be >= 1"):
+            kkr_phi("12", rank=rank)
+    assert kkr_phi("1213", rank=2) == kkr_phi("1213")
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_roundtrip_hypothesis(data):

@@ -170,6 +170,13 @@ def test_action_variable_fixtures():
     assert action_variable(PeriodicState.parse("121212")).parts == (1, 1, 1)
 
 
+def test_action_variable_rejects_parts_below_one():
+    for parts in ((0,), (-1,), (2, 0), (3, 1, -1)):
+        with pytest.raises(ValueError, match="parts must be >= 1"):
+            ActionVariable(6, parts)
+    assert ActionVariable(6, ()).g == 0
+
+
 def test_action_variable_rotation_independent():
     p = P("2211221112122111221")
     for d, p_plus in all_highest_rotations(p):

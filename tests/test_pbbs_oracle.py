@@ -5,12 +5,15 @@ library replaced: the scattering step written out separately for the action
 variable, the angle variable and the internal symmetries; the fundamental
 period from determinant ratios of F with a column replaced by h_l; the
 lattice-point bounds from solving F s = corner at all 2^g corners of the box;
-and the index-loop run encoders of toda_coords, solitons and embed_pbbs.
+the inverse scattering search over every shift e in [0, L) with a box padded
+by one around F^-1 of the target; and the index-loop run encoders of
+toda_coords, solitons and embed_pbbs.
 They serve as oracles: the library must return the same values, in the same
 order, and raise on the same inputs.
 """
 
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, product
 from math import ceil, floor, gcd
@@ -19,13 +22,21 @@ import pytest
 
 from boxball import pbbs
 from boxball.bbs import BBSState, solitons, toda_coords
-from boxball.intmat import det_int, divisors, lcm_of_fractions, solve
-from boxball.kkr import kkr_phi
+from boxball.intmat import (
+    column_hnf,
+    det_int,
+    divisors,
+    lattice_points_in_box,
+    lcm_of_fractions,
+    reduce_mod_lattice,
+    solve,
+)
+from boxball.kkr import RiggedConfiguration, kkr_phi, kkr_phi_inv
 from boxball.pbbs import (
     ActionVariable,
     AngleVariable,
     PeriodicState,
-    _lattice_points_in_box,
+    _orbit_candidates,
     _some_highest_rotation,
     action_variable,
     canonicalize,
@@ -111,6 +122,48 @@ def old_lattice_points_in_box(F_cols, lo, hi):
     ranges = [range(ceil(a) - 1, floor(b) + 2) for a, b in zip(los, his)]
     for s in product(*ranges):
         img = [sum(F_cols[k][i] * s[k] for k in range(g)) for i in range(g)]
+        if all(lo[i] <= img[i] <= hi[i] for i in range(g)):
+            yield s
+
+
+def old_inverse_scattering(J):
+    mu = J.mu
+    L = mu.L
+    I = mu.I
+    g = len(I)
+    vac = [mu.vacancy(i) for i in I]
+    F = mu.F()
+    F_inv = list(zip(*(solve(F, [int(i == j) for i in range(g)]) for j in range(g))))
+    for rotated in _orbit_candidates(J):
+        spans = [w[-1] - w[0] for w in rotated]
+        if any(spans[i] > vac[i] for i in range(g)):
+            continue
+        bases = [w[0] for w in rotated]
+        for e in range(L):
+            target_lo = [e - bases[i] for i in range(g)]
+            target_hi = [e - bases[i] + vac[i] - spans[i] for i in range(g)]
+            for s in old_padded_lattice_points_in_box(F, F_inv, target_lo, target_hi):
+                Fs = [sum(F[i][k] * s[k] for k in range(g)) for i in range(g)]
+                windows = tuple(tuple(x + Fs[i] - e for x in rotated[i]) for i in range(g))
+                rc = RiggedConfiguration.make(L, 1, [
+                    [(i, x) for i, w in zip(I, windows) for x in w]
+                ])
+                if not rc.is_valid():
+                    continue
+                return PeriodicState.parse(kkr_phi_inv(rc)).shifted(e)
+    raise ValueError("no rigged-configuration representative found; invalid angle data")
+
+
+def old_padded_lattice_points_in_box(F, F_inv, lo, hi):
+    g = len(lo)
+    if any(l > h for l, h in zip(lo, hi)):
+        return
+    ranges = []
+    for row in F_inv:
+        ends = [(f * l, f * h) for f, l, h in zip(row, lo, hi)]
+        ranges.append(range(ceil(sum(map(min, ends))) - 1, floor(sum(map(max, ends))) + 2))
+    for s in product(*ranges):
+        img = [sum(F[i][k] * s[k] for k in range(g)) for i in range(g)]
         if all(lo[i] <= img[i] <= hi[i] for i in range(g)):
             yield s
 
@@ -236,6 +289,9 @@ def check_state(p):
     assert inverse_scattering(evolve_angle(J, 2, 3)) == evolve_periodic(
         evolve_periodic(evolve_periodic(p, 2)[0], 2)[0], 2
     )[0], p
+    for l, t in ((1, 1), (3, 2), (None, 4)):
+        Jt = evolve_angle(J, l, t)
+        assert inverse_scattering(Jt) == old_inverse_scattering(Jt), (p, l, t)
 
 
 def test_scattering_matches_oracle_exhaustive():
@@ -262,6 +318,8 @@ def partitions(n, largest=None):
 
 
 def test_lattice_points_match_corner_oracle():
+    # the exact walk over the Hermite form of F Z^g, and over Lambda = F Z^g + Z 1,
+    # against scans of the coefficient box that the corners of each box bound
     rng = random.Random(11)
     cases = points = 0
     for L in range(1, 17):
@@ -271,7 +329,11 @@ def test_lattice_points_match_corner_oracle():
                 F = mu.F()
                 g = mu.g
                 F_cols = [[F[i][j] for i in range(g)] for j in range(g)]
-                F_inv = list(zip(*(solve(F, [int(i == j) for i in range(g)]) for j in range(g))))
+                H = column_hnf(F_cols)
+                H_ones = column_hnf(F_cols + [[1] * g])
+                # F 1 = L 1 and 1 has order L modulo F Z^g
+                assert det_int(H_ones) * L == det_int(F)
+                assert all(not any(reduce_mod_lattice(v, H_ones)) for v in F_cols + [[1] * g])
                 for _ in range(2):
                     # a box anywhere, and one around a lattice point F s0
                     s0 = [rng.randint(-3, 3) for _ in range(g)]
@@ -279,11 +341,69 @@ def test_lattice_points_match_corner_oracle():
                     for centre in ([rng.randint(-3 * L, 3 * L) for _ in range(g)], Fs0):
                         lo = [x - rng.randint(-1, L) for x in centre]
                         hi = [x + rng.randint(0, L) for x in centre]
-                        got = list(_lattice_points_in_box(F, F_inv, lo, hi))
-                        assert got == list(old_lattice_points_in_box(F_cols, lo, hi)), (mu, lo, hi)
+                        got = list(lattice_points_in_box(H, lo, hi))
+                        image = lambda s, e=0: tuple(
+                            sum(F_cols[k][i] * s[k] for k in range(g)) - e for i in range(g)
+                        )
+                        assert got == sorted(
+                            image(s) for s in old_lattice_points_in_box(F_cols, lo, hi)
+                        ), (mu, lo, hi)
+                        # u = F s - e 1 fixes e modulo L, so e in [0, L) lists each once
+                        got = list(lattice_points_in_box(H_ones, lo, hi))
+                        assert got == sorted(
+                            image(s, e)
+                            for e in range(L)
+                            for s in old_lattice_points_in_box(
+                                F_cols, [x + e for x in lo], [x + e for x in hi]
+                            )
+                        ), (mu, lo, hi)
                         cases += 1
                         points += len(got)
     assert cases == 1160 and points > cases
+
+
+def test_column_hnf_of_generating_sets():
+    assert column_hnf([]) == []
+    assert column_hnf([[]]) == []
+    assert column_hnf([[4], [6], [-10]]) == [[2]]
+    assert column_hnf([[2, 1], [0, 3]]) == [[2, 1], [0, 3]]  # already triangular
+    assert column_hnf([[0, 1], [1, 0], [1, 1]]) == [[1, 0], [0, 1]]
+    for singular in ([[1, 2], [2, 4]], [[1, 0]], [[1, 1], [2, 2], [3, 3]]):
+        with pytest.raises(ValueError, match="full rank"):
+            column_hnf(singular)
+    assert list(lattice_points_in_box([], [], [])) == [()]
+    assert list(lattice_points_in_box([[2]], [3], [2])) == []
+
+
+def random_genus8_states(n, seed, L=160):
+    """States of genus-8 action variables: kkr_phi_inv of seeded random rigged
+    configurations (any riggings in [0, p_i]), then a random shift."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        sizes = sorted(rng.sample(range(1, 12), 8))
+        parts = list(sizes)
+        while 2 * (sum(parts) + sizes[-1]) <= L:
+            parts.append(rng.choice(sizes))
+        mu = ActionVariable(L, tuple(sorted(parts, reverse=True)))
+        rc = RiggedConfiguration.make(L, 1, [[(i, rng.randint(0, mu.vacancy(i))) for i in parts]])
+        yield PeriodicState.parse(kkr_phi_inv(rc)).shifted(rng.randrange(L))
+
+
+def test_genus8_round_trip_at_L160():
+    states = list(random_genus8_states(8, seed=160))
+    assert {action_variable(p).g for p in states} == {8}
+    for p in states:
+        start = time.process_time()
+        J = direct_scattering(p)
+        assert inverse_scattering(J) == p
+        assert time.process_time() - start < 0.5
+        start = time.process_time()
+        got = inverse_scattering(evolve_angle(J, 3, 5))
+        assert time.process_time() - start < 0.5
+        want = p
+        for _ in range(5):
+            want = evolve_periodic(want, 3)[0]
+        assert got == want
 
 
 def words(letters, max_L):
