@@ -1,5 +1,5 @@
 """Exact integer/rational matrix helpers: determinants, linear solves, the
-LDL^T factorization, lattice reduction, LCMs.
+fraction-free LDL^T factorization, lattice reduction, LCMs.
 
 Everything here works over exact integers or fractions.Fraction; no floats.
 """
@@ -56,26 +56,31 @@ def solve(rows, b) -> list[Fraction]:
     return [a[i][g] for i in range(g)]
 
 
-def ldl(rows) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Exact A = L D L^T of a symmetric rational matrix, as (L, D).
+def fraction_free_ldl(rows: list[list[int]]) -> tuple[list[int], list[list[int]], list[list[int]]]:
+    """Fraction-free Gauss-Jordan elimination, without pivoting, of a symmetric
+    positive definite integer matrix A, as (minors, piv, adj).
 
-    L is unit lower triangular (by rows), D the diagonal.  D_i is the ratio of
-    the i-th to the (i-1)-th leading minor, so A is positive definite iff every
-    D_i > 0; a ValueError is raised at the first D_i <= 0.  O(g^3).
+    minors[k] is the k-th leading minor (minors[0] = 1, minors[-1] = det A);
+    piv[i][j] (j >= i, else 0) is the i-th pivot column, so A = L D L^T with
+    L[j][i] = piv[i][j] / minors[i+1] and D_i = minors[i+1] / minors[i];
+    adj = det A * A^{-1}.  Every division is exact.  A ValueError is raised at
+    the first minor <= 0, so this is also the positive definiteness check
+    (Sylvester's criterion).  O(g^3).
     """
     g = len(rows)
-    L = [[Fraction(int(i == j)) for j in range(g)] for i in range(g)]
-    D: list[Fraction] = []
-    for i in range(g):
-        for j in range(i):
-            L[i][j] = (
-                Fraction(rows[i][j]) - sum(L[i][k] * L[j][k] * D[k] for k in range(j))
-            ) / D[j]
-        d = Fraction(rows[i][i]) - sum(L[i][k] * L[i][k] * D[k] for k in range(i))
-        if d <= 0:
+    a = [list(rows[i]) + [int(i == j) for j in range(g)] for i in range(g)]
+    minors, piv = [1], []
+    for k in range(g):
+        p = a[k][k]
+        if p <= 0:
             raise ValueError("matrix must be positive definite")
-        D.append(d)
-    return L, D
+        piv.append([a[j][k] if j >= k else 0 for j in range(g)])
+        for i in range(g):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * x - f * y) // minors[-1] for x, y in zip(a[i], a[k])]
+        minors.append(p)
+    return minors, piv, [r[g:] for r in a]
 
 
 def column_hnf(cols: list[list[int]]) -> list[list[int]]:

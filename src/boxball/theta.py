@@ -4,12 +4,18 @@ quadratic-plus-linear form.
 Theta(Z; Xi) = min over integer n of n.(Xi n/2 + Z) for a symmetric positive
 definite Xi.  The minimum is found by Fincke-Pohst enumeration of the
 ellipsoid (n - c).Xi(n - c) <= R around the real minimizer c = -Xi^{-1} Z,
-using the exact LDL^T factorization of Xi (computed once per PeriodMatrix):
-coordinate n_i ranges over an interval found with math.isqrt, visited in
-Schnorr-Euchner order (nearest the center first), and R shrinks to each better
-point found.  The work grows with the number of lattice points in the
-ellipsoid, not with a box around it; genus 5 takes milliseconds per call.
-All arithmetic is exact.  The wide brute-force scan is the test oracle.
+with every node in Python int.  Once per PeriodMatrix, Xi is scaled by the
+lcm s of its denominators to an integer matrix A, and one fraction-free
+Gauss-Jordan pass (intmat.fraction_free_ldl) gives the leading minors of A
+(the positive definiteness check), the pivot columns of its LDL^T
+factorization and its adjugate.  Per call, Z is scaled to integers
+b = s t Z; coordinate n_i then ranges over an interval found with math.isqrt
+and floor division, visited in Schnorr-Euchner order (nearest the center
+first), and R shrinks to each better point found.
+The work grows with the number of lattice points in the ellipsoid, not with a
+box around it; genus 5 takes milliseconds per call.  One Fraction is made per
+returned value.  The wide brute-force scan and the Fraction LDL^T enumeration
+are the test oracles.
 """
 
 from __future__ import annotations
@@ -17,9 +23,32 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, floor, isqrt
+from math import isqrt
+from typing import NamedTuple
 
-from boxball.intmat import ldl, solve
+from boxball.intmat import fraction_free_ldl, lcm_int
+
+
+class _IntegerForm(NamedTuple):
+    """A = s Xi in integers and its intmat.fraction_free_ldl: det = det A,
+    piv the pivot columns, adj = det A^{-1}.  With Delta_k the leading minors,
+    w[i] = M / (Delta_i Delta_{i+1}) for M the lcm of these products."""
+
+    s: int
+    A: tuple[tuple[int, ...], ...]
+    piv: list[list[int]]
+    w: tuple[int, ...]
+    adj: list[list[int]]
+    det: int
+
+
+def _integer_form(rows) -> _IntegerForm:
+    s = lcm_int(x.denominator for r in rows for x in r)
+    A = tuple(tuple(x.numerator * (s // x.denominator) for x in r) for r in rows)
+    minors, piv, adj = fraction_free_ldl(A)
+    products = [a * b for a, b in zip(minors, minors[1:])]
+    M = lcm_int(products)
+    return _IntegerForm(s, A, piv, tuple(M // p for p in products), adj, minors[-1])
 
 
 @dataclass(frozen=True)
@@ -27,8 +56,8 @@ class PeriodMatrix:
     """Symmetric positive definite rational matrix defining a tropical torus."""
 
     rows: tuple[tuple[Fraction, ...], ...]
-    # (L, D) with Xi = L D L^T; building it is the positive definiteness check
-    _ldl: tuple = field(init=False, repr=False, compare=False)
+    # built once; building it is the positive definiteness check
+    _form: _IntegerForm = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = len(self.rows)
@@ -36,7 +65,7 @@ class PeriodMatrix:
             raise ValueError("matrix must be square")
         if any(self.rows[i][j] != self.rows[j][i] for i in range(g) for j in range(g)):
             raise ValueError("matrix must be symmetric")
-        object.__setattr__(self, "_ldl", ldl(self.rows))
+        object.__setattr__(self, "_form", _integer_form(self.rows))
 
     @property
     def g(self) -> int:
@@ -57,60 +86,53 @@ def _objective(n, Xi_rows, Z):
     return Fraction(quad, 2) + lin
 
 
-def _interval(center: Fraction, d: Fraction, rem: Fraction) -> range:
-    """The integers x with d (x - center)^2 <= rem, for d > 0 and rem >= 0."""
-    t = rem / d
-    # s <= sqrt(t) < s + 1/den, so each end is at most one short
-    s = Fraction(isqrt(t.numerator * t.denominator), t.denominator)
-    lo, hi = ceil(center - s), floor(center + s)
-    if d * (lo - 1 - center) ** 2 <= rem:
-        lo -= 1
-    if d * (hi + 1 - center) ** 2 <= rem:
-        hi += 1
-    return range(lo, hi + 1)
+def _interval(w: int, k: int, r: int, rem: int) -> range:
+    """The integers x with w (k x + r)^2 <= rem, for w, k > 0 and rem >= 0."""
+    m = isqrt(rem // w)  # |k x + r| <= m, exactly
+    return range(-((m + r) // k), (m - r) // k + 1)
 
 
-def theta_argmin(Z, Xi: PeriodMatrix) -> tuple[Fraction, tuple[int, ...]]:
-    """Tropical theta with a minimizer.
+def _argmin_int(b: tuple[int, ...], t: int, f: _IntegerForm) -> tuple[int, tuple[int, ...]]:
+    """2 s t Theta(Z; Xi) and the minimizer, for Z = b / (s t) and A = s Xi.
 
-    n.(Xi n/2 + Z) = q(n)/2 - c.Xi c/2 with q(n) = (n - c).Xi(n - c) and
-    c = -Xi^{-1} Z.  With Xi = L D L^T, q(n) = sum_i D_i (n_i - center_i)^2
-    where center_i depends only on n_{i+1..g}, so coordinates are fixed from
-    the last down; a branch is cut as soon as its partial sum exceeds the
-    bound R, which starts at q(n0) for n0 the componentwise rounding of c.
-    Every minimizer is enumerated; among ties the one returned minimizes
-    (max |n - n0|, n - n0 lexicographically), the first a scan of sup-norm
-    shells around n0 meets.
+    n.(Xi n/2 + Z) = (q(n) - c.A c) / (2 s) with q(n) = (n - c).A(n - c) and
+    c = -adj(A) b / (det t) = C / den.  With A = L D L^T, q(n) = sum_i D_i y_i^2
+    for y_i = sum_{j >= i} L[j][i] (n_j - c_j), and
+    D_i y_i^2 = u_i^2 / (Delta_i Delta_{i+1} den^2) for the integer
+    u_i = sum_{j >= i} piv[i][j] (den n_j - C_j); so M den^2 q(n) = sum_i w[i] u_i^2.
+    u_i = k_i n_i + r_i where r_i depends only on n_{i+1..g}, so coordinates
+    are fixed from the last down; a branch is cut as soon as its partial sum
+    exceeds the bound, which starts at its value at n0.  Every minimizer is
+    enumerated.
     """
-    Z = tuple(Fraction(z) for z in Z)
-    g = Xi.g
-    if len(Z) != g:
-        raise ValueError(f"theta argument must have g = {g} entries, got {len(Z)}")
-    L, D = Xi._ldl
-    c = solve(Xi.rows, [-z for z in Z])
-    n0 = tuple(
-        int((x.numerator * 2 + x.denominator) // (2 * x.denominator)) for x in c
-    )
+    g = len(b)
+    den = f.det * t
+    C = [-sum(x * y for x, y in zip(row, b)) for row in f.adj]
+    n0 = tuple((2 * c + den) // (2 * den) for c in C)
     n = list(n0)
+    k = [f.piv[i][i] * den for i in range(g)]
+    # r_i = base[i] + sum_{j > i} step[i][j] n_j
+    base = [-sum(f.piv[i][j] * C[j] for j in range(i, g)) for i in range(g)]
+    step = [[p * den for p in row] for row in f.piv]
 
-    def center(i: int) -> Fraction:
-        return c[i] - sum(L[j][i] * (n[j] - c[j]) for j in range(i + 1, g))
+    def r_at(i: int) -> int:
+        return base[i] + sum(step[i][j] * n[j] for j in range(i + 1, g))
 
-    bound = sum(D[i] * (n0[i] - center(i)) ** 2 for i in range(g))
+    bound = sum(f.w[i] * (k[i] * n0[i] + r_at(i)) ** 2 for i in range(g))
     ties: list[tuple[int, ...]] = []
 
-    def descend(i: int, partial: Fraction) -> None:
+    def descend(i: int, partial: int) -> None:
         nonlocal bound, ties
         if i < 0:
             if partial < bound:
                 bound, ties = partial, []
             ties.append(tuple(n))
             return
-        ctr = center(i)
-        # Schnorr-Euchner order: |x - ctr| never decreases, so the first x
-        # past the (shrinking) bound ends this level
-        for x in sorted(_interval(ctr, D[i], bound - partial), key=lambda x: abs(x - ctr)):
-            v = partial + D[i] * (x - ctr) ** 2
+        ki, wi, r = k[i], f.w[i], r_at(i)
+        # Schnorr-Euchner order: |k x + r| = k |x - center| never decreases,
+        # so the first x past the (shrinking) bound ends this level
+        for x in sorted(_interval(wi, ki, r, bound - partial), key=lambda x: abs(ki * x + r)):
+            v = partial + wi * (ki * x + r) ** 2
             if v > bound:
                 break
             n[i] = x
@@ -120,26 +142,55 @@ def theta_argmin(Z, Xi: PeriodMatrix) -> tuple[Fraction, tuple[int, ...]]:
         d = tuple(a - b for a, b in zip(m, n0))
         return max(map(abs, d), default=0), d
 
-    descend(g - 1, Fraction(0))
+    descend(g - 1, 0)
     n_star = min(ties, key=shell_order)
-    value = _objective(n_star, Xi.rows, Z)
-    if value > 0:
+    quad = sum(n_star[i] * sum(a * y for a, y in zip(f.A[i], n_star)) for i in range(g))
+    num = t * quad + 2 * sum(x * y for x, y in zip(n_star, b))
+    if num > 0:
         raise ValueError("theta minimum exceeds the n = 0 value")
-    return value, n_star
+    return num, n_star
+
+
+def _scaled(Z, Xi: PeriodMatrix) -> tuple[tuple[int, ...], int]:
+    """(b, t) with Z = b / (s t) in integers, t the lcm of Z's denominators."""
+    Z = tuple(Fraction(z) for z in Z)
+    if len(Z) != Xi.g:
+        raise ValueError(f"theta argument must have g = {Xi.g} entries, got {len(Z)}")
+    t = lcm_int(z.denominator for z in Z)
+    st = Xi._form.s * t
+    return tuple(z.numerator * (st // z.denominator) for z in Z), t
+
+
+def theta_argmin(Z, Xi: PeriodMatrix) -> tuple[Fraction, tuple[int, ...]]:
+    """Tropical theta with a minimizer.
+
+    Among ties the one returned minimizes (max |n - n0|, n - n0
+    lexicographically) for n0 the componentwise rounding of the real minimizer
+    -Xi^{-1} Z: the first a scan of sup-norm shells around n0 meets.
+    """
+    b, t = _scaled(Z, Xi)
+    num, n_star = _argmin_int(b, t, Xi._form)
+    return Fraction(num, 2 * Xi._form.s * t), n_star
 
 
 _cache: dict = {}
 
 
-def theta(Z, Xi: PeriodMatrix) -> Fraction:
-    """Tropical Riemann theta Theta(Z; Xi), exactly (memoized)."""
-    key = (tuple(Fraction(z) for z in Z), Xi.rows)
+def _theta_num(b: tuple[int, ...], t: int, Xi: PeriodMatrix) -> int:
+    """2 s t Theta(b / (s t); Xi) for any t > 0 (memoized on integers)."""
+    key = (b, t, Xi._form.s, Xi._form.A)
     hit = _cache.get(key)
     if hit is None:
         if len(_cache) > 200_000:
             _cache.clear()
-        hit = _cache[key] = theta_argmin(Z, Xi)[0]
+        hit = _cache[key] = _argmin_int(b, t, Xi._form)[0]
     return hit
+
+
+def theta(Z, Xi: PeriodMatrix) -> Fraction:
+    """Tropical Riemann theta Theta(Z; Xi), exactly (memoized)."""
+    b, t = _scaled(Z, Xi)
+    return Fraction(_theta_num(b, t, Xi), 2 * Xi._form.s * t)
 
 
 def check_quasi_periodicity(

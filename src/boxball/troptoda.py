@@ -2,15 +2,16 @@
 spectral data, theta-function solution and the periodic box-ball embedding.
 
 States are cyclic vectors (Q_j, W_j) of exact rationals with sum(Q) < sum(W).
-Integer states stay integer under evolution (checked where relied on).  The
-intermediate conserved quantities H_k interpolate the displayed H_1, H_2, H_N
-as minima over k-element subsets avoiding the pairs {W_j, Q_j} and
-{W_j, Q_{j+1}} (cyclically), i.e. minimum-weight independent k-sets on the
-cycle Q_1 W_1 Q_2 W_2 ... Q_N W_N; conserved_all finds every H_k in one O(N^2)
-dynamic program over that cycle, and the C(2N, k) subset scan survives as the
-test oracle.  Invariance is enforced in tests.  The theta-function solution
-builds its spectral data and period matrix once per call; theta itself is an
-exact Fincke-Pohst enumeration (see boxball.theta).
+One time step is O(N); integer states stay integer under evolution (checked
+where relied on).  The intermediate conserved quantities H_k interpolate the
+displayed H_1, H_2, H_N as minima over k-element subsets avoiding the pairs
+{W_j, Q_j} and {W_j, Q_{j+1}} (cyclically), i.e. minimum-weight independent
+k-sets on the cycle Q_1 W_1 Q_2 W_2 ... Q_N W_N; conserved_all finds every H_k
+in one O(N^2) dynamic program over that cycle, and the C(2N, k) subset scan
+survives as the test oracle.  Invariance is enforced in tests.  The theta-function solution
+builds its spectral data and period matrix once per call and sums its thetas
+as integers; theta itself is an exact Fincke-Pohst enumeration in int (see
+boxball.theta).
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 
-from boxball.theta import PeriodMatrix, theta
+from boxball.intmat import lcm_int
+# theta is re-exported; the sites below use the integer entry point
+from boxball.theta import PeriodMatrix, _theta_num, theta  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -57,19 +60,21 @@ class TodaState:
 
 def evolve_toda(s: TodaState) -> TodaState:
     """One time step: Q'_j = min(W_j, Q_j - X_j), W'_j = Q_{j+1} + W_j - Q'_j,
-    with X_j the minimum of the partial sums of W - Q read backwards from j."""
+    with X_j the minimum of 0 and the partial sums of W - Q read backwards
+    from j, fewer than N terms long.
+
+    As sum(W - Q) > 0, longer reads never go lower, so
+    X_j = min(0, X_{j-1} + W_{j-1} - Q_{j-1}): a running minimum started at 0
+    is exact from its N-th step, and two rounds of the cycle give every X_j.
+    O(N)."""
     N = s.N
-    Qn, Wn = [], []
-    for j in range(N):
-        acc = Fraction(0)
-        X = Fraction(0)
-        for k in range(1, N):
-            acc += s.W[(j - k) % N] - s.Q[(j - k) % N]
-            if acc < X:
-                X = acc
-        Qn.append(min(s.W[j], s.Q[j] - X))
-    for j in range(N):
-        Wn.append(s.Q[(j + 1) % N] + s.W[j] - Qn[j])
+    d = [w - q for w, q in zip(s.W, s.Q)]
+    X, x = [0] * N, 0
+    for j in range(1, 2 * N):
+        x = min(0, x + d[(j - 1) % N])
+        X[j % N] = x
+    Qn = [min(s.W[j], s.Q[j] - X[j]) for j in range(N)]
+    Wn = [s.Q[(j + 1) % N] + s.W[j] - Qn[j] for j in range(N)]
     return TodaState(tuple(Qn), tuple(Wn))
 
 
@@ -186,7 +191,10 @@ def spectral_data(C) -> SpectralData:
 
 def _theta_sites(Z0, C):
     """(Q_n^t, W_n^t) as a function of (t, n), with the spectral data and the
-    period matrix of C built once."""
+    period matrix of C built once.  Every theta argument is b / (s u) for
+    integers b, with s the period matrix's denominator lcm and u the lcm of
+    the denominators of Z0, the velocity, L and C_1; each site value is an
+    integer sum over 2 s u, made into one Fraction."""
     sd = spectral_data(C)
     if not sd.smooth or sd.Omega is None:
         raise ValueError("spectral curve is not smooth")
@@ -196,18 +204,26 @@ def _theta_sites(Z0, C):
         raise ValueError(f"Z0 must have len(C) - 2 = {g} entries, got {len(Z0)}")
     Xi = PeriodMatrix.from_rows(sd.Omega)
     vel = tuple(sd.lam[i + 1] - sd.lam[i] for i in range(g))
-
-    def T(tt: int, nn: int) -> Fraction:
-        Z = tuple(
-            Z0[i] + vel[i] * tt - (sd.L * nn if i == 0 else 0) for i in range(g)
-        )
-        return theta(Z, Xi)
-
     C1 = sd.C[0]
+    u = lcm_int(x.denominator for x in Z0 + vel + (sd.L, C1))
+    su = Xi._form.s * u
+
+    def scaled(x: Fraction) -> int:
+        return x.numerator * (su // x.denominator)
+
+    b0, v, shift = [scaled(z) for z in Z0], [scaled(x) for x in vel], scaled(sd.L)
+
+    def T(tt: int, nn: int) -> int:
+        b = [b0[i] + v[i] * tt for i in range(g)]
+        b[0] -= shift * nn
+        return _theta_num(tuple(b), u, Xi)
+
+    q_const, w_const = 2 * scaled(C1), 2 * scaled(sd.L + C1)
 
     def site(t: int, n: int) -> tuple[Fraction, Fraction]:
-        Q = T(t, n - 1) + T(t + 1, n) - T(t + 1, n - 1) - T(t, n) + C1
-        W = T(t + 1, n - 1) + T(t, n + 1) - T(t, n) - T(t + 1, n) + sd.L + C1
+        a, b, c, d = T(t, n - 1), T(t + 1, n), T(t + 1, n - 1), T(t, n)
+        Q = Fraction(a + b - c - d + q_const, 2 * su)
+        W = Fraction(c + T(t, n + 1) - d - b + w_const, 2 * su)
         return Q, W
 
     return site

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -215,6 +219,51 @@ def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
     assert all(line.startswith("PASS") for line in out.splitlines())
+
+
+def test_selftest_under_optimize():
+    # python -O strips asserts; every check must still run and pass
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-O", "-m", "boxball.cli", "selftest"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines and all(line.startswith("PASS") for line in lines), run.stdout
+
+
+# Rational C and Z0: the theta arguments have denominators that the period
+# matrix's do not share, and (second case) the period matrix is not integer.
+TODA_SOLVE_RATIONAL = [
+    (
+        ("--C", "0,1,4,9", "--z0", "1/2,1/3", "--steps", "2"),
+        [
+            "0\t1/2\t0\t1/2\t4/3\t3\t11/3",
+            "1\t0\t1/2\t1\t10/3\t3\t7/6",
+            "2\t1/2\t1\t7/3\t4\t7/6\t0",
+        ],
+    ),
+    (
+        ("--C", "0,1/2,4,9", "--z0", "1,2"),
+        [
+            "0\t0\t1/2\t1/2\t5/2\t7/2\t2",
+            "1\t1/2\t1/2\t3/2\t9/2\t2\t0",
+            "2\t1/2\t3/2\t7/2\t3\t0\t1/2",
+            "3\t1/2\t9/2\t3\t0\t1/2\t1/2",
+            "4\t7/2\t4\t0\t1/2\t1/2\t1/2",
+            "5\t7/2\t1/2\t0\t1\t1/2\t7/2",
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expect", TODA_SOLVE_RATIONAL)
+def test_toda_solve_rational_golden(capsys, argv, expect):
+    code, out, _ = run(capsys, "toda", "solve", *argv)
+    assert code == 0
+    assert out.splitlines() == expect
 
 
 @pytest.mark.parametrize(

@@ -3,9 +3,11 @@
 Oracles: brute_theta (the wide box scan of tests/test_theta.py) on random
 positive definite matrices, with a box radius that provably contains every
 minimizer; a test-local copy of the earlier sup-norm shell scan, which fixes
-which minimizer is returned among ties; the Sylvester criterion for the
-positive definiteness check; and, at genus 4, inverse scattering of the
-periodic box-ball system.
+which minimizer is returned among ties; a test-local copy of the earlier
+Fincke-Pohst search over Fraction (exact LDL^T, Gauss-Jordan center), which
+must return the same value and minimizer as the integer one; the Sylvester
+criterion for the positive definiteness check; and, at genus 4, inverse
+scattering of the periodic box-ball system.
 """
 
 import os
@@ -14,14 +16,14 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import product
-from math import ceil
+from math import ceil, floor, isqrt
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxball.intmat import det_int, solve
+from boxball.intmat import det_int, fraction_free_ldl, solve
 from boxball.pbbs import ActionVariable, AngleVariable, inverse_scattering, theta_state
 from boxball.theta import PeriodMatrix, _interval, theta, theta_argmin
 from test_theta import brute_theta
@@ -115,14 +117,124 @@ def test_minimizer_matches_shell_scan_ties_included(rows):
 
 
 def test_isqrt_interval_is_exact():
-    # both ends matter: each is at most one short before its correction
+    # d (x - center)^2 <= rem with center = p/q, d = dn/dd, rem = rn/rd is
+    # dn rd (q x - p)^2 <= rn dd q^2; the integer interval must hit it exactly
     rng = random.Random(71)
     for _ in range(3000):
         center = F(rng.randint(-60, 60), rng.randint(1, 12))
         d = F(rng.randint(1, 30), rng.randint(1, 6))
         rem = F(rng.randint(0, 400), rng.randint(1, 9))
         expect = [x for x in range(-120, 121) if d * (x - center) ** 2 <= rem]
-        assert list(_interval(center, d, rem)) == expect, (center, d, rem)
+        p, q = center.numerator, center.denominator
+        w = d.numerator * rem.denominator
+        bound = rem.numerator * d.denominator * q * q
+        assert list(_interval(w, q, -p, bound)) == expect, (center, d, rem)
+
+
+def fraction_ldl(rows):
+    """A = L D L^T over Fraction, as (L, D); ValueError at the first D_i <= 0."""
+    g = len(rows)
+    L = [[F(int(i == j)) for j in range(g)] for i in range(g)]
+    D = []
+    for i in range(g):
+        for j in range(i):
+            L[i][j] = (F(rows[i][j]) - sum(L[i][k] * L[j][k] * D[k] for k in range(j))) / D[j]
+        d = F(rows[i][i]) - sum(L[i][k] * L[i][k] * D[k] for k in range(i))
+        if d <= 0:
+            raise ValueError("matrix must be positive definite")
+        D.append(d)
+    return L, D
+
+
+def fraction_interval(center, d, rem):
+    """The integers x with d (x - center)^2 <= rem, for d > 0 and rem >= 0."""
+    t = rem / d
+    s = F(isqrt(t.numerator * t.denominator), t.denominator)
+    lo, hi = ceil(center - s), floor(center + s)
+    if d * (lo - 1 - center) ** 2 <= rem:
+        lo -= 1
+    if d * (hi + 1 - center) ** 2 <= rem:
+        hi += 1
+    return range(lo, hi + 1)
+
+
+def fraction_fincke_pohst(Z, rows):
+    """The earlier theta_argmin: the same enumeration and tie-break, with
+    the center from a Fraction solve and every node a Fraction."""
+    g = len(rows)
+    L, D = fraction_ldl(rows)
+    c = solve(rows, [-z for z in Z])
+    n0 = tuple(int((x.numerator * 2 + x.denominator) // (2 * x.denominator)) for x in c)
+    n = list(n0)
+
+    def center(i):
+        return c[i] - sum(L[j][i] * (n[j] - c[j]) for j in range(i + 1, g))
+
+    bound = sum(D[i] * (n0[i] - center(i)) ** 2 for i in range(g))
+    ties = []
+
+    def descend(i, partial):
+        nonlocal bound, ties
+        if i < 0:
+            if partial < bound:
+                bound, ties = partial, []
+            ties.append(tuple(n))
+            return
+        ctr = center(i)
+        for x in sorted(fraction_interval(ctr, D[i], bound - partial), key=lambda x: abs(x - ctr)):
+            v = partial + D[i] * (x - ctr) ** 2
+            if v > bound:
+                break
+            n[i] = x
+            descend(i - 1, v)
+
+    def shell_order(m):
+        d = tuple(a - b for a, b in zip(m, n0))
+        return max(map(abs, d), default=0), d
+
+    descend(g - 1, F(0))
+    n_star = min(ties, key=shell_order)
+    return objective(n_star, rows, Z), n_star
+
+
+@st.composite
+def rational_theta_cases(draw):
+    g = draw(st.integers(1, 5))
+    small = st.integers(-3, 3)
+    if draw(st.booleans()):
+        # (A^T A + d I) / e: every entry has a denominator dividing e
+        e = draw(st.integers(1, 6))
+        ints = pd_matrix(g, draw(st.lists(small, min_size=g * g, max_size=g * g)), draw(st.integers(1, 4)))
+        rows = [[F(x, e) for x in r] for r in ints]
+    else:
+        # strictly diagonally dominant, entries with denominators 1..6
+        rows = [[F(0)] * g for _ in range(g)]
+        for i in range(g):
+            for j in range(i + 1, g):
+                rows[i][j] = rows[j][i] = F(draw(small), draw(st.integers(1, 6)))
+        for i in range(g):
+            rows[i][i] = ceil(sum(abs(x) for x in rows[i])) + F(draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    if draw(st.booleans()):
+        # Xi m / 2 or Xi m / 3: the minimizers are the lattice points nearest
+        # -m / 2 or -m / 3, and several lie at equal distance
+        k = draw(st.sampled_from((2, 3)))
+        m = draw(st.lists(st.integers(-12, 12), min_size=g, max_size=g))
+        Z = tuple(sum(r[j] * m[j] for j in range(g)) / k for r in rows)
+    else:
+        # denominators 7..11 divide no denominator of Xi
+        Z = tuple(F(draw(st.integers(-90, 90)), draw(st.integers(7, 11))) for _ in range(g))
+    return rows, Z
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_theta_cases())
+def test_integer_search_matches_fraction_search(case):
+    rows, Z = case
+    Xi = PeriodMatrix(tuple(tuple(r) for r in rows))
+    got = theta_argmin(Z, Xi)
+    assert got == fraction_fincke_pohst(Z, rows)
+    assert type(got[0]) is F and all(type(x) is int for x in got[1])
+    assert theta(Z, Xi) == got[0]
 
 
 def test_positive_definite_iff_sylvester():
@@ -133,15 +245,24 @@ def test_positive_definite_iff_sylvester():
             for i in range(g):
                 for j in range(i, g):
                     rows[i][j] = rows[j][i] = next(it)
-            sylvester = all(
-                det_int([r[:k] for r in rows[:k]]) > 0 for k in range(1, g + 1)
-            )
+            minors = [det_int([r[:k] for r in rows[:k]]) for k in range(g + 1)]
+            sylvester = all(m > 0 for m in minors[1:])
             try:
                 PeriodMatrix.from_rows(rows)
                 accepted = True
             except ValueError:
                 accepted = False
             assert accepted == sylvester, rows
+            if accepted:
+                # the factorization behind the check: minors, A = L D L^T, adj A
+                got, piv, adj = fraction_free_ldl(rows)
+                assert got == minors
+                L, D = fraction_ldl(rows)
+                for i in range(g):
+                    assert D[i] == F(minors[i + 1], minors[i])
+                    assert all(L[j][i] == F(piv[i][j], minors[i + 1]) for j in range(i, g))
+                    for j in range(g):
+                        assert sum(adj[i][k] * rows[k][j] for k in range(g)) == minors[g] * (i == j)
 
 
 def test_theta_rejects_wrong_argument_length():

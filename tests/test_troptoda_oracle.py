@@ -1,9 +1,13 @@
-"""Differential tests of the cycle dynamic program behind troptoda.conserved_all
-and of the theta-function solution at genus 4 and 5.
+"""Differential tests of the cycle dynamic program behind troptoda.conserved_all,
+of the running-minimum evolve_toda, and of the theta-function solution at
+genus 4 and 5.
 
-The oracle is the direct definition: H_k is the minimum over all C(2N, k)
+The oracles are the direct definitions: H_k is the minimum over all C(2N, k)
 subsets of {Q_1..Q_N, W_1..W_N} containing no pair {W_j, Q_j} or
-{W_j, Q_{j+1}} (cyclically), and H_{N+1} = sum(Q) + sum(W).
+{W_j, Q_{j+1}} (cyclically), and H_{N+1} = sum(Q) + sum(W); X_j in the time
+step is the minimum of 0 and every backward partial sum of W - Q, each
+found by its own O(N) scan; a theta-solution site value is the sum of four
+Fraction values of the public theta.
 """
 
 import random
@@ -13,6 +17,7 @@ from itertools import combinations, product
 
 import pytest
 
+from boxball.theta import PeriodMatrix, theta
 from boxball.troptoda import (
     TodaState,
     conserved,
@@ -98,6 +103,49 @@ def test_conserved_all_large_n_is_fast():
     assert C[N - 1] == min(sum(s.Q), sum(s.W))  # the two alternating N-sets
 
 
+def oracle_evolve_toda(s):
+    """The time step with X_j from its own backward scan, O(N^2)."""
+    N = s.N
+    Qn = []
+    for j in range(N):
+        acc = X = F(0)
+        for k in range(1, N):
+            acc += s.W[(j - k) % N] - s.Q[(j - k) % N]
+            X = min(X, acc)
+        Qn.append(min(s.W[j], s.Q[j] - X))
+    Wn = [s.Q[(j + 1) % N] + s.W[j] - Qn[j] for j in range(N)]
+    return TodaState(tuple(Qn), tuple(Wn))
+
+
+def test_evolve_toda_matches_quadratic_scan():
+    rng = random.Random(64)
+    for _ in range(400):
+        N = rng.randint(1, 12)
+        while True:
+            Q = [F(rng.randint(-8, 10), rng.choice((1, 2))) for _ in range(N)]
+            W = [F(rng.randint(-8, 10), rng.choice((1, 2))) for _ in range(N)]
+            if sum(Q) < sum(W):
+                break
+        s = TodaState(tuple(Q), tuple(W))
+        for _ in range(3):
+            nxt = evolve_toda(s)
+            assert nxt == oracle_evolve_toda(s), s
+            s = nxt
+
+
+def test_evolve_toda_large_n():
+    rng = random.Random(65)
+    N = 400
+    s = TodaState.make(
+        [F(rng.randint(-5, 9), rng.randint(1, 2)) for _ in range(N)],
+        [F(rng.randint(-2, 15), rng.randint(1, 2)) for _ in range(N)],
+    )
+    start = time.process_time()
+    got = evolve_toda(s)
+    assert time.process_time() - start < 0.2
+    assert got == oracle_evolve_toda(s)
+
+
 def _smooth_problem(rng, N):
     """A smooth C with C_1 = 0 (a state translated to min(Q, W) = 0)."""
     while True:
@@ -123,6 +171,41 @@ def test_theta_solution_high_genus(N):
             s = evolve_toda(s)
             assert theta_state(Z0, C, t) == s
         assert conserved_all(s) == C
+
+
+def oracle_theta_solution(Z0, C, t, n):
+    """The defining formula, each theta a Fraction from boxball.theta.theta."""
+    sd = spectral_data(C)
+    g = len(C) - 2
+    Xi = PeriodMatrix.from_rows(sd.Omega)
+    vel = [sd.lam[i + 1] - sd.lam[i] for i in range(g)]
+
+    def T(tt, nn):
+        return theta(tuple(F(Z0[i]) + vel[i] * tt - (sd.L * nn if i == 0 else 0) for i in range(g)), Xi)
+
+    C1 = F(C[0])
+    Q = T(t, n - 1) + T(t + 1, n) - T(t + 1, n - 1) - T(t, n) + C1
+    W = T(t + 1, n - 1) + T(t, n + 1) - T(t, n) - T(t + 1, n) + sd.L + C1
+    return Q, W
+
+
+def test_theta_sites_match_public_theta():
+    # rational C (C_1 != 0 included) and Z0; in the first case only C_1 has
+    # denominator 3, so the integer site sums must scale by it too
+    rng = random.Random(66)
+    cases = [((F(1, 3), F(10, 3), F(26, 3)), (F(5),))]
+    while len(cases) < 40:
+        N = rng.randint(2, 4)
+        Q = [F(rng.randint(-6, 9), rng.randint(1, 3)) for _ in range(N)]
+        W = [F(rng.randint(-6, 9), rng.randint(1, 3)) for _ in range(N)]
+        if sum(Q) < sum(W):
+            C = conserved_all(TodaState(tuple(Q), tuple(W)))
+            if spectral_data(C).smooth:
+                cases.append((C, tuple(F(rng.randint(-20, 20), rng.randint(1, 5)) for _ in range(N - 1))))
+    for C, Z0 in cases:
+        for t in range(3):
+            for n in range(1, len(C)):
+                assert theta_solution(Z0, C, t, n) == oracle_theta_solution(Z0, C, t, n), (C, Z0)
 
 
 @pytest.mark.parametrize(
