@@ -76,29 +76,33 @@ class BBSState:
         return (s.origin, s.origin + len(s.cells) - 1)
 
 
-def _carrier_step(carrier: list[int], b: int, rank: int) -> tuple[int, int]:
-    """One R-step of a carrier (count vector, mutated) against a single box.
+def carrier_pass(cells, carrier: list[int], rank: int) -> tuple[list[int], int]:
+    """Run a carrier across the boxes: the row transfer matrix of R on B_l x B_1.
 
-    Returns (emitted letter, energy H).  The carrier exchanges its largest
-    letter strictly below b when one exists (unwinding, H=0), otherwise its
-    largest letter overall (winding, H=1).
+    carrier[a] counts the carrier's letters a (1..rank+1, l > 0 in all) and is
+    mutated into the exit load; carrier[0] = 1 is a constant that ends the
+    downward scan.  At box b the carrier emits its largest letter below b
+    (unwinding, energy +1), or else its largest letter (winding), then takes b.
+    Returns (emitted letters, energy).
     """
-    pick = 0
-    for a in range(b - 1, 0, -1):
-        if carrier[a - 1] > 0:
-            pick = a
-            break
-    if pick:
-        h = 0
-    else:
-        h = 1
-        for a in range(rank + 1, 0, -1):
-            if carrier[a - 1] > 0:
-                pick = a
-                break
-    carrier[pick - 1] -= 1
-    carrier[b - 1] += 1
-    return pick, h
+    out = []
+    emit = out.append
+    energy = 0
+    top = rank + 1
+    for b in cells:
+        a = b - 1
+        while not carrier[a]:
+            a -= 1
+        if a:
+            energy += 1
+        else:
+            a = top
+            while not carrier[a]:
+                a -= 1
+        carrier[a] -= 1
+        carrier[b] += 1
+        emit(a)
+    return out, energy
 
 
 def evolve(state: BBSState, l: int | None = None) -> tuple[BBSState, int]:
@@ -110,17 +114,10 @@ def evolve(state: BBSState, l: int | None = None) -> tuple[BBSState, int]:
     balls = s.balls()
     if balls == 0 or l == 0:
         return s, 0
-    l_eff = l if l is not None else max(balls, 1)
-    pad = l_eff + balls + 2
-    cells = list(s.cells) + [1] * pad
-    carrier = [l_eff] + [0] * n
-    out = []
-    energy = 0
-    for b in cells:
-        emitted, h = _carrier_step(carrier, b, n)
-        out.append(emitted)
-        energy += 1 - h
-    if carrier[0] != l_eff or any(carrier[1:]):
+    l_eff = l if l is not None else balls
+    carrier = [1, l_eff] + [0] * n
+    out, energy = carrier_pass(s.cells + (1,) * (l_eff + balls + 2), carrier, n)
+    if carrier[1] != l_eff:
         raise ValueError("carrier failed to empty; padding too small")
     return BBSState(n, tuple(out), s.origin).trimmed(), energy
 
@@ -264,14 +261,20 @@ def toda_coords(state: BBSState) -> tuple[list[int], list[int]]:
 
 
 def toda_evolve(Q: list[int], W: list[int]) -> tuple[list[int], list[int]]:
-    """One T_infinity step in soliton coordinates (W_0 = W_N = infinity)."""
+    """One T_infinity step in soliton coordinates (W_0 = W_N = infinity).
+
+    Open-chain running minimum: X_1 = 0, X_j = min(0, X_{j-1} + W_{j-1} - Q_{j-1}),
+    Q'_j = min(W_j, Q_j - X_j), with no cap for j = N.
+    """
     N = len(Q)
     if len(W) != N - 1:
         raise ValueError("need len(W) == len(Q) - 1")
     Qn: list[int] = []
-    for j in range(N):
-        acc = sum(Q[: j + 1]) - sum(Qn)
-        Qn.append(min(acc, W[j]) if j < N - 1 else acc)
+    X = 0
+    for j in range(N - 1):
+        Qn.append(min(W[j], Q[j] - X))
+        X = min(0, X + W[j] - Q[j])
+    Qn.append(Q[-1] - X)
     Wn = [Q[j + 1] + W[j] - Qn[j] for j in range(N - 1)]
     return Qn, Wn
 

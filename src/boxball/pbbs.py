@@ -4,9 +4,9 @@ decomposition.
 
 States are length-L words over {1,2} with a distinguished origin (rotations
 are genuinely different states; T_1 is the cyclic right shift).  The carrier
-for T_l is found by the two-pass construction: one pass of the vacant carrier
-yields the periodic fixed point, a second pass with it produces the evolved
-state and the energy.
+for T_l is found by the two-pass construction, both passes bbs.carrier_pass:
+the vacant carrier's pass yields the periodic fixed point, a second pass from
+it produces the evolved state and the energy.
 
 One scattering pass (_scatter: a highest rotation, then the KKR map) gives
 the action variable, the raw angle variable and the internal symmetries.
@@ -27,6 +27,7 @@ from fractions import Fraction
 from itertools import accumulate, combinations, product
 from math import comb, gcd
 
+from boxball.bbs import carrier_pass
 from boxball.intmat import (
     column_hnf,
     det_int,
@@ -92,41 +93,21 @@ class PeriodicState:
 def evolve_periodic(p: PeriodicState, l: int | None = None) -> tuple[PeriodicState, int]:
     """T_l (l = None means l >= max amplitude, realized as l = ball count).
 
-    Two carrier passes: the vacant carrier's exit load is the periodic fixed
-    point; rerunning with it yields T_l(p) and the energy E_l (number of
-    loading events).  The fixed point is guaranteed for M < L/2 and checked
-    in all cases (ValueError if the second pass does not close up).
+    Two passes of bbs.carrier_pass: the vacant carrier's exit load is the
+    periodic fixed point; rerunning with it yields T_l(p) and the energy E_l
+    (number of loading events).  The fixed point is guaranteed for M < L/2
+    and checked in all cases (ValueError if the second pass does not close up).
     """
     if l is not None and l < 0:
         raise ValueError("capacity l must be >= 0")
     M = p.balls
-    if M == 0:
+    if M == 0 or l == 0:
         return p, 0
-    l_eff = l if l is not None else M
-
-    def carrier_pass(load: int) -> tuple[int, list[int], int]:
-        out = []
-        energy = 0
-        c = load
-        for b in p.cells:
-            if b == 2:
-                if c < l_eff:
-                    c += 1
-                    out.append(1)
-                    energy += 1  # loading scores 1 - H = 1
-                else:
-                    out.append(2)
-            else:
-                if c > 0:
-                    c -= 1
-                    out.append(2)
-                else:
-                    out.append(1)
-        return c, out, energy
-
-    v, _, _ = carrier_pass(0)
-    v2, out, energy = carrier_pass(v)
-    if v2 != v:
+    carrier = [1, l if l is not None else M, 0]
+    carrier_pass(p.cells, carrier, 1)
+    fixed = list(carrier)
+    out, energy = carrier_pass(p.cells, carrier, 1)
+    if carrier != fixed:
         raise ValueError("carrier fixed point failed to close up")
     return PeriodicState(tuple(out)), energy
 

@@ -4,8 +4,8 @@ tau_{k,a}(S) = -min over subsets T of S of c_{k,a}(T), where c is the cocharge
 shifted by the color-a length sum and k times the color-1 string count.  c
 depends on T only through its string count per (color, length) class and its
 rigging sum, least on each class's smallest riggings, so the exact minimization
-enumerates prod(m_c + 1) <= 2^N count vectors (m_c strings in class c, N in all,
-N capped by the BOXBALL_SUBSET_CAP environment variable); one scan builds the
+enumerates prod(m_c + 1) <= 2^N count vectors (m_c strings in class c, N in all;
+their number is capped at 2^BOXBALL_SUBSET_CAP); one scan builds the
 whole table of tau_{k,a}, which every query and path reconstruction then reads.
 
 Also here: the corner ball-count rho of an evolution profile, the path
@@ -18,9 +18,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import accumulate, combinations
+from math import prod
 
 from boxball.bbs import BBSState, evolve_takahashi
-from boxball.kkr import RiggedConfiguration
+from boxball.kkr import RiggedConfiguration, evolve_rc
 
 
 def _subset_cap() -> int:
@@ -55,17 +56,6 @@ class StringSet:
             blocks[a - 1].append((l, r))
         return RiggedConfiguration.make(self.L, self.rank, blocks)
 
-    def evolved(self, l: int | None, steps: int = 1) -> "StringSet":
-        """T_l on the string set: color-1 riggings grow by min(l, length)."""
-        return StringSet(
-            self.rank,
-            self.L,
-            tuple(
-                (a, lg, r + steps * ((min(l, lg) if l is not None else lg) if a == 1 else 0))
-                for a, lg, r in self.strings
-            ),
-        )
-
 
 def cartan(a: int, b: int) -> int:
     return 2 if a == b else (-1 if abs(a - b) == 1 else 0)
@@ -84,20 +74,20 @@ class _TauTable:
     (best[a][m]), and from it every tau_{k,a} (rows[k][a], k = 0..L, a = 0..n+1)."""
 
     def __init__(self, s: StringSet):
-        n = len(s.strings)
-        cap = _subset_cap()
-        if n > cap:
-            raise ValueError(
-                f"string set of size {n} exceeds the subset cap {cap}; "
-                "set BOXBALL_SUBSET_CAP to raise it"
-            )
-        n1 = sum(1 for a, _, _ in s.strings if a == 1)
-        self.best = [[None] * (n1 + 1) for _ in range(s.rank + 2)]  # [a][m]
         # with k_c strings of class c = (a, l), at best its k_c smallest riggings:
         # c(T) = sum_c (l k_c^2 + prefix_c[k_c]) + sum_{c<d} k_c k_d C min(l_c, l_d)
         classes: dict[tuple[int, int], list[int]] = {}
         for a, l, r in s.strings:
             classes.setdefault((a, l), []).append(r)
+        leaves = prod(len(rs) + 1 for rs in classes.values())
+        cap = _subset_cap()
+        if leaves > 2**cap:
+            raise ValueError(
+                f"string set needs {leaves} count vectors, over the subset cap 2^{cap}; "
+                "set BOXBALL_SUBSET_CAP to raise it"
+            )
+        n1 = sum(1 for a, _, _ in s.strings if a == 1)
+        self.best = [[None] * (n1 + 1) for _ in range(s.rank + 2)]  # [a][m]
         keys = list(classes)
         prefix = [list(accumulate(sorted(classes[key]), initial=0)) for key in keys]
         pair = [[cartan(a1, a2) * min(l1, l2) for a2, l2 in keys] for a1, l1 in keys]
@@ -223,7 +213,7 @@ def check_hirota(s: StringSet, L: int | None = None) -> bool:
     for 1 <= k <= L and 2 <= a <= n+1.
     """
     t = _rows(s, L)
-    tbar = _rows(s.evolved(None), L)
+    tbar = _rows(StringSet.from_rc(evolve_rc(s.to_rc(), None)), L)
     for k in range(1, len(t)):
         for a in range(2, s.rank + 2):
             lhs = tbar[k][a - 1] + t[k - 1][a]

@@ -4,6 +4,7 @@ import pytest
 
 from boxball.bbs import (
     BBSState,
+    carrier_pass,
     energies,
     evolve,
     evolve_takahashi,
@@ -98,29 +99,35 @@ def test_energy_table_from_carriers():
     assert evolve(s, 2)[1] == 6
 
 
-def test_carrier_step_agrees_with_crystal_R():
-    # the evolution's local move is exactly the combinatorial R on B_l x B_1
-    from boxball.bbs import _carrier_step
+def test_carrier_pass_agrees_with_crystal_R():
+    # one box of the carrier pass is exactly the combinatorial R on B_l x B_1
     from boxball.crystal import CrystalElement, comb_R
 
-    rng = random.Random(28)
-    for _ in range(300):
-        rank = rng.randint(1, 4)
-        l = rng.randint(1, 6)
-        counts = [0] * (rank + 1)
-        for _ in range(l):
-            counts[rng.randrange(rank + 1)] += 1
-        b = rng.randint(1, rank + 1)
-        carrier = list(counts)
-        emitted, h = _carrier_step(carrier, b, rank)
+    def check(rank, counts, b):
+        carrier = [1] + list(counts)
+        emitted, energy = carrier_pass([b], carrier, rank)
         x = CrystalElement(rank, tuple(counts))
         y = CrystalElement(rank, tuple(1 if a == b else 0 for a in range(1, rank + 2)))
         out = comb_R(x, y)
         assert out.left_out.counts == tuple(
-            1 if a == emitted else 0 for a in range(1, rank + 2)
+            1 if a == emitted[0] else 0 for a in range(1, rank + 2)
         )
-        assert out.right_out.counts == tuple(carrier)
-        assert out.energy == h
+        assert carrier[0] == 1
+        assert out.right_out.counts == tuple(carrier[1:])
+        assert out.energy == 1 - energy
+
+    for l in range(1, 7):  # rank 1: every load
+        for load in range(l + 1):
+            for b in (1, 2):
+                check(1, (l - load, load), b)
+    rng = random.Random(28)
+    for _ in range(300):
+        rank = rng.randint(2, 4)
+        l = rng.randint(1, 6)
+        counts = [0] * (rank + 1)
+        for _ in range(l):
+            counts[rng.randrange(rank + 1)] += 1
+        check(rank, counts, rng.randint(1, rank + 1))
 
 
 def test_energies_monotone_and_stabilizing():

@@ -1,0 +1,149 @@
+"""Differential tests of the carrier pass and the sl2 Toda step.
+
+The functions prefixed old_ below are the straightforward versions the
+library replaced: the infinite evolution as one function call per box
+(old_carrier_step), the periodic evolution as its own sl2 pass over a ball
+count, and the Toda step with prefix sums recomputed for every soliton.
+They serve as oracles: the library must return the same values and raise on
+the same inputs.
+"""
+
+import random
+from itertools import product
+
+import pytest
+
+from boxball.bbs import BBSState, evolve, toda_evolve
+from boxball.pbbs import PeriodicState, evolve_periodic
+
+
+def old_carrier_step(carrier, b, rank):
+    pick = 0
+    for a in range(b - 1, 0, -1):
+        if carrier[a - 1] > 0:
+            pick = a
+            break
+    if pick:
+        h = 0
+    else:
+        h = 1
+        for a in range(rank + 1, 0, -1):
+            if carrier[a - 1] > 0:
+                pick = a
+                break
+    carrier[pick - 1] -= 1
+    carrier[b - 1] += 1
+    return pick, h
+
+
+def old_evolve(state, l=None):
+    if l is not None and l < 0:
+        raise ValueError("capacity l must be >= 0")
+    n = state.rank
+    s = state.trimmed()
+    balls = s.balls()
+    if balls == 0 or l == 0:
+        return s, 0
+    l_eff = l if l is not None else max(balls, 1)
+    cells = list(s.cells) + [1] * (l_eff + balls + 2)
+    carrier = [l_eff] + [0] * n
+    out = []
+    energy = 0
+    for b in cells:
+        emitted, h = old_carrier_step(carrier, b, n)
+        out.append(emitted)
+        energy += 1 - h
+    if carrier[0] != l_eff or any(carrier[1:]):
+        raise ValueError("carrier failed to empty; padding too small")
+    return BBSState(n, tuple(out), s.origin).trimmed(), energy
+
+
+def old_evolve_periodic(p, l=None):
+    if l is not None and l < 0:
+        raise ValueError("capacity l must be >= 0")
+    M = p.balls
+    if M == 0:
+        return p, 0
+    l_eff = l if l is not None else M
+
+    def carrier_pass(load):
+        out = []
+        energy = 0
+        c = load
+        for b in p.cells:
+            if b == 2:
+                if c < l_eff:
+                    c += 1
+                    out.append(1)
+                    energy += 1
+                else:
+                    out.append(2)
+            else:
+                if c > 0:
+                    c -= 1
+                    out.append(2)
+                else:
+                    out.append(1)
+        return c, out, energy
+
+    v, _, _ = carrier_pass(0)
+    v2, out, energy = carrier_pass(v)
+    if v2 != v:
+        raise ValueError("carrier fixed point failed to close up")
+    return PeriodicState(tuple(out)), energy
+
+
+def old_toda_evolve(Q, W):
+    N = len(Q)
+    if len(W) != N - 1:
+        raise ValueError("need len(W) == len(Q) - 1")
+    Qn = []
+    for j in range(N):
+        acc = sum(Q[: j + 1]) - sum(Qn)
+        Qn.append(min(acc, W[j]) if j < N - 1 else acc)
+    Wn = [Q[j + 1] + W[j] - Qn[j] for j in range(N - 1)]
+    return Qn, Wn
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError:
+        return ValueError
+
+
+def test_evolve_periodic_matches_sl2_pass_exhaustive():
+    for L in range(1, 13):
+        for cells in product((1, 2), repeat=L):
+            if 2 * cells.count(2) > L:
+                continue
+            p = PeriodicState(cells)
+            for l in (0, 1, 2, 3, 4, None):
+                assert outcome(evolve_periodic, p, l) == outcome(old_evolve_periodic, p, l)
+
+
+def test_evolve_matches_carrier_step_loop_random():
+    rng = random.Random(8)
+    for _ in range(1500):
+        rank = rng.randint(1, 4)
+        cells = tuple(rng.randint(1, rank + 1) for _ in range(rng.randint(0, 16)))
+        s = BBSState(rank, cells, rng.randint(-5, 5))
+        for l in (0, 1, 2, 4, rng.randint(1, 8), None):
+            assert evolve(s, l) == old_evolve(s, l), (s, l)
+    with pytest.raises(ValueError):
+        evolve(BBSState(1, (2,)), -1)
+
+
+def test_toda_evolve_matches_prefix_sums():
+    rng = random.Random(9)
+    for _ in range(3000):
+        N = rng.randint(1, 12)
+        Q = [rng.randint(1, 6) for _ in range(N)]
+        W = [rng.randint(1, 6) for _ in range(N - 1)]
+        assert toda_evolve(Q, W) == old_toda_evolve(Q, W), (Q, W)
+    Q = [rng.randint(1, 9) for _ in range(400)]
+    W = [rng.randint(1, 9) for _ in range(399)]
+    for _ in range(5):
+        got = toda_evolve(Q, W)
+        assert got == old_toda_evolve(Q, W)
+        Q, W = got

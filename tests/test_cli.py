@@ -109,6 +109,14 @@ def test_tau_cli_tsv(capsys):
     assert len(lines) == 8  # header + k = 0..6
 
 
+def test_tau_cli_one_large_class(capsys, monkeypatch):
+    # 21 strings of one class visit 22 count vectors: well under the default cap
+    monkeypatch.delenv("BOXBALL_SUBSET_CAP", raising=False)
+    code, out, _ = run(capsys, "tau", "12" * 21)
+    assert code == 0
+    assert len(out.splitlines()) == 44  # header + k = 0..42
+
+
 def test_analyze_action(capsys):
     code, out, _ = run(capsys, "analyze", "action", "1212111222")
     assert code == 0

@@ -66,35 +66,6 @@ def test_evolution_columns_golden():
             assert s.render() == row
 
 
-def test_periodic_pass_agrees_with_crystal_R():
-    # one site of the periodic carrier pass is the combinatorial R on B_l x B_1
-    from boxball.crystal import CrystalElement, comb_R
-
-    rng = random.Random(69)
-    for _ in range(200):
-        l = rng.randint(1, 5)
-        load = rng.randint(0, l)
-        b = rng.choice((1, 2))
-        x = CrystalElement(1, (l - load, load))
-        y = CrystalElement(1, (1, 0) if b == 1 else (0, 1))
-        out = comb_R(x, y)
-        # mirror of the in-pass rule
-        c = load
-        if b == 2:
-            if c < l:
-                c, emitted, h = c + 1, 1, 0
-            else:
-                emitted, h = 2, 1
-        else:
-            if c > 0:
-                c, emitted, h = c - 1, 2, 1
-            else:
-                emitted, h = 1, 1
-        assert out.right_out == CrystalElement(1, (l - c, c))
-        assert out.left_out == CrystalElement(1, (1, 0) if emitted == 1 else (0, 1))
-        assert out.energy == h
-
-
 def test_two_step_carrier_fixture():
     # L = 9 state under T_3: the vacant carrier is already the fixed point on
     # the first row; on the second row the fixed point is the full carrier

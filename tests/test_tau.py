@@ -3,7 +3,7 @@ import random
 import pytest
 
 from boxball.bbs import BBSState
-from boxball.kkr import highest_paths, kkr_phi, kkr_phi_inv
+from boxball.kkr import evolve_rc, highest_paths, kkr_phi, kkr_phi_inv
 from boxball.tau import (
     StringSet,
     check_hirota,
@@ -68,9 +68,13 @@ def test_subset_cap(monkeypatch):
     import boxball.tau as tau_mod
 
     tau_mod._tables.clear()
-    s = StringSet(1, 8, tuple((1, 1, 0) for _ in range(4)))
+    # the cap bounds the count vectors visited: 2^4 for 4 distinct lengths
+    s = StringSet(1, 20, tuple((1, l, 0) for l in range(1, 5)))
     with pytest.raises(ValueError):
         tau(s, 0, 1)
+    # 4 strings of one class visit only 5 count vectors, under 2^3
+    s = StringSet(1, 8, tuple((1, 1, 0) for _ in range(4)))
+    assert tau(s, 0, 1) == 0
     tau_mod._tables.clear()
 
 
@@ -146,7 +150,7 @@ def test_tau_first_color_equals_evolved_last():
     # tau_{k,1}(S) = taubar_{k,n+1}: the analogue of rho_{k,n+1}^{t+1} = rho_{k,1}^t
     for word in ("112212", "11112221322433"):
         s = _S(word)
-        sbar = s.evolved(None)
+        sbar = StringSet.from_rc(evolve_rc(s.to_rc(), None))
         for k in range(s.L + 1):
             assert tau(s, k, 1) == tau(sbar, k, s.rank + 1)
 
