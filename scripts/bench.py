@@ -1,0 +1,104 @@
+#!/usr/bin/env python3
+"""Size sweep of the KKR bijection: CPU time of phi and phi^-1 and their
+fitted growth exponents, printed as JSON.
+
+For each size L it draws one random sl3 highest path with round(0.45 L)
+letters above 1, times kkr_phi and kkr_phi_inv (median of 3 runs of
+time.process_time), checks the round trip, and fits t ~ L^k by least squares
+on log t against log L.
+
+Example:
+    PYTHONPATH=src python scripts/bench.py 800 2000 5000
+"""
+
+import argparse
+import json
+import math
+import random
+import statistics
+import time
+from pathlib import Path
+
+from boxball.kkr import kkr_phi, kkr_phi_inv
+
+RANK = 2
+BALL_FRACTION = 0.45
+REPEATS = 3
+SRC = Path(__file__).resolve().parents[1] / "src" / "boxball"
+
+
+def highest_word(rng: random.Random, L: int, rank: int, balls: int) -> str:
+    """A random highest path of length L with `balls` letters above 1, each
+    drawn among the letters that keep every prefix dominant."""
+    while True:
+        ball_at = set(rng.sample(range(L), balls))
+        counts = [0] * (rank + 2)
+        word = []
+        for i in range(L):
+            a = 1
+            if i in ball_at:
+                allowed = [b for b in range(2, rank + 2) if counts[b] < counts[b - 1]]
+                if not allowed:
+                    break
+                a = rng.choice(allowed)
+            counts[a] += 1
+            word.append(str(a))
+        else:
+            return "".join(word)
+
+
+def median_time(fn, *args):
+    """(median CPU seconds over REPEATS calls, the last call's result)."""
+    times = []
+    for _ in range(REPEATS):
+        start = time.process_time()
+        out = fn(*args)
+        times.append(time.process_time() - start)
+    return statistics.median(times), out
+
+
+def growth_exponent(sizes, times) -> float | None:
+    """Least-squares slope of log t against log L; None below two sizes."""
+    pts = [(math.log(n), math.log(t)) for n, t in zip(sizes, times) if t > 0]
+    if len(pts) < 2:
+        return None
+    mx = statistics.fmean(x for x, _ in pts)
+    my = statistics.fmean(y for _, y in pts)
+    sxx = sum((x - mx) ** 2 for x, _ in pts)
+    return sum((x - mx) * (y - my) for x, y in pts) / sxx if sxx else None
+
+
+def kkr_sweep(sizes) -> dict:
+    phi_s, phi_inv_s, roundtrip = [], [], True
+    for L in sizes:
+        word = highest_word(random.Random(f"kkr/{L}"), L, RANK, round(BALL_FRACTION * L))
+        t_phi, rc = median_time(kkr_phi, word, RANK)
+        t_inv, back = median_time(kkr_phi_inv, rc)
+        phi_s.append(t_phi)
+        phi_inv_s.append(t_inv)
+        roundtrip = roundtrip and back == word
+    return {
+        "rank": RANK,
+        "ball_fraction": BALL_FRACTION,
+        "repeats": REPEATS,
+        "sizes": list(sizes),
+        "phi_s": phi_s,
+        "phi_inv_s": phi_inv_s,
+        "phi_growth_exp": growth_exponent(sizes, phi_s),
+        "phi_inv_growth_exp": growth_exponent(sizes, phi_inv_s),
+        "roundtrip": roundtrip,
+    }
+
+
+def main(argv=None) -> None:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("sizes", nargs="*", type=int, default=[800, 2000, 5000], help="path lengths L")
+    args = ap.parse_args(argv)
+    if any(L < 1 for L in args.sizes):
+        ap.error("sizes must be >= 1")
+    src_lines = sum(len(p.read_text().splitlines()) for p in SRC.glob("*.py"))
+    print(json.dumps({"kkr": kkr_sweep(args.sizes), "src_lines": src_lines}, indent=2))
+
+
+if __name__ == "__main__":
+    main()

@@ -2,9 +2,15 @@
 linearized inverse-scattering solver for the infinite box-ball system.
 
 A rigged configuration stores, per color a in 1..n, a multiset of strings
-(length j, rigging J).  Vacancies are always recomputed from the shape, never
-stored.  The bijection phi maps highest paths to rigged configurations one
-letter at a time; phi^{-1} inverts it.  Extended configurations (riggings
+(length j, rigging J).  The bijection phi maps highest paths to rigged
+configurations one letter at a time; phi^{-1} inverts it.  Both walk one
+bucketed shape (_Shape): per color, the riggings of each length kept sorted
+and the vacancy of each present length kept current in place.  A string
+growing or shrinking by one shifts the stored vacancies above it in three
+colors; a length seen for the first time gets its vacancy from the one
+q-formula, which RiggedConfiguration.vacancy also uses.  A singular string of
+a given length is one bisect away, so a letter costs time in the number of
+distinct lengths, not of strings.  Extended configurations (riggings
 outside the [0, vacancy] window, arising from non-highest paths or long
 evolutions) are carried by the same algorithms and flagged by is_valid().
 """
@@ -12,8 +18,7 @@ evolutions) are carried by the same algorithms and flagged by is_valid().
 from __future__ import annotations
 
 import json
-import random
-from collections import Counter
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from functools import cached_property
 from math import inf
@@ -28,6 +33,8 @@ class RiggedConfiguration:
     strings: tuple[tuple[tuple[int, int], ...], ...]
 
     def __post_init__(self):
+        if self.L < 0:
+            raise ValueError("L must be >= 0")
         if len(self.strings) != self.rank:
             raise ValueError("need one string multiset per color 1..rank")
         for block in self.strings:
@@ -48,12 +55,14 @@ class RiggedConfiguration:
         return tuple(sorted((j for j, _ in self.color(a)), reverse=True))
 
     @cached_property
-    def _vacancies(self) -> "_Vacancies":
-        return _Vacancies(self.L, [Counter(j for j, _ in block) for block in self.strings])
+    def _shape(self) -> "_Shape":
+        return _Shape(self.L, self.rank, self.strings)
 
     def q(self, a: int, j: int) -> int:
         """Cells in the left j columns of mu^(a); q^(0) = L, q^(n+1) = 0."""
-        return self._vacancies.q(a, j)
+        if a == 0:
+            return self.L
+        return self._shape.q(a, j) if a <= self.rank else 0
 
     def vacancy(self, a: int, j: int) -> int:
         """p^(a)_j = q^(a-1)_j - 2 q^(a)_j + q^(a+1)_j."""
@@ -61,7 +70,7 @@ class RiggedConfiguration:
             raise ValueError("color out of range")
         if j < 1:
             raise ValueError("length must be >= 1")
-        return self._vacancies[a, j]
+        return self._shape.vacancy(a, j)
 
     def is_valid(self) -> bool:
         """True iff every rigging sits in [0, vacancy] (a genuine rigged configuration)."""
@@ -110,54 +119,112 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-class _Vacancies(dict):
-    """p^(a)_j = q^(a-1)_j - 2 q^(a)_j + q^(a+1)_j memoised per key (a, j), for one
-    L and the shape given by mults[a-1], color a's length -> multiplicity map."""
+class _Shape:
+    """A (possibly extended) rigged configuration bucketed by (color, length),
+    with the vacancy of every present length kept current in place.
 
-    def __init__(self, L: int, mults: list[dict[int, int]]):
-        self.L, self.mults = L, mults
+    For each color a, rigs[a] maps a length to the sorted riggings of that
+    length, lens[a] lists the present lengths in increasing order and vacs[a]
+    maps each of them to its vacancy.  Colors 0 and rank + 1 are empty
+    sentinels.  Color 1's vacancies are stored without their L term, which
+    vacancy() adds back, so changing L costs nothing.
+    """
+
+    def __init__(self, L: int, rank: int, strings=()):
+        self.L, self.rank = L, rank
+        self.rigs: list[dict[int, list[int]]] = [{} for _ in range(rank + 2)]
+        for a, block in enumerate(strings, 1):
+            for j, r in block:  # sorted by (length, rigging)
+                self.rigs[a].setdefault(j, []).append(r)
+        self.lens = [sorted(rigs) for rigs in self.rigs]
+        self.vacs = [{j: self._p(a, j) for j in rigs} for a, rigs in enumerate(self.rigs)]
 
     def q(self, a: int, j: int) -> int:
-        if a == 0:
-            return self.L
-        if a > len(self.mults):
-            return 0
-        return sum(min(j, k) * m for k, m in self.mults[a - 1].items())
+        """q^(a)_j = sum_k min(j, k) m^(a)_k, the cells in the left j columns of mu^(a)."""
+        return sum(min(j, k) * len(rs) for k, rs in self.rigs[a].items())
 
-    def __missing__(self, key: tuple[int, int]) -> int:
-        a, j = key
-        self[key] = p = self.q(a - 1, j) - 2 * self.q(a, j) + self.q(a + 1, j)
-        return p
+    def _p(self, a: int, j: int) -> int:
+        """p^(a)_j = q^(a-1)_j - 2 q^(a)_j + q^(a+1)_j, without color 1's L term."""
+        return self.q(a - 1, j) - 2 * self.q(a, j) + self.q(a + 1, j)
 
+    def vacancy(self, a: int, j: int) -> int:
+        p = self.vacs[a].get(j)
+        if p is None:
+            p = self._p(a, j)
+        return p + self.L if a == 1 else p
 
-def _grow(mult: Counter, s: list[int], by: int) -> None:
-    """Add by to string s's length and move it in mult (length 0 adds nothing to q)."""
-    mult[s[0]] -= 1
-    if not mult[s[0]]:
-        del mult[s[0]]
-    s[0] += by
-    mult[s[0]] += 1
-
-
-def _pick(block, vac: _Vacancies, c: int, lo, hi, best, rng):
-    """A singular string of color c with lo <= length <= hi and the best (max or
-    min) length among those; rng draws from the ties in block order."""
-    cands = [s for s in block if lo <= s[0] <= hi and s[1] == vac[c, s[0]]]
-    if not cands:
+    def singular(self, a: int, lo, hi, longest: bool) -> tuple[int, int] | None:
+        """(length, rigging) of a singular color-a string (rigging equal to its
+        vacancy) with lo <= length <= hi, the longest or the shortest such;
+        None if there is none."""
+        lens, vacs, rigs = self.lens[a], self.vacs[a], self.rigs[a]
+        js = lens[bisect_left(lens, lo) : bisect_right(lens, hi)]
+        off = self.L if a == 1 else 0
+        for j in reversed(js) if longest else js:
+            p, rs = vacs[j] + off, rigs[j]
+            i = bisect_left(rs, p)
+            if i < len(rs) and rs[i] == p:
+                return j, p
         return None
-    best_len = best(s[0] for s in cands)
-    pool = [s for s in cands if s[0] == best_len]
-    return rng.choice(pool) if rng else pool[0]
+
+    def ones_run(self) -> int:
+        """How many letters 1 phi^{-1} emits before a color-1 string turns
+        singular: each 1 lowers every color-1 vacancy by one."""
+        run = self.L
+        for j, rs in self.rigs[1].items():
+            p = self.vacs[1][j] + self.L
+            i = bisect_right(rs, p)
+            if i:
+                run = min(run, p - rs[i - 1])
+        return run
+
+    def move(self, a: int, j: int, r: int, by: int) -> None:
+        """Change the color-a string (j, r)'s length by by = +-1 (length 0 is
+        no string).  q^(a)_k moves by by at every k > min(j, j + by), so the
+        stored vacancies of colors a - 1, a, a + 1 there shift by by, -2 by, by."""
+        rigs, lens, vacs = self.rigs[a], self.lens[a], self.vacs[a]
+        if j:
+            rs = rigs[j]
+            rs.pop(bisect_left(rs, r))
+            if not rs:
+                del rigs[j], vacs[j]
+                lens.remove(j)
+        lo = min(j, j + by)
+        for b, w in ((a - 1, by), (a, -2 * by), (a + 1, by)):
+            for k in self.lens[b][bisect_right(self.lens[b], lo) :]:
+                self.vacs[b][k] += w
+        j += by
+        if j in rigs:
+            insort(rigs[j], r)
+        elif j:
+            rigs[j] = [r]
+            insort(lens, j)
+            vacs[j] = self._p(a, j)
+
+    def rerig(self, a: int, j: int, r: int) -> None:
+        """Make the color-a string (j, r) singular."""
+        rs = self.rigs[a][j]
+        rs.pop(bisect_left(rs, r))
+        insort(rs, self.vacancy(a, j))
+
+    def strings(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        return tuple(
+            tuple((j, r) for j in self.lens[a] for r in self.rigs[a][j])
+            for a in range(1, self.rank + 1)
+        )
 
 
 def is_highest(word: str | tuple[int, ...], rank: int | None = None) -> bool:
-    """Prefix letter-count dominance #1 >= #2 >= ... >= #(n+1) at every prefix."""
+    """Prefix letter-count dominance #1 >= #2 >= ... >= #(n+1) at every prefix.
+    A letter a can only break the one inequality #(a-1) >= #a."""
     letters = _letters(word)
+    if letters and min(letters) < 1:
+        raise ValueError("letters must be >= 1")
     n1 = max(rank + 1 if rank is not None else 0, max(letters, default=1))
-    counts = [0] * n1
+    counts = [0] * (n1 + 1)
     for a in letters:
-        counts[a - 1] += 1
-        if any(counts[i] < counts[i + 1] for i in range(len(counts) - 1)):
+        counts[a] += 1
+        if a > 1 and counts[a - 1] < counts[a]:
             return False
     return True
 
@@ -168,9 +235,7 @@ def _letters(word) -> list[int]:
     return list(word)
 
 
-def kkr_phi(
-    word, rank: int | None = None, check: bool = True, rng: random.Random | None = None
-) -> RiggedConfiguration:
+def kkr_phi(word, rank: int | None = None, check: bool = True) -> RiggedConfiguration:
     """Direct KKR map phi: highest path -> rigged configuration.
 
     With check=False the same algorithm runs on arbitrary paths, producing an
@@ -185,72 +250,53 @@ def kkr_phi(
         raise ValueError(f"letters must lie in 1..{rank + 1} for rank {rank}")
     if check and not is_highest(letters, rank):
         raise ValueError("path is not highest")
-    blocks: list[list[list[int]]] = [[] for _ in range(rank)]  # per color: [length, rigging]
-    mults = [Counter() for _ in range(rank)]
-    L = 0
+    shape = _Shape(0, rank)
     for d in letters:
-        L += 1
-        if d == 1:
-            continue
-        # select, for colors d-1 down to 1, the longest singular string with
-        # length bounded by the previous selection; a new string if none
-        vac = _Vacancies(L - 1, mults)
-        chosen: list[tuple[int, list[int]]] = []
+        # for colors d-1 down to 1, the longest singular string no longer than
+        # the previous pick; once none is found, new strings (length 0 -> 1).
+        # Every pick reads the shape before any string moves.
+        picks = []
         bound = inf
         for c in range(d - 1, 0, -1):
-            s = _pick(blocks[c - 1], vac, c, 1, bound, max, rng)
-            if s is None:
-                s = [0, 0]
-                blocks[c - 1].append(s)
-            chosen.append((c, s))
-            bound = s[0]
-        for c, s in chosen:
-            _grow(mults[c - 1], s, 1)
-        # riggings of the touched strings become singular in the new configuration
-        vac = _Vacancies(L, mults)
-        for c, s in chosen:
-            s[1] = vac[c, s[0]]
-    return RiggedConfiguration.make(L, rank, [[tuple(s) for s in b] for b in blocks])
+            bound, r = shape.singular(c, 1, bound, longest=True) or (0, 0)
+            picks.append((c, bound, r))
+        shape.L += 1
+        for c, j, r in picks:
+            shape.move(c, j, r, 1)
+        # the grown strings become singular in the new configuration
+        for c, j, r in picks:
+            shape.rerig(c, j + 1, r)
+    return RiggedConfiguration(shape.L, rank, shape.strings())
 
 
-def kkr_phi_inv(rc: RiggedConfiguration, rng: random.Random | None = None) -> str:
+def kkr_phi_inv(rc: RiggedConfiguration) -> str:
     """Inverse KKR map phi^{-1}: rigged configuration -> path word."""
-    rank = rc.rank
-    blocks = [[list(s) for s in rc.color(a)] for a in range(1, rank + 1)]
-    mults = [Counter(j for j, _ in block) for block in blocks]
+    shape = _Shape(rc.L, rc.rank, rc.strings)
     out = []
-    L = rc.L
-    while L > 0:
-        vac = _Vacancies(L, mults)
-        # a letter 1 changes nothing but L, so every color-1 vacancy drops by
-        # one per 1: emit 1s until the first color-1 string turns singular
-        slack = [vac[1, j] - r for j, r in blocks[0]]
-        ones = min([x for x in slack if x >= 0] + [L])
+    while shape.L > 0:
+        ones = shape.ones_run()
         if ones:
             out.append("1" * ones)
-            L -= ones
+            shape.L -= ones
             continue
-        chosen: list[tuple[int, list[int]]] = []
+        # for colors 1, 2, ..., the shortest singular string no shorter than
+        # the previous pick; the letter is one more than the number picked
+        picks = []
         bound = 1
-        d = rank + 1
-        for c in range(1, rank + 1):
-            s = _pick(blocks[c - 1], vac, c, bound, inf, min, rng)
+        for c in range(1, rc.rank + 1):
+            s = shape.singular(c, bound, inf, longest=False)
             if s is None:
-                d = c
                 break
-            chosen.append((c, s))
+            picks.append((c, *s))
             bound = s[0]
-        out.append(str(d))
-        L -= 1
-        for c, s in chosen:
-            _grow(mults[c - 1], s, -1)
-            if s[0] == 0:
-                blocks[c - 1].remove(s)
-        vac = _Vacancies(L, mults)
-        for c, s in chosen:
-            if s[0] > 0:
-                s[1] = vac[c, s[0]]
-    if any(blocks):
+        out.append(str(len(picks) + 1))
+        shape.L -= 1
+        for c, j, r in picks:
+            shape.move(c, j, r, -1)
+        for c, j, r in picks:
+            if j > 1:
+                shape.rerig(c, j - 1, r)
+    if any(shape.rigs):
         raise ValueError("strings left over; invalid rigged configuration")
     return "".join(reversed(out))
 

@@ -1,0 +1,25 @@
+"""The size-sweep script runs end to end at small sizes and prints its JSON."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_kkr_sweep_prints_timings_exponents_and_roundtrip():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench.py"), "60", "120"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    doc = json.loads(run.stdout)
+    kkr = doc["kkr"]
+    assert kkr["sizes"] == [60, 120]
+    assert len(kkr["phi_s"]) == len(kkr["phi_inv_s"]) == 2
+    assert {"phi_growth_exp", "phi_inv_growth_exp", "rank", "repeats"} <= set(kkr)
+    assert kkr["roundtrip"] is True
+    assert doc["src_lines"] > 0

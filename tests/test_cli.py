@@ -101,6 +101,12 @@ def test_kkr_inverse_invalid_configuration_exit_code(capsys):
     assert out == "" and "strings left over" in err
 
 
+def test_kkr_inverse_negative_length_exit_code(capsys):
+    code, out, err = run(capsys, "kkr", '{"L": -3, "n": 1, "strings": {}}', "--inverse")
+    assert code == 3
+    assert out == "" and "L must be >= 0" in err
+
+
 def test_tau_cli_tsv(capsys):
     code, out, _ = run(capsys, "tau", "112212")
     assert code == 0

@@ -3,11 +3,14 @@
 scan_phi and scan_phi_inv below are the straightforward versions of kkr_phi
 and kkr_phi_inv: every singularity test re-sums min(j, k) over all strings,
 and phi^{-1} emits its letters 1 one at a time.  They serve as the oracle
-for the library's multiplicity-based versions, which must return the same
-values, raise on the same inputs and draw the same random choices.
+for the library's bucketed versions, which must return the same values and
+raise on the same inputs.  Tied candidates are distinct objects here, so the
+oracle takes an rng that breaks ties at random; the library has no choice to
+make.  scan_is_highest checks the whole count vector after every letter.
 """
 
 import random
+from itertools import product
 
 from boxball.kkr import (
     RiggedConfiguration,
@@ -20,11 +23,22 @@ from boxball.kkr import (
 )
 
 
+def scan_is_highest(word, rank=None):
+    letters = _letters(word)
+    n1 = max(rank + 1 if rank is not None else 0, max(letters, default=1))
+    counts = [0] * n1
+    for a in letters:
+        counts[a - 1] += 1
+        if any(counts[i] < counts[i + 1] for i in range(len(counts) - 1)):
+            return False
+    return True
+
+
 def scan_phi(word, rank=None, check=True, rng=None):
     letters = _letters(word)
     if rank is None:
         rank = max(max(letters, default=2), 2) - 1
-    if check and not is_highest(letters, rank):
+    if check and not scan_is_highest(letters, rank):
         raise ValueError("path is not highest")
     blocks = [[] for _ in range(rank)]
 
@@ -112,27 +126,46 @@ def scan_phi_inv(rc, rng=None):
     return "".join(str(a) for a in reversed(out))
 
 
-def outcome(fn, *args, seed=None, **kwargs):
-    """(value or raised exception, next random() of the generator after the call)."""
-    rng = None if seed is None else random.Random(seed)
+def outcome(fn, *args, **kwargs):
+    """The value fn returns, or the type and message of the exception it raises."""
     try:
-        value = fn(*args, rng=rng, **kwargs)
+        return fn(*args, **kwargs)
     except Exception as exc:
-        value = (type(exc), str(exc))
-    return value, rng.random() if rng else None
+        return type(exc), str(exc)
 
 
 def assert_same_phi(word, rank, seed, check=True):
-    for s in (None, seed):
-        fast = outcome(kkr_phi, word, rank, check=check, seed=s)
-        assert fast == outcome(scan_phi, word, rank, check=check, seed=s), (word, s)
-    return fast[0]
+    fast = outcome(kkr_phi, word, rank, check=check)
+    for rng in (None, random.Random(seed)):
+        assert fast == outcome(scan_phi, word, rank, check=check, rng=rng), (word, seed)
+    return fast
 
 
 def assert_same_phi_inv(rc, seed):
-    for s in (None, seed):
-        fast = outcome(kkr_phi_inv, rc, seed=s)
-        assert fast == outcome(scan_phi_inv, rc, seed=s), (rc, s)
+    fast = outcome(kkr_phi_inv, rc)
+    for rng in (None, random.Random(seed)):
+        assert fast == outcome(scan_phi_inv, rc, rng=rng), (rc, seed)
+    return fast
+
+
+def random_highest_word(rng, L, rank, balls):
+    """A random highest path of length L with `balls` letters above 1, each
+    drawn among the letters that keep every prefix dominant."""
+    while True:
+        ball_at = set(rng.sample(range(L), balls))
+        counts = [0] * (rank + 2)
+        word = []
+        for i in range(L):
+            a = 1
+            if i in ball_at:
+                allowed = [b for b in range(2, rank + 2) if counts[b] < counts[b - 1]]
+                if not allowed:
+                    break
+                a = rng.choice(allowed)
+            counts[a] += 1
+            word.append(str(a))
+        else:
+            return "".join(word)
 
 
 def test_agrees_on_every_small_highest_path():
@@ -172,5 +205,47 @@ def test_agrees_on_evolved_configurations():
                         evolved = evolve_rc(rc, l, t)
                         invalid += not evolved.is_valid()
                         assert_same_phi_inv(evolved, seed)
-                        raised += isinstance(outcome(kkr_phi_inv, evolved)[0], tuple)
+                        raised += isinstance(outcome(kkr_phi_inv, evolved), tuple)
     assert invalid > 100 and raised > 10
+
+
+def test_agrees_on_random_highest_paths_at_realistic_size():
+    # one oracle run per call (ties broken at random) and one evolved image per
+    # path, so that each (rank, l, t) occurs twice, to keep the scans affordable
+    rng = random.Random(43)
+    flows = [(l, t) for l in (1, 3, None) for t in (1, 5)]
+    invalid = raised = 0
+    for k in range(36):
+        rank, flow = 1 + k % 3, flows[k // 3 % 6]
+        L = rng.randint(100, 200)
+        word = random_highest_word(rng, L, rank, round(rng.uniform(0.35, 0.45) * L))
+        rc = kkr_phi(word, rank)
+        assert scan_phi(word, rank, rng=rng) == rc, word
+        assert kkr_phi_inv(rc) == scan_phi_inv(rc, rng=rng) == word
+        evolved = evolve_rc(rc, *flow)
+        fast = outcome(kkr_phi_inv, evolved)
+        assert fast == outcome(scan_phi_inv, evolved, rng=rng), (word, flow)
+        invalid += not evolved.is_valid()
+        raised += isinstance(fast, tuple)
+    assert invalid > 10 and raised > 10
+
+
+def test_choice_independence():
+    # the oracle breaks ties between distinct but equal strings at random;
+    # every draw must give the library's answer
+    rng = random.Random(33)
+    words = ["1212121212", "1122331122", "11112221322433"]
+    words += rng.sample([w for w in highest_paths(8, 2)], 12)
+    for word in words:
+        n = max(max(int(c) for c in word) - 1, 1)
+        base = kkr_phi(word, n)
+        for _ in range(5):
+            assert scan_phi(word, n, rng=rng) == base
+            assert scan_phi_inv(base, rng=rng) == kkr_phi_inv(base) == word
+
+
+def test_is_highest_matches_full_count_check():
+    for rank in (1, 2, 3):
+        for L in range(9):
+            for letters in product(range(1, rank + 2), repeat=L):
+                assert is_highest(letters, rank) == scan_is_highest(letters, rank), letters
