@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Size sweep of the KKR bijection: CPU time of phi and phi^-1 and their
-fitted growth exponents, printed as JSON.
+"""Size sweeps of the KKR bijection and of the exact elimination: CPU times,
+fitted growth exponents and the src/ line count, printed as JSON.
 
 For each size L it draws one random sl3 highest path with round(0.45 L)
 letters above 1, times kkr_phi and kkr_phi_inv (median of 3 runs of
 time.process_time), checks the round trip, and fits t ~ L^k by least squares
-on log t against log L.
+on log t against log L.  For each genus g in GENERA it times
+intmat.gauss_jordan (behind det_int) on the period matrix F of the periodic
+action variable with parts g, g-1, ..., 1 on L = g (g + 2) cells, checks
+adj F F = det F I, and fits t ~ g^k the same way.
 
 Example:
     PYTHONPATH=src python scripts/bench.py 800 2000 5000
@@ -19,11 +22,14 @@ import statistics
 import time
 from pathlib import Path
 
+from boxball.intmat import gauss_jordan
 from boxball.kkr import kkr_phi, kkr_phi_inv
+from boxball.pbbs import ActionVariable
 
 RANK = 2
 BALL_FRACTION = 0.45
 REPEATS = 3
+GENERA = (4, 8, 16, 32)
 SRC = Path(__file__).resolve().parents[1] / "src" / "boxball"
 
 
@@ -90,6 +96,26 @@ def kkr_sweep(sizes) -> dict:
     }
 
 
+def intmat_sweep() -> dict:
+    times, adjugate = [], True
+    for g in GENERA:
+        F = ActionVariable(g * (g + 2), tuple(range(g, 0, -1))).F()
+        t, e = median_time(gauss_jordan, F)
+        times.append(t)
+        adjugate = adjugate and all(
+            sum(e.adj[i][k] * F[k][j] for k in range(g)) == e.det * (i == j)
+            for i in range(g)
+            for j in range(g)
+        )
+    return {
+        "genera": list(GENERA),
+        "repeats": REPEATS,
+        "elimination_s": times,
+        "growth_exp": growth_exponent(GENERA, times),
+        "adjugate": adjugate,
+    }
+
+
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("sizes", nargs="*", type=int, default=[800, 2000, 5000], help="path lengths L")
@@ -97,7 +123,8 @@ def main(argv=None) -> None:
     if any(L < 1 for L in args.sizes):
         ap.error("sizes must be >= 1")
     src_lines = sum(len(p.read_text().splitlines()) for p in SRC.glob("*.py"))
-    print(json.dumps({"kkr": kkr_sweep(args.sizes), "src_lines": src_lines}, indent=2))
+    doc = {"kkr": kkr_sweep(args.sizes), "intmat": intmat_sweep(), "src_lines": src_lines}
+    print(json.dumps(doc, indent=2))
 
 
 if __name__ == "__main__":

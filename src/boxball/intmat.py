@@ -1,5 +1,5 @@
-"""Exact integer/rational matrix helpers: determinants, linear solves, the
-fraction-free LDL^T factorization, lattice reduction, LCMs.
+"""Exact integer matrix helpers: one fraction-free Gauss-Jordan elimination
+(determinant, adjugate and the LDL^T pivot data), lattice reduction, LCMs.
 
 Everything here works over exact integers or fractions.Fraction; no floats.
 """
@@ -8,79 +8,55 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 
-def det_int(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free (Bareiss) elimination."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    a = [list(map(int, r)) for r in rows]
-    if any(len(r) != n for r in a):
-        raise ValueError("matrix must be square")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+class Elimination(NamedTuple):
+    """gauss_jordan of a square integer A.  pivots = [1, p_1, ..., p_g], p_k the
+    pivot of the k-th step: the k-th leading minor when no row was swapped;
+    piv[k][j] (0 for j < k) is the column of pivot p_{k+1}.  adj = det(A) A^{-1},
+    None when A is singular: then the last pivot is 0 and ended the elimination."""
+
+    det: int
+    pivots: list[int]
+    swaps: int
+    piv: list[list[int]]
+    adj: list[list[int]] | None
 
 
-def solve(rows, b) -> list[Fraction]:
-    """Exact x with A x = b for a nonsingular square A given by rows
-    (Gauss-Jordan elimination over Fraction)."""
-    g = len(b)
-    a = [[Fraction(rows[i][j]) for j in range(g)] + [Fraction(b[i])] for i in range(g)]
-    for k in range(g):
-        piv = next((i for i in range(k, g) if a[i][k] != 0), None)
-        if piv is None:
-            raise ValueError("matrix must be nonsingular")
-        a[k], a[piv] = a[piv], a[k]
-        inv = 1 / a[k][k]
-        a[k] = [x * inv for x in a[k]]
-        for i in range(g):
-            if i != k and a[i][k]:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return [a[i][g] for i in range(g)]
-
-
-def fraction_free_ldl(rows: list[list[int]]) -> tuple[list[int], list[list[int]], list[list[int]]]:
-    """Fraction-free Gauss-Jordan elimination, without pivoting, of a symmetric
-    positive definite integer matrix A, as (minors, piv, adj).
-
-    minors[k] is the k-th leading minor (minors[0] = 1, minors[-1] = det A);
-    piv[i][j] (j >= i, else 0) is the i-th pivot column, so A = L D L^T with
-    L[j][i] = piv[i][j] / minors[i+1] and D_i = minors[i+1] / minors[i];
-    adj = det A * A^{-1}.  Every division is exact.  A ValueError is raised at
-    the first minor <= 0, so this is also the positive definiteness check
-    (Sylvester's criterion).  O(g^3).
-    """
+def gauss_jordan(rows) -> Elimination:
+    """Fraction-free Gauss-Jordan elimination of [A | I], swapping a row in only
+    at a zero pivot (and negating the row it displaces, so the determinant
+    keeps its sign).  Each step sets every other row to (pivot * row - its
+    pivot-column entry * pivot row) / previous pivot, an exact division; the
+    left block ends as det A times I, the right block as adj A.  For a
+    symmetric A with no swap, A = L D L^T with L[j][i] = piv[i][j] / pivots[i+1]
+    and D_i = pivots[i+1] / pivots[i].  O(g^3), all in int."""
     g = len(rows)
-    a = [list(rows[i]) + [int(i == j) for j in range(g)] for i in range(g)]
-    minors, piv = [1], []
+    a = [list(r) + [int(i == j) for j in range(g)] for i, r in enumerate(rows)]
+    if any(len(r) != 2 * g for r in a):
+        raise ValueError("matrix must be square")
+    pivots, piv, swaps = [1], [], 0
     for k in range(g):
-        p = a[k][k]
-        if p <= 0:
-            raise ValueError("matrix must be positive definite")
+        if a[k][k] == 0:
+            i = next((i for i in range(k + 1, g) if a[i][k]), None)
+            if i is None:
+                return Elimination(0, pivots + [0], swaps, piv, None)
+            a[k], a[i] = a[i], [-x for x in a[k]]
+            swaps += 1
+        p, prev = a[k][k], pivots[-1]
         piv.append([a[j][k] if j >= k else 0 for j in range(g)])
         for i in range(g):
             if i != k:
                 f = a[i][k]
-                a[i] = [(p * x - f * y) // minors[-1] for x, y in zip(a[i], a[k])]
-        minors.append(p)
-    return minors, piv, [r[g:] for r in a]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], a[k])]
+        pivots.append(p)
+    return Elimination(pivots[-1], pivots, swaps, piv, [r[g:] for r in a])
+
+
+def det_int(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix (gauss_jordan)."""
+    return gauss_jordan(rows).det
 
 
 def column_hnf(cols: list[list[int]]) -> list[list[int]]:

@@ -308,6 +308,8 @@ def evolve_rc(rc: RiggedConfiguration, l: int | None, steps: int = 1) -> RiggedC
     corresponding path would overrun its window; it is returned flagged via
     is_valid(), not rejected.
     """
+    if l is not None and l < 0:
+        raise ValueError("capacity l must be >= 0")
     if steps < 0:
         raise ValueError("steps must be >= 0")
     new1 = tuple(

@@ -17,7 +17,9 @@ orbit of a window tuple is parametrized by a rotation vector r and a lattice
 shift F s (F the Bethe-type period matrix).  Canonical forms reduce modulo one
 Hermite form of F per call; inverse scattering walks the box of valid riggings
 in Lambda = F Z^g + Z 1 (F 1 = L 1 absorbs the uniform shift) one coordinate
-at a time.  Periods are Cramer ratios: with F x = h, det F_j / det F = x_j.
+at a time.  The exact linear algebra on F is one intmat.gauss_jordan pass,
+all in integers: inverse scattering reads the shift e off row 0 of adj F and
+det F, and periods are Cramer ratios, det F_j / det F = (adj F h)_j / det F.
 """
 
 from __future__ import annotations
@@ -32,11 +34,11 @@ from boxball.intmat import (
     column_hnf,
     det_int,
     divisors,
+    gauss_jordan,
     lattice_points_in_box,
     lcm_of_fractions,
     moebius,
     reduce_mod_lattice,
-    solve,
 )
 from boxball.kkr import RiggedConfiguration, kkr_phi, kkr_phi_inv
 from boxball.theta import PeriodMatrix, theta
@@ -152,6 +154,8 @@ class ActionVariable:
 
     def h(self, l: int | None) -> tuple[int, ...]:
         """Velocity vector of T_l: (min(i, l))_i, with l = None meaning infinity."""
+        if l is not None and l < 0:
+            raise ValueError("capacity l must be >= 0")
         return tuple(min(i, l) if l is not None else i for i in self.I)
 
 
@@ -305,6 +309,7 @@ def inverse_scattering(J: AngleVariable) -> PeriodicState:
     I = mu.I
     vac = [mu.vacancy(i) for i in I]
     F = mu.F()
+    elim = gauss_jordan(F)
     # coordinates from the largest part size down: its window is the narrowest
     H = column_hnf([col[::-1] for col in zip(*F)] + [[1] * len(I)])
     for rotated in _orbit_candidates(J):
@@ -312,8 +317,8 @@ def inverse_scattering(J: AngleVariable) -> PeriodicState:
         hi = [p - w[-1] for p, w in zip(reversed(vac), reversed(rotated))]
         for u in lattice_points_in_box(H, lo, hi):
             u = u[::-1]
-            # F s = u + e 1 gives s = F^-1 u + (e / L) 1 with s integral
-            e = int(-L * solve(F, u)[0] % L) if I else 0
+            # F s = u + e 1 with s integral: e = -L (adj F u)_0 / det F mod L
+            e = -L * sum(x * y for x, y in zip(elim.adj[0], u)) // elim.det % L if I else 0
             rc = RiggedConfiguration.make(
                 L, 1, [[(i, x + ui) for i, w, ui in zip(I, rotated, u) for x in w]]
             )
@@ -321,7 +326,7 @@ def inverse_scattering(J: AngleVariable) -> PeriodicState:
     raise ValueError("no rigged-configuration representative found; invalid angle data")
 
 
-def theta_state(Jvec, mu: ActionVariable, L: int | None = None) -> PeriodicState:
+def periodic_theta_state(Jvec, mu: ActionVariable) -> PeriodicState:
     """State from the tropical theta formula (multiplicity-free mu only).
 
     b_k is a difference of four thetas with period matrix F, argument
@@ -329,23 +334,15 @@ def theta_state(Jvec, mu: ActionVariable, L: int | None = None) -> PeriodicState
     """
     if any(mu.m(i) != 1 for i in mu.I):
         raise ValueError("theta formula requires all multiplicities 1")
-    L = mu.L if L is None else L
-    g = mu.g
     Xi = PeriodMatrix.from_rows(mu.F())
-    pvec = [Fraction(mu.vacancy(i)) for i in mu.I]
-    h1 = [Fraction(x) for x in mu.h(1)]
-    hinf = [Fraction(x) for x in mu.h(None)]
-    Jv = [Fraction(x) for x in Jvec]
+    base = [Fraction(j) - Fraction(mu.vacancy(i), 2) for j, i in zip(Jvec, mu.I)]
+    h1, hinf = mu.h(1), mu.h(None)
 
     def th(k: int, plus_inf: bool) -> Fraction:
-        Z = [
-            Jv[i] - pvec[i] / 2 - k * h1[i] + (hinf[i] if plus_inf else 0)
-            for i in range(g)
-        ]
-        return theta(Z, Xi)
+        return theta([b - k * x + (y if plus_inf else 0) for b, x, y in zip(base, h1, hinf)], Xi)
 
     cells = []
-    for k in range(1, L + 1):
+    for k in range(1, mu.L + 1):
         b = 1 - th(k, False) + th(k - 1, False) + th(k, True) - th(k - 1, True)
         if b not in (1, 2):
             raise ValueError(f"theta formula produced letter {b} at cell {k}")
@@ -379,22 +376,21 @@ def _symmetry(J: AngleVariable) -> tuple[int, ...]:
 
 def fundamental_period(p: PeriodicState, l: int | None) -> int:
     """Smallest N with T_l^N(p) = p: the lcm of det F / (gamma_j det F_j) over
-    det F_j != 0 (F_j: column j replaced by h_l), i.e. of 1 / (gamma_j x_j), F x = h_l;
+    det F_j != 0 (F_j: column j replaced by h_l, so det F_j = (adj F h_l)_j);
     1 when there is no such j (the vacuum, or T_0)."""
     J = _scatter(p)
-    x = solve(J.mu.F(), J.mu.h(l))
-    return lcm_of_fractions(1 / (gam * xj) for gam, xj in zip(_symmetry(J), x) if xj)
+    h, elim = J.mu.h(l), gauss_jordan(J.mu.F())
+    dets = (sum(x * y for x, y in zip(row, h)) for row in elim.adj)
+    return lcm_of_fractions(Fraction(elim.det, gam * d) for gam, d in zip(_symmetry(J), dets) if d)
 
 
 def isolevel_cardinality(mu: ActionVariable) -> int:
     """|P_L(mu)| by the determinant form; ValueError unless the product form agrees."""
     I = mu.I
-    detF = det_int(mu.F())
-    a = detF
+    a = Fraction(det_int(mu.F()))
     for i in I:
         m, pi = mu.m(i), mu.vacancy(i)
-        term = Fraction(comb(pi + m - 1, m - 1), m)
-        a = Fraction(a) * term
+        a *= Fraction(comb(pi + m - 1, m - 1), m)
     # second closed form: L/p_{i_g} prod binom(p_i + m_i - 1, m_i), regularized
     # through binom(p+m, m)/(p+m) for the largest size so p_{i_g} = 0 is allowed
     ig = I[-1]

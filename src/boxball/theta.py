@@ -5,13 +5,14 @@ Theta(Z; Xi) = min over integer n of n.(Xi n/2 + Z) for a symmetric positive
 definite Xi.  The minimum is found by Fincke-Pohst enumeration of the
 ellipsoid (n - c).Xi(n - c) <= R around the real minimizer c = -Xi^{-1} Z,
 with every node in Python int.  Once per PeriodMatrix, Xi is scaled by the
-lcm s of its denominators to an integer matrix A, and one fraction-free
-Gauss-Jordan pass (intmat.fraction_free_ldl) gives the leading minors of A
-(the positive definiteness check), the pivot columns of its LDL^T
-factorization and its adjugate.  Per call, Z is scaled to integers
-b = s t Z; coordinate n_i then ranges over an interval found with math.isqrt
-and floor division, visited in Schnorr-Euchner order (nearest the center
-first), and R shrinks to each better point found.
+lcm s of its denominators to an integer matrix A, and the library's one
+fraction-free Gauss-Jordan pass (intmat.gauss_jordan) gives the leading
+minors of A (the positive definiteness check: no row swap, every pivot
+positive), the pivot columns of its LDL^T factorization and its adjugate.
+Per call, Z is scaled to integers b = s t Z; coordinate n_i then ranges over
+an interval found with math.isqrt and floor division, visited in
+Schnorr-Euchner order (nearest the center first), and R shrinks to each
+better point found.
 The work grows with the number of lattice points in the ellipsoid, not with a
 box around it; genus 5 takes milliseconds per call.  One Fraction is made per
 returned value.  The wide brute-force scan and the Fraction LDL^T enumeration
@@ -26,12 +27,12 @@ from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple
 
-from boxball.intmat import fraction_free_ldl, lcm_int
+from boxball.intmat import gauss_jordan, lcm_int
 
 
 class _IntegerForm(NamedTuple):
-    """A = s Xi in integers and its intmat.fraction_free_ldl: det = det A,
-    piv the pivot columns, adj = det A^{-1}.  With Delta_k the leading minors,
+    """A = s Xi in integers and its intmat.gauss_jordan: det = det A,
+    piv the pivot columns, adj = det(A) A^{-1}.  With Delta_k the leading minors,
     w[i] = M / (Delta_i Delta_{i+1}) for M the lcm of these products."""
 
     s: int
@@ -45,10 +46,13 @@ class _IntegerForm(NamedTuple):
 def _integer_form(rows) -> _IntegerForm:
     s = lcm_int(x.denominator for r in rows for x in r)
     A = tuple(tuple(x.numerator * (s // x.denominator) for x in r) for r in rows)
-    minors, piv, adj = fraction_free_ldl(A)
-    products = [a * b for a, b in zip(minors, minors[1:])]
+    e = gauss_jordan(A)
+    # Sylvester's criterion: with no row swapped the pivots are the leading minors
+    if e.swaps or min(e.pivots) <= 0:
+        raise ValueError("matrix must be positive definite")
+    products = [a * b for a, b in zip(e.pivots, e.pivots[1:])]
     M = lcm_int(products)
-    return _IntegerForm(s, A, piv, tuple(M // p for p in products), adj, minors[-1])
+    return _IntegerForm(s, A, e.piv, tuple(M // p for p in products), e.adj, e.det)
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ from boxball.pbbs import (
     internal_symmetry,
     inverse_scattering,
     isolevel_cardinality,
-    theta_state,
+    periodic_theta_state,
     torus_decomposition,
 )
 from boxball.tau import StringSet, check_hirota, path_from_tau, rho, tau
@@ -254,7 +254,7 @@ def test_criterion_10_theta_state_equivalence():
         for j1 in range(Fm[0][0]):
             for j2 in range(Fm[1][1]):
                 classes.add(reduce_mod_lattice([j1, j2], cols))
-                ts = theta_state((j1, j2), mu)
+                ts = periodic_theta_state((j1, j2), mu)
                 iv = inverse_scattering(AngleVariable(mu, ((j1,), (j2,))))
                 if ts != iv:
                     ok = False

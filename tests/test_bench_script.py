@@ -22,4 +22,8 @@ def test_kkr_sweep_prints_timings_exponents_and_roundtrip():
     assert len(kkr["phi_s"]) == len(kkr["phi_inv_s"]) == 2
     assert {"phi_growth_exp", "phi_inv_growth_exp", "rank", "repeats"} <= set(kkr)
     assert kkr["roundtrip"] is True
+    intmat = doc["intmat"]
+    assert intmat["genera"] == [4, 8, 16, 32] and intmat["repeats"] == 3
+    assert len(intmat["elimination_s"]) == 4 and "growth_exp" in intmat
+    assert intmat["adjugate"] is True
     assert doc["src_lines"] > 0

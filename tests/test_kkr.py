@@ -211,6 +211,12 @@ def test_evolve_rc_identity():
     assert evolve_rc(WORKED_RC, 3, steps=0) == WORKED_RC
 
 
+def test_evolve_rc_rejects_negative_capacity():
+    # before, the color-1 riggings of 1122 silently became (2, -2)
+    with pytest.raises(ValueError, match="capacity l must be >= 0"):
+        evolve_rc(kkr_phi("1122"), -2)
+
+
 def test_evolve_rc_matches_direct_evolution():
     rng = random.Random(34)
     checked = 0
@@ -235,6 +241,13 @@ def test_solve_ivp_three_body():
 def test_solve_ivp_t0_identity():
     word = "112233"
     assert solve_ivp(word, 2, 0).startswith(word)
+
+
+def test_solve_ivp_rejects_negative_capacity():
+    # before, the error blamed the rigged configuration
+    for t in (0, 3):
+        with pytest.raises(ValueError, match="capacity l must be >= 0"):
+            solve_ivp("1122", -1, t)
 
 
 def test_solve_ivp_random_states():

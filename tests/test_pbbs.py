@@ -21,7 +21,7 @@ from boxball.pbbs import (
     internal_symmetry,
     inverse_scattering,
     isolevel_cardinality,
-    theta_state,
+    periodic_theta_state,
     torus_decomposition,
 )
 
@@ -438,7 +438,7 @@ def test_theta_state_matches_inverse_scattering():
         for j1 in range(F[0][0]):
             for j2 in range(F[1][1]):
                 J = (j1, j2)
-                ts = theta_state(J, mu)
+                ts = periodic_theta_state(J, mu)
                 iv = inverse_scattering(AngleVariable(mu, ((j1,), (j2,))))
                 assert ts == iv
                 count += 1
@@ -448,33 +448,33 @@ def test_theta_state_matches_inverse_scattering():
 def test_theta_state_lattice_invariance():
     mu = ActionVariable(9, (3, 1))
     F = mu.F()
-    base = theta_state((2, 5), mu)
+    base = periodic_theta_state((2, 5), mu)
     for s1, s2 in [(1, 0), (0, 1), (-1, 2)]:
         shifted = (
             2 + F[0][0] * s1 + F[0][1] * s2,
             5 + F[1][0] * s1 + F[1][1] * s2,
         )
-        assert theta_state(shifted, mu) == base
+        assert periodic_theta_state(shifted, mu) == base
 
 
 def test_theta_state_time_evolution():
     mu = ActionVariable(9, (3, 1))
     for J in [(0, 0), (3, 1), (5, 2)]:
-        p = theta_state(J, mu)
+        p = periodic_theta_state(J, mu)
         for l in (1, 2, 3):
             h = mu.h(l)
-            assert theta_state((J[0] + h[0], J[1] + h[1]), mu) == evolve_periodic(p, l)[0]
+            assert periodic_theta_state((J[0] + h[0], J[1] + h[1]), mu) == evolve_periodic(p, l)[0]
 
 
 def test_theta_state_single_soliton():
     mu = ActionVariable(7, (2,))
-    states = {theta_state((j,), mu).word() for j in range(7)}
+    states = {periodic_theta_state((j,), mu).word() for j in range(7)}
     assert states == {s.word() for s in enumerate_isolevel(mu)}
 
 
 def test_theta_state_rejects_multiplicity():
     with pytest.raises(ValueError):
-        theta_state((0, 0), ActionVariable(10, (2, 2)))
+        periodic_theta_state((0, 0), ActionVariable(10, (2, 2)))
 
 
 def _apply_slide(J: AngleVariable, k: int) -> AngleVariable:
@@ -563,3 +563,16 @@ def test_evolve_periodic_capacity_zero_and_negative():
     assert evolve_periodic(p, 0) == (p, 0)
     with pytest.raises(ValueError):
         evolve_periodic(p, -1)
+
+
+def test_evolve_angle_rejects_negative_capacity():
+    J = direct_scattering(PeriodicState.parse("1212111222"))
+    with pytest.raises(ValueError, match="capacity l must be >= 0"):
+        evolve_angle(J, -1)
+
+
+def test_fundamental_period_rejects_negative_capacity():
+    # before, l = -1 gave a period of 10 for this state, and 1 for the vacuum
+    for cells in ("1212111222", "1111"):
+        with pytest.raises(ValueError, match="capacity l must be >= 0"):
+            fundamental_period(PeriodicState.parse(cells), -1)

@@ -9,7 +9,8 @@ the inverse scattering search over every shift e in [0, L) with a box padded
 by one around F^-1 of the target; and the index-loop run encoders of
 toda_coords, solitons and embed_pbbs.
 They serve as oracles: the library must return the same values, in the same
-order, and raise on the same inputs.
+order, and raise on the same inputs.  Their determinants and linear solves
+are the test-local Bareiss and Fraction eliminations of test_intmat_oracle.
 """
 
 import random
@@ -29,7 +30,6 @@ from boxball.intmat import (
     lattice_points_in_box,
     lcm_of_fractions,
     reduce_mod_lattice,
-    solve,
 )
 from boxball.kkr import RiggedConfiguration, kkr_phi, kkr_phi_inv
 from boxball.pbbs import (
@@ -48,6 +48,7 @@ from boxball.pbbs import (
     inverse_scattering,
 )
 from boxball.troptoda import TodaState, embed_pbbs
+from test_intmat_oracle import old_det_int, old_solve
 
 
 def old_action_variable(p):
@@ -96,13 +97,13 @@ def old_fundamental_period(p, l):
     F = mu.F()
     g = mu.g
     h = list(mu.h(l))
-    detF = det_int(F)
+    detF = old_det_int(F)
     ratios = []
     for j in range(g):
         Fj = [row[:] for row in F]
         for i in range(g):
             Fj[i][j] = h[i]
-        dj = det_int(Fj)
+        dj = old_det_int(Fj)
         if dj == 0:
             continue
         ratios.append(Fraction(detF, gamma[j] * dj))
@@ -116,7 +117,7 @@ def old_lattice_points_in_box(F_cols, lo, hi):
     if any(l > h for l, h in zip(lo, hi)):
         return
     F_rows = [[F_cols[j][i] for j in range(g)] for i in range(g)]
-    corners = [solve(F_rows, corner) for corner in product(*zip(lo, hi))]
+    corners = [old_solve(F_rows, corner) for corner in product(*zip(lo, hi))]
     los = [min(c[i] for c in corners) for i in range(g)]
     his = [max(c[i] for c in corners) for i in range(g)]
     ranges = [range(ceil(a) - 1, floor(b) + 2) for a, b in zip(los, his)]
@@ -133,7 +134,7 @@ def old_inverse_scattering(J):
     g = len(I)
     vac = [mu.vacancy(i) for i in I]
     F = mu.F()
-    F_inv = list(zip(*(solve(F, [int(i == j) for i in range(g)]) for j in range(g))))
+    F_inv = list(zip(*(old_solve(F, [int(i == j) for i in range(g)]) for j in range(g))))
     for rotated in _orbit_candidates(J):
         spans = [w[-1] - w[0] for w in rotated]
         if any(spans[i] > vac[i] for i in range(g)):

@@ -23,9 +23,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxball.intmat import det_int, fraction_free_ldl, solve
-from boxball.pbbs import ActionVariable, AngleVariable, inverse_scattering, theta_state
+from boxball.intmat import gauss_jordan
+from boxball.pbbs import ActionVariable, AngleVariable, inverse_scattering, periodic_theta_state
 from boxball.theta import PeriodMatrix, _interval, theta, theta_argmin
+from test_intmat_oracle import old_det_int, old_solve
 from test_theta import brute_theta
 
 F = Fraction
@@ -43,7 +44,7 @@ def shell_scan_argmin(Z, rows):
     g = len(rows)
     n0 = tuple(
         int((x.numerator * 2 + x.denominator) // (2 * x.denominator))
-        for x in solve(rows, [-z for z in Z])
+        for x in old_solve(rows, [-z for z in Z])
     )
     Zp = tuple(z + sum(rows[i][j] * n0[j] for j in range(g)) for i, z in enumerate(Z))
     if g == 1:
@@ -163,7 +164,7 @@ def fraction_fincke_pohst(Z, rows):
     the center from a Fraction solve and every node a Fraction."""
     g = len(rows)
     L, D = fraction_ldl(rows)
-    c = solve(rows, [-z for z in Z])
+    c = old_solve(rows, [-z for z in Z])
     n0 = tuple(int((x.numerator * 2 + x.denominator) // (2 * x.denominator)) for x in c)
     n = list(n0)
 
@@ -245,7 +246,7 @@ def test_positive_definite_iff_sylvester():
             for i in range(g):
                 for j in range(i, g):
                     rows[i][j] = rows[j][i] = next(it)
-            minors = [det_int([r[:k] for r in rows[:k]]) for k in range(g + 1)]
+            minors = [old_det_int([r[:k] for r in rows[:k]]) for k in range(g + 1)]
             sylvester = all(m > 0 for m in minors[1:])
             try:
                 PeriodMatrix.from_rows(rows)
@@ -255,8 +256,9 @@ def test_positive_definite_iff_sylvester():
             assert accepted == sylvester, rows
             if accepted:
                 # the factorization behind the check: minors, A = L D L^T, adj A
-                got, piv, adj = fraction_free_ldl(rows)
-                assert got == minors
+                e = gauss_jordan(rows)
+                assert e.swaps == 0 and e.pivots == minors
+                piv, adj = e.piv, e.adj
                 L, D = fraction_ldl(rows)
                 for i in range(g):
                     assert D[i] == F(minors[i + 1], minors[i])
@@ -278,7 +280,7 @@ def test_pbbs_theta_state_genus4_matches_inverse_scattering(L, parts):
     assert mu.g == 4 and all(mu.m(i) == 1 for i in mu.I)
     for J in [(0, 0, 0, 0), (1, 2, 3, 1), (5, 1, 0, 2), (7, 11, 4, 9), (-3, 2, 8, -1)]:
         expect = inverse_scattering(AngleVariable(mu, tuple((j,) for j in J)))
-        assert theta_state(J, mu) == expect
+        assert periodic_theta_state(J, mu) == expect
 
 
 def test_checks_survive_optimize():
