@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Size sweeps of the KKR bijection and of the exact elimination: CPU times,
-fitted growth exponents and the src/ line count, printed as JSON.
+"""Size sweeps of the KKR bijection, the exact elimination and the slide-orbit
+routines: CPU times, fitted growth exponents and the src/ line count, printed
+as JSON.
 
 For each size L it draws one random sl3 highest path with round(0.45 L)
 letters above 1, times kkr_phi and kkr_phi_inv (median of 3 runs of
@@ -8,7 +9,12 @@ time.process_time), checks the round trip, and fits t ~ L^k by least squares
 on log t against log L.  For each genus g in GENERA it times
 intmat.gauss_jordan (behind det_int) on the period matrix F of the periodic
 action variable with parts g, g-1, ..., 1 on L = g (g + 2) cells, checks
-adj F F = det F I, and fits t ~ g^k the same way.
+adj F F = det F I, and fits t ~ g^k the same way.  For each (g, m, L) in
+PBBS_SIZES it times pbbs.canonicalize and pbbs.angle_equal (the angle variable
+against its canonical form) on the action variable with parts g, ..., 1, each
+repeated m times (prod m_i = m^g window rotations), on L cells and with
+seeded random windows; it fits t ~ g^k and, at the smallest g, checks both
+against the rotation-scan oracle of tests/test_pbbs_oracle.py.
 
 Example:
     PYTHONPATH=src python scripts/bench.py 800 2000 5000
@@ -19,18 +25,21 @@ import json
 import math
 import random
 import statistics
+import sys
 import time
 from pathlib import Path
 
 from boxball.intmat import gauss_jordan
 from boxball.kkr import kkr_phi, kkr_phi_inv
-from boxball.pbbs import ActionVariable
+from boxball.pbbs import ActionVariable, AngleVariable, angle_equal, canonicalize
 
 RANK = 2
 BALL_FRACTION = 0.45
 REPEATS = 3
 GENERA = (4, 8, 16, 32)
-SRC = Path(__file__).resolve().parents[1] / "src" / "boxball"
+PBBS_SIZES = ((3, 6, 200), (8, 3, 500), (14, 2, 900))  # (g, m_i, L)
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "boxball"
 
 
 def highest_word(rng: random.Random, L: int, rank: int, balls: int) -> str:
@@ -116,6 +125,37 @@ def intmat_sweep() -> dict:
     }
 
 
+def pbbs_sweep() -> dict:
+    sys.path.insert(0, str(ROOT / "tests"))
+    from test_pbbs_oracle import canonicalize_scan
+
+    canon_s, equal_s, oracle = [], [], None
+    for g, m, L in PBBS_SIZES:
+        rng = random.Random(f"pbbs/{g}")
+        mu = ActionVariable(L, tuple(i for i in range(g, 0, -1) for _ in range(m)))
+        J = AngleVariable(
+            mu, tuple(tuple(sorted(rng.randint(0, mu.vacancy(i)) for _ in range(m))) for i in mu.I)
+        )
+        t_canon, canon = median_time(canonicalize, J)
+        t_equal, equal = median_time(angle_equal, J, canon)
+        canon_s.append(t_canon)
+        equal_s.append(t_equal)
+        if oracle is None:
+            oracle = equal and canon == canonicalize_scan(J)
+    genera = [g for g, _, _ in PBBS_SIZES]
+    return {
+        "genera": genera,
+        "rotations": [m**g for g, m, _ in PBBS_SIZES],
+        "L": [L for _, _, L in PBBS_SIZES],
+        "repeats": REPEATS,
+        "canonicalize_s": canon_s,
+        "angle_equal_s": equal_s,
+        "canonicalize_growth_exp": growth_exponent(genera, canon_s),
+        "angle_equal_growth_exp": growth_exponent(genera, equal_s),
+        "oracle": oracle,
+    }
+
+
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("sizes", nargs="*", type=int, default=[800, 2000, 5000], help="path lengths L")
@@ -123,7 +163,12 @@ def main(argv=None) -> None:
     if any(L < 1 for L in args.sizes):
         ap.error("sizes must be >= 1")
     src_lines = sum(len(p.read_text().splitlines()) for p in SRC.glob("*.py"))
-    doc = {"kkr": kkr_sweep(args.sizes), "intmat": intmat_sweep(), "src_lines": src_lines}
+    doc = {
+        "kkr": kkr_sweep(args.sizes),
+        "intmat": intmat_sweep(),
+        "pbbs": pbbs_sweep(),
+        "src_lines": src_lines,
+    }
     print(json.dumps(doc, indent=2))
 
 

@@ -11,15 +11,19 @@ it produces the evolved state and the energy.
 One scattering pass (_scatter: a highest rotation, then the KKR map) gives
 the action variable, the raw angle variable and the internal symmetries.
 Angle variables live on quasi-periodic extensions of riggings modulo the
-slide group; with I = {i_1 < ... < i_g} and multiplicities m_i, a slide on
-color k rotates that window by one and adds 2 min(i,k) everywhere, so the
-orbit of a window tuple is parametrized by a rotation vector r and a lattice
-shift F s (F the Bethe-type period matrix).  Canonical forms reduce modulo one
-Hermite form of F per call; inverse scattering walks the box of valid riggings
-in Lambda = F Z^g + Z 1 (F 1 = L 1 absorbs the uniform shift) one coordinate
-at a time.  The exact linear algebra on F is one intmat.gauss_jordan pass,
-all in integers: inverse scattering reads the shift e off row 0 of adj F and
-det F, and periods are Cramer ratios, det F_j / det F = (adj F h)_j / det F.
+slide group (Kuniba-Takagi-Takenouchi, Nucl. Phys. B 747 (2006)); with
+I = {i_1 < ... < i_g} and multiplicities m_i, a slide on color k rotates that
+window by one and adds 2 min(i,k) everywhere, so the orbit of a window tuple
+is parametrized by a rotation vector r and a lattice shift F s (F the
+Bethe-type period matrix).  None of the prod m_i rotations is enumerated to
+compare or canonicalize: class equality is one membership test in F_gamma Z^g
+(columns of F divided by the internal symmetries), and the canonical form is
+found color by color against one Hermite form of F.  Inverse scattering walks
+the box of valid riggings in Lambda = F Z^g + Z 1 (F 1 = L 1 absorbs the
+uniform shift) one coordinate at a time, for each window rotation.  The exact
+linear algebra on F is one intmat.gauss_jordan pass, all in integers: inverse
+scattering reads the shift e off row 0 of adj F and det F, and periods are
+Cramer ratios, det F_j / det F = (adj F h)_j / det F.
 """
 
 from __future__ import annotations
@@ -116,7 +120,9 @@ def evolve_periodic(p: PeriodicState, l: int | None = None) -> tuple[PeriodicSta
 
 @dataclass(frozen=True)
 class ActionVariable:
-    """Conserved partition of soliton amplitudes with its vacancy data."""
+    """Conserved partition of soliton amplitudes with its vacancy data: the part
+    sizes I ascending, with mults m_i and vacancies p_i aligned, set once (not
+    fields: equality and hashing stay on L and parts)."""
 
     L: int
     parts: tuple[int, ...]  # weakly decreasing
@@ -128,28 +134,33 @@ class ActionVariable:
             raise ValueError("parts must be weakly decreasing")
         if 2 * sum(self.parts) > self.L:
             raise ValueError("|mu| must be at most L/2")
-
-    @property
-    def I(self) -> tuple[int, ...]:
-        """Distinct part sizes, ascending."""
-        return tuple(sorted(set(self.parts)))
+        I = tuple(sorted(set(self.parts)))
+        object.__setattr__(self, "I", I)
+        object.__setattr__(self, "mults", tuple(self.parts.count(i) for i in I))
+        object.__setattr__(self, "vacancies", tuple(self.vacancy(i) for i in I))
 
     @property
     def g(self) -> int:
         return len(self.I)
 
     def m(self, i: int) -> int:
-        return sum(1 for x in self.parts if x == i)
+        return self.mults[self.I.index(i)] if i in self.I else 0
 
     def vacancy(self, j: int) -> int:
-        return self.L - 2 * sum(min(j, i) for i in self.parts)
+        return self.L - 2 * sum(min(j, i) * m for i, m in zip(self.I, self.mults))
 
-    def F(self) -> list[list[int]]:
-        """Period matrix F_ij = delta_ij p_i + 2 min(i,j) m_j over I x I."""
-        I = self.I
+    def F(self, gamma=None) -> list[list[int]]:
+        """Period matrix F_ij = delta_ij p_i + 2 min(i,j) m_j over I x I; given
+        gamma, F_gamma: column j divided by gamma_j (ValueError unless exact)."""
+        gamma = gamma or (1,) * self.g
+        if any(m % gam or p % gam for m, p, gam in zip(self.mults, self.vacancies, gamma)):
+            raise ValueError("gamma does not divide the columns of F")
         return [
-            [(self.vacancy(i) if i == j else 0) + 2 * min(i, j) * self.m(j) for j in I]
-            for i in I
+            [
+                ((p if i == j else 0) + 2 * min(i, j) * m) // gam
+                for j, m, gam in zip(self.I, self.mults, gamma)
+            ]
+            for i, p in zip(self.I, self.vacancies)
         ]
 
     def h(self, l: int | None) -> tuple[int, ...]:
@@ -197,15 +208,14 @@ class AngleVariable:
     windows: tuple[tuple[int, ...], ...]  # aligned with mu.I
 
     def __post_init__(self):
-        I = self.mu.I
-        if len(self.windows) != len(I):
+        mu = self.mu
+        if len(self.windows) != len(mu.I):
             raise ValueError("need one window per distinct part size")
-        for i, w in zip(I, self.windows):
-            if len(w) != self.mu.m(i):
+        for i, m, p, w in zip(mu.I, mu.mults, mu.vacancies, self.windows):
+            if len(w) != m:
                 raise ValueError(f"window for size {i} must have m_{i} entries")
             if list(w) != sorted(w):
                 raise ValueError("windows must be weakly increasing")
-            p = self.mu.vacancy(i)
             if any(w[a + 1] - w[a] > p for a in range(len(w) - 1)):
                 # within one quasi-period the spread cannot exceed p_i
                 raise ValueError("window spread exceeds the quasi-period")
@@ -231,9 +241,8 @@ def _scatter(p: PeriodicState) -> AngleVariable:
 
 def _rotated_window(w: tuple[int, ...], p: int, r: int) -> tuple[int, ...]:
     """Slide the window start forward by r within the extended sequence."""
-    m = len(w)
-    r %= m
-    return tuple(list(w[r:]) + [x + p for x in w[:r]]) if r else w
+    r %= len(w)
+    return w[r:] + tuple(x + p for x in w[:r])
 
 
 def _orbit_candidates(J: AngleVariable):
@@ -244,42 +253,89 @@ def _orbit_candidates(J: AngleVariable):
     rotation by r plus the additive vector 2 M r + F s with M = (min(i,k)).
     """
     mu = J.mu
-    I = mu.I
-    g = len(I)
-    vac = [mu.vacancy(i) for i in I]
-    for r in product(*(range(len(w)) for w in J.windows)):
-        Mr = [2 * sum(min(I[i], I[k]) * r[k] for k in range(g)) for i in range(g)]
+    for r in product(*map(range, mu.mults)):
         yield [
-            tuple(x + Mr[i] for x in _rotated_window(J.windows[i], vac[i], r[i]))
-            for i in range(g)
+            tuple(x + d for x in _rotated_window(w, p, ri))
+            for w, p, ri, d in zip(J.windows, mu.vacancies, r, _slide_shift(mu.I, r))
         ]
 
 
-def canonicalize(J: AngleVariable) -> AngleVariable:
-    """Unique representative of the slide-group class of J.
+def _slide_shift(I: tuple[int, ...], r) -> list[int]:
+    """2 M r, (2 M r)_i = 2 sum_k min(i, i_k) r_k: the additive part of sigma^r."""
+    return [2 * sum(min(i, k) * rk for k, rk in zip(I, r)) for i in I]
 
-    For each window rotation the additive freedom is exactly the F-lattice;
-    the base vector is reduced to its canonical residue, and the smallest
-    resulting window tuple is taken.
+
+def canonicalize(J: AngleVariable) -> AngleVariable:
+    """Unique representative of the slide-group class of J (KTT 2006): over the
+    window rotations r (0 <= r_k < m_k), the lexicographically smallest tuple of
+    rotated windows, shifted so that their first entries b form the canonical
+    residue of b modulo F Z^g.  With I ascending, b_k = w_k[r_k] +
+    2 (sum_{j<k} i_j r_j + i_k T_k), T_k = sum_{j>=k} r_j, and the column
+    Hermite form of F is lower triangular, so window k depends on r_0..r_k and
+    T_{k+1} alone.  The windows are fixed color by color, keeping only the
+    candidates still tied for the minimum.
     """
-    H = column_hnf(list(zip(*J.mu.F())))
-    best = None
-    for rotated in _orbit_candidates(J):
-        base = [w[0] for w in rotated]
-        residue = reduce_mod_lattice(base, H)
-        adjusted = tuple(
-            tuple(x - (b - rr) for x in w) for w, b, rr in zip(rotated, base, residue)
-        )
-        if best is None or adjusted < best:
-            best = adjusted
-    return AngleVariable(J.mu, best)
+    mu = J.mu
+    H = column_hnf(list(zip(*mu.F())))
+    # tail[k]: the largest T_k; tied: (T_k, rows >= k of the partially reduced b)
+    tail = list(accumulate((m - 1 for m in reversed(mu.mults)), initial=0))[::-1]
+    tied = [(T, (0,) * mu.g) for T in range(tail[0] + 1)]
+    windows = []
+    for k, (i, m, p, w) in enumerate(zip(mu.I, mu.mults, mu.vacancies, J.windows)):
+        offsets = [tuple(x - w[r] for x in _rotated_window(w, p, r)) for r in range(m)]
+        h = H[k]
+        found = [
+            (divmod(w[r] + 2 * i * T + c[0], h[k]), r, T, c)
+            for T, c in tied
+            for r in range(max(0, T - tail[k + 1]), min(m - 1, T) + 1)
+        ]
+        best = min((res, offsets[r]) for (_, res), r, _, _ in found)
+        # rows > k gain 2 i_k r_k from this rotation and lose the reduction q h_k
+        tied = [
+            (T - r, tuple(x + 2 * i * r - q * y for x, y in zip(c[1:], h[k + 1 :])))
+            for (q, res), r, T, c in found
+            if (res, offsets[r]) == best
+        ]
+        windows.append(tuple(best[0] + x for x in best[1]))
+    return AngleVariable(mu, tuple(windows))
+
+
+def _rotations(wa: tuple[int, ...], wb: tuple[int, ...], p: int) -> list[int]:
+    """Every r in [0, m) such that window wa rotated by r has the cyclic gaps of wb
+    (wrap gap w[0] + p - w[-1] last): KMP borders of gaps(wb) + [None] + gaps(wa)
+    doubled."""
+    a, b = ([y - x for x, y in zip(w, w[1:])] + [w[0] + p - w[-1]] for w in (wa, wb))
+    s = b + [None] + a + a[:-1]
+    border = [0] * len(s)
+    for j in range(1, len(s)):
+        k = border[j - 1]
+        while k and s[j] != s[k]:
+            k = border[k - 1]
+        border[j] = k + (s[j] == s[k])
+    return [j - 2 * len(b) for j in range(2 * len(b), len(s)) if border[j] == len(b)]
 
 
 def angle_equal(A: AngleVariable, B: AngleVariable) -> bool:
-    """Equality of slide-group classes."""
+    """Equality of slide-group classes by one lattice-membership test (KTT 2006).
+
+    Per color, the rotations taking A's cyclic gaps to B's are r_i + k m_i /
+    gamma_i (none: not equal), gamma_i the internal symmetry.  Rotating by
+    m_i / gamma_i adds p_i / gamma_i to window i; with the slide's 2 M e_i m_i /
+    gamma_i that is column i of F_gamma (F with column i divided by gamma_i).
+    So A ~ B iff v = (B_i[0] - A_i[r_i] - 2 (M r)_i)_i lies in F_gamma Z^g.
+    """
     if A.mu != B.mu:
         return False
-    return canonicalize(A) == canonicalize(B)
+    mu = A.mu
+    matches = list(map(_rotations, A.windows, B.windows, mu.vacancies))
+    if not all(matches):
+        return False
+    r = [hits[0] for hits in matches]
+    v = [
+        wb[0] - wa[ri] - d
+        for wa, wb, ri, d in zip(A.windows, B.windows, r, _slide_shift(mu.I, r))
+    ]
+    return not any(reduce_mod_lattice(v, list(zip(*mu.F(tuple(map(len, matches)))))))
 
 
 def direct_scattering(p: PeriodicState) -> AngleVariable:
@@ -289,10 +345,9 @@ def direct_scattering(p: PeriodicState) -> AngleVariable:
 
 def evolve_angle(J: AngleVariable, l: int | None, steps: int = 1) -> AngleVariable:
     """T_l^steps on angle variables: add steps*min(i,l) to every window entry."""
-    h = J.mu.h(l)
     return AngleVariable(
         J.mu,
-        tuple(tuple(x + steps * h[k] for x in w) for k, w in enumerate(J.windows)),
+        tuple(tuple(x + steps * v for x in w) for v, w in zip(J.mu.h(l), J.windows)),
     )
 
 
@@ -307,14 +362,13 @@ def inverse_scattering(J: AngleVariable) -> PeriodicState:
     mu = J.mu
     L = mu.L
     I = mu.I
-    vac = [mu.vacancy(i) for i in I]
     F = mu.F()
     elim = gauss_jordan(F)
     # coordinates from the largest part size down: its window is the narrowest
     H = column_hnf([col[::-1] for col in zip(*F)] + [[1] * len(I)])
     for rotated in _orbit_candidates(J):
         lo = [-w[0] for w in reversed(rotated)]
-        hi = [p - w[-1] for p, w in zip(reversed(vac), reversed(rotated))]
+        hi = [p - w[-1] for p, w in zip(reversed(mu.vacancies), reversed(rotated))]
         for u in lattice_points_in_box(H, lo, hi):
             u = u[::-1]
             # F s = u + e 1 with s integral: e = -L (adj F u)_0 / det F mod L
@@ -332,10 +386,10 @@ def periodic_theta_state(Jvec, mu: ActionVariable) -> PeriodicState:
     b_k is a difference of four thetas with period matrix F, argument
     J - p/2 - k h_1 (+ h_inf); invariant under J -> J + F Z^g.
     """
-    if any(mu.m(i) != 1 for i in mu.I):
+    if any(m != 1 for m in mu.mults):
         raise ValueError("theta formula requires all multiplicities 1")
     Xi = PeriodMatrix.from_rows(mu.F())
-    base = [Fraction(j) - Fraction(mu.vacancy(i), 2) for j, i in zip(Jvec, mu.I)]
+    base = [Fraction(j) - Fraction(p, 2) for j, p in zip(Jvec, mu.vacancies)]
     h1, hinf = mu.h(1), mu.h(None)
 
     def th(k: int, plus_inf: bool) -> Fraction:
@@ -357,21 +411,9 @@ def internal_symmetry(p: PeriodicState) -> tuple[int, ...]:
 
 
 def _symmetry(J: AngleVariable) -> tuple[int, ...]:
-    # the test is invariant under a uniform shift of J, so any representative works
-    out = []
-    for i, w in zip(J.mu.I, J.windows):
-        m = len(w)
-        pi = J.mu.vacancy(i)
-        gam = 1
-        for cand in sorted(divisors(gcd(m, pi)), reverse=True):
-            step = m // cand
-            inc = pi // cand
-            ext = lambda a: w[a % m] + (a // m) * pi
-            if all(ext(a + step) == ext(a) + inc for a in range(m)):
-                gam = cand
-                break
-        out.append(gam)
-    return tuple(out)
+    # gamma_i counts the rotations fixing window i's cyclic gaps; the gaps are
+    # invariant under a uniform shift of J, so any representative works
+    return tuple(map(len, map(_rotations, J.windows, J.windows, J.mu.vacancies)))
 
 
 def fundamental_period(p: PeriodicState, l: int | None) -> int:
@@ -386,18 +428,15 @@ def fundamental_period(p: PeriodicState, l: int | None) -> int:
 
 def isolevel_cardinality(mu: ActionVariable) -> int:
     """|P_L(mu)| by the determinant form; ValueError unless the product form agrees."""
-    I = mu.I
     a = Fraction(det_int(mu.F()))
-    for i in I:
-        m, pi = mu.m(i), mu.vacancy(i)
-        a *= Fraction(comb(pi + m - 1, m - 1), m)
+    for m, p in zip(mu.mults, mu.vacancies):
+        a *= Fraction(comb(p + m - 1, m - 1), m)
     # second closed form: L/p_{i_g} prod binom(p_i + m_i - 1, m_i), regularized
     # through binom(p+m, m)/(p+m) for the largest size so p_{i_g} = 0 is allowed
-    ig = I[-1]
-    m_g, p_g = mu.m(ig), mu.vacancy(ig)
+    m_g, p_g = mu.mults[-1], mu.vacancies[-1]
     b = Fraction(mu.L) * Fraction(comb(p_g + m_g, m_g), p_g + m_g)
-    for i in I[:-1]:
-        b *= comb(mu.vacancy(i) + mu.m(i) - 1, mu.m(i))
+    for m, p in zip(mu.mults[:-1], mu.vacancies[:-1]):
+        b *= comb(p + m - 1, m)
     if a != b:
         raise ValueError("the two closed forms disagree")
     if a.denominator != 1:
@@ -420,23 +459,17 @@ def torus_decomposition(mu: ActionVariable) -> list[tuple[tuple[int, ...], int, 
     F_gamma divides the columns of F by gamma; the multiplicities satisfy
     sum mult(gamma) det F_gamma = |P_L(mu)| (ValueError otherwise).
     """
-    I = mu.I
-    F = mu.F()
-    out = []
-    gamma_ranges = [divisors(gcd(mu.m(i), mu.vacancy(i))) for i in I]
-    total = 0
-    for gamma in product(*gamma_ranges):
+    out, total = [], 0
+    for gamma in product(*(divisors(gcd(m, p)) for m, p in zip(mu.mults, mu.vacancies))):
         mult = Fraction(1)
-        for k, i in enumerate(I):
-            mult *= Fraction(gamma[k] * _C_gamma(mu.m(i), mu.vacancy(i), gamma[k]), mu.m(i))
+        for gam, m, p in zip(gamma, mu.mults, mu.vacancies):
+            mult *= Fraction(gam * _C_gamma(m, p, gam), m)
         if mult.denominator != 1:
             raise ValueError("a torus multiplicity is not an integer")
         mult = int(mult)
         if mult == 0:
             continue
-        if any(F[i][j] % gamma[j] for i in range(len(I)) for j in range(len(I))):
-            raise ValueError("gamma does not divide the columns of F")
-        Fg = [[F[i][j] // gamma[j] for j in range(len(I))] for i in range(len(I))]
+        Fg = mu.F(gamma)
         out.append((gamma, mult, Fg))
         total += mult * det_int(Fg)
     if total != isolevel_cardinality(mu):

@@ -26,4 +26,10 @@ def test_kkr_sweep_prints_timings_exponents_and_roundtrip():
     assert intmat["genera"] == [4, 8, 16, 32] and intmat["repeats"] == 3
     assert len(intmat["elimination_s"]) == 4 and "growth_exp" in intmat
     assert intmat["adjugate"] is True
+    pbbs = doc["pbbs"]
+    assert pbbs["genera"] == [3, 8, 14] and pbbs["rotations"] == [216, 6561, 16384]
+    assert pbbs["repeats"] == 3 and len(pbbs["L"]) == 3
+    assert len(pbbs["canonicalize_s"]) == len(pbbs["angle_equal_s"]) == 3
+    assert {"canonicalize_growth_exp", "angle_equal_growth_exp"} <= set(pbbs)
+    assert pbbs["oracle"] is True
     assert doc["src_lines"] > 0

@@ -139,6 +139,33 @@ def test_analyze_angle(capsys):
     assert set(doc["windows"]) == {"1", "2"}
 
 
+# analyze angle prints the canonical slide-orbit representative; these states
+# have repeated parts (m_i >= 2), the last two an internal symmetry gamma > 1
+# (gamma = (1, 2) and (2, 1, 1)).  The strings were recorded from the rotation
+# scan that canonicalize replaced.
+ANALYZE_ANGLE_GOLDEN = [
+    (
+        "2..22.2..2.....2.2..22.2",
+        '{"L": 24, "mu": [3, 2, 1, 1, 1, 1, 1], "windows": {"1": [0, 0, 2, 5, 6], "2": [5], "3": [45]}}',
+    ),
+    (
+        "..2..2...22.......22..",
+        '{"L": 22, "mu": [2, 2, 1, 1], "windows": {"1": [0, 13], "2": [64, 69]}}',
+    ),
+    (
+        ".2....2.222.2....2.22.",
+        '{"L": 22, "mu": [3, 2, 1, 1, 1, 1], "windows": {"1": [0, 2, 5, 7], "2": [1], "3": [249]}}',
+    ),
+]
+
+
+@pytest.mark.parametrize("state,expected", ANALYZE_ANGLE_GOLDEN)
+def test_analyze_angle_golden(capsys, state, expected):
+    code, out, _ = run(capsys, "analyze", "angle", state)
+    assert code == 0
+    assert out == expected + "\n"
+
+
 def test_analyze_period(capsys):
     code, out, _ = run(capsys, "analyze", "period", "1212111222")
     assert code == 0

@@ -6,8 +6,10 @@ variable, the angle variable and the internal symmetries; the fundamental
 period from determinant ratios of F with a column replaced by h_l; the
 lattice-point bounds from solving F s = corner at all 2^g corners of the box;
 the inverse scattering search over every shift e in [0, L) with a box padded
-by one around F^-1 of the target; and the index-loop run encoders of
-toda_coords, solitons and embed_pbbs.
+by one around F^-1 of the target; the index-loop run encoders of
+toda_coords, solitons and embed_pbbs; and canonicalize_scan, the slide-orbit
+canonical form over all prod m_i window rotations, which is the oracle of
+both canonicalize and angle_equal.
 They serve as oracles: the library must return the same values, in the same
 order, and raise on the same inputs.  Their determinants and linear solves
 are the test-local Bareiss and Fraction eliminations of test_intmat_oracle.
@@ -17,9 +19,11 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxball import pbbs
 from boxball.bbs import BBSState, solitons, toda_coords
@@ -37,8 +41,11 @@ from boxball.pbbs import (
     AngleVariable,
     PeriodicState,
     _orbit_candidates,
+    _scatter,
     _some_highest_rotation,
+    _symmetry,
     action_variable,
+    angle_equal,
     canonicalize,
     direct_scattering,
     evolve_angle,
@@ -49,6 +56,22 @@ from boxball.pbbs import (
 )
 from boxball.troptoda import TodaState, embed_pbbs
 from test_intmat_oracle import old_det_int, old_solve
+
+
+def canonicalize_scan(J):
+    """Every window rotation of the slide orbit, its first entries reduced
+    modulo the Hermite form of F; the smallest resulting window tuple."""
+    H = column_hnf(list(zip(*J.mu.F())))
+    best = None
+    for rotated in _orbit_candidates(J):
+        base = [w[0] for w in rotated]
+        residue = reduce_mod_lattice(base, H)
+        adjusted = tuple(
+            tuple(x - (b - rr) for x in w) for w, b, rr in zip(rotated, base, residue)
+        )
+        if best is None or adjusted < best:
+            best = adjusted
+    return AngleVariable(J.mu, best)
 
 
 def old_action_variable(p):
@@ -65,7 +88,7 @@ def old_direct_scattering(p):
     for i in mu.I:
         riggings = sorted(r for j, r in rc.color(1) if j == i)
         windows.append(tuple(r + d for r in riggings))
-    return canonicalize(AngleVariable(mu, tuple(windows)))
+    return canonicalize_scan(AngleVariable(mu, tuple(windows)))
 
 
 def old_internal_symmetry(p):
@@ -306,6 +329,104 @@ def test_scattering_matches_oracle_exhaustive():
 def test_scattering_matches_oracle_random():
     for p in random_states(200, seed=5):
         check_state(p)
+
+
+def slide(J, n):
+    """sigma^n from its definition: window i read n_i steps further along the
+    extended rigging J_{i, a + m_i} = J_{i, a} + p_i, plus 2 sum_k min(i, i_k) n_k."""
+    mu = J.mu
+    windows = []
+    for i, m, p, w, step in zip(mu.I, mu.mults, mu.vacancies, J.windows, n):
+        add = 2 * sum(min(i, k) * nk for k, nk in zip(mu.I, n))
+        windows.append(tuple(w[(a + step) % m] + (a + step) // m * p + add for a in range(m)))
+    return AngleVariable(mu, tuple(windows))
+
+
+def shift_window(J, k, d):
+    """J with window k alone moved by d."""
+    return AngleVariable(
+        J.mu, tuple(tuple(x + d for x in w) if c == k else w for c, w in enumerate(J.windows))
+    )
+
+
+def test_slide_orbit_routines_match_scan_exhaustive():
+    # every state with L <= 10 and every T_1-shift of its raw angle variable:
+    # canonicalize returns the scan form, and angle_equal holds for two shifts
+    # exactly when their scan forms agree
+    pairs = equal = 0
+    for p in all_states(10):
+        shifts = [_scatter(p).uniform_shift(t) for t in range(p.L)]
+        scans = [canonicalize_scan(A) for A in shifts]
+        for A, scan in zip(shifts, scans):
+            assert canonicalize(A) == scan, A
+            for B, other in zip(shifts, scans):
+                assert angle_equal(A, B) == (scan == other), (A, B)
+                equal += scan == other
+        pairs += p.L**2
+    assert (pairs, equal) == (100241, 11607)
+
+
+def test_angle_equal_rejects_partial_rotations():
+    # gamma_k > 1: rotating window k by m_k / gamma_k moves it by p_k / gamma_k;
+    # with the slide's additive part that is the same class, without it in
+    # general another class of the same mu
+    cases = unequal = 0
+    for p in all_states(12):
+        J = direct_scattering(p)
+        mu = J.mu
+        for k, (gam, m, p_k) in enumerate(zip(_symmetry(J), mu.mults, mu.vacancies)):
+            if gam == 1:
+                continue
+            n = [m // gam if c == k else 0 for c in range(mu.g)]
+            assert angle_equal(slide(J, n), J) and canonicalize(slide(J, n)) == J
+            moved = shift_window(J, k, p_k // gam)
+            scan = canonicalize_scan(moved)
+            assert canonicalize(moved) == scan
+            assert angle_equal(moved, J) == (scan == J), (J, k)
+            cases += 1
+            unequal += scan != J
+    assert (cases, unequal) == (381, 277)
+
+
+@st.composite
+def repeated_part_angles(draw, max_g=14, max_rotations=128):
+    """(J, n, k, d): an angle variable of genus <= max_g with repeated parts,
+    prod m_i <= max_rotations and windows of drawn internal symmetry; a slide
+    vector n; a color k and a shift d for one window."""
+    g = draw(st.integers(1, max_g))
+    sizes = sorted(draw(st.sets(st.integers(1, 3 * g), min_size=g, max_size=g)))
+    mults = [1] * g
+    for c in draw(st.lists(st.integers(0, g - 1), max_size=8)):
+        if prod(mults) // mults[c] * (mults[c] + 1) <= max_rotations:
+            mults[c] += 1
+    parts = sorted((s for s, m in zip(sizes, mults) for _ in range(m)), reverse=True)
+    mu = ActionVariable(2 * sum(parts) + draw(st.integers(0, 12)), tuple(parts))
+    windows = []
+    for m, p in zip(mu.mults, mu.vacancies):
+        gam = draw(st.sampled_from([d for d in divisors(m) if p % d == 0]))
+        step = p // gam
+        base = draw(st.lists(st.integers(0, step), min_size=m // gam, max_size=m // gam))
+        shift = draw(st.integers(-60, 60))
+        windows.append(tuple(sorted(x + j * step + shift for j in range(gam) for x in base)))
+    J = AngleVariable(mu, tuple(windows))
+    n = draw(st.lists(st.integers(-5, 5), min_size=g, max_size=g))
+    k = draw(st.integers(0, g - 1))
+    d = draw(st.sampled_from([1, mu.vacancies[k] // _symmetry(J)[k]]))
+    return J, n, k, d
+
+
+@settings(max_examples=100, deadline=None)
+@given(repeated_part_angles())
+def test_slide_orbit_routines_match_scan_random(case):
+    J, n, k, d = case
+    scan = canonicalize_scan(J)
+    assert canonicalize(J) == scan
+    moved = slide(J, n)
+    assert canonicalize(moved) == scan and angle_equal(J, moved)
+    for other in (shift_window(moved, k, d), moved.uniform_shift(1)):
+        other_scan = canonicalize_scan(other)
+        assert canonicalize(other) == other_scan
+        assert angle_equal(J, other) == (scan == other_scan)
 
 
 def partitions(n, largest=None):

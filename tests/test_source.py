@@ -3,11 +3,17 @@
 import ast
 import importlib
 import importlib.util
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import boxball
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
+ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
 
 
 def test_library_holds_no_assert():
@@ -18,6 +24,19 @@ def test_library_holds_no_assert():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_acceptance_suite_under_optimize():
+    # python -O strips assert statements from the library, not the test
+    # module's (pytest rewrites those), so every criterion still checks
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", str(ACCEPTANCE)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]
+    criteria = len(re.findall(r"^def test_criterion_", ACCEPTANCE.read_text(), re.M))
+    assert criteria and f"{criteria} passed" in run.stdout, run.stdout[-3000:]
 
 
 def test_every_traced_name_resolves():
