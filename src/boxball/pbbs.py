@@ -335,7 +335,8 @@ def angle_equal(A: AngleVariable, B: AngleVariable) -> bool:
         wb[0] - wa[ri] - d
         for wa, wb, ri, d in zip(A.windows, B.windows, r, _slide_shift(mu.I, r))
     ]
-    return not any(reduce_mod_lattice(v, list(zip(*mu.F(tuple(map(len, matches)))))))
+    F_gamma = mu.F(tuple(map(len, matches)))  # gamma_i = len(matches[i])
+    return not any(reduce_mod_lattice(v, list(zip(*F_gamma))))
 
 
 def direct_scattering(p: PeriodicState) -> AngleVariable:
