@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Size sweeps of the KKR bijection, the exact elimination and the slide-orbit
-routines: CPU times, fitted growth exponents and the src/ line count, printed
-as JSON.
+"""Size sweeps of the KKR bijection, the exact elimination, the slide-orbit
+routines and the tropical Toda layer: CPU times, fitted growth exponents and
+the src/ line count, printed as JSON.
 
 For each size L it draws one random sl3 highest path with round(0.45 L)
 letters above 1, times kkr_phi and kkr_phi_inv (median of 3 runs of
@@ -14,7 +14,12 @@ PBBS_SIZES it times pbbs.canonicalize and pbbs.angle_equal (the angle variable
 against its canonical form) on the action variable with parts g, ..., 1, each
 repeated m times (prod m_i = m^g window rotations), on L cells and with
 seeded random windows; it fits t ~ g^k and, at the smallest g, checks both
-against the rotation-scan oracle of tests/test_pbbs_oracle.py.
+against the rotation-scan oracle of tests/test_pbbs_oracle.py.  For each N in
+TODA_SIZES it times troptoda.conserved_all and troptoda.evolve_toda on a
+seeded random integral state, checks that the step keeps the conserved
+values, and fits t ~ N^k; it then times one theta_state trajectory of
+TODA_STEPS + 1 states at genus 4 from cold memos and checks it against
+evolve_toda and the conserved values.
 
 Example:
     PYTHONPATH=src python scripts/bench.py 800 2000 5000
@@ -32,12 +37,18 @@ from pathlib import Path
 from boxball.intmat import gauss_jordan
 from boxball.kkr import kkr_phi, kkr_phi_inv
 from boxball.pbbs import ActionVariable, AngleVariable, angle_equal, canonicalize
+from boxball.theta import _cache as theta_cache
+from boxball.troptoda import TodaState, _theta_sites, conserved_all, evolve_toda, theta_state
 
 RANK = 2
 BALL_FRACTION = 0.45
 REPEATS = 3
 GENERA = (4, 8, 16, 32)
 PBBS_SIZES = ((3, 6, 200), (8, 3, 500), (14, 2, 900))  # (g, m_i, L)
+TODA_SIZES = (100, 200, 400)
+TODA_STEPS = 4
+# the conserved values of Q = (0, 1, 11, 8, 10), W = (6, 11, 8, 4, 8): genus 4
+TODA_THETA = ((3, -7, 12, 0), (0, 1, 5, 13, 30, 67))  # (Z0, C)
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "boxball"
 
@@ -156,6 +167,43 @@ def pbbs_sweep() -> dict:
     }
 
 
+def toda_sweep() -> dict:
+    conserved_s, evolve_s, invariant = [], [], True
+    for N in TODA_SIZES:
+        rng = random.Random(f"toda/{N}")
+        s = TodaState.make([rng.randint(0, 9) for _ in range(N)], [rng.randint(5, 15) for _ in range(N)])
+        t_conserved, C = median_time(conserved_all, s)
+        t_evolve, nxt = median_time(evolve_toda, s)
+        conserved_s.append(t_conserved)
+        evolve_s.append(t_evolve)
+        invariant = invariant and conserved_all(nxt) == C
+
+    Z0, C = TODA_THETA
+
+    def trajectory():
+        _theta_sites.cache_clear()
+        theta_cache.clear()
+        return [theta_state(Z0, C, t) for t in range(TODA_STEPS + 1)]
+
+    t_theta, states = median_time(trajectory)
+    theta_ok = conserved_all(states[0]) == C and all(
+        evolve_toda(a) == b for a, b in zip(states, states[1:])
+    )
+    return {
+        "sizes": list(TODA_SIZES),
+        "repeats": REPEATS,
+        "conserved_all_s": conserved_s,
+        "evolve_toda_s": evolve_s,
+        "conserved_all_growth_exp": growth_exponent(TODA_SIZES, conserved_s),
+        "evolve_toda_growth_exp": growth_exponent(TODA_SIZES, evolve_s),
+        "invariant": invariant,
+        "theta_genus": len(C) - 2,
+        "theta_steps": TODA_STEPS,
+        "theta_trajectory_s": t_theta,
+        "theta_trajectory": theta_ok,
+    }
+
+
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("sizes", nargs="*", type=int, default=[800, 2000, 5000], help="path lengths L")
@@ -167,6 +215,7 @@ def main(argv=None) -> None:
         "kkr": kkr_sweep(args.sizes),
         "intmat": intmat_sweep(),
         "pbbs": pbbs_sweep(),
+        "troptoda": toda_sweep(),
         "src_lines": src_lines,
     }
     print(json.dumps(doc, indent=2))

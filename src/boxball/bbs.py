@@ -260,20 +260,29 @@ def toda_coords(state: BBSState) -> tuple[list[int], list[int]]:
     return [n for c, n in runs if c == 2], [n for c, n in runs if c == 1]
 
 
+def toda_pass(Q, W, x=0):
+    """The running minimum shared by the open and the periodic Toda step.
+
+    With X_1 = x and X_{j+1} = min(0, X_j + W_j - Q_j), returns
+    ([Q'_1, ..., Q'_n], X_{n+1}) for Q'_j = min(W_j, Q_j - X_j) and
+    n = min(len(Q), len(W)).  Exact for int and Fraction entries alike.
+    """
+    Qn = []
+    for q, w in zip(Q, W):
+        Qn.append(min(w, q - x))
+        x = min(0, x + w - q)
+    return Qn, x
+
+
 def toda_evolve(Q: list[int], W: list[int]) -> tuple[list[int], list[int]]:
     """One T_infinity step in soliton coordinates (W_0 = W_N = infinity).
 
-    Open-chain running minimum: X_1 = 0, X_j = min(0, X_{j-1} + W_{j-1} - Q_{j-1}),
-    Q'_j = min(W_j, Q_j - X_j), with no cap for j = N.
+    Open-chain running minimum (toda_pass from X_1 = 0), with no cap for j = N.
     """
     N = len(Q)
     if len(W) != N - 1:
         raise ValueError("need len(W) == len(Q) - 1")
-    Qn: list[int] = []
-    X = 0
-    for j in range(N - 1):
-        Qn.append(min(W[j], Q[j] - X))
-        X = min(0, X + W[j] - Q[j])
+    Qn, X = toda_pass(Q, W)
     Qn.append(Q[-1] - X)
     Wn = [Q[j + 1] + W[j] - Qn[j] for j in range(N - 1)]
     return Qn, Wn

@@ -216,7 +216,7 @@ class AngleVariable:
                 raise ValueError(f"window for size {i} must have m_{i} entries")
             if list(w) != sorted(w):
                 raise ValueError("windows must be weakly increasing")
-            if any(w[a + 1] - w[a] > p for a in range(len(w) - 1)):
+            if w[-1] - w[0] > p:
                 # within one quasi-period the spread cannot exceed p_i
                 raise ValueError("window spread exceeds the quasi-period")
 

@@ -1,7 +1,10 @@
 """Tropical periodic Toda lattice: evolution, conserved tropical polynomials,
 spectral data, theta-function solution and the periodic box-ball embedding.
 
-States are cyclic vectors (Q_j, W_j) of exact rationals with sum(Q) < sum(W).
+States are cyclic vectors (Q_j, W_j) of exact rationals with sum(Q) < sum(W),
+each coordinate held as an int when integral, else as a Fraction (never a
+float), so integral states run on plain int arithmetic; conserved values and
+spectral data follow the same rule.
 One time step is O(N); integer states stay integer under evolution (checked
 where relied on).  The intermediate conserved quantities H_k interpolate the
 displayed H_1, H_2, H_N as minima over k-element subsets avoiding the pairs
@@ -9,8 +12,9 @@ displayed H_1, H_2, H_N as minima over k-element subsets avoiding the pairs
 k-sets on the cycle Q_1 W_1 Q_2 W_2 ... Q_N W_N; conserved_all finds every H_k
 in one O(N^2) dynamic program over that cycle, and the C(2N, k) subset scan
 survives as the test oracle.  Invariance is enforced in tests.  The theta-function solution
-builds its spectral data and period matrix once per call and sums its thetas
-as integers; theta itself is an exact Fincke-Pohst enumeration in int (see
+builds its spectral data and period matrix once per (Z0, C), kept in a small
+bounded memo so a trajectory builds them once, and sums its thetas as
+integers; theta itself is an exact Fincke-Pohst enumeration in int (see
 boxball.theta).
 """
 
@@ -18,19 +22,34 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import groupby
 
+from boxball.bbs import toda_pass
 from boxball.intmat import lcm_int
 # theta is re-exported; the sites below use the integer entry point
 from boxball.theta import PeriodMatrix, _theta_num, theta  # noqa: F401
 
 
+Exact = int | Fraction  # int when integral, else Fraction
+
+
+def _exact(x) -> Exact:
+    """x as an int when it is integral, else as a Fraction."""
+    if type(x) is int:
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 @dataclass(frozen=True)
 class TodaState:
-    Q: tuple[Fraction, ...]
-    W: tuple[Fraction, ...]
+    Q: tuple[Exact, ...]  # int when integral, else Fraction
+    W: tuple[Exact, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "Q", tuple(map(_exact, self.Q)))
+        object.__setattr__(self, "W", tuple(map(_exact, self.W)))
         if len(self.Q) != len(self.W) or not self.Q:
             raise ValueError("Q and W must have equal positive length")
         if sum(self.Q) >= sum(self.W):
@@ -42,7 +61,7 @@ class TodaState:
 
     @classmethod
     def make(cls, Q, W) -> "TodaState":
-        return cls(tuple(Fraction(q) for q in Q), tuple(Fraction(w) for w in W))
+        return cls(Q, W)
 
     @classmethod
     def from_flat(cls, flat) -> "TodaState":
@@ -51,7 +70,7 @@ class TodaState:
             raise ValueError("flat vector must have even length")
         return cls.make(flat[0::2], flat[1::2])
 
-    def flat(self) -> tuple[Fraction, ...]:
+    def flat(self) -> tuple[Exact, ...]:
         out = []
         for q, w in zip(self.Q, self.W):
             out.extend((q, w))
@@ -65,15 +84,11 @@ def evolve_toda(s: TodaState) -> TodaState:
 
     As sum(W - Q) > 0, longer reads never go lower, so
     X_j = min(0, X_{j-1} + W_{j-1} - Q_{j-1}): a running minimum started at 0
-    is exact from its N-th step, and two rounds of the cycle give every X_j.
-    O(N)."""
+    is exact from its N-th step: one toda_pass round the cycle from 0 gives
+    X_1, and a second from X_1 gives the step.  O(N)."""
     N = s.N
-    d = [w - q for w, q in zip(s.W, s.Q)]
-    X, x = [0] * N, 0
-    for j in range(1, 2 * N):
-        x = min(0, x + d[(j - 1) % N])
-        X[j % N] = x
-    Qn = [min(s.W[j], s.Q[j] - X[j]) for j in range(N)]
+    _, x1 = toda_pass(s.Q, s.W)
+    Qn, _ = toda_pass(s.Q, s.W, x1)
     Wn = [s.Q[(j + 1) % N] + s.W[j] - Qn[j] for j in range(N)]
     return TodaState(tuple(Qn), tuple(Wn))
 
@@ -97,7 +112,7 @@ def _path_minima(values, k_max: int) -> list:
     return [_min(a, b) for a, b in zip(free, used)]
 
 
-def conserved(s: TodaState, k: int) -> Fraction:
+def conserved(s: TodaState, k: int) -> Exact:
     """Conserved quantity H_k, 1 <= k <= N+1.
 
     H_k for k <= N is the minimum of sum over k-element subsets of
@@ -109,7 +124,7 @@ def conserved(s: TodaState, k: int) -> Fraction:
     return conserved_all(s)[k - 1]
 
 
-def conserved_all(s: TodaState) -> tuple[Fraction, ...]:
+def conserved_all(s: TodaState) -> tuple[Exact, ...]:
     """C = (H_1, ..., H_{N+1}).
 
     The forbidden pairs are exactly the neighbours on the cycle
@@ -126,7 +141,7 @@ def conserved_all(s: TodaState) -> tuple[Fraction, ...]:
         _min(without_q1[k], None if with_q1[k - 1] is None else with_q1[k - 1] + s.Q[0])
         for k in range(1, N + 1)
     ]
-    return tuple(H) + (sum(s.Q) + sum(s.W),)
+    return tuple(map(_exact, H + [sum(s.Q) + sum(s.W)]))
 
 
 def shift_s(s: TodaState) -> TodaState:
@@ -148,11 +163,12 @@ def s_equivalent(a: TodaState, b: TodaState) -> bool:
 
 @dataclass(frozen=True)
 class SpectralData:
-    C: tuple[Fraction, ...]
-    L: Fraction
-    lam: tuple[Fraction, ...]  # lambda_0 = 0, lambda_1, ..., lambda_{N-1}
-    eta: tuple[Fraction, ...]  # eta_0 = L, eta_1, ..., eta_{N-1}
-    Omega: tuple[tuple[Fraction, ...], ...] | None
+    # every value an int when integral, else a Fraction
+    C: tuple[Exact, ...]
+    L: Exact
+    lam: tuple[Exact, ...]  # lambda_0 = 0, lambda_1, ..., lambda_{N-1}
+    eta: tuple[Exact, ...]  # eta_0 = L, eta_1, ..., eta_{N-1}
+    Omega: tuple[tuple[Exact, ...], ...] | None
     smooth: bool
 
 
@@ -164,14 +180,14 @@ def spectral_data(C) -> SpectralData:
     eta_k is positive, in which case the (N-1)x(N-1) period matrix is the
     tridiagonal Omega below.
     """
-    C = tuple(Fraction(c) for c in C)
+    C = tuple(map(_exact, C))
     N = len(C) - 1
     if N < 1:
         raise ValueError("need at least C_1, C_2")
-    L = C[N] - 2 * (N - 1) * C[0]
-    lam = [Fraction(0)] + [C[k] - C[k - 1] for k in range(1, N)]
+    L = _exact(C[N] - 2 * (N - 1) * C[0])
+    lam = [0] + [_exact(C[k] - C[k - 1]) for k in range(1, N)]
     eta = [L] + [
-        L - 2 * sum(min(lam[k], lam[j]) for j in range(1, N)) for k in range(1, N)
+        _exact(L - 2 * sum(min(lam[k], lam[j]) for j in range(1, N))) for k in range(1, N)
     ]
     smooth = all(lam[k] < lam[k + 1] for k in range(N - 1)) and all(
         e > 0 for e in eta[1:]
@@ -179,9 +195,9 @@ def spectral_data(C) -> SpectralData:
     g = N - 1
     Omega = None
     if smooth and g >= 1:
-        rows = [[Fraction(0)] * g for _ in range(g)]
+        rows = [[0] * g for _ in range(g)]
         for i in range(1, g + 1):
-            rows[i - 1][i - 1] = eta[i - 1] + eta[i] + 2 * (lam[i] - lam[i - 1])
+            rows[i - 1][i - 1] = _exact(eta[i - 1] + eta[i] + 2 * (lam[i] - lam[i - 1]))
             if i + 1 <= g:
                 rows[i - 1][i] = -eta[i]
                 rows[i][i - 1] = -eta[i]
@@ -189,17 +205,19 @@ def spectral_data(C) -> SpectralData:
     return SpectralData(C, L, tuple(lam), tuple(eta), Omega, smooth)
 
 
-def _theta_sites(Z0, C):
+@lru_cache(maxsize=8)
+def _theta_sites(Z0: tuple, C: tuple):
     """(Q_n^t, W_n^t) as a function of (t, n), with the spectral data and the
     period matrix of C built once.  Every theta argument is b / (s u) for
     integers b, with s the period matrix's denominator lcm and u the lcm of
     the denominators of Z0, the velocity, L and C_1; each site value is an
-    integer sum over 2 s u, made into one Fraction."""
+    integer sum over 2 s u, an int when 2 s u divides it, else one Fraction.
+    Memoized on (Z0, C), a few entries: a trajectory builds its sites once."""
     sd = spectral_data(C)
     if not sd.smooth or sd.Omega is None:
         raise ValueError("spectral curve is not smooth")
     g = len(C) - 2
-    Z0 = tuple(Fraction(z) for z in Z0)
+    Z0 = tuple(map(_exact, Z0))
     if len(Z0) != g:
         raise ValueError(f"Z0 must have len(C) - 2 = {g} entries, got {len(Z0)}")
     Xi = PeriodMatrix.from_rows(sd.Omega)
@@ -208,7 +226,7 @@ def _theta_sites(Z0, C):
     u = lcm_int(x.denominator for x in Z0 + vel + (sd.L, C1))
     su = Xi._form.s * u
 
-    def scaled(x: Fraction) -> int:
+    def scaled(x: Exact) -> int:
         return x.numerator * (su // x.denominator)
 
     b0, v, shift = [scaled(z) for z in Z0], [scaled(x) for x in vel], scaled(sd.L)
@@ -219,30 +237,33 @@ def _theta_sites(Z0, C):
         return _theta_num(tuple(b), u, Xi)
 
     q_const, w_const = 2 * scaled(C1), 2 * scaled(sd.L + C1)
+    den = 2 * su
 
-    def site(t: int, n: int) -> tuple[Fraction, Fraction]:
+    def exact(num: int) -> Exact:
+        q, r = divmod(num, den)
+        return Fraction(num, den) if r else q
+
+    def site(t: int, n: int) -> tuple[Exact, Exact]:
         a, b, c, d = T(t, n - 1), T(t + 1, n), T(t + 1, n - 1), T(t, n)
-        Q = Fraction(a + b - c - d + q_const, 2 * su)
-        W = Fraction(c + T(t, n + 1) - d - b + w_const, 2 * su)
-        return Q, W
+        return exact(a + b - c - d + q_const), exact(c + T(t, n + 1) - d - b + w_const)
 
     return site
 
 
-def theta_solution(Z0, C, t: int, n: int) -> tuple[Fraction, Fraction]:
+def theta_solution(Z0, C, t: int, n: int) -> tuple[Exact, Exact]:
     """(Q_n^t, W_n^t) of the theta-function general solution.
 
     T_n^t = Theta(Z0 + velocity*t - L e_1 n) with velocity
     (lambda_1, lambda_2 - lambda_1, ...); requires a smooth spectral curve and
     len(Z0) == len(C) - 2 (the genus), else ValueError.
     """
-    return _theta_sites(Z0, C)(t, n)
+    return _theta_sites(tuple(Z0), tuple(C))(t, n)
 
 
 def theta_state(Z0, C, t: int) -> TodaState:
     """Full state at time t from the theta solution (same conditions as
     theta_solution)."""
-    site = _theta_sites(Z0, C)
+    site = _theta_sites(tuple(Z0), tuple(C))
     pairs = [site(t, n) for n in range(1, len(C))]
     return TodaState.make([q for q, _ in pairs], [w for _, w in pairs])
 
@@ -274,16 +295,16 @@ def embed_pbbs(word, leftmost: int = 0) -> TodaState:
     if cyclic_runs == 0 and any(c == 2 for c in cells):
         raise ValueError("state has no empty box; not embeddable")
     N = cyclic_runs + 1
-    Q = [Fraction(0)] * N
-    W = [Fraction(0)] * N
+    Q = [0] * N
+    W = [0] * N
     qi = 0 if runs and runs[0][0] == 2 else 1  # Q_1 = 0 when the box is empty
     wi = 0
     for v, ln in runs:
         if v == 2:
-            Q[qi] = Fraction(ln)
+            Q[qi] = ln
             qi += 1
         else:
-            W[wi] = Fraction(ln)
+            W[wi] = ln
             wi += 1
     if qi > N or wi > N:
         raise ValueError("more runs than the embedding dimension allows")

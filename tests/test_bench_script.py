@@ -32,4 +32,10 @@ def test_kkr_sweep_prints_timings_exponents_and_roundtrip():
     assert len(pbbs["canonicalize_s"]) == len(pbbs["angle_equal_s"]) == 3
     assert {"canonicalize_growth_exp", "angle_equal_growth_exp"} <= set(pbbs)
     assert pbbs["oracle"] is True
+    toda = doc["troptoda"]
+    assert toda["sizes"] == [100, 200, 400] and toda["repeats"] == 3
+    assert len(toda["conserved_all_s"]) == len(toda["evolve_toda_s"]) == 3
+    assert {"conserved_all_growth_exp", "evolve_toda_growth_exp", "theta_trajectory_s"} <= set(toda)
+    assert toda["theta_genus"] == 4 and toda["theta_steps"] == 4
+    assert toda["invariant"] is True and toda["theta_trajectory"] is True
     assert doc["src_lines"] > 0

@@ -277,9 +277,11 @@ def test_selftest_under_optimize():
 
 # Rational C and Z0: the theta arguments have denominators that the period
 # matrix's do not share, and (second case) the period matrix is not integer.
+# Then rational evolve and spectral input, whose values turn integral in
+# places: an integral value prints as an integer whatever its type.
 TODA_SOLVE_RATIONAL = [
     (
-        ("--C", "0,1,4,9", "--z0", "1/2,1/3", "--steps", "2"),
+        ("solve", "--C", "0,1,4,9", "--z0", "1/2,1/3", "--steps", "2"),
         [
             "0\t1/2\t0\t1/2\t4/3\t3\t11/3",
             "1\t0\t1/2\t1\t10/3\t3\t7/6",
@@ -287,7 +289,7 @@ TODA_SOLVE_RATIONAL = [
         ],
     ),
     (
-        ("--C", "0,1/2,4,9", "--z0", "1,2"),
+        ("solve", "--C", "0,1/2,4,9", "--z0", "1,2"),
         [
             "0\t0\t1/2\t1/2\t5/2\t7/2\t2",
             "1\t1/2\t1/2\t3/2\t9/2\t2\t0",
@@ -297,12 +299,35 @@ TODA_SOLVE_RATIONAL = [
             "5\t7/2\t1/2\t0\t1\t1/2\t7/2",
         ],
     ),
+    (
+        ("evolve", "5/2,1,0,9/2,2,1/3", "--steps", "3"),
+        [
+            "0\t5/2\t1\t0\t9/2\t2\t1/3",
+            "1\t1\t0\t19/6\t10/3\t1/3\t5/2",
+            "2\t0\t19/6\t10/3\t1/3\t7/6\t7/3",
+            "3\t11/6\t14/3\t1/3\t7/6\t7/3\t0",
+        ],
+    ),
+    (
+        ("spectral", "0,1/2,4,9"),
+        [
+            '{"C": ["0", "1/2", "4", "9"], "L": "9", "lambda": ["0", "1/2", "7/2"], '
+            '"eta": ["9", "7", "1"], "smooth": true, "Omega": [["17", "-7"], ["-7", "14"]]}'
+        ],
+    ),
+    (
+        ("spectral", "1/3,10/3,26/3"),
+        [
+            '{"C": ["1/3", "10/3", "26/3"], "L": "8", "lambda": ["0", "3"], '
+            '"eta": ["8", "2"], "smooth": true, "Omega": [["16"]]}'
+        ],
+    ),
 ]
 
 
 @pytest.mark.parametrize("argv, expect", TODA_SOLVE_RATIONAL)
 def test_toda_solve_rational_golden(capsys, argv, expect):
-    code, out, _ = run(capsys, "toda", "solve", *argv)
+    code, out, _ = run(capsys, "toda", *argv)
     assert code == 0
     assert out.splitlines() == expect
 

@@ -576,3 +576,13 @@ def test_fundamental_period_rejects_negative_capacity():
     for cells in ("1212111222", "1111"):
         with pytest.raises(ValueError, match="capacity l must be >= 0"):
             fundamental_period(PeriodicState.parse(cells), -1)
+
+
+def test_angle_window_spread_beyond_quasi_period_raises():
+    # p_1 = 14: every consecutive gap is 14, but the spread is 28; accepted,
+    # inverse_scattering mapped it to another class (...............2.2.2)
+    mu = ActionVariable(20, (1, 1, 1))
+    assert mu.vacancy(1) == 14
+    with pytest.raises(ValueError, match="window spread exceeds the quasi-period"):
+        AngleVariable(mu, ((0, 14, 28),))
+    assert AngleVariable(mu, ((0, 7, 14),)).windows == ((0, 7, 14),)

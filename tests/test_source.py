@@ -26,6 +26,22 @@ def test_library_holds_no_assert():
     assert not found, found
 
 
+def test_toda_and_theta_hold_no_true_division_or_float():
+    # plain ints flow through these modules, where int / int gives a float;
+    # exact division goes through Fraction or divmod
+    found = []
+    for name in ("troptoda.py", "theta.py"):
+        path = Path(boxball.__file__).parent / name
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div))
+                or (isinstance(node, ast.Constant) and isinstance(node.value, float))
+                or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float")
+            ):
+                found.append(f"{name}:{node.lineno}")
+    assert not found, found
+
+
 def test_acceptance_suite_under_optimize():
     # python -O strips assert statements from the library, not the test
     # module's (pytest rewrites those), so every criterion still checks

@@ -7,19 +7,24 @@ subsets of {Q_1..Q_N, W_1..W_N} containing no pair {W_j, Q_j} or
 {W_j, Q_{j+1}} (cyclically), and H_{N+1} = sum(Q) + sum(W); X_j in the time
 step is the minimum of 0 and every backward partial sum of W - Q, each
 found by its own O(N) scan; a theta-solution site value is the sum of four
-Fraction values of the public theta.
+Fraction values of the public theta.  The library holds a value as an int
+when it is integral; all-Fraction copies of the step, the conserved values,
+the spectral data and the theta state check that only the type changes.
 """
 
 import random
 import time
 from fractions import Fraction
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import pytest
 
 from boxball.theta import PeriodMatrix, theta
+from boxball.theta import _cache as theta_cache
 from boxball.troptoda import (
     TodaState,
+    _theta_sites,
     conserved,
     conserved_all,
     evolve_toda,
@@ -103,18 +108,23 @@ def test_conserved_all_large_n_is_fast():
     assert C[N - 1] == min(sum(s.Q), sum(s.W))  # the two alternating N-sets
 
 
-def oracle_evolve_toda(s):
-    """The time step with X_j from its own backward scan, O(N^2)."""
-    N = s.N
+def frac_evolve(Q, W):
+    """The time step with every value a Fraction, X_j by its own backward scan,
+    O(N^2)."""
+    Q, W = [F(q) for q in Q], [F(w) for w in W]
+    N = len(Q)
     Qn = []
     for j in range(N):
         acc = X = F(0)
         for k in range(1, N):
-            acc += s.W[(j - k) % N] - s.Q[(j - k) % N]
+            acc += W[(j - k) % N] - Q[(j - k) % N]
             X = min(X, acc)
-        Qn.append(min(s.W[j], s.Q[j] - X))
-    Wn = [s.Q[(j + 1) % N] + s.W[j] - Qn[j] for j in range(N)]
-    return TodaState(tuple(Qn), tuple(Wn))
+        Qn.append(min(W[j], Q[j] - X))
+    return Qn, [Q[(j + 1) % N] + W[j] - Qn[j] for j in range(N)]
+
+
+def oracle_evolve_toda(s):
+    return TodaState(*frac_evolve(s.Q, s.W))
 
 
 def test_evolve_toda_matches_quadratic_scan():
@@ -175,17 +185,17 @@ def test_theta_solution_high_genus(N):
 
 def oracle_theta_solution(Z0, C, t, n):
     """The defining formula, each theta a Fraction from boxball.theta.theta."""
-    sd = spectral_data(C)
+    L, lam, _, Omega = frac_spectral_data(C)
     g = len(C) - 2
-    Xi = PeriodMatrix.from_rows(sd.Omega)
-    vel = [sd.lam[i + 1] - sd.lam[i] for i in range(g)]
+    Xi = PeriodMatrix.from_rows(Omega)
+    vel = [lam[i + 1] - lam[i] for i in range(g)]
 
     def T(tt, nn):
-        return theta(tuple(F(Z0[i]) + vel[i] * tt - (sd.L * nn if i == 0 else 0) for i in range(g)), Xi)
+        return theta(tuple(F(Z0[i]) + vel[i] * tt - (L * nn if i == 0 else 0) for i in range(g)), Xi)
 
     C1 = F(C[0])
     Q = T(t, n - 1) + T(t + 1, n) - T(t + 1, n - 1) - T(t, n) + C1
-    W = T(t + 1, n - 1) + T(t, n + 1) - T(t, n) - T(t + 1, n) + sd.L + C1
+    W = T(t + 1, n - 1) + T(t, n + 1) - T(t, n) - T(t + 1, n) + L + C1
     return Q, W
 
 
@@ -216,3 +226,101 @@ def test_theta_solution_rejects_wrong_z0_length(C, Z0):
         theta_state(Z0, C, 0)
     with pytest.raises(ValueError, match="Z0 must have"):
         theta_solution(Z0, C, 0, 1)
+
+
+# --- the int-when-integral representation against an all-Fraction oracle ---
+
+
+def frac_conserved_all(Q, W):
+    s = SimpleNamespace(N=len(Q), Q=[F(q) for q in Q], W=[F(w) for w in W])
+    return tuple(oracle_conserved(s, k) for k in range(1, s.N + 2))
+
+
+def frac_spectral_data(C):
+    """(L, lambda, eta, Omega) from the defining formulas in Fraction."""
+    C = [F(c) for c in C]
+    N = len(C) - 1
+    L = C[N] - 2 * (N - 1) * C[0]
+    lam = [F(0)] + [C[k] - C[k - 1] for k in range(1, N)]
+    eta = [L] + [L - 2 * sum(min(lam[k], lam[j]) for j in range(1, N)) for k in range(1, N)]
+    g = N - 1
+    Omega = [[F(0)] * g for _ in range(g)]
+    for i in range(g):
+        Omega[i][i] = eta[i] + eta[i + 1] + 2 * (lam[i + 1] - lam[i])
+        if i + 1 < g:
+            Omega[i][i + 1] = Omega[i + 1][i] = -eta[i + 1]
+    return L, lam, eta, Omega
+
+
+def frac_theta_state(Z0, C, t):
+    """The flat theta-solution state from oracle_theta_solution."""
+    return tuple(v for n in range(1, len(C)) for v in oracle_theta_solution(Z0, C, t, n))
+
+
+def assert_exact(values):
+    """Every value an int when integral, else a Fraction; never a float."""
+    for v in values:
+        assert type(v) is (int if F(v).denominator == 1 else F), (v, type(v))
+
+
+def _draw_state(rng, rational):
+    N = rng.randint(1, 6)
+    while True:
+        if rational:
+            Q = [F(rng.randint(-8, 10), rng.randint(1, 3)) for _ in range(N)]
+            W = [F(rng.randint(-8, 12), rng.randint(1, 3)) for _ in range(N)]
+        else:
+            Q = [rng.randint(-8, 10) for _ in range(N)]
+            W = [rng.randint(-8, 12) for _ in range(N)]
+        if sum(Q) < sum(W):
+            return Q, W
+
+
+@pytest.mark.parametrize("rational", [False, True])
+def test_int_path_matches_fraction_oracle(rational):
+    rng = random.Random(67 + rational)
+    for _ in range(60):
+        Q, W = _draw_state(rng, rational)
+        s = TodaState.make(Q, W)
+        assert_exact(s.flat())
+        C = conserved_all(s)
+        assert_exact(C)
+        assert C == frac_conserved_all(Q, W)
+        for _ in range(3):
+            Q, W = frac_evolve(Q, W)
+            s = evolve_toda(s)
+            assert_exact(s.flat())
+            assert s.Q == tuple(Q) and s.W == tuple(W)
+        sd = spectral_data(C)
+        assert_exact(sd.C + (sd.L,) + sd.lam + sd.eta + sum(sd.Omega or (), ()))
+        L, lam, eta, Omega = frac_spectral_data(C)
+        assert (sd.L, sd.lam, sd.eta) == (L, tuple(lam), tuple(eta))
+        if sd.smooth and len(C) > 2:
+            assert sd.Omega == tuple(map(tuple, Omega))
+
+
+def test_theta_state_matches_fraction_oracle_cold_and_warm():
+    # rational Z0 or C, or an integral C with C_1 != 0
+    rng = random.Random(69)
+    cases = []
+    while len(cases) < 24:
+        rational = len(cases) % 2 == 0
+        Q, W = _draw_state(rng, rational)
+        if len(Q) < 2 or len(Q) > 4:
+            continue
+        C = conserved_all(TodaState.make(Q, W))
+        if not spectral_data(C).smooth or not (rational or C[0] != 0):
+            continue
+        den = rng.choice((1, 2, 3)) if rational else 1
+        cases.append((tuple(F(rng.randint(-20, 20), den) for _ in range(len(Q) - 1)), C))
+    for Z0, C in cases:
+        _theta_sites.cache_clear()
+        theta_cache.clear()
+        cold = [theta_state(Z0, C, t) for t in range(3)]
+        warm = [theta_state(Z0, C, t) for t in range(3)]
+        assert warm == cold
+        # spectral data and period matrix were built once for the trajectory
+        assert _theta_sites.cache_info().misses == 1
+        for t, s in enumerate(cold):
+            assert_exact(s.flat())
+            assert s.flat() == frac_theta_state(Z0, C, t), (Z0, C, t)
