@@ -3,8 +3,8 @@ spectral data, theta-function solution and the periodic box-ball embedding.
 
 States are cyclic vectors (Q_j, W_j) of exact rationals with sum(Q) < sum(W),
 each coordinate held as an int when integral, else as a Fraction (never a
-float), so integral states run on plain int arithmetic; conserved values and
-spectral data follow the same rule.
+float), so integral states run on plain int arithmetic; conserved values
+follow the same rule, and spectral data of an integral C are ints.
 One time step is O(N); integer states stay integer under evolution (checked
 where relied on).  The intermediate conserved quantities H_k interpolate the
 displayed H_1, H_2, H_N as minima over k-element subsets avoiding the pairs
@@ -12,8 +12,8 @@ displayed H_1, H_2, H_N as minima over k-element subsets avoiding the pairs
 k-sets on the cycle Q_1 W_1 Q_2 W_2 ... Q_N W_N; conserved_all finds every H_k
 in one O(N^2) dynamic program over that cycle, and the C(2N, k) subset scan
 survives as the test oracle.  Invariance is enforced in tests.  The theta-function solution
-builds its spectral data and period matrix once per (Z0, C), kept in a small
-bounded memo so a trajectory builds them once, and sums its thetas as
+builds its spectral data and period matrix once per (Z0, C), kept in a
+one-entry memo so a trajectory builds them once, and sums its thetas as
 integers; theta itself is an exact Fincke-Pohst enumeration in int (see
 boxball.theta).
 """
@@ -163,7 +163,7 @@ def s_equivalent(a: TodaState, b: TodaState) -> bool:
 
 @dataclass(frozen=True)
 class SpectralData:
-    # every value an int when integral, else a Fraction
+    # ints when C is integral, else exact rationals
     C: tuple[Exact, ...]
     L: Exact
     lam: tuple[Exact, ...]  # lambda_0 = 0, lambda_1, ..., lambda_{N-1}
@@ -184,11 +184,9 @@ def spectral_data(C) -> SpectralData:
     N = len(C) - 1
     if N < 1:
         raise ValueError("need at least C_1, C_2")
-    L = _exact(C[N] - 2 * (N - 1) * C[0])
-    lam = [0] + [_exact(C[k] - C[k - 1]) for k in range(1, N)]
-    eta = [L] + [
-        _exact(L - 2 * sum(min(lam[k], lam[j]) for j in range(1, N))) for k in range(1, N)
-    ]
+    L = C[N] - 2 * (N - 1) * C[0]
+    lam = [0] + [C[k] - C[k - 1] for k in range(1, N)]
+    eta = [L] + [L - 2 * sum(min(lam[k], lam[j]) for j in range(1, N)) for k in range(1, N)]
     smooth = all(lam[k] < lam[k + 1] for k in range(N - 1)) and all(
         e > 0 for e in eta[1:]
     )
@@ -197,7 +195,7 @@ def spectral_data(C) -> SpectralData:
     if smooth and g >= 1:
         rows = [[0] * g for _ in range(g)]
         for i in range(1, g + 1):
-            rows[i - 1][i - 1] = _exact(eta[i - 1] + eta[i] + 2 * (lam[i] - lam[i - 1]))
+            rows[i - 1][i - 1] = eta[i - 1] + eta[i] + 2 * (lam[i] - lam[i - 1])
             if i + 1 <= g:
                 rows[i - 1][i] = -eta[i]
                 rows[i][i - 1] = -eta[i]
@@ -205,14 +203,14 @@ def spectral_data(C) -> SpectralData:
     return SpectralData(C, L, tuple(lam), tuple(eta), Omega, smooth)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def _theta_sites(Z0: tuple, C: tuple):
     """(Q_n^t, W_n^t) as a function of (t, n), with the spectral data and the
     period matrix of C built once.  Every theta argument is b / (s u) for
     integers b, with s the period matrix's denominator lcm and u the lcm of
     the denominators of Z0, the velocity, L and C_1; each site value is an
     integer sum over 2 s u, an int when 2 s u divides it, else one Fraction.
-    Memoized on (Z0, C), a few entries: a trajectory builds its sites once."""
+    Memoized on the last (Z0, C): a trajectory builds its sites once."""
     sd = spectral_data(C)
     if not sd.smooth or sd.Omega is None:
         raise ValueError("spectral curve is not smooth")
