@@ -19,7 +19,10 @@ TODA_SIZES it times troptoda.conserved_all and troptoda.evolve_toda on a
 seeded random integral state, checks that the step keeps the conserved
 values, and fits t ~ N^k; it then times one theta_state trajectory of
 TODA_STEPS + 1 states at genus 4 from cold memos and checks it against
-evolve_toda and the conserved values.
+evolve_toda and the conserved values.  For each N in TAU_SIZES it times
+tau._TauTable on the string set of the sl2 highest path 1 2 11 22 ... 1^N 2^N
+(N strings, of lengths 1..N), fits t ~ N^k and, at the smallest N, checks the
+table against the all-subsets oracle of tests/test_tau_oracle.py.
 
 Example:
     PYTHONPATH=src python scripts/bench.py 800 2000 5000
@@ -37,6 +40,7 @@ from pathlib import Path
 from boxball.intmat import gauss_jordan
 from boxball.kkr import kkr_phi, kkr_phi_inv
 from boxball.pbbs import ActionVariable, AngleVariable, angle_equal, canonicalize
+from boxball.tau import StringSet, _TauTable
 from boxball.theta import _cache as theta_cache
 from boxball.troptoda import TodaState, _theta_sites, conserved_all, evolve_toda, theta_state
 
@@ -47,6 +51,7 @@ GENERA = (4, 8, 16, 32)
 PBBS_SIZES = ((3, 6, 200), (8, 3, 500), (14, 2, 900))  # (g, m_i, L)
 TODA_SIZES = (100, 200, 400)
 TODA_STEPS = 4
+TAU_SIZES = (12, 14, 16, 18, 40)
 # the conserved values of Q = (0, 1, 11, 8, 10), W = (6, 11, 8, 4, 8): genus 4
 TODA_THETA = ((3, -7, 12, 0), (0, 1, 5, 13, 30, 67))  # (Z0, C)
 ROOT = Path(__file__).resolve().parents[1]
@@ -204,6 +209,26 @@ def toda_sweep() -> dict:
     }
 
 
+def tau_sweep() -> dict:
+    sys.path.insert(0, str(ROOT / "tests"))
+    from test_tau_oracle import subset_best
+
+    times, oracle = [], None
+    for N in TAU_SIZES:
+        s = StringSet.from_rc(kkr_phi("".join("1" * k + "2" * k for k in range(1, N + 1)), 1))
+        t, table = median_time(_TauTable, s)
+        times.append(t)
+        if oracle is None:
+            oracle = table.best == subset_best(s)
+    return {
+        "sizes": list(TAU_SIZES),
+        "repeats": REPEATS,
+        "table_s": times,
+        "growth_exp": growth_exponent(TAU_SIZES, times),
+        "oracle": oracle,
+    }
+
+
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("sizes", nargs="*", type=int, default=[800, 2000, 5000], help="path lengths L")
@@ -216,6 +241,7 @@ def main(argv=None) -> None:
         "intmat": intmat_sweep(),
         "pbbs": pbbs_sweep(),
         "troptoda": toda_sweep(),
+        "tau": tau_sweep(),
         "src_lines": src_lines,
     }
     print(json.dumps(doc, indent=2))

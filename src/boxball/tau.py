@@ -3,9 +3,9 @@
 tau_{k,a}(S) = -min over subsets T of S of c_{k,a}(T), where c is the cocharge
 shifted by the color-a length sum and k times the color-1 string count.  c
 depends on T only through its string count per (color, length) class and its
-rigging sum, least on each class's smallest riggings, so the exact minimization
-enumerates prod(m_c + 1) <= 2^N count vectors (m_c strings in class c, N in all;
-their number is capped at 2^BOXBALL_SUBSET_CAP); one scan builds the
+rigging sum, least on each class's smallest riggings; a dynamic program over
+the counts chosen per color (prod(N_b + 1) states, N_b strings of color b; its
+cells capped at 2^BOXBALL_SUBSET_CAP) minimizes exactly and builds the
 whole table of tau_{k,a}, which every query and path reconstruction then reads.
 
 Also here: the corner ball-count rho of an evolution profile, the path
@@ -37,6 +37,10 @@ class StringSet:
     strings: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
+        if self.rank < 1:
+            raise ValueError("rank must be >= 1")
+        if self.L < 0:
+            raise ValueError("L must be >= 0")
         for a, l, _ in self.strings:
             if not 1 <= a <= self.rank:
                 raise ValueError("string color out of range")
@@ -71,51 +75,69 @@ def cocharge(strings) -> int:
 
 class _TauTable:
     """For each color a and color-1 count m, the minimum of c(T) + lensum_a(T)
-    (best[a][m]), and from it every tau_{k,a} (rows[k][a], k = 0..L, a = 0..n+1)."""
+    (best[a][m]), and from it every tau_{k,a} (rows[k][a], k = 0..L, a = 0..n+1).
+
+    With k_d strings of class d = (b, l), at best its k_d smallest riggings,
+    c(T) = sum_d (l k_d^2 + prefix_d[k_d]) + sum_{c<d} k_c k_d C min(l_c, l_d).
+    In descending length min(l_c, l_d) = l_d, so class d adds
+    k_d l (2 K_b - K_{b-1} - K_{b+1}) in the counts K of each color chosen
+    before it, and lensum_a adds l per color-a string: one DP over (a, K).
+    """
 
     def __init__(self, s: StringSet):
-        # with k_c strings of class c = (a, l), at best its k_c smallest riggings:
-        # c(T) = sum_c (l k_c^2 + prefix_c[k_c]) + sum_{c<d} k_c k_d C min(l_c, l_d)
+        n = s.rank
         classes: dict[tuple[int, int], list[int]] = {}
+        radix = [n + 1] + [1] * (n + 1)  # digits of a DP index: a - 1, then K_b = 0..N_b
         for a, l, r in s.strings:
             classes.setdefault((a, l), []).append(r)
-        leaves = prod(len(rs) + 1 for rs in classes.values())
-        cap = _subset_cap()
-        if leaves > 2**cap:
+            radix[a] += 1
+        stride = [prod(radix[:b]) for b in range(n + 3)]
+        cells, cap = stride[n + 1] // (n + 1) * len(classes), _subset_cap()
+        if cells > 2**cap:
             raise ValueError(
-                f"string set needs {leaves} count vectors, over the subset cap 2^{cap}; "
+                f"string set needs {cells} DP cells, over the cap 2^{cap}; "
                 "set BOXBALL_SUBSET_CAP to raise it"
             )
-        n1 = sum(1 for a, _, _ in s.strings if a == 1)
-        self.best = [[None] * (n1 + 1) for _ in range(s.rank + 2)]  # [a][m]
-        keys = list(classes)
-        prefix = [list(accumulate(sorted(classes[key]), initial=0)) for key in keys]
-        pair = [[cartan(a1, a2) * min(l1, l2) for a2, l2 in keys] for a1, l1 in keys]
-        rank = s.rank
-        best = self.best
-        counts = [0] * len(keys)
-        lens = [0] * (rank + 2)
+        f = [0] * stride[n + 1]  # all DPs a = 1..n+1; entries past done never feed reachable ones
+        done = [0] * (n + 1)  # so far K_b <= done[b]
+        for b, l in sorted(classes, key=lambda c: -c[1]):
+            prefix = accumulate(sorted(classes[b, l]), initial=0)
+            cost = [l * k * k + p for k, p in enumerate(prefix)]
+            top, m, st, blk = done[b], len(cost) - 1, stride[b], stride[b + 1]
+            # K_b leads each block of fixed K_{b+1}, ..., K_n; w = [a = b] - K_{b-1} below it
+            below = stride[b - 1] if b > 1 else 0
+            w = [(i % (n + 1) + 1 == b) - (below and i // below % radix[b - 1]) for i in range(st)]
+            for base in range(0, sum(done[c] * stride[c] for c in range(b + 1, n + 1)) + 1, blk):
+                up = base // blk % radix[b + 1]  # K_{b+1}
+                lin = [l * (2 * j + x - up) for j in range(top + 1) for x in w]
+                old = f[base : base + (top + 1) * st]
+                new = old[:]
+                for k in range(1, m + 1):  # k more strings of class (b, l)
+                    step = [o + k * x + cost[k] for o, x in zip(old, lin)]
+                    new[k * st :] = [*map(min, new[k * st :], step), *step[top * st :]]
+                f[base : base + (top + m + 1) * st] = new
+            done[b] += m
+        self.best = [[None] * radix[1]] + [  # [a][m]
+            [min(f[a + (n + 1) * m :: stride[2]]) for m in range(radix[1])] for a in range(n + 1)
+        ]
+        cols = [_column(v, s.L) for v in self.best[1:]]
+        self.rows = [[r[-1] - k] + list(r) for k, r in enumerate(zip(*cols))]  # tau_{k,0} = tau_{k,n+1} - k
 
-        def visit(i, c, m):
-            if i == len(keys):
-                for a in range(1, rank + 2):
-                    if best[a][m] is None or c + lens[a] < best[a][m]:
-                        best[a][m] = c + lens[a]
-                return
-            a, l = keys[i]
-            cross = sum(counts[j] * pair[i][j] for j in range(i))
-            base = lens[a]
-            for k, p in enumerate(prefix[i]):
-                counts[i] = k
-                lens[a] = base + k * l
-                visit(i + 1, c + l * k * k + k * cross + p, m + (k if a == 1 else 0))
-            lens[a] = base
 
-        visit(0, 0, 0)
-        self.rows = []
-        for k in range(s.L + 1):
-            row = [-min(v - k * m for m, v in enumerate(best[a])) for a in range(1, rank + 2)]
-            self.rows.append([row[-1] - k] + row)  # tau_{k,0} = tau_{k,n+1} - k
+def _column(v: list[int], L: int) -> list[int]:
+    """max_m (k m - v[m]) for k = 0..L, read off the lower convex hull of v."""
+    hull: list[int] = []
+    for m, y in enumerate(v):
+        while len(hull) > 1 and (  # drop a last vertex not strictly below the chord to m
+            (v[hull[-1]] - v[hull[-2]]) * (m - hull[-1]) >= (y - v[hull[-1]]) * (hull[-1] - hull[-2])
+        ):
+            hull.pop()
+        hull.append(m)
+    col: list[int] = []
+    for m, nxt in zip(hull, hull[1:] + [None]):  # m is optimal up to the next edge's slope
+        hi = L if nxt is None else min(L, (v[nxt] - v[m]) // (nxt - m))
+        col += [k * m - v[m] for k in range(len(col), hi + 1)]
+    return col
 
 
 _tables: dict[tuple, _TauTable] = {}

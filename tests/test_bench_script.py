@@ -38,4 +38,8 @@ def test_kkr_sweep_prints_timings_exponents_and_roundtrip():
     assert {"conserved_all_growth_exp", "evolve_toda_growth_exp", "theta_trajectory_s"} <= set(toda)
     assert toda["theta_genus"] == 4 and toda["theta_steps"] == 4
     assert toda["invariant"] is True and toda["theta_trajectory"] is True
+    tau = doc["tau"]
+    assert tau["sizes"] == [12, 14, 16, 18, 40] and tau["repeats"] == 3
+    assert len(tau["table_s"]) == 5 and "growth_exp" in tau
+    assert tau["oracle"] is True
     assert doc["src_lines"] > 0

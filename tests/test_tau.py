@@ -3,6 +3,7 @@ import random
 import pytest
 
 from boxball.bbs import BBSState
+from boxball.cli import main
 from boxball.kkr import evolve_rc, highest_paths, kkr_phi, kkr_phi_inv
 from boxball.tau import (
     StringSet,
@@ -185,3 +186,21 @@ def test_tau_rows_are_bounded_and_not_shared():
     table = tau_table(s)
     table[3][2] += 100
     assert tau_table(s)[3][2] == tau(s, 3, 2) == table[3][2] - 100
+
+
+@pytest.mark.parametrize("rank,L,message", [(0, 5, "rank must be >= 1"), (1, -1, "L must be >= 0")])
+def test_string_set_rejects_bad_rank_and_length(rank, L, message):
+    with pytest.raises(ValueError, match=message):
+        StringSet(rank, L, ())
+
+
+def test_tau_beyond_the_count_vector_cap(capsys, monkeypatch):
+    # strings of lengths 1..24: 2^24 count vectors, but only 25 DP states of K_1
+    monkeypatch.delenv("BOXBALL_SUBSET_CAP", raising=False)
+    word = "".join("1" * k + "2" * k for k in range(1, 25))
+    s = _S(word, 1)
+    assert sorted(l for _, l, _ in s.strings) == list(range(1, 25))
+    assert path_from_tau(s) == word
+    assert check_hirota(s)
+    assert main(["tau", word]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 601  # header + k = 0..600

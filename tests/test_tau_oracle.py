@@ -10,6 +10,9 @@ any riggings, negative ones and the evolved sets of check_hirota included.
 import random
 from itertools import combinations_with_replacement
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from boxball.kkr import evolve_rc, highest_paths, kkr_phi
 from boxball.tau import (
     StringSet,
@@ -119,3 +122,18 @@ def test_agrees_on_every_small_highest_path_and_its_update():
                 assert tau_table(s) == table, word
                 assert path_from_tau(s) == oracle_path(table, rank) == word
                 assert check_hirota(s) == oracle_hirota(table, table_bar, rank), word
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_agrees_on_drawn_sets_and_their_updates(data):
+    # repeated lengths and negative riggings, before and after a T_infinity step
+    rank = data.draw(st.integers(1, 3))
+    string = st.tuples(st.integers(1, rank), st.integers(1, 6), st.integers(-3, 8))
+    s = StringSet(rank, data.draw(st.integers(0, 12)), tuple(data.draw(st.lists(string, max_size=12))))
+    for t in (s, StringSet.from_rc(evolve_rc(s.to_rc(), None))):
+        best = subset_best(t)
+        assert _TauTable(t).best == best, t
+        assert tau_table(t) == [
+            [oracle_tau(best, t, k, a) for a in range(t.rank + 2)] for k in range(t.L + 1)
+        ], t
