@@ -3,8 +3,8 @@
 subset_best below is the straightforward version of tau._TauTable: it visits
 all 2^N subsets of the strings one string at a time, summing the pairwise
 cocharge terms of each subset.  It serves as the oracle for the library's
-scan over per-(color, length) counts, which must fill the same table for
-any riggings, negative ones and the evolved sets of check_hirota included.
+dynamic program over per-color string counts, which must fill the same table
+for any riggings, negative ones and the evolved sets of check_hirota included.
 """
 
 import random
