@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Size sweeps of the KKR bijection, the exact elimination, the slide-orbit
-routines and the tropical Toda layer: CPU times, fitted growth exponents and
-the src/ line count, printed as JSON.
+"""Size sweeps of the KKR bijection, the carrier evolution, the exact
+elimination, the slide-orbit routines and the tropical Toda layer: CPU times,
+fitted growth exponents and the src/ line count, printed as JSON.
 
 For each size L it draws one random sl3 highest path with round(0.45 L)
 letters above 1, times kkr_phi and kkr_phi_inv (median of 3 runs of
 time.process_time), checks the round trip, and fits t ~ L^k by least squares
-on log t against log L.  For each genus g in GENERA it times
+on log t against log L.  On another such path per L it times, for carrier
+capacities l = 3 and infinity, one bbs.evolve step and kkr.solve_ivp over
+EVOLVE_STEPS steps, checks solve_ivp against bbs.evolve^EVOLVE_STEPS, and
+fits t ~ L^k for both.  For each genus g in GENERA it times
 intmat.gauss_jordan (behind det_int) on the period matrix F of the periodic
 action variable with parts g, g-1, ..., 1 on L = g (g + 2) cells, checks
 adj F F = det F I, and fits t ~ g^k the same way.  For each (g, m, L) in
@@ -37,8 +40,9 @@ import sys
 import time
 from pathlib import Path
 
+from boxball.bbs import BBSState, evolve
 from boxball.intmat import gauss_jordan
-from boxball.kkr import kkr_phi, kkr_phi_inv
+from boxball.kkr import kkr_phi, kkr_phi_inv, solve_ivp
 from boxball.pbbs import ActionVariable, AngleVariable, angle_equal, canonicalize
 from boxball.tau import StringSet, _TauTable
 from boxball.theta import _cache as theta_cache
@@ -47,6 +51,8 @@ from boxball.troptoda import TodaState, _theta_sites, conserved_all, evolve_toda
 RANK = 2
 BALL_FRACTION = 0.45
 REPEATS = 3
+EVOLVE_CAPACITIES = (3, None)  # None: T_infinity
+EVOLVE_STEPS = 3
 GENERA = (4, 8, 16, 32)
 PBBS_SIZES = ((3, 6, 200), (8, 3, 500), (14, 2, 900))  # (g, m_i, L)
 TODA_SIZES = (100, 200, 400)
@@ -119,6 +125,28 @@ def kkr_sweep(sizes) -> dict:
         "phi_inv_growth_exp": growth_exponent(sizes, phi_inv_s),
         "roundtrip": roundtrip,
     }
+
+
+def evolve_sweep(sizes) -> dict:
+    out = {"sizes": list(sizes), "repeats": REPEATS, "steps": EVOLVE_STEPS, "oracle": True}
+    for l in EVOLVE_CAPACITIES:
+        key = "inf" if l is None else str(l)
+        evolve_s, ivp_s = [], []
+        for L in sizes:
+            word = highest_word(random.Random(f"evolve/{L}"), L, RANK, round(BALL_FRACTION * L))
+            state = BBSState.parse(word, rank=RANK)
+            t_evolve, _ = median_time(evolve, state, l)
+            t_ivp, got = median_time(solve_ivp, word, l, EVOLVE_STEPS)
+            evolve_s.append(t_evolve)
+            ivp_s.append(t_ivp)
+            for _ in range(EVOLVE_STEPS):
+                state = evolve(state, l)[0]
+            out["oracle"] = out["oracle"] and BBSState.parse(got, rank=RANK) == state
+        out[f"evolve_{key}_s"] = evolve_s
+        out[f"solve_ivp_{key}_s"] = ivp_s
+        out[f"evolve_{key}_growth_exp"] = growth_exponent(sizes, evolve_s)
+        out[f"solve_ivp_{key}_growth_exp"] = growth_exponent(sizes, ivp_s)
+    return out
 
 
 def intmat_sweep() -> dict:
@@ -238,6 +266,7 @@ def main(argv=None) -> None:
     src_lines = sum(len(p.read_text().splitlines()) for p in SRC.glob("*.py"))
     doc = {
         "kkr": kkr_sweep(args.sizes),
+        "evolve": evolve_sweep(args.sizes),
         "intmat": intmat_sweep(),
         "pbbs": pbbs_sweep(),
         "troptoda": toda_sweep(),

@@ -2,9 +2,10 @@
 energies, soliton content, scattering and the conserved P-symbol.
 
 A state is a finite window of letters inside an infinite sea of 1s (empty
-boxes).  Windows are padded automatically before an evolution so that the
-boundary is never touched; energies are summed over the window, the tail
-terms vanishing because a vacant carrier scores nothing against empty boxes.
+boxes).  An evolution runs the carrier across the window only: past it the
+carrier meets empty boxes, so it winds, scoring nothing, and unloads its ball
+letters largest first; that tail is read off its exit load.  Words write one
+character per letter: '.' or '1' for 1, and the ASCII digits 2-9.
 """
 
 from __future__ import annotations
@@ -13,6 +14,25 @@ from dataclasses import dataclass
 from itertools import groupby
 
 from boxball.crystal import CrystalElement, comb_R
+
+_WORD_CHARS = b".123456789"
+_DECODE = bytes.maketrans(_WORD_CHARS, bytes((1, 1, 2, 3, 4, 5, 6, 7, 8, 9)))
+
+
+def decode_word(text: str) -> bytes:
+    """The letters of a word, one byte each ('.' and '1' are 1), in two C-level
+    passes; ValueError unless every character is '.' or an ASCII digit 1-9."""
+    raw = text.encode("ascii", "replace")
+    if raw.translate(None, _WORD_CHARS):
+        raise ValueError(
+            f"letters must be >= 1 and <= 9, one character each ('.' or 1-9): {text!r}"
+        )
+    return raw.translate(_DECODE)
+
+
+def _check_one_character(cells) -> None:
+    if max(cells, default=1) > 9:
+        raise ValueError("a letter above 9 has no one-character form")
 
 
 @dataclass(frozen=True)
@@ -24,18 +44,20 @@ class BBSState:
     origin: int = 0
 
     def __post_init__(self):
-        if any(not 1 <= c <= self.rank + 1 for c in self.cells):
+        if self.cells and not 1 <= min(self.cells) <= max(self.cells) <= self.rank + 1:
             raise ValueError("cells must be letters in 1..rank+1")
 
     @classmethod
     def parse(cls, text: str, rank: int | None = None, origin: int = 0) -> "BBSState":
-        cells = tuple(1 if ch == "." else int(ch) for ch in text)
+        cells = tuple(decode_word(text))
         if rank is None:
             rank = max(max(cells, default=1), 2) - 1
         return cls(rank, cells, origin).trimmed()
 
     def render(self, left: int | None = None, right: int | None = None) -> str:
-        """Dot notation over [left, right); defaults to the support window."""
+        """Dot notation over [left, right); defaults to the support window.
+        ValueError on a letter above 9."""
+        _check_one_character(self.cells)
         if left is None:
             left = self.origin
         if right is None:
@@ -66,7 +88,7 @@ class BBSState:
         return BBSState(self.rank, cells[lo:hi], origin + lo)
 
     def balls(self) -> int:
-        return sum(1 for c in self.cells if c > 1)
+        return len(self.cells) - self.cells.count(1)
 
     def support(self) -> tuple[int, int]:
         """[leftmost, rightmost] ball positions; (origin, origin) when vacuum."""
@@ -106,7 +128,13 @@ def carrier_pass(cells, carrier: list[int], rank: int) -> tuple[list[int], int]:
 
 
 def evolve(state: BBSState, l: int | None = None) -> tuple[BBSState, int]:
-    """Apply T_l (T_infinity when l is None, the identity when l = 0); return (state, E_l)."""
+    """Apply T_l (T_infinity when l is None, the identity when l = 0); return (state, E_l).
+
+    The carrier crosses the window only.  Fed an empty box, it winds (its
+    downward scan stops at carrier[0] = 1) and emits its largest letter, so
+    past the window it emits its ball letters in descending order and scores
+    nothing: that tail is written from the exit load, in O(rank) steps.
+    """
     if l is not None and l < 0:
         raise ValueError("capacity l must be >= 0")
     n = state.rank
@@ -116,9 +144,9 @@ def evolve(state: BBSState, l: int | None = None) -> tuple[BBSState, int]:
         return s, 0
     l_eff = l if l is not None else balls
     carrier = [1, l_eff] + [0] * n
-    out, energy = carrier_pass(s.cells + (1,) * (l_eff + balls + 2), carrier, n)
-    if carrier[1] != l_eff:
-        raise ValueError("carrier failed to empty; padding too small")
+    out, energy = carrier_pass(s.cells, carrier, n)
+    for a in range(n + 1, 1, -1):
+        out += [a] * carrier[a]
     return BBSState(n, tuple(out), s.origin).trimmed(), energy
 
 
@@ -177,6 +205,7 @@ def solitons(state: BBSState) -> list[tuple[int, str]]:
     regime); raises ValueError otherwise.
     """
     s = state.trimmed()
+    _check_one_character(s.cells)
     # trimmed, so the runs alternate nontrivial, vacuum gap, ..., nontrivial
     runs = [tuple(run) for _, run in groupby(s.cells, key=lambda c: c != 1)]
     out = []

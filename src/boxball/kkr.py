@@ -10,9 +10,11 @@ growing or shrinking by one shifts the stored vacancies above it in three
 colors; a length seen for the first time gets its vacancy from the one
 q-formula, which RiggedConfiguration.vacancy also uses.  A singular string of
 a given length is one bisect away, so a letter costs time in the number of
-distinct lengths, not of strings.  Extended configurations (riggings
-outside the [0, vacancy] window, arising from non-highest paths or long
-evolutions) are carried by the same algorithms and flagged by is_valid().
+distinct lengths, not of strings; a letter 1 costs O(1) in phi (it only
+lengthens the path), and a run of 1s costs one scan in phi^{-1}.  Extended
+configurations (riggings outside the [0, vacancy] window, arising from
+non-highest paths or long evolutions) are carried by the same algorithms and
+flagged by is_valid().
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from functools import cached_property
 from math import inf
+
+from boxball.bbs import decode_word
 
 
 @dataclass(frozen=True)
@@ -170,12 +174,13 @@ class _Shape:
     def ones_run(self) -> int:
         """How many letters 1 phi^{-1} emits before a color-1 string turns
         singular: each 1 lowers every color-1 vacancy by one."""
-        run = self.L
+        L, vacs = self.L, self.vacs[1]
+        run = L
         for j, rs in self.rigs[1].items():
-            p = self.vacs[1][j] + self.L
+            p = vacs[j] + L
             i = bisect_right(rs, p)
-            if i:
-                run = min(run, p - rs[i - 1])
+            if i and p - rs[i - 1] < run:
+                run = p - rs[i - 1]
         return run
 
     def move(self, a: int, j: int, r: int, by: int) -> None:
@@ -185,14 +190,17 @@ class _Shape:
         rigs, lens, vacs = self.rigs[a], self.lens[a], self.vacs[a]
         if j:
             rs = rigs[j]
-            rs.pop(bisect_left(rs, r))
-            if not rs:
-                del rigs[j], vacs[j]
-                lens.remove(j)
-        lo = min(j, j + by)
+            if len(rs) == 1:
+                del rigs[j], vacs[j], lens[bisect_left(lens, j)]
+            else:
+                rs.pop(bisect_left(rs, r))
+        lo = j if by > 0 else j + by
         for b, w in ((a - 1, by), (a, -2 * by), (a + 1, by)):
-            for k in self.lens[b][bisect_right(self.lens[b], lo) :]:
-                self.vacs[b][k] += w
+            ks = self.lens[b]
+            if ks:
+                vb = self.vacs[b]
+                for k in ks[bisect_right(ks, lo) :]:
+                    vb[k] += w
         j += by
         if j in rigs:
             insort(rigs[j], r)
@@ -202,10 +210,10 @@ class _Shape:
             vacs[j] = self._p(a, j)
 
     def rerig(self, a: int, j: int, r: int) -> None:
-        """Make the color-a string (j, r) singular."""
+        """Make the color-a string (j, r) singular; length j must be present."""
         rs = self.rigs[a][j]
         rs.pop(bisect_left(rs, r))
-        insort(rs, self.vacancy(a, j))
+        insort(rs, self.vacs[a][j] + self.L if a == 1 else self.vacs[a][j])
 
     def strings(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         return tuple(
@@ -230,9 +238,7 @@ def is_highest(word: str | tuple[int, ...], rank: int | None = None) -> bool:
 
 
 def _letters(word) -> list[int]:
-    if isinstance(word, str):
-        return [1 if ch == "." else int(ch) for ch in word]
-    return list(word)
+    return list(decode_word(word) if isinstance(word, str) else word)
 
 
 def kkr_phi(word, rank: int | None = None, check: bool = True) -> RiggedConfiguration:
@@ -252,6 +258,9 @@ def kkr_phi(word, rank: int | None = None, check: bool = True) -> RiggedConfigur
         raise ValueError("path is not highest")
     shape = _Shape(0, rank)
     for d in letters:
+        if d == 1:
+            shape.L += 1
+            continue
         # for colors d-1 down to 1, the longest singular string no longer than
         # the previous pick; once none is found, new strings (length 0 -> 1).
         # Every pick reads the shape before any string moves.
@@ -289,6 +298,8 @@ def kkr_phi_inv(rc: RiggedConfiguration) -> str:
                 break
             picks.append((c, *s))
             bound = s[0]
+        if len(picks) > 8:
+            raise ValueError("a letter above 9 has no one-character form")
         out.append(str(len(picks) + 1))
         shape.L -= 1
         for c, j, r in picks:
@@ -336,7 +347,10 @@ def solve_ivp(word: str, l: int | None, t: int) -> str:
 
 
 def highest_paths(L: int, rank: int):
-    """All highest words of length L over letters 1..rank+1 (prefix dominance)."""
+    """All highest words of length L over letters 1..rank+1 (prefix dominance).
+    ValueError when one would hold a letter above 9 (rank >= 9 and L >= 10)."""
+    if rank >= 9 and L >= 10:
+        raise ValueError("a letter above 9 has no one-character form")
     counts = [0] * (rank + 1)
     word: list[int] = []
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, combinations, product
 from math import comb, gcd
 
@@ -227,10 +228,12 @@ class AngleVariable:
         return AngleVariable(self.mu, tuple(tuple(x + d for x in w) for w in self.windows))
 
 
+@lru_cache(maxsize=1)
 def _scatter(p: PeriodicState) -> AngleVariable:
     """The one scattering pass: KKR of the first highest rotation p_+ = T_1^{-d}(p),
     whose color-1 riggings, grouped by length, sorted and shifted by d, form
-    the (uncanonicalized) angle variable of p."""
+    the (uncanonicalized) angle variable of p.  Memoized on the last state, so
+    direct_scattering then fundamental_period of one state scatter once."""
     d, p_plus = _some_highest_rotation(p)
     rc = kkr_phi(p_plus.word(), rank=1)
     mu = ActionVariable(p.L, rc.mu(1))

@@ -310,3 +310,20 @@ def test_p_symbol_conserved_random():
             assert p_symbol(t) == expected
         for l in (1, 2, 3):
             assert p_symbol(evolve(s, l)[0]) == expected
+
+
+def test_parse_accepts_only_dot_and_ascii_1_to_9():
+    assert BBSState.parse(".1.322.").cells == (3, 2, 2)
+    # '٣' (Arabic-Indic three) and '０' (fullwidth zero) were read by int()
+    for bad in ("1٣2", "1０2", "102", "1x2", "1 2", "12²"):
+        with pytest.raises(ValueError, match="letters must be >= 1 and <= 9"):
+            BBSState.parse(bad)
+
+
+def test_letters_above_nine_have_no_one_character_form():
+    s = BBSState(9, tuple(range(1, 11)))
+    assert evolve(s, None)[0].cells[-1] == 10
+    for call in (s.render, lambda: solitons(s)):
+        with pytest.raises(ValueError, match="above 9"):
+            call()
+    assert BBSState(8, tuple(range(1, 10))).render() == ".23456789"

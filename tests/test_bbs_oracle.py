@@ -134,6 +134,26 @@ def test_evolve_matches_carrier_step_loop_random():
         evolve(BBSState(1, (2,)), -1)
 
 
+def test_evolve_matches_carrier_step_loop_at_realistic_size():
+    # evolve writes the carrier's tail from its exit load; old_evolve still
+    # runs the padded per-box loop.  L = 100-300, three steps per capacity.
+    rng = random.Random(14)
+    for _ in range(40):
+        rank = rng.randint(1, 3)
+        density = rng.uniform(0.1, 0.7)
+        cells = tuple(
+            rng.randint(2, rank + 1) if rng.random() < density else 1
+            for _ in range(rng.randint(100, 300))
+        )
+        s0 = BBSState(rank, cells, rng.randint(-50, 50))
+        for l in (1, 3, rng.randint(1, 60), None):
+            s = s0
+            for _ in range(3):
+                got = evolve(s, l)
+                assert got == old_evolve(s, l), (s0, l)
+                s = got[0]
+
+
 def test_toda_evolve_matches_prefix_sums():
     rng = random.Random(9)
     for _ in range(3000):

@@ -22,6 +22,12 @@ def test_kkr_sweep_prints_timings_exponents_and_roundtrip():
     assert len(kkr["phi_s"]) == len(kkr["phi_inv_s"]) == 2
     assert {"phi_growth_exp", "phi_inv_growth_exp", "rank", "repeats"} <= set(kkr)
     assert kkr["roundtrip"] is True
+    ev = doc["evolve"]
+    assert ev["sizes"] == [60, 120] and ev["repeats"] == 3 and ev["steps"] == 3
+    for key in ("3", "inf"):
+        assert len(ev[f"evolve_{key}_s"]) == len(ev[f"solve_ivp_{key}_s"]) == 2
+        assert {f"evolve_{key}_growth_exp", f"solve_ivp_{key}_growth_exp"} <= set(ev)
+    assert ev["oracle"] is True
     intmat = doc["intmat"]
     assert intmat["genera"] == [4, 8, 16, 32] and intmat["repeats"] == 3
     assert len(intmat["elimination_s"]) == 4 and "growth_exp" in intmat

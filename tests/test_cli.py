@@ -385,3 +385,24 @@ def test_bad_input_exit_code(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == ""
     assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+def _rank9_json() -> str:
+    from boxball.kkr import kkr_phi
+
+    return kkr_phi(tuple(range(1, 11)), rank=9).to_json()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # before, evolve read the Arabic-Indic digit as 3 and kkr --inverse printed "12345678910"
+        (("evolve", "1٣2"), "letters must be >= 1 and <= 9"),
+        (("kkr", "12٣"), "letters must be >= 1 and <= 9"),
+        (("tau", "120"), "letters must be >= 1 and <= 9"),
+        (("kkr", _rank9_json(), "--inverse"), "above 9"),
+    ],
+)
+def test_word_letters_one_ascii_character_each(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == "" and message in err

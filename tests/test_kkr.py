@@ -355,3 +355,21 @@ def test_extended_configurations_for_non_highest_paths():
         assert kkr_phi_inv(rc) == word
         if not is_highest(word, n):
             assert not rc.is_valid()
+
+
+def test_words_accept_only_dot_and_ascii_1_to_9():
+    assert kkr_phi("1.2") == kkr_phi("112") == kkr_phi((1, 1, 2))
+    for bad in ("12٣", "12３", "120", "12x"):
+        for call in (kkr_phi, is_highest, lambda w: solve_ivp(w, None, 1)):
+            with pytest.raises(ValueError, match="letters must be >= 1 and <= 9"):
+                call(bad)
+
+
+def test_letters_above_nine_have_no_one_character_form():
+    # before, phi^{-1} wrote letter 10 as "10", which reads back as 1, 0
+    with pytest.raises(ValueError, match="above 9"):
+        kkr_phi_inv(kkr_phi(tuple(range(1, 11)), rank=9))
+    assert kkr_phi_inv(kkr_phi(tuple(range(1, 10)), rank=9)) == "123456789"
+    with pytest.raises(ValueError, match="above 9"):
+        next(highest_paths(10, 9))
+    assert len(list(highest_paths(9, 9))) == len(list(highest_paths(9, 8)))

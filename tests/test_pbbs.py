@@ -586,3 +586,25 @@ def test_angle_window_spread_beyond_quasi_period_raises():
     with pytest.raises(ValueError, match="window spread exceeds the quasi-period"):
         AngleVariable(mu, ((0, 14, 28),))
     assert AngleVariable(mu, ((0, 7, 14),)).windows == ((0, 7, 14),)
+
+
+def test_direct_scattering_then_period_scatters_once(monkeypatch):
+    # _scatter keeps the last state's angle variable; another state scatters anew
+    from boxball import pbbs
+    from boxball.kkr import kkr_phi
+
+    calls = []
+
+    def counting_phi(*args, **kwargs):
+        calls.append(args)
+        return kkr_phi(*args, **kwargs)
+
+    pbbs._scatter.cache_clear()
+    monkeypatch.setattr(pbbs, "kkr_phi", counting_phi)
+    p = PeriodicState.parse("1212111222")
+    direct_scattering(p)
+    assert fundamental_period(p, 2) == 20
+    assert len(calls) == 1
+    direct_scattering(p.shifted(3))
+    assert fundamental_period(p, 2) == 20
+    assert len(calls) == 3
