@@ -82,15 +82,13 @@ def cmd_kkr(args) -> int:
         rc = kkr.RiggedConfiguration.from_json(args.state)
         print(kkr.kkr_phi_inv(rc))
         return 0
-    word = args.state.replace(".", "1")
-    rc = kkr.kkr_phi(word, rank=args.rank)
+    rc = kkr.kkr_phi(args.state, rank=args.rank)
     print(rc.to_json())
     return 0
 
 
 def cmd_tau(args) -> int:
-    word = args.state.replace(".", "1")
-    rc = kkr.kkr_phi(word, rank=args.rank)
+    rc = kkr.kkr_phi(args.state, rank=args.rank)
     s = tau_mod.StringSet.from_rc(rc)
     table = tau_mod.tau_table(s)
     header = "k\t" + "\t".join(f"a={a}" for a in range(s.rank + 2))

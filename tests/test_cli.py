@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from boxball.cli import main
+from boxball.kkr import kkr_phi
 
 
 def run(capsys, *argv):
@@ -387,12 +388,6 @@ def test_bad_input_exit_code(capsys, argv, message):
     assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
-def _rank9_json() -> str:
-    from boxball.kkr import kkr_phi
-
-    return kkr_phi(tuple(range(1, 11)), rank=9).to_json()
-
-
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -400,7 +395,7 @@ def _rank9_json() -> str:
         (("evolve", "1٣2"), "letters must be >= 1 and <= 9"),
         (("kkr", "12٣"), "letters must be >= 1 and <= 9"),
         (("tau", "120"), "letters must be >= 1 and <= 9"),
-        (("kkr", _rank9_json(), "--inverse"), "above 9"),
+        (("kkr", kkr_phi(tuple(range(1, 11)), rank=9).to_json(), "--inverse"), "above 9"),
     ],
 )
 def test_word_letters_one_ascii_character_each(capsys, argv, message):

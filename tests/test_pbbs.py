@@ -3,7 +3,8 @@ from itertools import product
 
 import pytest
 
-from boxball.kkr import is_highest
+from boxball import pbbs
+from boxball.kkr import is_highest, kkr_phi
 from boxball.pbbs import (
     ActionVariable,
     AngleVariable,
@@ -590,16 +591,12 @@ def test_angle_window_spread_beyond_quasi_period_raises():
 
 def test_direct_scattering_then_period_scatters_once(monkeypatch):
     # _scatter keeps the last state's angle variable; another state scatters anew
-    from boxball import pbbs
-    from boxball.kkr import kkr_phi
-
     calls = []
 
     def counting_phi(*args, **kwargs):
         calls.append(args)
         return kkr_phi(*args, **kwargs)
 
-    pbbs._scatter.cache_clear()
     monkeypatch.setattr(pbbs, "kkr_phi", counting_phi)
     p = PeriodicState.parse("1212111222")
     direct_scattering(p)
