@@ -13,10 +13,18 @@ fits t ~ L^k for both.  For each genus g in GENERA it times
 intmat.gauss_jordan (behind det_int) on the period matrix F of the periodic
 action variable with parts g, g-1, ..., 1 on L = g (g + 2) cells, checks
 adj F F = det F I, and fits t ~ g^k the same way.  For each (g, m, L) in
-PBBS_SIZES it times pbbs.canonicalize and pbbs.angle_equal (the angle variable
-against its canonical form) on the action variable with parts g, ..., 1, each
-repeated m times (prod m_i = m^g window rotations), on L cells and with
-seeded random windows; it fits t ~ g^k and, at the smallest g, checks both
+PBBS_SIZES it times pbbs.canonicalize and pbbs.angle_equal (the angle
+variable J against its canonical form) on the action variable with parts
+g, ..., 1, each repeated m times (prod m_i = m^g window rotations), on L
+cells and with seeded random windows, and pbbs.fundamental_period
+(l = infinity) on the state p with angle variable J.  It times
+pbbs.inverse_scattering on the canonical form, where its loop over window
+rotations runs longest, up to INVERSE_MAX_GENUS only.  Every timed call gets
+a fresh, equal action variable and an empty scattering memo, so it pays for
+the lattice data it reads (F, its elimination, its Hermite forms) and for
+its scattering pass.  It fits t ~ g^k, checks the round trip
+angle_equal(direct_scattering(p), J) at every g and that the canonical form
+inverts to p, and, at the smallest g, checks canonicalize and angle_equal
 against the rotation-scan oracle of tests/test_pbbs_oracle.py.  For each N in
 TODA_SIZES it times troptoda.conserved_all and troptoda.evolve_toda on a
 seeded random integral state, checks that the step keeps the conserved
@@ -43,7 +51,16 @@ from pathlib import Path
 from boxball.bbs import BBSState, evolve
 from boxball.intmat import gauss_jordan
 from boxball.kkr import kkr_phi, kkr_phi_inv, solve_ivp
-from boxball.pbbs import ActionVariable, AngleVariable, angle_equal, canonicalize
+from boxball.pbbs import (
+    ActionVariable,
+    AngleVariable,
+    _scatter,
+    angle_equal,
+    canonicalize,
+    direct_scattering,
+    fundamental_period,
+    inverse_scattering,
+)
 from boxball.tau import StringSet, _TauTable
 from boxball.theta import _cache as theta_cache
 from boxball.troptoda import TodaState, _theta_sites, conserved_all, evolve_toda, theta_state
@@ -55,6 +72,9 @@ EVOLVE_CAPACITIES = (3, None)  # None: T_infinity
 EVOLVE_STEPS = 3
 GENERA = (4, 8, 16, 32)
 PBBS_SIZES = ((3, 6, 200), (8, 3, 500), (14, 2, 900))  # (g, m_i, L)
+# inverse_scattering of the g = 14 canonical form tries 6,149 of the 16,384
+# window rotations and takes seconds (ROADMAP item 3), too long for the suite
+INVERSE_MAX_GENUS = 8
 TODA_SIZES = (100, 200, 400)
 TODA_STEPS = 4
 TAU_SIZES = (12, 14, 16, 18, 40)
@@ -169,24 +189,43 @@ def intmat_sweep() -> dict:
     }
 
 
+def fresh(J: AngleVariable) -> AngleVariable:
+    """J on a new, equal action variable: its lattice data not yet built."""
+    return AngleVariable(ActionVariable(J.mu.L, J.mu.parts), J.windows)
+
+
+def cold_period(p, l):
+    _scatter.cache_clear()
+    return fundamental_period(p, l)
+
+
 def pbbs_sweep() -> dict:
     sys.path.insert(0, str(ROOT / "tests"))
     from test_pbbs_oracle import canonicalize_scan
 
-    canon_s, equal_s, oracle = [], [], None
+    canon_s, equal_s, inverse_s, period_s, oracle, roundtrip = [], [], [], [], None, True
     for g, m, L in PBBS_SIZES:
         rng = random.Random(f"pbbs/{g}")
         mu = ActionVariable(L, tuple(i for i in range(g, 0, -1) for _ in range(m)))
         J = AngleVariable(
             mu, tuple(tuple(sorted(rng.randint(0, mu.vacancy(i)) for _ in range(m))) for i in mu.I)
         )
-        t_canon, canon = median_time(canonicalize, J)
-        t_equal, equal = median_time(angle_equal, J, canon)
+        t_canon, canon = median_time(lambda: canonicalize(fresh(J)))
+        t_equal, equal = median_time(lambda: angle_equal(fresh(J), canon))
+        p = inverse_scattering(J)
+        t_period, _ = median_time(cold_period, p, None)
         canon_s.append(t_canon)
         equal_s.append(t_equal)
+        period_s.append(t_period)
+        roundtrip = roundtrip and angle_equal(direct_scattering(p), J)
+        if g <= INVERSE_MAX_GENUS:
+            t_inverse, q = median_time(lambda: inverse_scattering(fresh(canon)))
+            inverse_s.append(t_inverse)
+            roundtrip = roundtrip and q == p
         if oracle is None:
             oracle = equal and canon == canonicalize_scan(J)
     genera = [g for g, _, _ in PBBS_SIZES]
+    inverse_genera = [g for g in genera if g <= INVERSE_MAX_GENUS]
     return {
         "genera": genera,
         "rotations": [m**g for g, m, _ in PBBS_SIZES],
@@ -194,9 +233,15 @@ def pbbs_sweep() -> dict:
         "repeats": REPEATS,
         "canonicalize_s": canon_s,
         "angle_equal_s": equal_s,
+        "inverse_scattering_genera": inverse_genera,
+        "inverse_scattering_s": inverse_s,
+        "fundamental_period_s": period_s,
         "canonicalize_growth_exp": growth_exponent(genera, canon_s),
         "angle_equal_growth_exp": growth_exponent(genera, equal_s),
+        "inverse_scattering_growth_exp": growth_exponent(inverse_genera, inverse_s),
+        "fundamental_period_growth_exp": growth_exponent(genera, period_s),
         "oracle": oracle,
+        "roundtrip": roundtrip,
     }
 
 

@@ -32,8 +32,24 @@ def _parse_steps(text: str) -> int:
     return steps
 
 
+def _parse_l_max(text: str) -> int:
+    l_max = int(text)
+    if l_max < 1:
+        raise argparse.ArgumentTypeError("l-max must be >= 1")
+    return l_max
+
+
+def _fields(text: str) -> list[str]:
+    """Entries of a comma and/or space separated list; ValueError on an empty
+    field between commas (so "3,,1" is not read as "3,1")."""
+    fields = text.split(",")
+    if len(fields) > 1 and not all(f.strip() for f in fields):
+        raise ValueError(f"empty field in list: {text!r}")
+    return text.replace(",", " ").split()
+
+
 def _parse_fracs(text: str) -> list[Fraction]:
-    return [Fraction(t) for t in text.replace(",", " ").split()]
+    return [Fraction(t) for t in _fields(text)]
 
 
 def render_evolution(state: bbs.BBSState, l: int | None, steps: int) -> list[str]:
@@ -99,10 +115,9 @@ def cmd_tau(args) -> int:
 
 
 def _parse_mu(text: str) -> tuple[int, ...]:
-    parts = tuple(sorted((int(t) for t in text.replace(",", " ").split()), reverse=True))
-    if not parts:
+    if not text.replace(",", " ").split():
         raise ValueError("empty partition")
-    return parts
+    return tuple(sorted(map(int, _fields(text)), reverse=True))
 
 
 def cmd_analyze(args) -> int:
@@ -298,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state", nargs="?", help="periodic state (action/angle/period)")
     p.add_argument("--L", type=int, help="system size (decompose/count)")
     p.add_argument("--mu", help="partition, e.g. 3,2,1 (decompose/count)")
-    p.add_argument("--l-max", type=int, default=3)
+    p.add_argument("--l-max", type=_parse_l_max, default=3)
     p.add_argument("--format", choices=("text", "json"), default="json")
     p.set_defaults(fn=cmd_analyze)
 

@@ -91,10 +91,14 @@ def reduce_mod_lattice(v: list[int], cols: list[list[int]]) -> tuple[int, ...]:
     """Canonical representative of v modulo the integer lattice spanned by cols.
 
     Two vectors reduce to the same representative iff they differ by a lattice
-    element.  Deterministic given the basis; pass column_hnf(cols) to reuse
-    one Hermite form across calls.
+    element.  Deterministic given the basis; reduce_mod_hnf reuses one Hermite
+    form across calls.
     """
-    h = column_hnf(cols)
+    return reduce_mod_hnf(v, column_hnf(cols))
+
+
+def reduce_mod_hnf(v: list[int], h) -> tuple[int, ...]:
+    """reduce_mod_lattice against a basis h that is already column_hnf output."""
     w = list(v)
     for i in range(len(w)):
         q = w[i] // h[i][i]

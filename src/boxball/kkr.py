@@ -333,17 +333,18 @@ def solve_ivp(word: str, l: int | None, t: int) -> str:
     """T_l^t of a highest path via the rigged-configuration linearization.
 
     The window is padded on the right so the evolution never feels the
-    boundary; the padded evolved word is returned (support included).
+    boundary; the padded evolved word is returned (support included).  phi
+    reads a letter 1 as L += 1 alone, so phi of the padded word is phi of the
+    word with L raised by the padding.
     """
     letters = _letters(word)
     rank = max(max(letters, default=2), 2) - 1
-    balls = sum(1 for a in letters if a > 1)
+    balls = len(letters) - letters.count(1)
     l_eff = l if l is not None else balls
     pad = t * l_eff + balls + 2
-    padded = letters + [1] * pad
-    rc = kkr_phi(padded, rank)
-    rc2 = evolve_rc(rc, l, steps=t)
-    return kkr_phi_inv(rc2)
+    rc = kkr_phi(letters, rank)
+    rc = RiggedConfiguration(rc.L + pad, rank, rc.strings)
+    return kkr_phi_inv(evolve_rc(rc, l, steps=t))
 
 
 def highest_paths(L: int, rank: int):

@@ -20,17 +20,23 @@ compare or canonicalize: class equality is one membership test in F_gamma Z^g
 (columns of F divided by the internal symmetries), and the canonical form is
 found color by color against one Hermite form of F.  Inverse scattering walks
 the box of valid riggings in Lambda = F Z^g + Z 1 (F 1 = L 1 absorbs the
-uniform shift) one coordinate at a time, for each window rotation.  The exact
-linear algebra on F is one intmat.gauss_jordan pass, all in integers: inverse
-scattering reads the shift e off row 0 of adj F and det F, and periods are
-Cramer ratios, det F_j / det F = (adj F h)_j / det F.
+uniform shift) one coordinate at a time, for each window rotation.
+
+F depends on the action variable alone, so each ActionVariable carries one
+lattice context (_Lattice), every piece built on first use and kept as
+tuples: F, its one intmat.gauss_jordan pass (det F, adj F), and the column
+Hermite forms of F, of Lambda and of each F_gamma asked for.  All of it is
+exact integer work done once per action variable: inverse scattering reads
+the shift e off row 0 of adj F and det F, periods are Cramer ratios,
+det F_j / det F = (adj F h)_j / det F, and the canonical form, class
+equality and the lattice walk read the Hermite forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate, combinations, product
 from math import comb, gcd
 
@@ -43,7 +49,8 @@ from boxball.intmat import (
     lattice_points_in_box,
     lcm_of_fractions,
     moebius,
-    reduce_mod_lattice,
+    reduce_mod_hnf,
+    reduce_mod_lattice,  # noqa: F401  (perfbench/spans.py traces pbbs.reduce_mod_lattice)
 )
 from boxball.kkr import RiggedConfiguration, kkr_phi, kkr_phi_inv
 from boxball.theta import PeriodMatrix, theta
@@ -65,7 +72,7 @@ class PeriodicState:
     def __post_init__(self):
         if not self.cells:
             raise ValueError("empty state")
-        if any(c not in (1, 2) for c in self.cells):
+        if not set(self.cells) <= {1, 2}:
             raise ValueError("cells must be 1 or 2")
         if 2 * self.balls > len(self.cells):
             raise ValueError("more than L/2 balls; not a box-ball phase space point")
@@ -76,7 +83,7 @@ class PeriodicState:
 
     @property
     def balls(self) -> int:
-        return sum(1 for c in self.cells if c == 2)
+        return self.cells.count(2)
 
     @classmethod
     def parse(cls, text: str) -> "PeriodicState":
@@ -169,6 +176,54 @@ class ActionVariable:
         if l is not None and l < 0:
             raise ValueError("capacity l must be >= 0")
         return tuple(min(i, l) if l is not None else i for i in self.I)
+
+    @cached_property
+    def _lattice(self) -> "_Lattice":
+        return _Lattice(self)
+
+
+def _hnf(cols) -> tuple[tuple[int, ...], ...]:
+    return tuple(map(tuple, column_hnf(list(cols))))
+
+
+class _Lattice:
+    """The exact linear algebra of one action variable's period matrix F.  Each
+    piece is built on first use and kept as tuples: F; det F and adj F from
+    one gauss_jordan; the column Hermite forms of F, of Lambda = F Z^g + Z 1
+    (coordinates reversed, the order inverse_scattering walks them in) and of
+    F_gamma for each internal symmetry gamma asked for."""
+
+    def __init__(self, mu: ActionVariable):
+        self._mu = mu
+        self._hnf_gamma: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
+
+    @cached_property
+    def F(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self._mu.F()))
+
+    @cached_property
+    def elimination(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(det F, adj F); F is nonsingular (F diag(m)^-1 = diag(p / m) + 2 M with
+        p >= 0 and M = (min(i, j)) positive definite), so adj F exists."""
+        e = gauss_jordan(self.F)
+        return e.det, tuple(map(tuple, e.adj))
+
+    @cached_property
+    def hnf(self) -> tuple[tuple[int, ...], ...]:
+        return _hnf(zip(*self.F))
+
+    @cached_property
+    def hnf_lambda(self) -> tuple[tuple[int, ...], ...]:
+        return _hnf([col[::-1] for col in zip(*self.F)] + [(1,) * self._mu.g])
+
+    def hnf_gamma(self, gamma: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        """Hermite form of F_gamma (ValueError unless gamma divides F's columns);
+        F_1 = F shares F's form."""
+        if all(gam == 1 for gam in gamma):
+            return self.hnf
+        if gamma not in self._hnf_gamma:
+            self._hnf_gamma[gamma] = _hnf(zip(*self._mu.F(gamma)))
+        return self._hnf_gamma[gamma]
 
 
 def action_variable(p: PeriodicState) -> ActionVariable:
@@ -264,8 +319,14 @@ def _orbit_candidates(J: AngleVariable):
 
 
 def _slide_shift(I: tuple[int, ...], r) -> list[int]:
-    """2 M r, (2 M r)_i = 2 sum_k min(i, i_k) r_k: the additive part of sigma^r."""
-    return [2 * sum(min(i, k) * rk for k, rk in zip(I, r)) for i in I]
+    """2 M r, (2 M r)_i = 2 sum_k min(i, i_k) r_k: the additive part of sigma^r.
+    With I ascending that is 2 (sum_{i_k < i} i_k r_k + i sum_{i_k >= i} r_k)."""
+    out, low, tail = [], 0, sum(r)
+    for i, rk in zip(I, r):
+        out.append(2 * (low + i * tail))
+        low += i * rk
+        tail -= rk
+    return out
 
 
 def canonicalize(J: AngleVariable) -> AngleVariable:
@@ -279,7 +340,7 @@ def canonicalize(J: AngleVariable) -> AngleVariable:
     candidates still tied for the minimum.
     """
     mu = J.mu
-    H = column_hnf(list(zip(*mu.F())))
+    H = mu._lattice.hnf
     # tail[k]: the largest T_k; tied: (T_k, rows >= k of the partially reduced b)
     tail = list(accumulate((m - 1 for m in reversed(mu.mults)), initial=0))[::-1]
     tied = [(T, (0,) * mu.g) for T in range(tail[0] + 1)]
@@ -306,7 +367,9 @@ def canonicalize(J: AngleVariable) -> AngleVariable:
 def _rotations(wa: tuple[int, ...], wb: tuple[int, ...], p: int) -> list[int]:
     """Every r in [0, m) such that window wa rotated by r has the cyclic gaps of wb
     (wrap gap w[0] + p - w[-1] last): KMP borders of gaps(wb) + [None] + gaps(wa)
-    doubled."""
+    doubled.  A window of one entry has the one gap p: r = 0 alone."""
+    if len(wa) == 1:
+        return [0]
     a, b = ([y - x for x, y in zip(w, w[1:])] + [w[0] + p - w[-1]] for w in (wa, wb))
     s = b + [None] + a + a[:-1]
     border = [0] * len(s)
@@ -338,8 +401,8 @@ def angle_equal(A: AngleVariable, B: AngleVariable) -> bool:
         wb[0] - wa[ri] - d
         for wa, wb, ri, d in zip(A.windows, B.windows, r, _slide_shift(mu.I, r))
     ]
-    F_gamma = mu.F(tuple(map(len, matches)))  # gamma_i = len(matches[i])
-    return not any(reduce_mod_lattice(v, list(zip(*F_gamma))))
+    gamma = tuple(map(len, matches))  # gamma_i = len(matches[i])
+    return not any(reduce_mod_hnf(v, mu._lattice.hnf_gamma(gamma)))
 
 
 def direct_scattering(p: PeriodicState) -> AngleVariable:
@@ -366,17 +429,16 @@ def inverse_scattering(J: AngleVariable) -> PeriodicState:
     mu = J.mu
     L = mu.L
     I = mu.I
-    F = mu.F()
-    elim = gauss_jordan(F)
+    det, adj = mu._lattice.elimination
     # coordinates from the largest part size down: its window is the narrowest
-    H = column_hnf([col[::-1] for col in zip(*F)] + [[1] * len(I)])
+    H = mu._lattice.hnf_lambda
     for rotated in _orbit_candidates(J):
         lo = [-w[0] for w in reversed(rotated)]
         hi = [p - w[-1] for p, w in zip(reversed(mu.vacancies), reversed(rotated))]
         for u in lattice_points_in_box(H, lo, hi):
             u = u[::-1]
             # F s = u + e 1 with s integral: e = -L (adj F u)_0 / det F mod L
-            e = -L * sum(x * y for x, y in zip(elim.adj[0], u)) // elim.det % L if I else 0
+            e = -L * sum(x * y for x, y in zip(adj[0], u)) // det % L if I else 0
             rc = RiggedConfiguration.make(
                 L, 1, [[(i, x + ui) for i, w, ui in zip(I, rotated, u) for x in w]]
             )
@@ -425,14 +487,14 @@ def fundamental_period(p: PeriodicState, l: int | None) -> int:
     det F_j != 0 (F_j: column j replaced by h_l, so det F_j = (adj F h_l)_j);
     1 when there is no such j (the vacuum, or T_0)."""
     J = _scatter(p)
-    h, elim = J.mu.h(l), gauss_jordan(J.mu.F())
-    dets = (sum(x * y for x, y in zip(row, h)) for row in elim.adj)
-    return lcm_of_fractions(Fraction(elim.det, gam * d) for gam, d in zip(_symmetry(J), dets) if d)
+    h, (det, adj) = J.mu.h(l), J.mu._lattice.elimination
+    dets = (sum(x * y for x, y in zip(row, h)) for row in adj)
+    return lcm_of_fractions(Fraction(det, gam * d) for gam, d in zip(_symmetry(J), dets) if d)
 
 
 def isolevel_cardinality(mu: ActionVariable) -> int:
     """|P_L(mu)| by the determinant form; ValueError unless the product form agrees."""
-    a = Fraction(det_int(mu.F()))
+    a = Fraction(mu._lattice.elimination[0])
     for m, p in zip(mu.mults, mu.vacancies):
         a *= Fraction(comb(p + m - 1, m - 1), m)
     # second closed form: L/p_{i_g} prod binom(p_i + m_i - 1, m_i), regularized

@@ -36,8 +36,15 @@ def test_kkr_sweep_prints_timings_exponents_and_roundtrip():
     assert pbbs["genera"] == [3, 8, 14] and pbbs["rotations"] == [216, 6561, 16384]
     assert pbbs["repeats"] == 3 and len(pbbs["L"]) == 3
     assert len(pbbs["canonicalize_s"]) == len(pbbs["angle_equal_s"]) == 3
-    assert {"canonicalize_growth_exp", "angle_equal_growth_exp"} <= set(pbbs)
-    assert pbbs["oracle"] is True
+    assert len(pbbs["fundamental_period_s"]) == 3
+    assert pbbs["inverse_scattering_genera"] == [3, 8] and len(pbbs["inverse_scattering_s"]) == 2
+    assert {
+        "canonicalize_growth_exp",
+        "angle_equal_growth_exp",
+        "inverse_scattering_growth_exp",
+        "fundamental_period_growth_exp",
+    } <= set(pbbs)
+    assert pbbs["oracle"] is True and pbbs["roundtrip"] is True
     toda = doc["troptoda"]
     assert toda["sizes"] == [100, 200, 400] and toda["repeats"] == 3
     assert len(toda["conserved_all_s"]) == len(toda["evolve_toda_s"]) == 3

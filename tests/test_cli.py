@@ -359,6 +359,15 @@ def test_bad_capacity_is_usage_error(capsys):
     assert "--l" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("l_max", ["0", "-2"])
+def test_bad_l_max_is_usage_error(capsys, l_max):
+    # before, analyze period printed {} and exited 0
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "period", "1212111222", "--l-max", l_max])
+    assert exc.value.code == 2
+    assert "--l-max" in capsys.readouterr().err
+
+
 def test_empty_partition_exit_code(capsys):
     code, out, err = run(capsys, "analyze", "count", "--L", "6", "--mu", ",")
     assert code == 3 and out == ""
@@ -380,6 +389,11 @@ def test_empty_partition_exit_code(capsys):
         (("kkr", '{"L":3,"n":1,"strings":{"2":[]}}', "--inverse"), "colors 1..1"),
         (("kkr", '{"L":3,"n":1,"strings":{"1":[[1]]}}', "--inverse"), "integer pairs"),
         (("kkr", "{", "--inverse"), ""),
+        # before, an empty field was dropped: mu = (3, 1) and C = (0, 3, 8)
+        (("analyze", "count", "--L", "10", "--mu", "3,,1"), "empty field"),
+        (("analyze", "decompose", "--L", "10", "--mu", "2,1,"), "empty field"),
+        (("toda", "solve", "--C", "0,,3,8", "--z0", "9"), "empty field"),
+        (("toda", "solve", "--C", "0,3,8", "--z0", ",9"), "empty field"),
     ],
 )
 def test_bad_input_exit_code(capsys, argv, message):

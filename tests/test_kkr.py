@@ -250,6 +250,15 @@ def test_solve_ivp_rejects_negative_capacity():
             solve_ivp("1122", -1, t)
 
 
+def test_phi_of_trailing_ones_only_lengthens_the_path():
+    # solve_ivp pads by raising L: phi(w 1^k) is phi(w) with L + k
+    for rank, L in ((1, 8), (2, 7), (3, 6)):
+        for word in highest_paths(L, rank):
+            rc = kkr_phi(word, rank)
+            for k in (0, 1, 5):
+                assert kkr_phi(word + "1" * k, rank) == RC(rc.L + k, rank, rc.strings)
+
+
 def test_solve_ivp_random_states():
     rng = random.Random(35)
     pool = [w for w in highest_paths(8, 2)]

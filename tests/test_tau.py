@@ -69,11 +69,11 @@ def test_subset_cap(monkeypatch):
     import boxball.tau as tau_mod
 
     tau_mod._tables.clear()
-    # the cap bounds the count vectors visited: 2^4 for 4 distinct lengths
+    # the cap bounds the DP cells, prod(N_b + 1) x #classes: 5 x 4 = 20 > 2^3 for 4 distinct lengths
     s = StringSet(1, 20, tuple((1, l, 0) for l in range(1, 5)))
     with pytest.raises(ValueError):
         tau(s, 0, 1)
-    # 4 strings of one class visit only 5 count vectors, under 2^3
+    # 4 strings of one class need only 5 x 1 = 5 DP cells, under 2^3
     s = StringSet(1, 8, tuple((1, 1, 0) for _ in range(4)))
     assert tau(s, 0, 1) == 0
     tau_mod._tables.clear()
@@ -195,7 +195,7 @@ def test_string_set_rejects_bad_rank_and_length(rank, L, message):
 
 
 def test_tau_beyond_the_count_vector_cap(capsys, monkeypatch):
-    # strings of lengths 1..24: 2^24 count vectors, but only 25 DP states of K_1
+    # strings of lengths 1..24: 2^24 subsets, but only 25 x 24 = 600 DP cells, under 2^20
     monkeypatch.delenv("BOXBALL_SUBSET_CAP", raising=False)
     word = "".join("1" * k + "2" * k for k in range(1, 25))
     s = _S(word, 1)
