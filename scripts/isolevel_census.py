@@ -25,14 +25,17 @@ def main():
     ap.add_argument("--mu", required=True, help="partition, e.g. 3,1,1")
     args = ap.parse_args()
 
-    parts = tuple(sorted((int(t) for t in args.mu.split(",")), reverse=True))
-    mu = ActionVariable(args.L, parts)
+    try:
+        parts = tuple(sorted((int(t) for t in args.mu.split(",")), reverse=True))
+        mu = ActionVariable(args.L, parts)
+        states = set(enumerate_isolevel(mu))
+    except ValueError as exc:
+        ap.error(f"--L {args.L} --mu {args.mu}: {exc}")
     print(f"L = {mu.L}, mu = {parts}, |P_L(mu)| = {isolevel_cardinality(mu)}")
     print("predicted decomposition:")
     for gamma, mult, Fg in torus_decomposition(mu):
         print(f"  gamma={gamma}  multiplicity={mult}  torus size={det_int(Fg)}")
 
-    states = set(enumerate_isolevel(mu))
     print(f"enumerated {len(states)} states; grouping into evolution orbits ...")
     lmax = max(parts)
     seen = set()

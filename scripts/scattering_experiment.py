@@ -18,6 +18,12 @@ def main():
     ap.add_argument("--max-amplitude", type=int, default=5)
     ap.add_argument("--max-letter", type=int, default=5)
     args = ap.parse_args()
+    if args.trials < 0:
+        ap.error("--trials must be >= 0")
+    if args.max_amplitude < 2:
+        ap.error("--max-amplitude must be >= 2: the big soliton is longer than the small one")
+    if not 2 <= args.max_letter <= 9:
+        ap.error("--max-letter must be in 2..9: labels are words over the letters 2..9")
 
     rng = random.Random(args.seed)
     bad = 0

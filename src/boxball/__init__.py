@@ -11,7 +11,6 @@ from boxball.crystal import (
     TensorElement,
     RResult,
     comb_R,
-    comb_R_ny,
     energy_H,
     eps_phi,
     kashiwara,
@@ -24,7 +23,6 @@ __all__ = [
     "TensorElement",
     "RResult",
     "comb_R",
-    "comb_R_ny",
     "energy_H",
     "eps_phi",
     "kashiwara",

@@ -1,22 +1,31 @@
 """Birational R over exact positive rationals and its ultradiscretization.
 
-The birational map is the subtraction-free counterpart of the combinatorial R:
-substituting x_i = b^{X_i} for a large base b and keeping leading exponents
-recovers the max-plus formula exactly.  The consistency is enforced in tests
-with the combinatorial R as oracle.
+The birational R is `crystal.semifield_R`, the subtraction-free formula of
+the combinatorial R, read over exact rationals (+, *, /) instead of max-plus
+(max, +, -).  Because the formula has no subtraction, the leading exponent
+of each coordinate at x_i = b^{X_i}, y_i = b^{Y_i}, b -> infinity, is the
+max-plus reading of the same formula on the exponents: that reading is the
+ultradiscretization, exactly, for any integer exponents.  Tests keep the
+large-base evaluation as an independent oracle for it.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 
-from boxball.crystal import RankMismatch
+from boxball.crystal import MAX_PLUS, RankMismatch, semifield_R
 
 
 @dataclass(frozen=True)
 class RationalPoint:
-    """Point of the birational-R phase space: strictly positive rational coordinates."""
+    """Point of the birational-R phase space: strictly positive rational coordinates.
+
+    Coordinates are stored as `Fraction`; ints and Fractions are accepted,
+    floats, bools and other non-rationals raise ValueError.
+    """
 
     rank: int
     coords: tuple[Fraction, ...]
@@ -24,34 +33,21 @@ class RationalPoint:
     def __post_init__(self):
         if len(self.coords) != self.rank + 1:
             raise ValueError("coords must have length rank+1")
+        if any(isinstance(c, bool) or not isinstance(c, Rational) for c in self.coords):
+            raise ValueError(f"coordinates must be ints or Fractions: {self.coords!r}")
         if any(c <= 0 for c in self.coords):
             raise ValueError("coordinates must be positive")
+        object.__setattr__(self, "coords", tuple(Fraction(c) for c in self.coords))
 
     def coord(self, i: int) -> Fraction:
         return self.coords[(i - 1) % (self.rank + 1)]
-
-
-def _P(x: RationalPoint, y: RationalPoint, i: int) -> Fraction:
-    m = x.rank + 1
-    total = Fraction(0)
-    for k in range(1, m + 1):
-        term = Fraction(1)
-        for j in range(k, m + 1):
-            term *= x.coord(i + j)
-        for j in range(1, k + 1):
-            term *= y.coord(i + j)
-        total += term
-    return total
 
 
 def birational_R(x: RationalPoint, y: RationalPoint) -> tuple[RationalPoint, RationalPoint]:
     """R(x,y) = (y~, x~) with x~_i = x_i P_{i-1}/P_i, y~_i = y_i P_i/P_{i-1}."""
     if x.rank != y.rank:
         raise RankMismatch("birational R needs equal ranks")
-    m = x.rank + 1
-    P = [_P(x, y, i) for i in range(m)]
-    xt = tuple(x.coord(i) * P[(i - 1) % m] / P[i % m] for i in range(1, m + 1))
-    yt = tuple(y.coord(i) * P[i % m] / P[(i - 1) % m] for i in range(1, m + 1))
+    yt, xt, _ = semifield_R(x.coords, y.coords, operator.add, operator.mul, Fraction)
     return RationalPoint(x.rank, yt), RationalPoint(x.rank, xt)
 
 
@@ -76,52 +72,17 @@ def check_toda_relations(
     return px == 1 and py == 1
 
 
-class AmbiguousLeadingOrder(ArithmeticError):
-    pass
-
-
-def _leading_exponent(r: Fraction, log2_base: int) -> int:
-    """Nearest-integer exponent e with r ~ base^e, base = 2^log2_base.
-
-    The leading coefficient of any R-image entry is bounded well inside
-    (base^{-1/2}, base^{1/2}) once the base is large, so rounding is safe;
-    an AmbiguousLeadingOrder is raised when the coefficient is too close to
-    the rounding boundary and the caller retries with a larger base.
-    """
-    # floor(log2 r) from bit lengths, exact
-    num, den = r.numerator, r.denominator
-    lb = num.bit_length() - den.bit_length()
-    if (num >> lb if lb >= 0 else num << -lb) < den:
-        lb -= 1
-    # e = round(lb / log2_base); ambiguity when within 2 bits of a half point
-    q, rem = divmod(2 * lb + log2_base, 2 * log2_base)
-    if min(rem, 2 * log2_base - rem) <= 4:
-        raise AmbiguousLeadingOrder(f"leading order of {r} unclear at base 2^{log2_base}")
-    return q
-
-
 def ultradiscretize_R(
-    X: tuple[int, ...], Y: tuple[int, ...], rank: int | None = None
+    X: tuple[int, ...], Y: tuple[int, ...]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Leading exponents of the birational R on x_i = b^{X_i}, y_i = b^{Y_i}.
+    """Leading exponents (Y~, X~) of the birational R on x_i = b^{X_i}, y_i = b^{Y_i}.
 
-    Retries with larger bases until the leading order is unambiguous.  When X
-    and Y are letter-count vectors this equals the combinatorial R (max-plus
-    tropicalization).
+    This is the max-plus reading of the R formula on the integer exponents;
+    when X and Y are letter-count vectors it is the combinatorial R.
     """
-    if rank is None:
-        rank = len(X) - 1
     if len(X) != len(Y):
         raise RankMismatch("exponent vectors must have equal length")
-    for log2_base in (10, 20, 40, 80):
-        base = Fraction(2) ** log2_base
-        x = RationalPoint(rank, tuple(base ** e for e in X))
-        y = RationalPoint(rank, tuple(base ** e for e in Y))
-        yt, xt = birational_R(x, y)
-        try:
-            Yt = tuple(_leading_exponent(c, log2_base) for c in yt.coords)
-            Xt = tuple(_leading_exponent(c, log2_base) for c in xt.coords)
-            return Yt, Xt
-        except AmbiguousLeadingOrder:
-            continue
-    raise AmbiguousLeadingOrder("leading order still ambiguous at base 2^80")
+    if any(isinstance(e, bool) or not isinstance(e, int) for e in (*X, *Y)):
+        raise ValueError(f"exponents must be ints: {X!r}, {Y!r}")
+    Yt, Xt, _ = semifield_R(tuple(X), tuple(Y), *MAX_PLUS)
+    return Yt, Xt

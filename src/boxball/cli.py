@@ -84,10 +84,7 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_scatter(args) -> int:
-    if args.simulate:
-        small, big, delta = bbs.scatter_two_simulated(args.big, args.small)
-    else:
-        small, big, delta = bbs.scatter_two(args.big, args.small)
+    small, big, delta = bbs.scatter_two(args.big, args.small)
     out = {"small_out": small, "big_out": big, "delta": delta}
     print(json.dumps(out))
     return 0
@@ -294,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scatter", help="two-soliton scattering")
     p.add_argument("big")
     p.add_argument("small")
-    p.add_argument("--simulate", action="store_true", help="use the lattice simulation")
     p.set_defaults(fn=cmd_scatter)
 
     p = sub.add_parser("kkr", help="KKR bijection")

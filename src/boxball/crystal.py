@@ -6,16 +6,20 @@ the one-row tableau word is only an I/O presentation.  All letter indices are
 cyclic mod n+1, with color 0 acting between letters n+1 and 1.  The crystal 0
 is represented by None throughout.
 
-Two independent implementations of the combinatorial R are provided: the
-piecewise-linear max-plus formula and the winding/unwinding pairing algorithm.
-They agree on all inputs (tested), and the pairing algorithm also yields the
-energy as the number of winding pairs.
+The combinatorial R and the birational R (`boxball.birational`) are one
+subtraction-free formula, `semifield_R`, read over two semifields: `comb_R`
+and `energy_H` read it in max-plus (max, +, -), `birational_R` over exact
+rationals (+, *, /).  `comb_R_ny`, the winding/unwinding pairing algorithm,
+is kept as the independent oracle that tests and `selftest` compare with;
+it also yields the energy as the number of winding pairs.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
+from functools import reduce
 
 
 class RankMismatch(ValueError):
@@ -198,37 +202,41 @@ class RResult:
     energy: int
 
 
-def _P(x: CrystalElement, y: CrystalElement, i: int) -> int:
-    m = x.rank + 1
-    return max(
-        sum(x.count(i + j) for j in range(k, m + 1)) + sum(y.count(i + j) for j in range(1, k + 1))
-        for k in range(1, m + 1)
-    )
+MAX_PLUS = (max, operator.add, operator.sub)
+
+
+def semifield_R(x: tuple, y: tuple, add, mul, div) -> tuple[tuple, tuple, list]:
+    """The R formula on coordinate vectors x, y over the semifield (add, mul, div).
+
+    P_i = sum_{k=1..m} prod_{j=k..m} x_{i+j} prod_{j=1..k} y_{i+j} (indices
+    cyclic mod m = len(x)), x~_i = x_i P_{i-1} / P_i, y~_i = y_i P_i / P_{i-1};
+    returns (y~, x~, [P_0, ..., P_{m-1}]).
+    """
+    m = len(x)
+    P = []
+    for i in range(m):
+        xs, ys = x[i:] + x[:i], y[i:] + y[:i]  # x_{i+1}, ..., x_{i+m}
+        P.append(reduce(add, (reduce(mul, xs[k:] + ys[: k + 1]) for k in range(m))))
+    xt = tuple(div(mul(x[i], P[i]), P[(i + 1) % m]) for i in range(m))
+    yt = tuple(div(mul(y[i], P[(i + 1) % m]), P[i]) for i in range(m))
+    return yt, xt, P
 
 
 def comb_R(x: CrystalElement, y: CrystalElement) -> RResult:
-    """Combinatorial R by the piecewise-linear (max-plus) formula."""
+    """Combinatorial R: the R formula read in max-plus on the letter counts."""
     if x.rank != y.rank:
         raise RankMismatch("R needs equal ranks")
-    m = x.rank + 1
-    P = [_P(x, y, i) for i in range(m)]  # P[i] for i = 0..n, cyclic
-    xt, yt = [], []
-    for i in range(1, m + 1):
-        pi, pim1 = P[i % m], P[(i - 1) % m]
-        xt.append(x.count(i) - pi + pim1)
-        yt.append(y.count(i) + pi - pim1)
+    yt, xt, P = semifield_R(x.counts, y.counts, *MAX_PLUS)
     return RResult(
-        left_out=CrystalElement(x.rank, tuple(yt)),
-        right_out=CrystalElement(x.rank, tuple(xt)),
+        left_out=CrystalElement(x.rank, yt),
+        right_out=CrystalElement(x.rank, xt),
         energy=P[0] - max(x.capacity, y.capacity),
     )
 
 
 def energy_H(x: CrystalElement, y: CrystalElement) -> int:
     """Energy of x (x) y: P_0(x,y) - max(l,l')."""
-    if x.rank != y.rank:
-        raise RankMismatch("H needs equal ranks")
-    return _P(x, y, 0) - max(x.capacity, y.capacity)
+    return comb_R(x, y).energy
 
 
 def _dots(x: CrystalElement) -> list[int]:
@@ -242,7 +250,7 @@ def _dots(x: CrystalElement) -> list[int]:
 def comb_R_ny(
     x: CrystalElement, y: CrystalElement, rng: random.Random | None = None
 ) -> RResult:
-    """Combinatorial R by the winding/unwinding pairing algorithm.
+    """Combinatorial R by the winding/unwinding pairing algorithm (test oracle).
 
     Dots of the larger-capacity pile are matched from the smaller one; the
     energy is the number of winding (wrap-around) pairs.  The pairing is

@@ -2,15 +2,63 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import pytest
+
 from boxball.birational import (
     RationalPoint,
     birational_R,
     check_toda_relations,
     ultradiscretize_R,
 )
-from boxball.crystal import CrystalElement, comb_R
+from boxball.crystal import CrystalElement, RankMismatch, comb_R, comb_R_ny
 
 F = Fraction
+
+
+# --- oracle: ultradiscretization by evaluation at a large base --------------
+# Independent of the max-plus reading of the R formula: evaluate the exact
+# birational R at x_i = b^{X_i}, y_i = b^{Y_i} and round each coordinate's
+# base-b logarithm, retrying with a larger base while the rounding is unclear.
+
+
+class AmbiguousLeadingOrder(ArithmeticError):
+    pass
+
+
+def _leading_exponent(r: Fraction, log2_base: int) -> int:
+    """Nearest-integer exponent e with r ~ base^e, base = 2^log2_base.
+
+    The leading coefficient of any R-image entry is bounded well inside
+    (base^{-1/2}, base^{1/2}) once the base is large, so rounding is safe;
+    an AmbiguousLeadingOrder is raised when the coefficient is too close to
+    the rounding boundary and the caller retries with a larger base.
+    """
+    # floor(log2 r) from bit lengths, exact
+    num, den = r.numerator, r.denominator
+    lb = num.bit_length() - den.bit_length()
+    if (num >> lb if lb >= 0 else num << -lb) < den:
+        lb -= 1
+    # e = round(lb / log2_base); ambiguity when within 2 bits of a half point
+    q, rem = divmod(2 * lb + log2_base, 2 * log2_base)
+    if min(rem, 2 * log2_base - rem) <= 4:
+        raise AmbiguousLeadingOrder(f"leading order of {r} unclear at base 2^{log2_base}")
+    return q
+
+
+def _ultradiscretize_by_large_base(X, Y):
+    rank = len(X) - 1
+    for log2_base in (10, 20, 40, 80):
+        base = Fraction(2) ** log2_base
+        x = RationalPoint(rank, tuple(base ** e for e in X))
+        y = RationalPoint(rank, tuple(base ** e for e in Y))
+        yt, xt = birational_R(x, y)
+        try:
+            Yt = tuple(_leading_exponent(c, log2_base) for c in yt.coords)
+            Xt = tuple(_leading_exponent(c, log2_base) for c in xt.coords)
+            return Yt, Xt
+        except AmbiguousLeadingOrder:
+            continue
+    raise AmbiguousLeadingOrder("leading order still ambiguous at base 2^80")
 
 
 def _rand_point(rng, rank, num_max=12):
@@ -110,7 +158,45 @@ def test_ultradiscretization_matches_comb_R_exhaustive():
                 for yc in _compositions(lp, rank + 1):
                     x = CrystalElement(rank, xc)
                     y = CrystalElement(rank, yc)
-                    out = comb_R(x, y)
-                    Yt, Xt = ultradiscretize_R(xc, yc)
-                    assert Yt == out.left_out.counts
-                    assert Xt == out.right_out.counts
+                    want = _ultradiscretize_by_large_base(xc, yc)
+                    for out in (comb_R(x, y), comb_R_ny(x, y)):
+                        assert (out.left_out.counts, out.right_out.counts) == want
+                    assert ultradiscretize_R(xc, yc) == want
+
+
+def test_ultradiscretization_matches_large_base_on_random_exponents():
+    # integer exponents of either sign, not only letter counts
+    rng = random.Random(1616)
+    for _ in range(1000):
+        rank = rng.randint(1, 4)
+        X = tuple(rng.randint(-30, 30) for _ in range(rank + 1))
+        Y = tuple(rng.randint(-30, 30) for _ in range(rank + 1))
+        assert ultradiscretize_R(X, Y) == _ultradiscretize_by_large_base(X, Y)
+
+
+def test_ultradiscretization_rejects_non_int_exponents():
+    for X, Y in (((0.5, 1), (0, 0)), ((True, 1), (0, 0)), ((0, 1), (0, F(1))), ((0, 1), (0, "1"))):
+        with pytest.raises(ValueError):
+            ultradiscretize_R(X, Y)
+    with pytest.raises(RankMismatch):
+        ultradiscretize_R((0, 1), (0, 1, 2))
+
+
+def test_rational_point_rejects_floats_bools_and_non_rationals():
+    for bad in ((0.1, 0.2), (True, 2), (1, "2"), (1, None), (1, 1j)):
+        with pytest.raises(ValueError):
+            RationalPoint(1, bad)
+
+
+def test_rational_point_stores_fractions_equal_to_int_input():
+    p = RationalPoint(1, (1, 2))
+    assert all(type(c) is Fraction for c in p.coords)
+    q = RationalPoint(1, (F(1), F(2)))
+    assert p == q and hash(p) == hash(q) and p.coords == (1, 2)
+
+
+def test_int_coordinates_give_fraction_outputs():
+    yt, xt = birational_R(RationalPoint(1, (1, 2)), RationalPoint(1, (3, 1)))
+    assert yt.coords == (F(5, 4), F(12, 5)) and xt.coords == (F(12, 5), F(5, 6))
+    for p in (yt, xt):
+        assert all(type(c) is Fraction for c in p.coords)
