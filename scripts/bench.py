@@ -20,7 +20,7 @@ cells and with seeded random windows, and pbbs.fundamental_period
 (l = infinity) on the state p with angle variable J.  It times
 pbbs.inverse_scattering on the canonical form, where its loop over window
 rotations runs longest, up to INVERSE_MAX_GENUS only.  Every timed call gets
-a fresh, equal action variable and an empty scattering memo, so it pays for
+a fresh, equal action variable or periodic state, so it pays for
 the lattice data it reads (F, its elimination, its Hermite forms) and for
 its scattering pass.  It fits t ~ g^k, checks the round trip
 angle_equal(direct_scattering(p), J) at every g and that the canonical form
@@ -54,7 +54,7 @@ from boxball.kkr import kkr_phi, kkr_phi_inv, solve_ivp
 from boxball.pbbs import (
     ActionVariable,
     AngleVariable,
-    _scatter,
+    PeriodicState,
     angle_equal,
     canonicalize,
     direct_scattering,
@@ -62,7 +62,7 @@ from boxball.pbbs import (
     inverse_scattering,
 )
 from boxball.tau import StringSet, _TauTable
-from boxball.theta import _cache as theta_cache
+from boxball.theta import _theta_num
 from boxball.troptoda import TodaState, _theta_sites, conserved_all, evolve_toda, theta_state
 
 RANK = 2
@@ -195,8 +195,8 @@ def fresh(J: AngleVariable) -> AngleVariable:
 
 
 def cold_period(p, l):
-    _scatter.cache_clear()
-    return fundamental_period(p, l)
+    """fundamental_period on a fresh state equal to p: it scatters anew."""
+    return fundamental_period(PeriodicState(p.cells), l)
 
 
 def pbbs_sweep() -> dict:
@@ -260,7 +260,7 @@ def toda_sweep() -> dict:
 
     def trajectory():
         _theta_sites.cache_clear()
-        theta_cache.clear()
+        _theta_num.cache_clear()
         return [theta_state(Z0, C, t) for t in range(TODA_STEPS + 1)]
 
     t_theta, states = median_time(trajectory)

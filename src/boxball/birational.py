@@ -31,6 +31,8 @@ class RationalPoint:
     coords: tuple[Fraction, ...]
 
     def __post_init__(self):
+        if self.rank < 1:
+            raise ValueError("rank must be >= 1")
         if len(self.coords) != self.rank + 1:
             raise ValueError("coords must have length rank+1")
         if any(isinstance(c, bool) or not isinstance(c, Rational) for c in self.coords):
@@ -82,6 +84,8 @@ def ultradiscretize_R(
     """
     if len(X) != len(Y):
         raise RankMismatch("exponent vectors must have equal length")
+    if len(X) < 2:
+        raise ValueError("exponent vectors need length rank + 1 >= 2")
     if any(isinstance(e, bool) or not isinstance(e, int) for e in (*X, *Y)):
         raise ValueError(f"exponents must be ints: {X!r}, {Y!r}")
     Yt, Xt, _ = semifield_R(tuple(X), tuple(Y), *MAX_PLUS)

@@ -305,23 +305,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_tau)
 
     p = sub.add_parser("analyze", help="periodic box-ball analysis")
-    p.add_argument("what", choices=("action", "angle", "period", "decompose", "count"))
-    p.add_argument("state", nargs="?", help="periodic state (action/angle/period)")
-    p.add_argument("--L", type=int, help="system size (decompose/count)")
-    p.add_argument("--mu", help="partition, e.g. 3,2,1 (decompose/count)")
-    p.add_argument("--l-max", type=_parse_l_max, default=3)
-    p.add_argument("--format", choices=("text", "json"), default="json")
     p.set_defaults(fn=cmd_analyze)
+    leaf = p.add_subparsers(dest="what", required=True).add_parser
+    for what in ("action", "angle"):
+        leaf(what).add_argument("state", help="periodic state")
+    q = leaf("period")
+    q.add_argument("state", help="periodic state")
+    q.add_argument("--l-max", type=_parse_l_max, default=3)
+    decompose, count = leaf("decompose"), leaf("count")
+    for q in (decompose, count):
+        q.add_argument("--L", type=int, required=True, help="system size")
+        q.add_argument("--mu", required=True, help="partition, e.g. 3,2,1")
+    decompose.add_argument("--format", choices=("text", "json"), default="json")
 
     p = sub.add_parser("toda", help="tropical periodic Toda lattice")
-    p.add_argument("what", choices=("evolve", "spectral", "solve", "embed"))
-    p.add_argument("data", nargs="?", help="flat Q,W vector / C vector / state")
-    p.add_argument("--C", help="conserved values C_1..C_{N+1} (solve)")
-    p.add_argument("--z0", help="initial theta argument (solve)")
-    p.add_argument("--steps", type=_parse_steps, default=5)
-    p.add_argument("--leftmost", type=int, default=0, help="distinguished box (embed)")
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_toda)
+    leaf = p.add_subparsers(dest="what", required=True).add_parser
+    evolve = leaf("evolve")
+    evolve.add_argument("data", help="flat Q,W vector")
+    leaf("spectral").add_argument("data", help="conserved values C_1..C_{N+1}")
+    solve = leaf("solve")
+    solve.add_argument("--C", required=True, help="conserved values C_1..C_{N+1}")
+    solve.add_argument("--z0", required=True, help="initial theta argument")
+    for q in (evolve, solve):
+        q.add_argument("--steps", type=_parse_steps, default=5)
+        q.add_argument("--format", choices=("text", "json"), default="text")
+    q = leaf("embed")
+    q.add_argument("state", help="periodic box-ball state")
+    q.add_argument("--leftmost", type=int, default=0, help="distinguished box")
 
     p = sub.add_parser("selftest", help="run built-in fixture checks")
     p.set_defaults(fn=cmd_selftest)
@@ -331,18 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.command == "analyze":
-        if args.what in ("action", "angle", "period") and not args.state:
-            ap.error(f"analyze {args.what} needs a state")
-        if args.what in ("decompose", "count") and (args.L is None or not args.mu):
-            ap.error(f"analyze {args.what} needs --L and --mu")
-    if args.command == "toda":
-        if args.what == "solve" and (not args.C or not args.z0):
-            ap.error("toda solve needs --C and --z0")
-        if args.what in ("evolve", "spectral", "embed") and not args.data:
-            ap.error(f"toda {args.what} needs a data argument")
-        if args.what == "embed":
-            args.state = args.data
     try:
         return args.fn(args)
     except (ValueError, ArithmeticError) as exc:

@@ -9,7 +9,8 @@ the vacant carrier's pass yields the periodic fixed point, a second pass from
 it produces the evolved state and the energy.
 
 One scattering pass (_scatter: a highest rotation, then the KKR map) gives
-the action variable, the raw angle variable and the internal symmetries.
+the action variable, the raw angle variable and the internal symmetries; a
+PeriodicState makes it once, on first use, and keeps it.
 Angle variables live on quasi-periodic extensions of riggings modulo the
 slide group (Kuniba-Takagi-Takenouchi, Nucl. Phys. B 747 (2006)); with
 I = {i_1 < ... < i_g} and multiplicities m_i, a slide on color k rotates that
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate, combinations, product
 from math import comb, gcd
 
@@ -102,6 +103,10 @@ class PeriodicState:
 
     def word(self) -> str:
         return "".join(str(c) for c in self.cells)
+
+    @cached_property
+    def _scattered(self) -> "AngleVariable":
+        return _scatter(self)
 
 
 def evolve_periodic(p: PeriodicState, l: int | None = None) -> tuple[PeriodicState, int]:
@@ -228,7 +233,7 @@ class _Lattice:
 
 def action_variable(p: PeriodicState) -> ActionVariable:
     """Conserved soliton-amplitude partition, via any highest cyclic rotation."""
-    return _scatter(p).mu
+    return p._scattered.mu
 
 
 def _some_highest_rotation(p: PeriodicState) -> tuple[int, PeriodicState]:
@@ -283,12 +288,11 @@ class AngleVariable:
         return AngleVariable(self.mu, tuple(tuple(x + d for x in w) for w in self.windows))
 
 
-@lru_cache(maxsize=1)
 def _scatter(p: PeriodicState) -> AngleVariable:
     """The one scattering pass: KKR of the first highest rotation p_+ = T_1^{-d}(p),
     whose color-1 riggings, grouped by length, sorted and shifted by d, form
-    the (uncanonicalized) angle variable of p.  Memoized on the last state, so
-    direct_scattering then fundamental_period of one state scatter once."""
+    the (uncanonicalized) angle variable of p.  Read through p._scattered, so
+    each state scatters once for all of its action, angle, symmetry and periods."""
     d, p_plus = _some_highest_rotation(p)
     rc = kkr_phi(p_plus.word(), rank=1)
     mu = ActionVariable(p.L, rc.mu(1))
@@ -407,7 +411,7 @@ def angle_equal(A: AngleVariable, B: AngleVariable) -> bool:
 
 def direct_scattering(p: PeriodicState) -> AngleVariable:
     """Phi: angle variable of p, canonical; independent of the rotation used."""
-    return canonicalize(_scatter(p))
+    return canonicalize(p._scattered)
 
 
 def evolve_angle(J: AngleVariable, l: int | None, steps: int = 1) -> AngleVariable:
@@ -473,7 +477,7 @@ def periodic_theta_state(Jvec, mu: ActionVariable) -> PeriodicState:
 def internal_symmetry(p: PeriodicState) -> tuple[int, ...]:
     """Per part size i: the largest divisor gamma of gcd(m_i, p_i) with
     J_{i, a + m_i/gamma} = J_{i, a} + p_i/gamma on the extended rigging."""
-    return _symmetry(_scatter(p))
+    return _symmetry(p._scattered)
 
 
 def _symmetry(J: AngleVariable) -> tuple[int, ...]:
@@ -486,7 +490,7 @@ def fundamental_period(p: PeriodicState, l: int | None) -> int:
     """Smallest N with T_l^N(p) = p: the lcm of det F / (gamma_j det F_j) over
     det F_j != 0 (F_j: column j replaced by h_l, so det F_j = (adj F h_l)_j);
     1 when there is no such j (the vacuum, or T_0)."""
-    J = _scatter(p)
+    J = p._scattered
     h, (det, adj) = J.mu.h(l), J.mu._lattice.elimination
     dets = (sum(x * y for x, y in zip(row, h)) for row in adj)
     return lcm_of_fractions(Fraction(det, gam * d) for gam, d in zip(_symmetry(J), dets) if d)

@@ -6,7 +6,8 @@ depends on T only through its string count per (color, length) class and its
 rigging sum, least on each class's smallest riggings; a dynamic program over
 the counts chosen per color (prod(N_b + 1) states, N_b strings of color b; its
 cells capped at 2^BOXBALL_SUBSET_CAP) minimizes exactly and builds the
-whole table of tau_{k,a}, which every query and path reconstruction then reads.
+whole table of tau_{k,a} once per StringSet (a cached property), which every
+query, path reconstruction and Hirota-Miwa check then reads.
 
 Also here: the corner ball-count rho of an evolution profile, the path
 reconstruction from second differences of tau, and the ultradiscrete
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, combinations
 from math import prod
 
@@ -59,6 +61,10 @@ class StringSet:
         for a, l, r in self.strings:
             blocks[a - 1].append((l, r))
         return RiggedConfiguration.make(self.L, self.rank, blocks)
+
+    @cached_property
+    def _table(self) -> "_TauTable":
+        return _TauTable(self)
 
 
 def cartan(a: int, b: int) -> int:
@@ -140,25 +146,13 @@ def _column(v: list[int], L: int) -> list[int]:
     return col
 
 
-_tables: dict[tuple, _TauTable] = {}
-
-
-def _table(s: StringSet) -> _TauTable:
-    key = (s.rank, s.L, s.strings)
-    if key not in _tables:
-        if len(_tables) > 256:
-            _tables.clear()
-        _tables[key] = _TauTable(s)
-    return _tables[key]
-
-
 def tau(s: StringSet, k: int, a: int) -> int:
     """tau_{k,a}(S) for 0 <= k <= L and 0 <= a <= n+1 (a=0 via tau_{k,n+1} - k)."""
     if not 0 <= k <= s.L:
         raise ValueError("k out of range")
     if not 0 <= a <= s.rank + 1:
         raise ValueError("color out of range")
-    return _table(s).rows[k][a]
+    return s._table.rows[k][a]
 
 
 def _rows(s: StringSet, L: int | None) -> list[list[int]]:
@@ -166,7 +160,7 @@ def _rows(s: StringSet, L: int | None) -> list[list[int]]:
     L = s.L if L is None else L
     if L > s.L:
         raise ValueError("k out of range")
-    return _table(s).rows[: max(L, 0) + 1]
+    return s._table.rows[: max(L, 0) + 1]
 
 
 def path_from_tau(s: StringSet, L: int | None = None) -> str:
@@ -250,4 +244,4 @@ def check_hirota(s: StringSet, L: int | None = None) -> bool:
 
 def tau_table(s: StringSet) -> list[list[int]]:
     """tau_{k,a} for k = 0..L (rows) and a = 0..n+1 (columns)."""
-    return [list(row) for row in _table(s).rows]
+    return [list(row) for row in s._table.rows]

@@ -15,8 +15,9 @@ Schnorr-Euchner order (nearest the center first), and R shrinks to each
 better point found.
 The work grows with the number of lattice points in the ellipsoid, not with a
 box around it; genus 5 takes milliseconds per call.  One Fraction is made per
-returned value.  The wide brute-force scan and the Fraction LDL^T enumeration
-are the test oracles.
+returned value.  Values (not minimizers) are memoized in one lru_cache keyed
+on integers, so equal period matrices share them.  The wide brute-force scan
+and the Fraction LDL^T enumeration are the test oracles.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 from typing import NamedTuple
 
@@ -33,13 +35,14 @@ from boxball.intmat import gauss_jordan, lcm_int
 class _IntegerForm(NamedTuple):
     """A = s Xi in integers and its intmat.gauss_jordan: det = det A,
     piv the pivot columns, adj = det(A) A^{-1}.  With Delta_k the leading minors,
-    w[i] = M / (Delta_i Delta_{i+1}) for M the lcm of these products."""
+    w[i] = M / (Delta_i Delta_{i+1}) for M the lcm of these products.  All
+    tuples of ints, so a form is a hashable key of the theta memo."""
 
     s: int
     A: tuple[tuple[int, ...], ...]
-    piv: list[list[int]]
+    piv: tuple[tuple[int, ...], ...]
     w: tuple[int, ...]
-    adj: list[list[int]]
+    adj: tuple[tuple[int, ...], ...]
     det: int
 
 
@@ -52,7 +55,8 @@ def _integer_form(rows) -> _IntegerForm:
         raise ValueError("matrix must be positive definite")
     products = [a * b for a, b in zip(e.pivots, e.pivots[1:])]
     M = lcm_int(products)
-    return _IntegerForm(s, A, e.piv, tuple(M // p for p in products), e.adj, e.det)
+    piv, adj = (tuple(map(tuple, m)) for m in (e.piv, e.adj))
+    return _IntegerForm(s, A, piv, tuple(M // p for p in products), adj, e.det)
 
 
 @dataclass(frozen=True)
@@ -177,24 +181,16 @@ def theta_argmin(Z, Xi: PeriodMatrix) -> tuple[Fraction, tuple[int, ...]]:
     return Fraction(num, 2 * Xi._form.s * t), n_star
 
 
-_cache: dict = {}
-
-
-def _theta_num(b: tuple[int, ...], t: int, Xi: PeriodMatrix) -> int:
-    """2 s t Theta(b / (s t); Xi) for any t > 0 (memoized on integers)."""
-    key = (b, t, Xi._form.s, Xi._form.A)
-    hit = _cache.get(key)
-    if hit is None:
-        if len(_cache) > 200_000:
-            _cache.clear()
-        hit = _cache[key] = _argmin_int(b, t, Xi._form)[0]
-    return hit
+@lru_cache(maxsize=200_000)
+def _theta_num(b: tuple[int, ...], t: int, form: _IntegerForm) -> int:
+    """2 s t Theta(b / (s t); Xi) for any t > 0 and form = Xi._form."""
+    return _argmin_int(b, t, form)[0]
 
 
 def theta(Z, Xi: PeriodMatrix) -> Fraction:
     """Tropical Riemann theta Theta(Z; Xi), exactly (memoized)."""
     b, t = _scaled(Z, Xi)
-    return Fraction(_theta_num(b, t, Xi), 2 * Xi._form.s * t)
+    return Fraction(_theta_num(b, t, Xi._form), 2 * Xi._form.s * t)
 
 
 def check_quasi_periodicity(

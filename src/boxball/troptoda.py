@@ -232,7 +232,7 @@ def _theta_sites(Z0: tuple, C: tuple):
     def T(tt: int, nn: int) -> int:
         b = [b0[i] + v[i] * tt for i in range(g)]
         b[0] -= shift * nn
-        return _theta_num(tuple(b), u, Xi)
+        return _theta_num(tuple(b), u, Xi._form)
 
     q_const, w_const = 2 * scaled(C1), 2 * scaled(sd.L + C1)
     den = 2 * su

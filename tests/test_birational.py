@@ -188,6 +188,20 @@ def test_rational_point_rejects_floats_bools_and_non_rationals():
             RationalPoint(1, bad)
 
 
+@pytest.mark.parametrize("rank, coords", [(0, (1,)), (-1, ()), (0, ())])
+def test_rational_point_rejects_rank_below_one(rank, coords):
+    # before, RationalPoint(0, (1,)) and RationalPoint(-1, ()) were accepted
+    with pytest.raises(ValueError, match="rank must be >= 1"):
+        RationalPoint(rank, coords)
+
+
+@pytest.mark.parametrize("X, Y", [((3,), (5,)), ((), ())])
+def test_ultradiscretization_rejects_vectors_shorter_than_two(X, Y):
+    # before, ultradiscretize_R((3,), (5,)) returned ((5,), (3,))
+    with pytest.raises(ValueError, match="length rank \\+ 1 >= 2"):
+        ultradiscretize_R(X, Y)
+
+
 def test_rational_point_stores_fractions_equal_to_int_input():
     p = RationalPoint(1, (1, 2))
     assert all(type(c) is Fraction for c in p.coords)

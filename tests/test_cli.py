@@ -226,6 +226,22 @@ def test_usage_error_exit_code(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, ignored",
+    [
+        (("toda", "spectral", "0,1,4,9", "--format", "text"), "--format text"),
+        (("analyze", "action", "1212111222", "--mu", "3", "--format", "text"), "--mu 3 --format text"),
+        (("toda", "solve", "5,5", "--C", "0,3,8", "--z0", "9", "--leftmost", "4"), "5,5 --leftmost 4"),
+    ],
+)
+def test_option_of_another_leaf_usage_error(capsys, argv, ignored):
+    # before, each of these exited 0 and silently ignored what did not apply
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {ignored}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("toda", "embed", "12x211211"),

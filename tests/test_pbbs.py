@@ -590,7 +590,8 @@ def test_angle_window_spread_beyond_quasi_period_raises():
 
 
 def test_direct_scattering_then_period_scatters_once(monkeypatch):
-    # _scatter keeps the last state's angle variable; another state scatters anew
+    # each state keeps its own angle variable, so interleaving a second state
+    # scatters that one once and the first never again
     calls = []
 
     def counting_phi(*args, **kwargs):
@@ -604,4 +605,27 @@ def test_direct_scattering_then_period_scatters_once(monkeypatch):
     assert len(calls) == 1
     direct_scattering(p.shifted(3))
     assert fundamental_period(p, 2) == 20
-    assert len(calls) == 3
+    assert len(calls) == 2
+
+
+def test_one_scattering_pass_per_state(monkeypatch):
+    # action, angle, internal symmetry and every period of a state read the
+    # angle variable it scattered on first use
+    scattered = []
+    scatter = pbbs._scatter
+
+    def counting(p):
+        scattered.append(p)
+        return scatter(p)
+
+    monkeypatch.setattr(pbbs, "_scatter", counting)
+    p = P("1212111222")
+    assert action_variable(p).parts == (3, 1, 1)
+    J = direct_scattering(p)
+    assert internal_symmetry(p) == (1, 1)
+    assert [fundamental_period(p, l) for l in (1, 2, 3, None)] == [10, 20, 2, 2]
+    assert scattered == [p] and scattered[0] is p
+    # an equal, fresh state scatters once itself, to the same angle variable
+    q = P("1212111222")
+    assert direct_scattering(q) == J and fundamental_period(q, 2) == 20
+    assert len(scattered) == 2 and scattered[1] is q

@@ -74,7 +74,7 @@ def test_one_lattice_context_per_problem(monkeypatch):
         assert len(F_builds) == 1 and len(eliminations) == 1, p
         # F, Lambda and F_gamma when gamma != 1, each once
         assert len(hnf_inputs) == len(set(hnf_inputs)) <= 2 + (gamma != (1,) * len(gamma)), p
-        lattice = pbbs._scatter(p).mu._lattice
+        lattice = p._scattered.mu._lattice
         for matrix in (lattice.F, lattice.elimination[1], lattice.hnf, lattice.hnf_lambda):
             assert type(matrix) is tuple and all(type(row) is tuple for row in matrix)
     assert symmetric >= 2  # the F_gamma form was exercised
@@ -104,11 +104,11 @@ def test_shared_action_variable_matches_fresh_instances(monkeypatch):
             evolve_angle(_fresh(J), l, t)
         )
         for l in (1, 2, 3, None):
-            pbbs._scatter.cache_clear()
-            N = fundamental_period(p, l)
+            # fresh equal states scatter anew: one on its own, one onto the shared mu
+            N = fundamental_period(PeriodicState(p.cells), l)
             with monkeypatch.context() as m:
                 m.setattr(pbbs, "_scatter", lambda q: AngleVariable(mu, raw.windows))
-                assert fundamental_period(p, l) == N
+                assert fundamental_period(PeriodicState(p.cells), l) == N
             for n in [N] + [N // r for r in _prime_factors(N)]:
                 assert angle_equal(evolve_angle(J_shared, l, n), J_shared) == angle_equal(
                     evolve_angle(_fresh(J), l, n), _fresh(J)

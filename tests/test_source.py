@@ -26,6 +26,26 @@ def test_library_holds_no_assert():
     assert not found, found
 
 
+def test_library_holds_no_module_level_container():
+    # a memo lives on the object it describes or in a functools cache, never
+    # in a module-level dict, list or set that outlives every caller
+    containers = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+    found = []
+    for path in sorted(Path(boxball.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                value = node.value
+                if isinstance(value, ast.Call) and isinstance(value.func, ast.Name):
+                    container = value.func.id in ("dict", "list", "set")
+                else:
+                    container = isinstance(value, containers)
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+                if container and names != ["__all__"]:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
 def test_toda_and_theta_hold_no_true_division_or_float():
     # plain ints flow through these modules, where int / int gives a float;
     # exact division goes through Fraction or divmod

@@ -66,9 +66,6 @@ def test_tau_nonnegative():
 
 def test_subset_cap(monkeypatch):
     monkeypatch.setenv("BOXBALL_SUBSET_CAP", "3")
-    import boxball.tau as tau_mod
-
-    tau_mod._tables.clear()
     # the cap bounds the DP cells, prod(N_b + 1) x #classes: 5 x 4 = 20 > 2^3 for 4 distinct lengths
     s = StringSet(1, 20, tuple((1, l, 0) for l in range(1, 5)))
     with pytest.raises(ValueError):
@@ -76,7 +73,29 @@ def test_subset_cap(monkeypatch):
     # 4 strings of one class need only 5 x 1 = 5 DP cells, under 2^3
     s = StringSet(1, 8, tuple((1, 1, 0) for _ in range(4)))
     assert tau(s, 0, 1) == 0
-    tau_mod._tables.clear()
+
+
+def test_one_table_per_string_set(monkeypatch):
+    # tau, tau_table, path_from_tau and check_hirota all read the table that
+    # the string set built on first use; check_hirota adds the evolved set's
+    import boxball.tau as tau_mod
+
+    built = []
+
+    class CountingTable(tau_mod._TauTable):
+        def __init__(self, s):
+            built.append(s)
+            super().__init__(s)
+
+    monkeypatch.setattr(tau_mod, "_TauTable", CountingTable)
+    s = _S("11112221322433")
+    table = tau_table(s)
+    assert [tau(s, k, a) for k in range(s.L + 1) for a in range(s.rank + 2)] == sum(table, [])
+    assert path_from_tau(s) == "11112221322433"
+    assert check_hirota(s)
+    assert built[0] is s and len(built) == 2 and built[1] != s
+    # an equal, fresh string set builds its own table, with the same rows
+    assert tau_table(StringSet(s.rank, s.L, s.strings)) == table and len(built) == 3
 
 
 def test_tau_equals_rho_worked_example():

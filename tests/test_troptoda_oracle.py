@@ -21,7 +21,7 @@ from types import SimpleNamespace
 import pytest
 
 from boxball.theta import PeriodMatrix, theta
-from boxball.theta import _cache as theta_cache
+from boxball.theta import _theta_num
 from boxball.troptoda import (
     TodaState,
     _theta_sites,
@@ -318,7 +318,7 @@ def test_theta_state_matches_fraction_oracle_cold_and_warm():
         cases.append((tuple(F(rng.randint(-20, 20), den) for _ in range(len(Q) - 1)), C))
     for Z0, C in cases:
         _theta_sites.cache_clear()
-        theta_cache.clear()
+        _theta_num.cache_clear()
         cold = [theta_state(Z0, C, t) for t in range(3)]
         warm = [theta_state(Z0, C, t) for t in range(3)]
         assert warm == cold
