@@ -30,7 +30,13 @@ TODA_SIZES it times troptoda.conserved_all and troptoda.evolve_toda on a
 seeded random integral state, checks that the step keeps the conserved
 values, and fits t ~ N^k; it then times one theta_state trajectory of
 TODA_STEPS + 1 states at genus 4 from cold memos and checks it against
-evolve_toda and the conserved values.  For each N in TAU_SIZES it times
+evolve_toda and the conserved values.  For each genus g in THETA_GENERA
+it draws a seeded smooth Toda period matrix Omega (N = g + 1) and THETA_ARGS
+arguments Omega x with every x_i in [-1, 1] of denominator 12, and times
+the cold value path theta._theta_num (memo cleared first) and
+theta.theta_argmin on all of them, each the median of 3 runs divided by the
+argument count (per-call CPU seconds); it checks that the values are equal
+and fits t ~ g^k for both.  For each N in TAU_SIZES it times
 tau._TauTable on the string set of the sl2 highest path 1 2 11 22 ... 1^N 2^N
 (N strings, of lengths 1..N), fits t ~ N^k and, at the smallest N, checks the
 table against the all-subsets oracle of tests/test_tau_oracle.py.
@@ -46,6 +52,7 @@ import random
 import statistics
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 from boxball.bbs import BBSState, evolve
@@ -62,8 +69,8 @@ from boxball.pbbs import (
     inverse_scattering,
 )
 from boxball.tau import StringSet, _TauTable
-from boxball.theta import _theta_num
-from boxball.troptoda import TodaState, _theta_sites, conserved_all, evolve_toda, theta_state
+from boxball.theta import PeriodMatrix, _scaled, _theta_num, theta_argmin
+from boxball.troptoda import TodaState, _theta_sites, conserved_all, evolve_toda, spectral_data, theta_state
 
 RANK = 2
 BALL_FRACTION = 0.45
@@ -77,6 +84,8 @@ PBBS_SIZES = ((3, 6, 200), (8, 3, 500), (14, 2, 900))  # (g, m_i, L)
 INVERSE_MAX_GENUS = 8
 TODA_SIZES = (100, 200, 400)
 TODA_STEPS = 4
+THETA_GENERA = (2, 4, 6, 8)
+THETA_ARGS = 96
 TAU_SIZES = (12, 14, 16, 18, 40)
 # the conserved values of Q = (0, 1, 11, 8, 10), W = (6, 11, 8, 4, 8): genus 4
 TODA_THETA = ((3, -7, 12, 0), (0, 1, 5, 13, 30, 67))  # (Z0, C)
@@ -282,6 +291,48 @@ def toda_sweep() -> dict:
     }
 
 
+def toda_period_matrix(rng: random.Random, g: int) -> PeriodMatrix:
+    """Omega of a random smooth spectral curve of genus g (N = g + 1)."""
+    while True:
+        Q = [rng.randint(0, 9) for _ in range(g + 1)]
+        W = [rng.randint(5, 15) for _ in range(g + 1)]
+        if sum(Q) < sum(W):
+            sd = spectral_data(conserved_all(TodaState.make(Q, W)))
+            if sd.smooth:
+                return PeriodMatrix.from_rows(sd.Omega)
+
+
+def theta_sweep() -> dict:
+    value_s, argmin_s, equal = [], [], True
+    for g in THETA_GENERA:
+        rng = random.Random(f"theta/{g}")
+        Xi = toda_period_matrix(rng, g)
+        xs = [[Fraction(rng.randint(-12, 12), 12) for _ in range(g)] for _ in range(THETA_ARGS)]
+        Zs = [Xi.mul(tuple(x)) for x in xs]
+        keys = [_scaled(Z, Xi) for Z in Zs]
+
+        def cold_values():
+            _theta_num.cache_clear()
+            return [_theta_num(b, t, Xi._form) for b, t in keys]
+
+        t_value, values = median_time(cold_values)
+        t_argmin, pairs = median_time(lambda: [theta_argmin(Z, Xi) for Z in Zs])
+        value_s.append(t_value / THETA_ARGS)
+        argmin_s.append(t_argmin / THETA_ARGS)
+        s = Xi._form.s
+        equal = equal and [Fraction(v, 2 * s * t) for v, (_, t) in zip(values, keys)] == [v for v, _ in pairs]
+    return {
+        "genera": list(THETA_GENERA),
+        "arguments": THETA_ARGS,
+        "repeats": REPEATS,
+        "value_s": value_s,
+        "argmin_s": argmin_s,
+        "value_growth_exp": growth_exponent(THETA_GENERA, value_s),
+        "argmin_growth_exp": growth_exponent(THETA_GENERA, argmin_s),
+        "equal": equal,
+    }
+
+
 def tau_sweep() -> dict:
     sys.path.insert(0, str(ROOT / "tests"))
     from test_tau_oracle import subset_best
@@ -315,6 +366,7 @@ def main(argv=None) -> None:
         "intmat": intmat_sweep(),
         "pbbs": pbbs_sweep(),
         "troptoda": toda_sweep(),
+        "theta": theta_sweep(),
         "tau": tau_sweep(),
         "src_lines": src_lines,
     }

@@ -9,15 +9,18 @@ lcm s of its denominators to an integer matrix A, and the library's one
 fraction-free Gauss-Jordan pass (intmat.gauss_jordan) gives the leading
 minors of A (the positive definiteness check: no row swap, every pivot
 positive), the pivot columns of its LDL^T factorization and its adjugate.
-Per call, Z is scaled to integers b = s t Z; coordinate n_i then ranges over
-an interval found with math.isqrt and floor division, visited in
-Schnorr-Euchner order (nearest the center first), and R shrinks to each
-better point found.
+Per call, Z is scaled to integers b = s t Z; coordinates are fixed from the
+last down, each visited in Schnorr-Euchner zig-zag order from the rounded
+center until its term reaches R, and R shrinks to each better point found.
+The value is read off the final R in O(g).  The value path (theta, and the
+Toda sites through _theta_num) cuts at equality, so it enumerates no tied
+minimizers; only theta_argmin collects the ties and breaks them.
 The work grows with the number of lattice points in the ellipsoid, not with a
 box around it; genus 5 takes milliseconds per call.  One Fraction is made per
 returned value.  Values (not minimizers) are memoized in one lru_cache keyed
-on integers, so equal period matrices share them.  The wide brute-force scan
-and the Fraction LDL^T enumeration are the test oracles.
+on integers, so equal period matrices share them.  Arguments and matrix
+entries are ints or Fractions; floats and bools raise ValueError.  The wide
+brute-force scan and the Fraction LDL^T enumeration are the test oracles.
 """
 
 from __future__ import annotations
@@ -27,23 +30,35 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
+from numbers import Rational
+from operator import mul
 from typing import NamedTuple
 
 from boxball.intmat import gauss_jordan, lcm_int
 
 
 class _IntegerForm(NamedTuple):
-    """A = s Xi in integers and its intmat.gauss_jordan: det = det A,
-    piv the pivot columns, adj = det(A) A^{-1}.  With Delta_k the leading minors,
+    """A = s Xi in integers through its intmat.gauss_jordan: det = det A,
+    piv the pivot columns (cols[j] their entries piv[i][j] above the
+    diagonal, i < j), adj = det(A) A^{-1}.  With Delta_k the leading minors,
     w[i] = M / (Delta_i Delta_{i+1}) for M the lcm of these products.  All
-    tuples of ints, so a form is a hashable key of the theta memo."""
+    ints and tuples of ints, so a form is a hashable key of the theta memo."""
 
     s: int
-    A: tuple[tuple[int, ...], ...]
     piv: tuple[tuple[int, ...], ...]
+    cols: tuple[tuple[int, ...], ...]
     w: tuple[int, ...]
+    M: int
     adj: tuple[tuple[int, ...], ...]
     det: int
+
+
+def _fractions(xs, what: str) -> tuple[Fraction, ...]:
+    """xs as Fractions; floats, bools and other non-rationals raise ValueError."""
+    xs = tuple(xs)
+    if any(isinstance(x, bool) or not isinstance(x, Rational) for x in xs):
+        raise ValueError(f"{what} must be ints or Fractions: {xs!r}")
+    return tuple(map(Fraction, xs))
 
 
 def _integer_form(rows) -> _IntegerForm:
@@ -56,12 +71,14 @@ def _integer_form(rows) -> _IntegerForm:
     products = [a * b for a, b in zip(e.pivots, e.pivots[1:])]
     M = lcm_int(products)
     piv, adj = (tuple(map(tuple, m)) for m in (e.piv, e.adj))
-    return _IntegerForm(s, A, piv, tuple(M // p for p in products), adj, e.det)
+    cols = tuple(tuple(piv[i][j] for i in range(j)) for j in range(len(piv)))
+    return _IntegerForm(s, piv, cols, tuple(M // p for p in products), M, adj, e.det)
 
 
 @dataclass(frozen=True)
 class PeriodMatrix:
-    """Symmetric positive definite rational matrix defining a tropical torus."""
+    """Symmetric positive definite rational matrix defining a tropical torus;
+    entries are ints or Fractions, held as Fractions."""
 
     rows: tuple[tuple[Fraction, ...], ...]
     # built once; building it is the positive definiteness check
@@ -71,6 +88,7 @@ class PeriodMatrix:
         g = len(self.rows)
         if any(len(r) != g for r in self.rows):
             raise ValueError("matrix must be square")
+        object.__setattr__(self, "rows", tuple(_fractions(r, "matrix entries") for r in self.rows))
         if any(self.rows[i][j] != self.rows[j][i] for i in range(g) for j in range(g)):
             raise ValueError("matrix must be symmetric")
         object.__setattr__(self, "_form", _integer_form(self.rows))
@@ -81,7 +99,7 @@ class PeriodMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> "PeriodMatrix":
-        return cls(tuple(tuple(Fraction(x) for x in r) for r in rows))
+        return cls(tuple(map(tuple, rows)))
 
     def mul(self, v: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
         return tuple(sum(r[j] * v[j] for j in range(self.g)) for r in self.rows)
@@ -100,8 +118,10 @@ def _interval(w: int, k: int, r: int, rem: int) -> range:
     return range(-((m + r) // k), (m - r) // k + 1)
 
 
-def _argmin_int(b: tuple[int, ...], t: int, f: _IntegerForm) -> tuple[int, tuple[int, ...]]:
-    """2 s t Theta(Z; Xi) and the minimizer, for Z = b / (s t) and A = s Xi.
+def _argmin_int(
+    b: tuple[int, ...], t: int, f: _IntegerForm, ties: bool = False
+) -> tuple[int, tuple[int, ...]]:
+    """2 s t Theta(Z; Xi) and a minimizer, for Z = b / (s t) and A = s Xi.
 
     n.(Xi n/2 + Z) = (q(n) - c.A c) / (2 s) with q(n) = (n - c).A(n - c) and
     c = -adj(A) b / (det t) = C / den.  With A = L D L^T, q(n) = sum_i D_i y_i^2
@@ -109,59 +129,76 @@ def _argmin_int(b: tuple[int, ...], t: int, f: _IntegerForm) -> tuple[int, tuple
     D_i y_i^2 = u_i^2 / (Delta_i Delta_{i+1} den^2) for the integer
     u_i = sum_{j >= i} piv[i][j] (den n_j - C_j); so M den^2 q(n) = sum_i w[i] u_i^2.
     u_i = k_i n_i + r_i where r_i depends only on n_{i+1..g}, so coordinates
-    are fixed from the last down; a branch is cut as soon as its partial sum
-    exceeds the bound, which starts at its value at n0.  Every minimizer is
-    enumerated.
+    are fixed from the last down, each r_i updated once per level as n_{i+1}
+    is fixed; a branch is cut as soon as its partial sum reaches the bound,
+    which starts at its value at n0 and falls to each better point found.
+    The minimum is read off the final bound: as A c = -b / t,
+    2 s t Theta = (t bound + M den (C.b)) / (M den^2), in O(g).
+
+    The value path (ties false) enumerates no ties: it cuts at equality,
+    and the minimizer returned is the last point found (n0 if none was).
+    With ties true every minimizer is enumerated, and the one returned
+    minimizes (max |n - n0|, n - n0 lexicographically): the tie-break of
+    theta_argmin.
     """
     g = len(b)
     den = f.det * t
-    C = [-sum(x * y for x, y in zip(row, b)) for row in f.adj]
-    n0 = tuple((2 * c + den) // (2 * den) for c in C)
-    n = list(n0)
-    k = [f.piv[i][i] * den for i in range(g)]
-    # r_i = base[i] + sum_{j > i} step[i][j] n_j
-    base = [-sum(f.piv[i][j] * C[j] for j in range(i, g)) for i in range(g)]
-    step = [[p * den for p in row] for row in f.piv]
+    C = [-sum(map(mul, row, b)) for row in f.adj]
+    n0 = [(2 * c + den) // (2 * den) for c in C]
+    n = n0[:]
+    k = [row[i] * den for i, row in enumerate(f.piv)]
+    w, cols = f.w, f.cols
+    # r_i = r0[i] + den sum_{j > i} piv[i][j] n_j, and u_i(n0) = piv[i].e
+    r0 = [-sum(map(mul, row, C)) for row in f.piv]
+    e = [den * x - c for x, c in zip(n0, C)]
+    bound = sum(wi * sum(map(mul, row, e)) ** 2 for wi, row in zip(w, f.piv))
+    # ties prune only past the bound, the value path at it: limit = bound + slack
+    slack = 1 if ties else 0
+    limit, found = bound + slack, []
 
-    def r_at(i: int) -> int:
-        return base[i] + sum(step[i][j] * n[j] for j in range(i + 1, g))
-
-    bound = sum(f.w[i] * (k[i] * n0[i] + r_at(i)) ** 2 for i in range(g))
-    ties: list[tuple[int, ...]] = []
-
-    def descend(i: int, partial: int) -> None:
-        nonlocal bound, ties
-        if i < 0:
-            if partial < bound:
-                bound, ties = partial, []
-            ties.append(tuple(n))
-            return
-        ki, wi, r = k[i], f.w[i], r_at(i)
-        # Schnorr-Euchner order: |k x + r| = k |x - center| never decreases,
-        # so the first x past the (shrinking) bound ends this level
-        for x in sorted(_interval(wi, ki, r, bound - partial), key=lambda x: abs(ki * x + r)):
-            v = partial + wi * (ki * x + r) ** 2
-            if v > bound:
-                break
+    def descend(i: int, partial: int, r: list[int]) -> None:
+        nonlocal bound, limit, found
+        ki, wi, ri = k[i], w[i], r[i]
+        # Schnorr-Euchner zig-zag from x nearest the center -r/k: |k x + r|
+        # never decreases, so the first x reaching the limit ends this level
+        x = (ki - 2 * ri) // (2 * ki)
+        u = ki * x + ri
+        dx = ddx = -1 if u > 0 else 1
+        while True:
+            v = partial + wi * u * u
+            if v >= limit:
+                return
             n[i] = x
-            descend(i - 1, v)
+            if i:
+                xd = x * den
+                descend(i - 1, v, [a + c * xd for a, c in zip(r, cols[i])])
+            else:
+                if v < bound:
+                    bound, limit, found = v, v + slack, []
+                found.append(tuple(n))
+            x += dx
+            u += ki * dx
+            ddx = -ddx
+            dx = ddx - dx
+
+    if g:
+        descend(g - 1, 0, r0)
+    num = (t * bound + f.M * den * sum(map(mul, C, b))) // (f.M * den * den)
+    if num > 0:
+        raise ValueError("theta minimum exceeds the n = 0 value")
+    if not ties:
+        return num, found[-1] if found else tuple(n0)
 
     def shell_order(m):
         d = tuple(a - b for a, b in zip(m, n0))
         return max(map(abs, d), default=0), d
 
-    descend(g - 1, 0)
-    n_star = min(ties, key=shell_order)
-    quad = sum(n_star[i] * sum(a * y for a, y in zip(f.A[i], n_star)) for i in range(g))
-    num = t * quad + 2 * sum(x * y for x, y in zip(n_star, b))
-    if num > 0:
-        raise ValueError("theta minimum exceeds the n = 0 value")
-    return num, n_star
+    return num, min(found, key=shell_order)
 
 
 def _scaled(Z, Xi: PeriodMatrix) -> tuple[tuple[int, ...], int]:
     """(b, t) with Z = b / (s t) in integers, t the lcm of Z's denominators."""
-    Z = tuple(Fraction(z) for z in Z)
+    Z = _fractions(Z, "theta argument entries")
     if len(Z) != Xi.g:
         raise ValueError(f"theta argument must have g = {Xi.g} entries, got {len(Z)}")
     t = lcm_int(z.denominator for z in Z)
@@ -177,7 +214,7 @@ def theta_argmin(Z, Xi: PeriodMatrix) -> tuple[Fraction, tuple[int, ...]]:
     -Xi^{-1} Z: the first a scan of sup-norm shells around n0 meets.
     """
     b, t = _scaled(Z, Xi)
-    num, n_star = _argmin_int(b, t, Xi._form)
+    num, n_star = _argmin_int(b, t, Xi._form, ties=True)
     return Fraction(num, 2 * Xi._form.s * t), n_star
 
 

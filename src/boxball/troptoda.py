@@ -2,9 +2,10 @@
 spectral data, theta-function solution and the periodic box-ball embedding.
 
 States are cyclic vectors (Q_j, W_j) of exact rationals with sum(Q) < sum(W),
-each coordinate held as an int when integral, else as a Fraction (never a
-float), so integral states run on plain int arithmetic; conserved values
-follow the same rule, and spectral data of an integral C are ints.
+each coordinate held as an int when integral, else as a Fraction (a float
+or bool raises ValueError), so integral states run on plain int arithmetic;
+conserved values follow the same rule, and spectral data of an integral C
+are ints.
 One time step is O(N); integer states stay integer under evolution (checked
 where relied on).  The intermediate conserved quantities H_k interpolate the
 displayed H_1, H_2, H_N as minima over k-element subsets avoiding the pairs
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
+from numbers import Rational
 
 from boxball.bbs import toda_pass
 from boxball.intmat import lcm_int
@@ -35,9 +37,12 @@ Exact = int | Fraction  # int when integral, else Fraction
 
 
 def _exact(x) -> Exact:
-    """x as an int when it is integral, else as a Fraction."""
+    """x as an int when it is integral, else as a Fraction; floats, bools
+    and other non-rationals raise ValueError."""
     if type(x) is int:
         return x
+    if isinstance(x, bool) or not isinstance(x, Rational):
+        raise ValueError(f"values must be ints or Fractions, got {x!r}")
     x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
 
@@ -248,19 +253,28 @@ def _theta_sites(Z0: tuple, C: tuple):
     return site
 
 
+def _require_int(name: str, x) -> None:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{name} must be an int, got {x!r}")
+
+
 def theta_solution(Z0, C, t: int, n: int) -> tuple[Exact, Exact]:
     """(Q_n^t, W_n^t) of the theta-function general solution.
 
     T_n^t = Theta(Z0 + velocity*t - L e_1 n) with velocity
-    (lambda_1, lambda_2 - lambda_1, ...); requires a smooth spectral curve and
-    len(Z0) == len(C) - 2 (the genus), else ValueError.
+    (lambda_1, lambda_2 - lambda_1, ...); requires integer t and n (not
+    bools), a smooth spectral curve and len(Z0) == len(C) - 2 (the genus),
+    else ValueError.
     """
+    _require_int("t", t)
+    _require_int("n", n)
     return _theta_sites(tuple(Z0), tuple(C))(t, n)
 
 
 def theta_state(Z0, C, t: int) -> TodaState:
     """Full state at time t from the theta solution (same conditions as
     theta_solution)."""
+    _require_int("t", t)
     site = _theta_sites(tuple(Z0), tuple(C))
     pairs = [site(t, n) for n in range(1, len(C))]
     return TodaState.make([q for q, _ in pairs], [w for _, w in pairs])

@@ -51,6 +51,11 @@ def test_kkr_sweep_prints_timings_exponents_and_roundtrip():
     assert {"conserved_all_growth_exp", "evolve_toda_growth_exp", "theta_trajectory_s"} <= set(toda)
     assert toda["theta_genus"] == 4 and toda["theta_steps"] == 4
     assert toda["invariant"] is True and toda["theta_trajectory"] is True
+    theta = doc["theta"]
+    assert theta["genera"] == [2, 4, 6, 8] and theta["repeats"] == 3 and theta["arguments"] > 0
+    assert len(theta["value_s"]) == len(theta["argmin_s"]) == 4
+    assert {"value_growth_exp", "argmin_growth_exp"} <= set(theta)
+    assert theta["equal"] is True
     tau = doc["tau"]
     assert tau["sizes"] == [12, 14, 16, 18, 40] and tau["repeats"] == 3
     assert len(tau["table_s"]) == 5 and "growth_exp" in tau

@@ -104,6 +104,22 @@ def test_rejects_non_positive_definite():
         PeriodMatrix.from_rows([[1, 0], [1, 1]])
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: theta((0.1, 0.3), PeriodMatrix.from_rows([[7, 2], [2, 7]])),
+        lambda: theta((True, 0), PeriodMatrix.from_rows([[7, 2], [2, 7]])),
+        lambda: theta_argmin(("1/2", 0), PeriodMatrix.from_rows([[7, 2], [2, 7]])),
+        lambda: PeriodMatrix.from_rows([[2.5]]),
+        lambda: PeriodMatrix.from_rows([[True]]),
+        lambda: PeriodMatrix(((F(2), 0.5), (0.5, F(2)))),
+    ],
+)
+def test_rejects_floats_bools_and_other_non_rationals(build):
+    with pytest.raises(ValueError, match="must be ints or Fractions"):
+        build()
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     d=st.integers(1, 12),

@@ -184,6 +184,36 @@ def test_theta_solution_requires_smooth():
         theta_solution((F(0), F(0)), (0, 2, 4, 19), 0, 1)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: TodaState.make([0.1], [1]),
+        lambda: TodaState.make([True, 0], [3, 4]),
+        lambda: spectral_data([0, 2.0, 6, 19]),
+        lambda: theta_state((-1.0, 8), (0, 2, 6, 19), 0),
+    ],
+)
+def test_toda_values_reject_floats_and_bools(build):
+    with pytest.raises(ValueError, match="must be ints or Fractions"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: theta_state((-1, 8), (0, 2, 6, 19), F(1, 2)),
+        lambda: theta_state((-1, 8), (0, 2, 6, 19), True),
+        lambda: theta_state((-1, 8), (0, 2, 6, 19), 0.5),
+        lambda: theta_solution((-1, 8), (0, 2, 6, 19), F(2), 1),
+        lambda: theta_solution((-1, 8), (0, 2, 6, 19), 0, 1.0),
+        lambda: theta_solution((-1, 8), (0, 2, 6, 19), 0, False),
+    ],
+)
+def test_theta_solution_requires_integer_t_and_n(build):
+    with pytest.raises(ValueError, match="must be an int"):
+        build()
+
+
 def test_embed_fixture_rows():
     table = [
         ("122211211", (0, 1, 3, 2, 1, 2)),
