@@ -4,8 +4,10 @@ energies, soliton content, scattering and the conserved P-symbol.
 A state is a finite window of letters inside an infinite sea of 1s (empty
 boxes).  An evolution runs the carrier across the window only: past it the
 carrier meets empty boxes, so it winds, scoring nothing, and unloads its ball
-letters largest first; that tail is read off its exit load.  Words write one
-character per letter: '.' or '1' for 1, and the ASCII digits 2-9.
+letters largest first; that tail is read off its exit load.  Every layer
+reads and writes words, one character per letter ('.' or '1' for 1, the ASCII
+digits 2-9), through decode_word and encode_word, and reads a capacity l, an
+int >= 0 or None for T_infinity, through capacity.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from boxball.crystal import CrystalElement, comb_R
 
 _WORD_CHARS = b".123456789"
 _DECODE = bytes.maketrans(_WORD_CHARS, bytes((1, 1, 2, 3, 4, 5, 6, 7, 8, 9)))
+_ENCODE_ONE = bytes.maketrans(bytes(range(1, 10)), b"123456789")
+_ENCODE_DOT = bytes.maketrans(bytes(range(1, 10)), b".23456789")
 
 
 def decode_word(text: str) -> bytes:
@@ -30,9 +34,27 @@ def decode_word(text: str) -> bytes:
     return raw.translate(_DECODE)
 
 
-def _check_one_character(cells) -> None:
-    if max(cells, default=1) > 9:
+def encode_word(letters, one: str = "1") -> str:
+    """The word of letters 1-9, one character each, letter 1 written as one
+    ('1' or '.'); the inverse of decode_word.  ValueError on a letter above 9."""
+    if max(letters, default=1) > 9:
         raise ValueError("a letter above 9 has no one-character form")
+    return bytes(letters).translate(_ENCODE_DOT if one == "." else _ENCODE_ONE).decode()
+
+
+def is_int(x) -> bool:
+    """True for an int that is not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def capacity(l: int | None, balls: int) -> int:
+    """The capacity of T_l: l, or balls when l is None (T_infinity: a carrier
+    that holds every ball); ValueError unless l is a non-bool int >= 0."""
+    if l is None:
+        return balls
+    if not is_int(l) or l < 0:
+        raise ValueError(f"capacity l must be >= 0 and an int, got {l!r}")
+    return l
 
 
 @dataclass(frozen=True)
@@ -57,16 +79,11 @@ class BBSState:
     def render(self, left: int | None = None, right: int | None = None) -> str:
         """Dot notation over [left, right); defaults to the support window.
         ValueError on a letter above 9."""
-        _check_one_character(self.cells)
         if left is None:
             left = self.origin
         if right is None:
             right = self.origin + len(self.cells)
-        out = []
-        for pos in range(left, right):
-            c = self.cell(pos)
-            out.append("." if c == 1 else str(c))
-        return "".join(out)
+        return encode_word([self.cell(pos) for pos in range(left, right)], ".")
 
     def cell(self, pos: int) -> int:
         i = pos - self.origin
@@ -135,15 +152,13 @@ def evolve(state: BBSState, l: int | None = None) -> tuple[BBSState, int]:
     past the window it emits its ball letters in descending order and scores
     nothing: that tail is written from the exit load, in O(rank) steps.
     """
-    if l is not None and l < 0:
-        raise ValueError("capacity l must be >= 0")
     n = state.rank
     s = state.trimmed()
     balls = s.balls()
+    l = capacity(l, balls)
     if balls == 0 or l == 0:
         return s, 0
-    l_eff = l if l is not None else balls
-    carrier = [1, l_eff] + [0] * n
+    carrier = [1, l] + [0] * n
     out, energy = carrier_pass(s.cells, carrier, n)
     for a in range(n + 1, 1, -1):
         out += [a] * carrier[a]
@@ -205,18 +220,18 @@ def solitons(state: BBSState) -> list[tuple[int, str]]:
     regime); raises ValueError otherwise.
     """
     s = state.trimmed()
-    _check_one_character(s.cells)
     # trimmed, so the runs alternate nontrivial, vacuum gap, ..., nontrivial
     runs = [tuple(run) for _, run in groupby(s.cells, key=lambda c: c != 1)]
     out = []
     pos = s.origin
     for k, run in enumerate(runs):
         if k % 2 == 0:
+            label = encode_word(run)
             if any(run[t] < run[t + 1] for t in range(len(run) - 1)):
                 raise ValueError("run is not weakly decreasing; no canonical solitons")
             if k + 1 < len(runs) and len(runs[k + 1]) <= len(run):
                 raise ValueError("solitons too close; no canonical decomposition")
-            out.append((pos, "".join(str(c) for c in run)))
+            out.append((pos, label))
         pos += len(run)
     return out
 

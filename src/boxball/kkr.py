@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import inf
 
-from boxball.bbs import decode_word
+from boxball.bbs import capacity, decode_word, encode_word, is_int
 
 
 @dataclass(frozen=True)
@@ -62,12 +62,6 @@ class RiggedConfiguration:
     def _shape(self) -> "_Shape":
         return _Shape(self.L, self.rank, self.strings)
 
-    def q(self, a: int, j: int) -> int:
-        """Cells in the left j columns of mu^(a); q^(0) = L, q^(n+1) = 0."""
-        if a == 0:
-            return self.L
-        return self._shape.q(a, j) if a <= self.rank else 0
-
     def vacancy(self, a: int, j: int) -> int:
         """p^(a)_j = q^(a-1)_j - 2 q^(a)_j + q^(a+1)_j."""
         if not 1 <= a <= self.rank:
@@ -83,11 +77,6 @@ class RiggedConfiguration:
                 if not 0 <= r <= self.vacancy(a, j):
                     return False
         return True
-
-    def weight(self) -> tuple[int, ...]:
-        """lambda with |mu^(a)| = lambda_{a+1} + ... + lambda_{n+1}."""
-        sizes = [self.L] + [sum(j for j, _ in self.color(a)) for a in range(1, self.rank + 1)] + [0]
-        return tuple(sizes[a] - sizes[a + 1] for a in range(self.rank + 1))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -105,22 +94,18 @@ class RiggedConfiguration:
         if not isinstance(d, dict) or set(d) != {"L", "n", "strings"}:
             raise ValueError('rigged configuration JSON needs exactly the keys "L", "n", "strings"')
         L, n, strings = d["L"], d["n"], d["strings"]
-        if not (_is_int(L) and _is_int(n) and n >= 1 and isinstance(strings, dict)):
+        if not (is_int(L) and is_int(n) and n >= 1 and isinstance(strings, dict)):
             raise ValueError('"L" and "n" must be integers, n >= 1, and "strings" an object')
         if set(strings) - {str(a) for a in range(1, n + 1)}:
             raise ValueError(f'"strings" keys must be colors 1..{n}')
         blocks = [strings.get(str(a), []) for a in range(1, n + 1)]
         if not all(
             isinstance(b, list)
-            and all(isinstance(s, list) and len(s) == 2 and all(map(_is_int, s)) for s in b)
+            and all(isinstance(s, list) and len(s) == 2 and all(map(is_int, s)) for s in b)
             for b in blocks
         ):
             raise ValueError("each color must hold a list of [length, rigging] integer pairs")
         return cls.make(L, n, [[tuple(s) for s in b] for b in blocks])
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 class _Shape:
@@ -281,11 +266,11 @@ def kkr_phi(word, rank: int | None = None, check: bool = True) -> RiggedConfigur
 def kkr_phi_inv(rc: RiggedConfiguration) -> str:
     """Inverse KKR map phi^{-1}: rigged configuration -> path word."""
     shape = _Shape(rc.L, rc.rank, rc.strings)
-    out = []
+    out = []  # the letters, last first
     while shape.L > 0:
         ones = shape.ones_run()
         if ones:
-            out.append("1" * ones)
+            out += [1] * ones
             shape.L -= ones
             continue
         # for colors 1, 2, ..., the shortest singular string no shorter than
@@ -298,9 +283,7 @@ def kkr_phi_inv(rc: RiggedConfiguration) -> str:
                 break
             picks.append((c, *s))
             bound = s[0]
-        if len(picks) > 8:
-            raise ValueError("a letter above 9 has no one-character form")
-        out.append(str(len(picks) + 1))
+        out.append(len(picks) + 1)
         shape.L -= 1
         for c, j, r in picks:
             shape.move(c, j, r, -1)
@@ -309,7 +292,7 @@ def kkr_phi_inv(rc: RiggedConfiguration) -> str:
                 shape.rerig(c, j - 1, r)
     if any(shape.rigs):
         raise ValueError("strings left over; invalid rigged configuration")
-    return "".join(reversed(out))
+    return encode_word(out[::-1])
 
 
 def evolve_rc(rc: RiggedConfiguration, l: int | None, steps: int = 1) -> RiggedConfiguration:
@@ -319,13 +302,10 @@ def evolve_rc(rc: RiggedConfiguration, l: int | None, steps: int = 1) -> RiggedC
     corresponding path would overrun its window; it is returned flagged via
     is_valid(), not rejected.
     """
-    if l is not None and l < 0:
-        raise ValueError("capacity l must be >= 0")
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    new1 = tuple(
-        sorted((j, r + steps * (min(l, j) if l is not None else j)) for j, r in rc.color(1))
-    )
+    l = capacity(l, sum(j for j, _ in rc.color(1)))
+    if not is_int(steps) or steps < 0:
+        raise ValueError(f"steps must be an int >= 0, got {steps!r}")
+    new1 = tuple(sorted((j, r + steps * min(l, j)) for j, r in rc.color(1)))
     return RiggedConfiguration(rc.L, rc.rank, (new1,) + rc.strings[1:])
 
 
@@ -340,24 +320,21 @@ def solve_ivp(word: str, l: int | None, t: int) -> str:
     letters = _letters(word)
     rank = max(max(letters, default=2), 2) - 1
     balls = len(letters) - letters.count(1)
-    l_eff = l if l is not None else balls
-    pad = t * l_eff + balls + 2
-    rc = kkr_phi(letters, rank)
-    rc = RiggedConfiguration(rc.L + pad, rank, rc.strings)
-    return kkr_phi_inv(evolve_rc(rc, l, steps=t))
+    rc = evolve_rc(kkr_phi(letters, rank), l, steps=t)
+    pad = t * capacity(l, balls) + balls + 2
+    return kkr_phi_inv(RiggedConfiguration(rc.L + pad, rank, rc.strings))
 
 
 def highest_paths(L: int, rank: int):
     """All highest words of length L over letters 1..rank+1 (prefix dominance).
     ValueError when one would hold a letter above 9 (rank >= 9 and L >= 10)."""
-    if rank >= 9 and L >= 10:
-        raise ValueError("a letter above 9 has no one-character form")
+    encode_word([min(L, rank + 1)])  # the largest letter a highest word can hold, checked up front
     counts = [0] * (rank + 1)
     word: list[int] = []
 
     def rec(k):
         if k == L:
-            yield "".join(str(a) for a in word)
+            yield encode_word(word)
             return
         for a in range(1, rank + 2):
             counts[a - 1] += 1

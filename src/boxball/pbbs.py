@@ -41,7 +41,7 @@ from functools import cached_property
 from itertools import accumulate, combinations, product
 from math import comb, gcd
 
-from boxball.bbs import carrier_pass
+from boxball.bbs import capacity, carrier_pass, decode_word, encode_word, is_int
 from boxball.intmat import (
     column_hnf,
     det_int,
@@ -61,7 +61,7 @@ def parse_cells(text: str) -> tuple[int, ...]:
     """Cells of a word over {1, 2} ('.' = 1); ValueError on any other character."""
     if set(text) - set("1.2"):
         raise ValueError(f"cells must be 1, . or 2: {text!r}")
-    return tuple(1 if ch in "1." else 2 for ch in text)
+    return tuple(decode_word(text))
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ class PeriodicState:
         return cls(parse_cells(text))
 
     def render(self) -> str:
-        return "".join("." if c == 1 else "2" for c in self.cells)
+        return encode_word(self.cells, ".")
 
     def __str__(self):
         return self.render()
@@ -102,7 +102,7 @@ class PeriodicState:
         return PeriodicState(self.cells[-d:] + self.cells[:-d]) if d else self
 
     def word(self) -> str:
-        return "".join(str(c) for c in self.cells)
+        return encode_word(self.cells)
 
     @cached_property
     def _scattered(self) -> "AngleVariable":
@@ -117,12 +117,11 @@ def evolve_periodic(p: PeriodicState, l: int | None = None) -> tuple[PeriodicSta
     (number of loading events).  The fixed point is guaranteed for M < L/2
     and checked in all cases (ValueError if the second pass does not close up).
     """
-    if l is not None and l < 0:
-        raise ValueError("capacity l must be >= 0")
     M = p.balls
+    l = capacity(l, M)
     if M == 0 or l == 0:
         return p, 0
-    carrier = [1, l if l is not None else M, 0]
+    carrier = [1, l, 0]
     carrier_pass(p.cells, carrier, 1)
     fixed = list(carrier)
     out, energy = carrier_pass(p.cells, carrier, 1)
@@ -141,6 +140,8 @@ class ActionVariable:
     parts: tuple[int, ...]  # weakly decreasing
 
     def __post_init__(self):
+        if not (is_int(self.L) and all(map(is_int, self.parts))):
+            raise ValueError("L and the parts must be ints")
         if any(i < 1 for i in self.parts):
             raise ValueError("parts must be >= 1")
         if list(self.parts) != sorted(self.parts, reverse=True):
@@ -178,9 +179,8 @@ class ActionVariable:
 
     def h(self, l: int | None) -> tuple[int, ...]:
         """Velocity vector of T_l: (min(i, l))_i, with l = None meaning infinity."""
-        if l is not None and l < 0:
-            raise ValueError("capacity l must be >= 0")
-        return tuple(min(i, l) if l is not None else i for i in self.I)
+        l = capacity(l, sum(self.parts))
+        return tuple(min(i, l) for i in self.I)
 
     @cached_property
     def _lattice(self) -> "_Lattice":
@@ -416,6 +416,8 @@ def direct_scattering(p: PeriodicState) -> AngleVariable:
 
 def evolve_angle(J: AngleVariable, l: int | None, steps: int = 1) -> AngleVariable:
     """T_l^steps on angle variables: add steps*min(i,l) to every window entry."""
+    if not is_int(steps):
+        raise ValueError(f"steps must be an int, got {steps!r}")
     return AngleVariable(
         J.mu,
         tuple(tuple(x + steps * v for x in w) for v, w in zip(J.mu.h(l), J.windows)),

@@ -22,7 +22,7 @@ from functools import cached_property
 from itertools import accumulate, combinations
 from math import prod
 
-from boxball.bbs import BBSState, evolve_takahashi
+from boxball.bbs import BBSState, encode_word, evolve_takahashi
 from boxball.kkr import RiggedConfiguration, evolve_rc
 
 
@@ -167,7 +167,7 @@ def path_from_tau(s: StringSet, L: int | None = None) -> str:
     """Reconstruct the path word from second differences of tau.
 
     x_{k,a} = tau_{k,a} - tau_{k-1,a} - tau_{k,a-1} + tau_{k-1,a-1} must be a
-    unit vector in a for every cell k; ValueError otherwise.
+    unit vector in a for every cell k; ValueError otherwise or on a letter above 9.
     """
     t = _rows(s, L)
     word = []
@@ -184,7 +184,7 @@ def path_from_tau(s: StringSet, L: int | None = None) -> str:
         if letter is None:
             raise ValueError(f"cell {k}: empty letter vector")
         word.append(letter)
-    return "".join(str(a) for a in word)
+    return encode_word(word)
 
 
 def rho(state: BBSState | str, k: int, a: int, t: int = 0, rank: int | None = None) -> int:

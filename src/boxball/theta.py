@@ -29,7 +29,6 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
 from numbers import Rational
 from operator import mul
 from typing import NamedTuple
@@ -110,12 +109,6 @@ def _objective(n, Xi_rows, Z):
     quad = sum(n[i] * sum(Xi_rows[i][j] * n[j] for j in range(len(n))) for i in range(len(n)))
     lin = sum(ni * zi for ni, zi in zip(n, Z))
     return Fraction(quad, 2) + lin
-
-
-def _interval(w: int, k: int, r: int, rem: int) -> range:
-    """The integers x with w (k x + r)^2 <= rem, for w, k > 0 and rem >= 0."""
-    m = isqrt(rem // w)  # |k x + r| <= m, exactly
-    return range(-((m + r) // k), (m - r) // k + 1)
 
 
 def _argmin_int(

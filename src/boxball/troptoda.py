@@ -27,7 +27,7 @@ from functools import lru_cache
 from itertools import groupby
 from numbers import Rational
 
-from boxball.bbs import toda_pass
+from boxball.bbs import is_int, toda_pass
 from boxball.intmat import lcm_int
 # theta is re-exported; the sites below use the integer entry point
 from boxball.theta import PeriodMatrix, _theta_num, theta  # noqa: F401
@@ -254,7 +254,7 @@ def _theta_sites(Z0: tuple, C: tuple):
 
 
 def _require_int(name: str, x) -> None:
-    if isinstance(x, bool) or not isinstance(x, int):
+    if not is_int(x):
         raise ValueError(f"{name} must be an int, got {x!r}")
 
 
@@ -296,28 +296,16 @@ def embed_pbbs(word, leftmost: int = 0) -> TodaState:
         cells = parse_cells(word)
     else:
         cells = tuple(word)
-    L = len(cells)
+        if not set(cells) <= {1, 2}:
+            raise ValueError("cells must be 1 or 2")
     cells = cells[leftmost:] + cells[:leftmost]
-    runs = [(c, len(list(run))) for c, run in groupby(cells)]
     # N = 1 + number of cyclic ball runs (= 1 + soliton count of the isolevel set);
     # a ball run wrapping the distinguished box splits linearly into Q_1 and Q_N
-    cyclic_runs = sum(
-        1 for i in range(L) if cells[i] == 1 and cells[(i + 1) % L] == 2
-    )
-    if cyclic_runs == 0 and any(c == 2 for c in cells):
+    N = 1 + sum(a == 1 and b == 2 for a, b in zip(cells, cells[1:] + cells[:1]))
+    if N == 1 and 2 in cells:
         raise ValueError("state has no empty box; not embeddable")
-    N = cyclic_runs + 1
-    Q = [0] * N
-    W = [0] * N
-    qi = 0 if runs and runs[0][0] == 2 else 1  # Q_1 = 0 when the box is empty
-    wi = 0
-    for v, ln in runs:
-        if v == 2:
-            Q[qi] = ln
-            qi += 1
-        else:
-            W[wi] = ln
-            wi += 1
-    if qi > N or wi > N:
-        raise ValueError("more runs than the embedding dimension allows")
-    return TodaState(tuple(Q), tuple(W))
+    runs = [len(list(run)) for _, run in groupby(cells)]
+    if cells and cells[0] == 1:
+        runs.insert(0, 0)  # Q_1 = 0 when the box is empty
+    runs += [0] * (2 * N - len(runs))
+    return TodaState(tuple(runs[0::2]), tuple(runs[1::2]))

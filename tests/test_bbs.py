@@ -1,10 +1,14 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from boxball.bbs import (
     BBSState,
+    capacity,
     carrier_pass,
+    decode_word,
+    encode_word,
     energies,
     evolve,
     evolve_takahashi,
@@ -16,6 +20,9 @@ from boxball.bbs import (
     toda_coords,
     toda_evolve,
 )
+from boxball.kkr import evolve_rc, highest_paths, kkr_phi, kkr_phi_inv, solve_ivp
+from boxball.pbbs import PeriodicState, evolve_periodic, fundamental_period
+from boxball.tau import StringSet, path_from_tau
 
 # rows of the three-body scattering block (T_infinity)
 THREE_BODY_ROWS = [
@@ -156,6 +163,34 @@ def test_evolve_capacity_zero_is_identity_and_negative_raises():
     assert evolve(s, 0) == (s.trimmed(), 0)
     with pytest.raises(ValueError):
         evolve(s, -1)
+
+
+@pytest.mark.parametrize("l", [1.5, 2.0, Fraction(2), True, False])
+def test_capacity_must_be_a_non_bool_int(l):
+    # before, a float capacity evolved every layer (evolve_rc returned the
+    # rigging 1.5) and a bool one was read as 0 or 1
+    word, cells = "..22.2..", "1212111222"
+    calls = [
+        lambda: evolve(BBSState.parse(word), l),
+        lambda: evolve_periodic(PeriodicState.parse(cells), l),
+        lambda: evolve_rc(kkr_phi(word), l),
+        lambda: solve_ivp(word, l, 1),
+        lambda: fundamental_period(PeriodicState.parse(cells), l),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="capacity l must be >= 0"):
+            call()
+
+
+def test_capacity_none_is_t_infinity():
+    assert capacity(None, 7) == 7 and capacity(0, 7) == 0 and capacity(3, 7) == 3
+    word, p = "1122.3..2.3", PeriodicState.parse("1212111222")
+    balls = BBSState.parse(word).balls()
+    assert evolve(BBSState.parse(word), None) == evolve(BBSState.parse(word), balls)
+    assert evolve_periodic(p, None) == evolve_periodic(p, p.balls)
+    assert evolve_rc(kkr_phi(word), None) == evolve_rc(kkr_phi(word), balls)
+    assert solve_ivp(word, None, 3) == solve_ivp(word, balls, 3)
+    assert fundamental_period(p, None) == fundamental_period(p, p.balls)
 
 
 def test_soliton_content_three_body():
@@ -318,6 +353,28 @@ def test_parse_accepts_only_dot_and_ascii_1_to_9():
     for bad in ("1٣2", "1０2", "102", "1x2", "1 2", "12²"):
         with pytest.raises(ValueError, match="letters must be >= 1 and <= 9"):
             BBSState.parse(bad)
+
+
+def test_every_encoder_round_trips_through_decode_word():
+    # paths write letter 1 as '1', rendered states as '.'; both decode back
+    letters = tuple(range(1, 10))
+    assert encode_word(letters) == "123456789"
+    assert encode_word(letters, ".") == ".23456789"
+    down = letters[::-1]  # an extended configuration phi^{-1} and tau both read back
+    state = BBSState(8, (2, 1) + letters + down)
+    p = PeriodicState((1, 2, 1, 1, 2, 2))
+    words = [
+        (state.render(-2, 22), (1, 1) + state.cells + (1, 1)),
+        (solitons(BBSState.parse("98765432.........2"))[0][1], down[:-1]),
+        (kkr_phi_inv(kkr_phi(letters)), letters),
+        (kkr_phi_inv(kkr_phi(down, 8, check=False)), down),
+        (path_from_tau(StringSet.from_rc(kkr_phi(down, 8, check=False))), down),
+        (list(highest_paths(9, 8))[-1], letters),
+        (p.render(), p.cells),
+        (p.word(), p.cells),
+    ]
+    for word, expect in words:
+        assert len(word) == len(expect) and tuple(decode_word(word)) == expect, word
 
 
 def test_letters_above_nine_have_no_one_character_form():

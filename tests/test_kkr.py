@@ -211,6 +211,15 @@ def test_evolve_rc_identity():
     assert evolve_rc(WORKED_RC, 3, steps=0) == WORKED_RC
 
 
+@pytest.mark.parametrize("steps", [0.5, 1.0, True])
+def test_step_counts_must_be_non_bool_ints(steps):
+    # before, evolve_rc returned float riggings and solve_ivp raised TypeError
+    with pytest.raises(ValueError, match="steps must be an int"):
+        evolve_rc(kkr_phi("1122"), 1, steps=steps)
+    with pytest.raises(ValueError, match="steps must be an int"):
+        solve_ivp("1122", 1, steps)
+
+
 def test_evolve_rc_rejects_negative_capacity():
     # before, the color-1 riggings of 1122 silently became (2, -2)
     with pytest.raises(ValueError, match="capacity l must be >= 0"):

@@ -566,6 +566,18 @@ def test_evolve_periodic_capacity_zero_and_negative():
         evolve_periodic(p, -1)
 
 
+def test_step_counts_and_action_variables_must_be_ints():
+    # before, evolve_angle gave float windows and ActionVariable(10.5, (2, 1))
+    # had the vacancies (6.5, 4.5)
+    J = direct_scattering(PeriodicState.parse("1212111222"))
+    for steps in (0.5, 1.0, True):
+        with pytest.raises(ValueError, match="steps must be an int"):
+            evolve_angle(J, 1, steps)
+    for L, parts in ((10.5, (2, 1)), (10, (2.0, 1)), (True, ())):
+        with pytest.raises(ValueError, match="must be ints"):
+            ActionVariable(L, parts)
+
+
 def test_evolve_angle_rejects_negative_capacity():
     J = direct_scattering(PeriodicState.parse("1212111222"))
     with pytest.raises(ValueError, match="capacity l must be >= 0"):

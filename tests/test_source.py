@@ -46,6 +46,23 @@ def test_library_holds_no_module_level_container():
     assert not found, found
 
 
+def test_only_bbs_raises_the_word_and_capacity_errors():
+    # bbs owns the one-character word form and the carrier capacity; every other
+    # module calls encode_word and capacity instead of raising its own copy
+    phrases = ("above 9", "one-character", "capacity l")
+    found = []
+    for path in sorted(Path(boxball.__file__).parent.glob("*.py")):
+        if path.name == "bbs.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Raise):
+                strings = [c.value for c in ast.walk(node) if isinstance(c, ast.Constant)]
+                text = " ".join(x for x in strings if isinstance(x, str))
+                if any(phrase in text for phrase in phrases):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
 def test_toda_and_theta_hold_no_true_division_or_float():
     # plain ints flow through these modules, where int / int gives a float;
     # exact division goes through Fraction or divmod

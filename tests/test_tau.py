@@ -158,6 +158,15 @@ def test_path_from_tau_fixtures():
     assert path_from_tau(_S("11112221322433", 3)) == "11112221322433"
 
 
+def test_path_from_tau_letter_above_nine_raises():
+    # before, the path of a letter 10 came back as the two characters "10"; the
+    # extended configuration of the word 1 10 keeps the tau table small
+    s = StringSet.from_rc(kkr_phi((1, 10), rank=9, check=False))
+    with pytest.raises(ValueError, match="above 9"):
+        path_from_tau(s)
+    assert path_from_tau(StringSet.from_rc(kkr_phi((1, 9), rank=8, check=False))) == "19"
+
+
 def test_path_from_tau_equals_phi_inv_exhaustive():
     for rank, L in [(1, 8), (2, 6)]:
         for word in highest_paths(L, rank):

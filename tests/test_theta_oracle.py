@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from boxball.intmat import gauss_jordan
 from boxball.pbbs import ActionVariable, AngleVariable, inverse_scattering, periodic_theta_state
-from boxball.theta import PeriodMatrix, _interval, theta, theta_argmin
+from boxball.theta import PeriodMatrix, theta, theta_argmin
 from test_intmat_oracle import old_det_int, old_solve
 from test_theta import brute_theta
 
@@ -115,6 +115,12 @@ def test_minimizer_matches_shell_scan_ties_included(rows):
         for den in (2, 3):
             Z = tuple(F(k + 5 * i, den) for i in range(g))
             assert theta_argmin(Z, Xi) == shell_scan_argmin(Z, [[F(x) for x in r] for r in rows])
+
+
+def _interval(w: int, k: int, r: int, rem: int) -> range:
+    """The integers x with w (k x + r)^2 <= rem, for w, k > 0 and rem >= 0."""
+    m = isqrt(rem // w)  # |k x + r| <= m, exactly
+    return range(-((m + r) // k), (m - r) // k + 1)
 
 
 def test_isqrt_interval_is_exact():

@@ -292,3 +292,7 @@ def test_embed_rejects_bad_cell_characters():
     for bad in ("12x211211", "123", "2a"):
         with pytest.raises(ValueError):
             embed_pbbs(bad)
+    # a cell tuple must hold 1s and 2s too; before, the first of these raised IndexError
+    for bad in ((1, 3, 3, 1, 1, 2, 1, 1), (1, 0, 2), (1, 2, 1, 2.5)):
+        with pytest.raises(ValueError, match="cells must be 1 or 2"):
+            embed_pbbs(bad)
