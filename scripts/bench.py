@@ -217,7 +217,7 @@ def pbbs_sweep() -> dict:
         rng = random.Random(f"pbbs/{g}")
         mu = ActionVariable(L, tuple(i for i in range(g, 0, -1) for _ in range(m)))
         J = AngleVariable(
-            mu, tuple(tuple(sorted(rng.randint(0, mu.vacancy(i)) for _ in range(m))) for i in mu.I)
+            mu, tuple(tuple(sorted(rng.randint(0, p) for _ in range(m))) for p in mu.vacancies)
         )
         t_canon, canon = median_time(lambda: canonicalize(fresh(J)))
         t_equal, equal = median_time(lambda: angle_equal(fresh(J), canon))

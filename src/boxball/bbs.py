@@ -7,7 +7,9 @@ carrier meets empty boxes, so it winds, scoring nothing, and unloads its ball
 letters largest first; that tail is read off its exit load.  Every layer
 reads and writes words, one character per letter ('.' or '1' for 1, the ASCII
 digits 2-9), through decode_word and encode_word, and reads a capacity l, an
-int >= 0 or None for T_infinity, through capacity.
+int >= 0 or None for T_infinity, through capacity.  Soliton labels are words
+too: scatter_two decodes them with decode_word and writes them with
+encode_word.  The rank of a word is crystal.rank_of.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import groupby
 
-from boxball.crystal import CrystalElement, comb_R
+from boxball.crystal import CrystalElement, comb_R, rank_of
+from boxball.intmat import is_int
 
 _WORD_CHARS = b".123456789"
 _DECODE = bytes.maketrans(_WORD_CHARS, bytes((1, 1, 2, 3, 4, 5, 6, 7, 8, 9)))
@@ -42,11 +45,6 @@ def encode_word(letters, one: str = "1") -> str:
     return bytes(letters).translate(_ENCODE_DOT if one == "." else _ENCODE_ONE).decode()
 
 
-def is_int(x) -> bool:
-    """True for an int that is not a bool."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def capacity(l: int | None, balls: int) -> int:
     """The capacity of T_l: l, or balls when l is None (T_infinity: a carrier
     that holds every ball); ValueError unless l is a non-bool int >= 0."""
@@ -71,10 +69,8 @@ class BBSState:
 
     @classmethod
     def parse(cls, text: str, rank: int | None = None, origin: int = 0) -> "BBSState":
-        cells = tuple(decode_word(text))
-        if rank is None:
-            rank = max(max(cells, default=1), 2) - 1
-        return cls(rank, cells, origin).trimmed()
+        cells = decode_word(text)
+        return cls(rank_of(cells) if rank is None else rank, tuple(cells), origin).trimmed()
 
     def render(self, left: int | None = None, right: int | None = None) -> str:
         """Dot notation over [left, right); defaults to the support window.
@@ -239,28 +235,27 @@ def solitons(state: BBSState) -> list[tuple[int, str]]:
 def scatter_two(big: str, small: str) -> tuple[str, str, int]:
     """Two-body scattering (R-matrix rule): returns (small', big', delta).
 
-    Labels are weakly decreasing words over letters >= 2; the exchange is the
-    combinatorial R one rank down (letters shifted by one), and the phase
-    shift is delta = H + len(small).
+    Labels are weakly decreasing words (decode_word) over letters >= 2; the
+    exchange is the combinatorial R one rank down, letter a + 1 of a label
+    being letter a of a crystal element, and the phase shift is
+    delta = H + len(small).
     """
-    for w in (big, small):
-        if not w or any(ch < "2" for ch in w):
+    labels = [decode_word(w) for w in (big, small)]
+    for w, letters in zip((big, small), labels):
+        if not letters or min(letters) < 2:
             raise ValueError(f"invalid soliton label {w!r}")
-        if any(w[i] < w[i + 1] for i in range(len(w) - 1)):
+        if any(a < b for a, b in zip(letters, letters[1:])):
             raise ValueError(f"label must be weakly decreasing: {w!r}")
     if len(big) <= len(small):
         raise ValueError("need len(big) > len(small)")
-    rank = max(int(c) for c in big + small) - 2
-    rank = max(rank, 1)
-    x = CrystalElement.from_word("".join(str(int(c) - 1) for c in reversed(big)), rank)
-    y = CrystalElement.from_word("".join(str(int(c) - 1) for c in reversed(small)), rank)
+    rank = rank_of([a - 1 for a in labels[0] + labels[1]])
+    x, y = (CrystalElement(rank, tuple(map(w.count, range(2, rank + 3)))) for w in labels)
     out = comb_R(x, y)
-    delta = out.energy + len(small)
 
     def label(e: CrystalElement) -> str:
-        return "".join(str(int(c) + 1) for c in reversed(e.word()))
+        return encode_word([a for a in range(rank + 2, 1, -1) for _ in range(e.counts[a - 2])])
 
-    return label(out.left_out), label(out.right_out), delta
+    return label(out.left_out), label(out.right_out), out.energy + len(small)
 
 
 def scatter_two_simulated(big: str, small: str) -> tuple[str, str, int]:

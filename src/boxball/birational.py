@@ -14,9 +14,9 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 
 from boxball.crystal import MAX_PLUS, RankMismatch, semifield_R
+from boxball.intmat import exact, require_int
 
 
 @dataclass(frozen=True)
@@ -35,11 +35,10 @@ class RationalPoint:
             raise ValueError("rank must be >= 1")
         if len(self.coords) != self.rank + 1:
             raise ValueError("coords must have length rank+1")
-        if any(isinstance(c, bool) or not isinstance(c, Rational) for c in self.coords):
-            raise ValueError(f"coordinates must be ints or Fractions: {self.coords!r}")
-        if any(c <= 0 for c in self.coords):
+        coords = tuple(Fraction(exact(c, "coordinates")) for c in self.coords)
+        if any(c <= 0 for c in coords):
             raise ValueError("coordinates must be positive")
-        object.__setattr__(self, "coords", tuple(Fraction(c) for c in self.coords))
+        object.__setattr__(self, "coords", coords)
 
     def coord(self, i: int) -> Fraction:
         return self.coords[(i - 1) % (self.rank + 1)]
@@ -86,7 +85,7 @@ def ultradiscretize_R(
         raise RankMismatch("exponent vectors must have equal length")
     if len(X) < 2:
         raise ValueError("exponent vectors need length rank + 1 >= 2")
-    if any(isinstance(e, bool) or not isinstance(e, int) for e in (*X, *Y)):
-        raise ValueError(f"exponents must be ints: {X!r}, {Y!r}")
+    for e in (*X, *Y):
+        require_int("each exponent", e)
     Yt, Xt, _ = semifield_R(tuple(X), tuple(Y), *MAX_PLUS)
     return Yt, Xt

@@ -16,27 +16,19 @@ from fractions import Fraction
 from boxball import bbs, kkr, pbbs, tau as tau_mod, troptoda
 
 
-def _parse_l(text: str) -> int | None:
-    if text in ("inf", "infinity", "oo"):
-        return None
-    l = int(text)
-    if l < 1:
-        raise ValueError("l must be >= 1 or inf")
-    return l
+def _int_at_least(name: str, lo: int, inf: bool = False):
+    """argparse type: an int >= lo, or None for inf/infinity/oo when inf is set."""
 
+    def parse(text: str) -> int | None:
+        if inf and text in ("inf", "infinity", "oo"):
+            return None
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"{name} must be >= {lo}{' or inf' if inf else ''}")
+        return value
 
-def _parse_steps(text: str) -> int:
-    steps = int(text)
-    if steps < 0:
-        raise argparse.ArgumentTypeError("steps must be >= 0")
-    return steps
-
-
-def _parse_l_max(text: str) -> int:
-    l_max = int(text)
-    if l_max < 1:
-        raise argparse.ArgumentTypeError("l-max must be >= 1")
-    return l_max
+    parse.__name__ = "int"  # argparse reports "invalid int value: 'x'"
+    return parse
 
 
 def _fields(text: str) -> list[str]:
@@ -126,7 +118,7 @@ def cmd_analyze(args) -> int:
         out = {
             "L": mu.L,
             "mu": list(mu.parts),
-            "vacancies": {str(i): mu.vacancy(i) for i in mu.I},
+            "vacancies": dict(zip(map(str, mu.I), mu.vacancies)),
             "gamma": list(pbbs.internal_symmetry(p)),
         }
         print(json.dumps(out))
@@ -282,8 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evolve", help="render T_l^t rows in dot notation")
     p.add_argument("state")
     p.add_argument("--periodic", action="store_true")
-    p.add_argument("--l", type=_parse_l, default=None, help="capacity, or inf (default)")
-    p.add_argument("--steps", type=_parse_steps, default=1)
+    p.add_argument("--l", type=_int_at_least("l", 1, inf=True), help="capacity, or inf (default)")
+    p.add_argument("--steps", type=_int_at_least("steps", 0), default=1)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--label", action="store_true", help="prefix rows with t=")
     p.set_defaults(fn=cmd_evolve)
@@ -311,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
         leaf(what).add_argument("state", help="periodic state")
     q = leaf("period")
     q.add_argument("state", help="periodic state")
-    q.add_argument("--l-max", type=_parse_l_max, default=3)
+    q.add_argument("--l-max", type=_int_at_least("l-max", 1), default=3)
     decompose, count = leaf("decompose"), leaf("count")
     for q in (decompose, count):
         q.add_argument("--L", type=int, required=True, help="system size")
@@ -328,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--C", required=True, help="conserved values C_1..C_{N+1}")
     solve.add_argument("--z0", required=True, help="initial theta argument")
     for q in (evolve, solve):
-        q.add_argument("--steps", type=_parse_steps, default=5)
+        q.add_argument("--steps", type=_int_at_least("steps", 0), default=5)
         q.add_argument("--format", choices=("text", "json"), default="text")
     q = leaf("embed")
     q.add_argument("state", help="periodic box-ball state")

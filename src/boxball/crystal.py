@@ -2,9 +2,11 @@
 combinatorial R.
 
 An element of B_l is a vector of letter counts (x_1,...,x_{n+1}) summing to l;
-the one-row tableau word is only an I/O presentation.  All letter indices are
-cyclic mod n+1, with color 0 acting between letters n+1 and 1.  The crystal 0
-is represented by None throughout.
+the one-row tableau word is only an I/O presentation: ASCII digits, one letter
+per character or comma-separated with no empty field.  rank_of is the one rule
+for the rank a word implies, here and in every box-ball layer.  All letter
+indices are cyclic mod n+1, with color 0 acting between letters n+1 and 1.
+The crystal 0 is represented by None throughout.
 
 The combinatorial R and the birational R (`boxball.birational`) are one
 subtraction-free formula, `semifield_R`, read over two semifields: `comb_R`
@@ -29,6 +31,23 @@ class RankMismatch(ValueError):
 def _cyc(i: int, m: int) -> int:
     """Reduce a 1-based letter index cyclically into 1..m."""
     return (i - 1) % m + 1
+
+
+def rank_of(letters) -> int:
+    """The rank a word implies: its largest letter minus one, at least 1."""
+    return max(max(letters, default=2), 2) - 1
+
+
+def _word_letters(word: str) -> list[int]:
+    """Letters of a tableau word: ASCII digits, one per character ("13347") or
+    comma-separated with no empty field ("1,3,10"); ValueError otherwise."""
+    fields = word.split(",") if "," in word else list(word)
+    if not all(f.isascii() and f.isdigit() for f in fields):
+        raise ValueError(f"crystal word letters must be ASCII digits: {word!r}")
+    letters = list(map(int, fields))
+    if any(a < 1 for a in letters):
+        raise ValueError(f"letters must be >= 1: {word!r}")
+    return letters
 
 
 @dataclass(frozen=True)
@@ -56,22 +75,12 @@ class CrystalElement:
 
     @classmethod
     def from_word(cls, word: str, rank: int | None = None) -> "CrystalElement":
-        """Parse a weakly increasing tableau word, e.g. "13347" or "1,3,3,4,7"."""
-        if "," in word:
-            letters = [int(t) for t in word.split(",") if t]
-        else:
-            letters = [int(ch) for ch in word]
-        if any(a < 1 for a in letters):
-            raise ValueError(f"letters must be >= 1: {word!r}")
-        if rank is None:
-            rank = max(letters) - 1 if letters else 1
-            rank = max(rank, 1)
-        counts = [0] * (rank + 1)
-        for a in letters:
-            if a > rank + 1:
-                raise ValueError(f"letter {a} exceeds rank+1={rank + 1}")
-            counts[a - 1] += 1
-        return cls(rank, tuple(counts))
+        """Parse a tableau word, e.g. "13347" or "1,3,3,4,7" (any letter order)."""
+        letters = _word_letters(word)
+        rank = rank_of(letters) if rank is None else rank
+        if max(letters, default=1) > rank + 1:
+            raise ValueError(f"letter {max(letters)} exceeds rank+1={rank + 1}")
+        return cls(rank, tuple(map(letters.count, range(1, rank + 2))))
 
     def word(self) -> str:
         letters = []
@@ -138,13 +147,7 @@ class TensorElement:
     def from_word(cls, text: str, rank: int | None = None) -> "TensorElement":
         parts = text.split("*")
         if rank is None:
-            rank = max(
-                max((int(t) for t in p.replace(",", " ").split()), default=1)
-                if "," in p
-                else max((int(c) for c in p), default=1)
-                for p in parts
-            ) - 1
-            rank = max(rank, 1)
+            rank = rank_of([a for p in parts for a in _word_letters(p)])
         return cls(tuple(CrystalElement.from_word(p, rank) for p in parts))
 
     def word(self) -> str:

@@ -2,13 +2,38 @@
 (determinant, adjugate and the LDL^T pivot data), lattice reduction, LCMs.
 
 Everything here works over exact integers or fractions.Fraction; no floats.
+It also owns the library's exact-number input rule, which every other module
+calls: is_int and require_int (an int, not a bool) and exact (int or Fraction).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from numbers import Rational
 from typing import NamedTuple
+
+
+def is_int(x) -> bool:
+    """True for an int that is not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def require_int(name: str, x) -> None:
+    """ValueError unless x is an int that is not a bool."""
+    if not is_int(x):
+        raise ValueError(f"{name} must be an int, got {x!r}")
+
+
+def exact(x, what: str = "values") -> int | Fraction:
+    """x as an int when it is integral, else as a Fraction; floats, bools
+    and other non-rationals raise ValueError."""
+    if type(x) is int:
+        return x
+    if isinstance(x, bool) or not isinstance(x, Rational):
+        raise ValueError(f"{what} must be ints or Fractions, got {x!r}")
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 class Elimination(NamedTuple):

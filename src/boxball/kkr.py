@@ -8,13 +8,13 @@ bucketed shape (_Shape): per color, the riggings of each length kept sorted
 and the vacancy of each present length kept current in place.  A string
 growing or shrinking by one shifts the stored vacancies above it in three
 colors; a length seen for the first time gets its vacancy from the one
-q-formula, which RiggedConfiguration.vacancy also uses.  A singular string of
-a given length is one bisect away, so a letter costs time in the number of
-distinct lengths, not of strings; a letter 1 costs O(1) in phi (it only
-lengthens the path), and a run of 1s costs one scan in phi^{-1}.  Extended
-configurations (riggings outside the [0, vacancy] window, arising from
-non-highest paths or long evolutions) are carried by the same algorithms and
-flagged by is_valid().
+q-formula, which RiggedConfiguration.vacancy and through it
+pbbs.ActionVariable also use.  A singular string of a given length is one
+bisect away, so a letter costs time in the number of distinct lengths, not
+of strings; a letter 1 costs O(1) in phi (it only lengthens the path), and a
+run of 1s costs one scan in phi^{-1}.  Extended configurations (riggings
+outside the [0, vacancy] window, arising from non-highest paths or long
+evolutions) are carried by the same algorithms and flagged by is_valid().
 """
 
 from __future__ import annotations
@@ -25,7 +25,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import inf
 
-from boxball.bbs import capacity, decode_word, encode_word, is_int
+from boxball.bbs import capacity, decode_word, encode_word
+from boxball.crystal import rank_of
+from boxball.intmat import is_int, require_int
 
 
 @dataclass(frozen=True)
@@ -128,13 +130,14 @@ class _Shape:
         self.lens = [sorted(rigs) for rigs in self.rigs]
         self.vacs = [{j: self._p(a, j) for j in rigs} for a, rigs in enumerate(self.rigs)]
 
-    def q(self, a: int, j: int) -> int:
-        """q^(a)_j = sum_k min(j, k) m^(a)_k, the cells in the left j columns of mu^(a)."""
-        return sum(min(j, k) * len(rs) for k, rs in self.rigs[a].items())
-
     def _p(self, a: int, j: int) -> int:
-        """p^(a)_j = q^(a-1)_j - 2 q^(a)_j + q^(a+1)_j, without color 1's L term."""
-        return self.q(a - 1, j) - 2 * self.q(a, j) + self.q(a + 1, j)
+        """p^(a)_j = q^(a-1)_j - 2 q^(a)_j + q^(a+1)_j, without color 1's L term;
+        q^(b)_j = sum_k min(j, k) m^(b)_k, the cells in the left j columns of mu^(b)."""
+        return sum(
+            w * min(j, k) * len(rs)
+            for b, w in ((a - 1, 1), (a, -2), (a + 1, 1))
+            for k, rs in self.rigs[b].items()
+        )
 
     def vacancy(self, a: int, j: int) -> int:
         p = self.vacs[a].get(j)
@@ -234,7 +237,7 @@ def kkr_phi(word, rank: int | None = None, check: bool = True) -> RiggedConfigur
     """
     letters = _letters(word)
     if rank is None:
-        rank = max(max(letters, default=2), 2) - 1
+        rank = rank_of(letters)
     if rank < 1:
         raise ValueError("rank must be >= 1")
     if letters and not 1 <= min(letters) <= max(letters) <= rank + 1:
@@ -303,8 +306,9 @@ def evolve_rc(rc: RiggedConfiguration, l: int | None, steps: int = 1) -> RiggedC
     is_valid(), not rejected.
     """
     l = capacity(l, sum(j for j, _ in rc.color(1)))
-    if not is_int(steps) or steps < 0:
-        raise ValueError(f"steps must be an int >= 0, got {steps!r}")
+    require_int("steps", steps)
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     new1 = tuple(sorted((j, r + steps * min(l, j)) for j, r in rc.color(1)))
     return RiggedConfiguration(rc.L, rc.rank, (new1,) + rc.strings[1:])
 
@@ -318,7 +322,7 @@ def solve_ivp(word: str, l: int | None, t: int) -> str:
     word with L raised by the padding.
     """
     letters = _letters(word)
-    rank = max(max(letters, default=2), 2) - 1
+    rank = rank_of(letters)
     balls = len(letters) - letters.count(1)
     rc = evolve_rc(kkr_phi(letters, rank), l, steps=t)
     pad = t * capacity(l, balls) + balls + 2

@@ -41,17 +41,19 @@ from functools import cached_property
 from itertools import accumulate, combinations, product
 from math import comb, gcd
 
-from boxball.bbs import capacity, carrier_pass, decode_word, encode_word, is_int
+from boxball.bbs import capacity, carrier_pass, decode_word, encode_word
 from boxball.intmat import (
     column_hnf,
     det_int,
     divisors,
     gauss_jordan,
+    is_int,
     lattice_points_in_box,
     lcm_of_fractions,
     moebius,
     reduce_mod_hnf,
     reduce_mod_lattice,  # noqa: F401  (perfbench/spans.py traces pbbs.reduce_mod_lattice)
+    require_int,
 )
 from boxball.kkr import RiggedConfiguration, kkr_phi, kkr_phi_inv
 from boxball.theta import PeriodMatrix, theta
@@ -151,7 +153,8 @@ class ActionVariable:
         I = tuple(sorted(set(self.parts)))
         object.__setattr__(self, "I", I)
         object.__setattr__(self, "mults", tuple(self.parts.count(i) for i in I))
-        object.__setattr__(self, "vacancies", tuple(self.vacancy(i) for i in I))
+        rc = RiggedConfiguration.make(self.L, 1, [[(i, 0) for i in self.parts]])  # kkr's q-formula
+        object.__setattr__(self, "vacancies", tuple(rc.vacancy(1, i) for i in I))
 
     @property
     def g(self) -> int:
@@ -159,9 +162,6 @@ class ActionVariable:
 
     def m(self, i: int) -> int:
         return self.mults[self.I.index(i)] if i in self.I else 0
-
-    def vacancy(self, j: int) -> int:
-        return self.L - 2 * sum(min(j, i) * m for i, m in zip(self.I, self.mults))
 
     def F(self, gamma=None) -> list[list[int]]:
         """Period matrix F_ij = delta_ij p_i + 2 min(i,j) m_j over I x I; given
@@ -416,8 +416,7 @@ def direct_scattering(p: PeriodicState) -> AngleVariable:
 
 def evolve_angle(J: AngleVariable, l: int | None, steps: int = 1) -> AngleVariable:
     """T_l^steps on angle variables: add steps*min(i,l) to every window entry."""
-    if not is_int(steps):
-        raise ValueError(f"steps must be an int, got {steps!r}")
+    require_int("steps", steps)
     return AngleVariable(
         J.mu,
         tuple(tuple(x + steps * v for x in w) for v, w in zip(J.mu.h(l), J.windows)),

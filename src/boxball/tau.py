@@ -155,21 +155,13 @@ def tau(s: StringSet, k: int, a: int) -> int:
     return s._table.rows[k][a]
 
 
-def _rows(s: StringSet, L: int | None) -> list[list[int]]:
-    """The tau rows k = 0..L of s (L defaults to s.L)."""
-    L = s.L if L is None else L
-    if L > s.L:
-        raise ValueError("k out of range")
-    return s._table.rows[: max(L, 0) + 1]
-
-
-def path_from_tau(s: StringSet, L: int | None = None) -> str:
+def path_from_tau(s: StringSet) -> str:
     """Reconstruct the path word from second differences of tau.
 
     x_{k,a} = tau_{k,a} - tau_{k-1,a} - tau_{k,a-1} + tau_{k-1,a-1} must be a
     unit vector in a for every cell k; ValueError otherwise or on a letter above 9.
     """
-    t = _rows(s, L)
+    t = s._table.rows
     word = []
     for k in range(1, len(t)):
         letter = None
@@ -221,15 +213,15 @@ def rho(state: BBSState | str, k: int, a: int, t: int = 0, rank: int | None = No
     return total
 
 
-def check_hirota(s: StringSet, L: int | None = None) -> bool:
+def check_hirota(s: StringSet) -> bool:
     """Ultradiscrete Hirota-Miwa for tau and its T_infinity update taubar:
 
     taubar_{k,a-1} + tau_{k-1,a} = max(taubar_{k,a} + tau_{k-1,a-1},
                                        taubar_{k-1,a-1} + tau_{k,a} - 1)
     for 1 <= k <= L and 2 <= a <= n+1.
     """
-    t = _rows(s, L)
-    tbar = _rows(StringSet.from_rc(evolve_rc(s.to_rc(), None)), L)
+    t = s._table.rows
+    tbar = StringSet.from_rc(evolve_rc(s.to_rc(), None))._table.rows
     for k in range(1, len(t)):
         for a in range(2, s.rank + 2):
             lhs = tbar[k][a - 1] + t[k - 1][a]

@@ -29,11 +29,10 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from numbers import Rational
 from operator import mul
 from typing import NamedTuple
 
-from boxball.intmat import gauss_jordan, lcm_int
+from boxball.intmat import exact, gauss_jordan, lcm_int
 
 
 class _IntegerForm(NamedTuple):
@@ -50,14 +49,6 @@ class _IntegerForm(NamedTuple):
     M: int
     adj: tuple[tuple[int, ...], ...]
     det: int
-
-
-def _fractions(xs, what: str) -> tuple[Fraction, ...]:
-    """xs as Fractions; floats, bools and other non-rationals raise ValueError."""
-    xs = tuple(xs)
-    if any(isinstance(x, bool) or not isinstance(x, Rational) for x in xs):
-        raise ValueError(f"{what} must be ints or Fractions: {xs!r}")
-    return tuple(map(Fraction, xs))
 
 
 def _integer_form(rows) -> _IntegerForm:
@@ -87,7 +78,8 @@ class PeriodMatrix:
         g = len(self.rows)
         if any(len(r) != g for r in self.rows):
             raise ValueError("matrix must be square")
-        object.__setattr__(self, "rows", tuple(_fractions(r, "matrix entries") for r in self.rows))
+        rows = tuple(tuple(Fraction(exact(x, "matrix entries")) for x in r) for r in self.rows)
+        object.__setattr__(self, "rows", rows)
         if any(self.rows[i][j] != self.rows[j][i] for i in range(g) for j in range(g)):
             raise ValueError("matrix must be symmetric")
         object.__setattr__(self, "_form", _integer_form(self.rows))
@@ -191,7 +183,7 @@ def _argmin_int(
 
 def _scaled(Z, Xi: PeriodMatrix) -> tuple[tuple[int, ...], int]:
     """(b, t) with Z = b / (s t) in integers, t the lcm of Z's denominators."""
-    Z = _fractions(Z, "theta argument entries")
+    Z = tuple(exact(z, "theta argument entries") for z in Z)
     if len(Z) != Xi.g:
         raise ValueError(f"theta argument must have g = {Xi.g} entries, got {len(Z)}")
     t = lcm_int(z.denominator for z in Z)

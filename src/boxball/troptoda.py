@@ -2,10 +2,10 @@
 spectral data, theta-function solution and the periodic box-ball embedding.
 
 States are cyclic vectors (Q_j, W_j) of exact rationals with sum(Q) < sum(W),
-each coordinate held as an int when integral, else as a Fraction (a float
-or bool raises ValueError), so integral states run on plain int arithmetic;
-conserved values follow the same rule, and spectral data of an integral C
-are ints.
+each coordinate read by intmat.exact: an int when integral, else a Fraction
+(a float or bool raises ValueError), so integral states run on plain int
+arithmetic; conserved values, C and Z0 follow the same rule, spectral data of
+an integral C are ints, and times t and sites n must be ints.
 One time step is O(N); integer states stay integer under evolution (checked
 where relied on).  The intermediate conserved quantities H_k interpolate the
 displayed H_1, H_2, H_N as minima over k-element subsets avoiding the pairs
@@ -25,26 +25,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
-from numbers import Rational
 
-from boxball.bbs import is_int, toda_pass
-from boxball.intmat import lcm_int
+from boxball.bbs import toda_pass
+from boxball.intmat import exact, lcm_int, require_int
 # theta is re-exported; the sites below use the integer entry point
 from boxball.theta import PeriodMatrix, _theta_num, theta  # noqa: F401
 
 
 Exact = int | Fraction  # int when integral, else Fraction
-
-
-def _exact(x) -> Exact:
-    """x as an int when it is integral, else as a Fraction; floats, bools
-    and other non-rationals raise ValueError."""
-    if type(x) is int:
-        return x
-    if isinstance(x, bool) or not isinstance(x, Rational):
-        raise ValueError(f"values must be ints or Fractions, got {x!r}")
-    x = Fraction(x)
-    return x.numerator if x.denominator == 1 else x
 
 
 @dataclass(frozen=True)
@@ -53,8 +41,8 @@ class TodaState:
     W: tuple[Exact, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "Q", tuple(map(_exact, self.Q)))
-        object.__setattr__(self, "W", tuple(map(_exact, self.W)))
+        object.__setattr__(self, "Q", tuple(map(exact, self.Q)))
+        object.__setattr__(self, "W", tuple(map(exact, self.W)))
         if len(self.Q) != len(self.W) or not self.Q:
             raise ValueError("Q and W must have equal positive length")
         if sum(self.Q) >= sum(self.W):
@@ -146,7 +134,7 @@ def conserved_all(s: TodaState) -> tuple[Exact, ...]:
         _min(without_q1[k], None if with_q1[k - 1] is None else with_q1[k - 1] + s.Q[0])
         for k in range(1, N + 1)
     ]
-    return tuple(map(_exact, H + [sum(s.Q) + sum(s.W)]))
+    return tuple(map(exact, H + [sum(s.Q) + sum(s.W)]))
 
 
 def shift_s(s: TodaState) -> TodaState:
@@ -156,14 +144,7 @@ def shift_s(s: TodaState) -> TodaState:
 
 def s_equivalent(a: TodaState, b: TodaState) -> bool:
     """True iff b is a power of the pair-rotation applied to a."""
-    if a.N != b.N:
-        return False
-    cur = a
-    for _ in range(a.N):
-        if cur == b:
-            return True
-        cur = shift_s(cur)
-    return False
+    return any(a.Q[k:] + a.Q[:k] == b.Q and a.W[k:] + a.W[:k] == b.W for k in range(a.N))
 
 
 @dataclass(frozen=True)
@@ -185,7 +166,7 @@ def spectral_data(C) -> SpectralData:
     eta_k is positive, in which case the (N-1)x(N-1) period matrix is the
     tridiagonal Omega below.
     """
-    C = tuple(map(_exact, C))
+    C = tuple(map(exact, C))
     N = len(C) - 1
     if N < 1:
         raise ValueError("need at least C_1, C_2")
@@ -220,7 +201,7 @@ def _theta_sites(Z0: tuple, C: tuple):
     if not sd.smooth or sd.Omega is None:
         raise ValueError("spectral curve is not smooth")
     g = len(C) - 2
-    Z0 = tuple(map(_exact, Z0))
+    Z0 = tuple(map(exact, Z0))
     if len(Z0) != g:
         raise ValueError(f"Z0 must have len(C) - 2 = {g} entries, got {len(Z0)}")
     Xi = PeriodMatrix.from_rows(sd.Omega)
@@ -242,20 +223,15 @@ def _theta_sites(Z0: tuple, C: tuple):
     q_const, w_const = 2 * scaled(C1), 2 * scaled(sd.L + C1)
     den = 2 * su
 
-    def exact(num: int) -> Exact:
+    def over_den(num: int) -> Exact:
         q, r = divmod(num, den)
         return Fraction(num, den) if r else q
 
     def site(t: int, n: int) -> tuple[Exact, Exact]:
         a, b, c, d = T(t, n - 1), T(t + 1, n), T(t + 1, n - 1), T(t, n)
-        return exact(a + b - c - d + q_const), exact(c + T(t, n + 1) - d - b + w_const)
+        return over_den(a + b - c - d + q_const), over_den(c + T(t, n + 1) - d - b + w_const)
 
     return site
-
-
-def _require_int(name: str, x) -> None:
-    if not is_int(x):
-        raise ValueError(f"{name} must be an int, got {x!r}")
 
 
 def theta_solution(Z0, C, t: int, n: int) -> tuple[Exact, Exact]:
@@ -266,15 +242,15 @@ def theta_solution(Z0, C, t: int, n: int) -> tuple[Exact, Exact]:
     bools), a smooth spectral curve and len(Z0) == len(C) - 2 (the genus),
     else ValueError.
     """
-    _require_int("t", t)
-    _require_int("n", n)
+    require_int("t", t)
+    require_int("n", n)
     return _theta_sites(tuple(Z0), tuple(C))(t, n)
 
 
 def theta_state(Z0, C, t: int) -> TodaState:
     """Full state at time t from the theta solution (same conditions as
     theta_solution)."""
-    _require_int("t", t)
+    require_int("t", t)
     site = _theta_sites(tuple(Z0), tuple(C))
     pairs = [site(t, n) for n in range(1, len(C))]
     return TodaState.make([q for q, _ in pairs], [w for _, w in pairs])
@@ -283,10 +259,11 @@ def theta_state(Z0, C, t: int) -> TodaState:
 def embed_pbbs(word, leftmost: int = 0) -> TodaState:
     """Embed a periodic sl2 box-ball state into Toda coordinates.
 
-    word: cyclic sequence over {1, 2} ('.' = 1 accepted); leftmost selects the
-    distinguished box.  Runs are read from that box: Q_1 is the leading ball
-    run (0 if the box is empty), then alternating empty/ball run lengths; the
-    result always has Q_1 = 0 or W_N = 0.
+    word: cyclic sequence over {1, 2} ('.' = 1 accepted); leftmost, taken
+    mod L as in PeriodicState.shifted, selects the distinguished box.  Runs
+    are read from that box: Q_1 is the leading ball run (0 if the box is
+    empty), then alternating empty/ball run lengths; the result always has
+    Q_1 = 0 or W_N = 0.
     """
     from boxball.pbbs import PeriodicState, parse_cells
 
@@ -298,6 +275,7 @@ def embed_pbbs(word, leftmost: int = 0) -> TodaState:
         cells = tuple(word)
         if not set(cells) <= {1, 2}:
             raise ValueError("cells must be 1 or 2")
+    leftmost %= len(cells) or 1  # the empty word keeps its error below
     cells = cells[leftmost:] + cells[:leftmost]
     # N = 1 + number of cyclic ball runs (= 1 + soliton count of the isolevel set);
     # a ball run wrapping the distinguished box splits linearly into Q_1 and Q_N

@@ -384,3 +384,16 @@ def test_letters_above_nine_have_no_one_character_form():
         with pytest.raises(ValueError, match="above 9"):
             call()
     assert BBSState(8, tuple(range(1, 10))).render() == ".23456789"
+
+
+@pytest.mark.parametrize("big, small", [("٣2", "2"), ("32", "２"), ("３2", "2"), ("3 2", "2")])
+def test_scatter_labels_are_words(big, small):
+    # before, int() read the Arabic-Indic and fullwidth digits: ('3', '22', 2)
+    with pytest.raises(ValueError, match="letters must be >= 1 and <= 9"):
+        scatter_two(big, small)
+
+
+def test_scatter_labels_of_dots_and_ones_are_invalid():
+    for big, small in (("2.", "2"), ("21", "2"), ("22", "."), ("22", "")):
+        with pytest.raises(ValueError, match="invalid soliton label"):
+            scatter_two(big, small)

@@ -373,6 +373,37 @@ def test_bad_capacity_is_usage_error(capsys):
     assert "--l" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # before, --l 0 printed "invalid _parse_l value: '0'"
+        (("evolve", "22..2", "--l", "0"), "argument --l: l must be >= 1 or inf"),
+        (("evolve", "22..2", "--l", "two"), "argument --l: invalid int value: 'two'"),
+        (("evolve", "22..2", "--steps", "-1"), "argument --steps: steps must be >= 0"),
+        (("evolve", "22..2", "--steps", "1.5"), "argument --steps: invalid int value: '1.5'"),
+        (("analyze", "period", "22..", "--l-max", "0"), "argument --l-max: l-max must be >= 1"),
+    ],
+)
+def test_integer_options_say_why(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("big, small", [("٣2", "2"), ("32", "２")])
+def test_scatter_non_ascii_label_exit_code(capsys, big, small):
+    # before, both printed {"small_out": "3", "big_out": "22", "delta": 2}
+    code, out, err = run(capsys, "scatter", big, small)
+    assert code == 3 and out == "" and "letters must be >= 1 and <= 9" in err
+
+
+def test_embed_leftmost_is_taken_mod_L(capsys):
+    # before, --leftmost 99 gave the leftmost-0 embedding ["0", "2", "2", "2"]
+    outs = [run(capsys, "toda", "embed", "1122..", "--leftmost", k)[1] for k in ("99", "3", "-3")]
+    assert outs[0] == outs[1] == outs[2] != run(capsys, "toda", "embed", "1122..")[1]
+
+
 @pytest.mark.parametrize("l_max", ["0", "-2"])
 def test_bad_l_max_is_usage_error(capsys, l_max):
     # before, analyze period printed {} and exited 0

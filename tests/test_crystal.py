@@ -348,3 +348,21 @@ def test_yang_baxter_random():
 def test_rank_mismatch_raises():
     with pytest.raises(RankMismatch):
         comb_R(C(1, (1, 0)), C(2, (1, 0, 0)))
+
+
+@pytest.mark.parametrize("word", ["１３", "٣", "1,,3", "1,3,", ",1", "13 4", "1, 3", "1;3", "-1"])
+def test_from_word_takes_ascii_digits_and_no_empty_field(word):
+    # before, "１３" and "1,,3" read as 13 and "13 4" failed inside int()
+    with pytest.raises(ValueError, match="ASCII digits"):
+        C.from_word(word)
+    with pytest.raises(ValueError, match="ASCII digits"):
+        TensorElement.from_word(f"12*{word}")
+
+
+def test_from_word_keeps_unsorted_words_and_letter_bounds():
+    assert C.from_word("311") == C.from_word("1,1,3") == C(2, (2, 0, 1))
+    assert TensorElement.from_word("2*1,10").rank == 9
+    with pytest.raises(ValueError, match="letters must be >= 1"):
+        C.from_word("102")
+    with pytest.raises(ValueError, match="exceeds rank"):
+        TensorElement.from_word("13*2", rank=1)

@@ -482,10 +482,9 @@ def _apply_slide(J: AngleVariable, k: int) -> AngleVariable:
     """Elementary slide on part size k, straight from its definition."""
     mu = J.mu
     windows = []
-    for i, w in zip(mu.I, J.windows):
+    for i, p, w in zip(mu.I, mu.vacancies, J.windows):
         add = 2 * min(i, k)
         if i == k:
-            p = mu.vacancy(i)
             w = tuple(list(w[1:]) + [w[0] + p])
         windows.append(tuple(x + add for x in w))
     return AngleVariable(mu, tuple(windows))
@@ -595,7 +594,7 @@ def test_angle_window_spread_beyond_quasi_period_raises():
     # p_1 = 14: every consecutive gap is 14, but the spread is 28; accepted,
     # inverse_scattering mapped it to another class (...............2.2.2)
     mu = ActionVariable(20, (1, 1, 1))
-    assert mu.vacancy(1) == 14
+    assert mu.vacancies == (14,)
     with pytest.raises(ValueError, match="window spread exceeds the quasi-period"):
         AngleVariable(mu, ((0, 14, 28),))
     assert AngleVariable(mu, ((0, 7, 14),)).windows == ((0, 7, 14),)

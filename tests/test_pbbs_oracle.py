@@ -96,10 +96,9 @@ def old_internal_symmetry(p):
     rc = kkr_phi(p_plus.word(), rank=1)
     mu = ActionVariable(p.L, rc.mu(1))
     out = []
-    for i in mu.I:
+    for i, pi in zip(mu.I, mu.vacancies):
         w = sorted(r for j, r in rc.color(1) if j == i)
         m = len(w)
-        pi = mu.vacancy(i)
         gam = 1
         for cand in sorted(divisors(gcd(m, pi) if pi else m), reverse=True):
             step = m // cand
@@ -155,7 +154,7 @@ def old_inverse_scattering(J):
     L = mu.L
     I = mu.I
     g = len(I)
-    vac = [mu.vacancy(i) for i in I]
+    vac = list(mu.vacancies)
     F = mu.F()
     F_inv = list(zip(*(old_solve(F, [int(i == j) for i in range(g)]) for j in range(g))))
     for rotated in _orbit_candidates(J):
@@ -507,7 +506,8 @@ def random_genus8_states(n, seed, L=160):
         while 2 * (sum(parts) + sizes[-1]) <= L:
             parts.append(rng.choice(sizes))
         mu = ActionVariable(L, tuple(sorted(parts, reverse=True)))
-        rc = RiggedConfiguration.make(L, 1, [[(i, rng.randint(0, mu.vacancy(i))) for i in parts]])
+        vac = dict(zip(mu.I, mu.vacancies))
+        rc = RiggedConfiguration.make(L, 1, [[(i, rng.randint(0, vac[i])) for i in parts]])
         yield PeriodicState.parse(kkr_phi_inv(rc)).shifted(rng.randrange(L))
 
 

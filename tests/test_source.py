@@ -63,6 +63,27 @@ def test_only_bbs_raises_the_word_and_capacity_errors():
     assert not found, found
 
 
+def test_only_intmat_reads_exact_numbers():
+    # intmat owns the exact-number rule (is_int, require_int, exact); no other
+    # module imports numbers.Rational or raises these errors itself
+    phrases = ("must be ints or Fractions", "must be an int")
+    found = []
+    for path in sorted(Path(boxball.__file__).parent.glob("*.py")):
+        if path.name == "intmat.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "numbers":
+                found.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Import) and any(a.name == "numbers" for a in node.names):
+                found.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Raise):
+                strings = [c.value for c in ast.walk(node) if isinstance(c, ast.Constant)]
+                text = " ".join(x for x in strings if isinstance(x, str))
+                if any(phrase in text for phrase in phrases):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
 def test_toda_and_theta_hold_no_true_division_or_float():
     # plain ints flow through these modules, where int / int gives a float;
     # exact division goes through Fraction or divmod

@@ -203,15 +203,11 @@ def test_tau_table_shape():
 
 
 def test_tau_rows_are_bounded_and_not_shared():
+    # the table stops at k = L, and path and Hirota read exactly those rows
     s = _S("11112221322433", 3)
-    assert path_from_tau(s, 7) == "1111222"
-    assert path_from_tau(s, 0) == path_from_tau(s, -2) == ""
-    with pytest.raises(ValueError):
-        path_from_tau(s, s.L + 1)
-    with pytest.raises(ValueError):
-        check_hirota(s, s.L + 1)
-    assert check_hirota(s, 5)
     table = tau_table(s)
+    assert len(table) == s.L + 1
+    assert path_from_tau(s) == "11112221322433" and check_hirota(s)
     table[3][2] += 100
     assert tau_table(s)[3][2] == tau(s, 3, 2) == table[3][2] - 100
 

@@ -296,3 +296,50 @@ def test_embed_rejects_bad_cell_characters():
     for bad in ((1, 3, 3, 1, 1, 2, 1, 1), (1, 0, 2), (1, 2, 1, 2.5)):
         with pytest.raises(ValueError, match="cells must be 1 or 2"):
             embed_pbbs(bad)
+
+
+def test_embed_reads_leftmost_mod_L():
+    # before, a leftmost of L or more read as 0: 1122.. at 99 gave the box-0 embedding
+    def outcome(word, k):
+        try:
+            return embed_pbbs(word, leftmost=k)
+        except ValueError as exc:
+            return str(exc)
+
+    for L in range(1, 11):
+        for bits in range(2**L):
+            word = "".join("21"[bits >> i & 1] for i in range(L))
+            for k in range(L):
+                assert outcome(word, k) == outcome(word, k + L) == outcome(word, k - L), (word, k)
+    assert embed_pbbs("1122..", leftmost=99) == embed_pbbs("1122..", leftmost=3)
+
+
+def test_s_equivalent_agrees_with_the_shift_s_loop():
+    def by_shifts(a, b):
+        cur = a
+        for _ in range(a.N):
+            if cur == b:
+                return True
+            cur = shift_s(cur)
+        return False
+
+    rng = random.Random(20)
+    seen = set()
+    for _ in range(400):
+        N = rng.randint(1, 5)
+        Q = [rng.randint(0, 3) for _ in range(N)]
+        W = [q + rng.randint(1, 3) for q in Q]
+        a = TodaState.make(Q, W)
+        b = a
+        for _ in range(rng.randrange(N + 1)):
+            b = shift_s(b)
+        if rng.random() < 0.5:  # perturb one coordinate, keeping sum(Q) < sum(W)
+            j = rng.randrange(N)
+            W2 = list(b.W)
+            W2[j] += rng.choice((1, F(1, 2)))
+            b = TodaState.make(b.Q, W2)
+        if rng.random() < 0.2:
+            b = TodaState.make(list(b.Q) + [0], list(b.W) + [1])
+        seen.add(by_shifts(a, b))
+        assert s_equivalent(a, b) == by_shifts(a, b), (a, b)
+    assert seen == {False, True}
