@@ -113,18 +113,13 @@ def column_hnf(cols: list[list[int]]) -> list[list[int]]:
 
 
 def reduce_mod_lattice(v: list[int], cols: list[list[int]]) -> tuple[int, ...]:
-    """Canonical representative of v modulo the integer lattice spanned by cols.
+    """Canonical representative of v modulo the integer lattice spanned by cols:
+    v reduced column by column against their Hermite form.
 
     Two vectors reduce to the same representative iff they differ by a lattice
-    element.  Deterministic given the basis; reduce_mod_hnf reuses one Hermite
-    form across calls.
+    element.  Deterministic given the basis.
     """
-    return reduce_mod_hnf(v, column_hnf(cols))
-
-
-def reduce_mod_hnf(v: list[int], h) -> tuple[int, ...]:
-    """reduce_mod_lattice against a basis h that is already column_hnf output."""
-    w = list(v)
+    h, w = column_hnf(cols), list(v)
     for i in range(len(w)):
         q = w[i] // h[i][i]
         if q:

@@ -17,20 +17,22 @@ I = {i_1 < ... < i_g} and multiplicities m_i, a slide on color k rotates that
 window by one and adds 2 min(i,k) everywhere, so the orbit of a window tuple
 is parametrized by a rotation vector r and a lattice shift F s (F the
 Bethe-type period matrix).  None of the prod m_i rotations is enumerated to
-compare or canonicalize: class equality is one membership test in F_gamma Z^g
-(columns of F divided by the internal symmetries), and the canonical form is
-found color by color against one Hermite form of F.  Inverse scattering walks
-the box of valid riggings in Lambda = F Z^g + Z 1 (F 1 = L 1 absorbs the
-uniform shift) one coordinate at a time, for each window rotation.
+compare or canonicalize: two classes are equal iff a difference vector v lies
+in F_gamma Z^g (columns of F divided by the internal symmetries), that is iff
+det F divides gamma_j (adj F v)_j for every j (Cramer's rule), and the
+canonical form is found color by color against one Hermite form of F.
+Inverse scattering walks the box of valid riggings in Lambda = F Z^g + Z 1
+(F 1 = L 1 absorbs the uniform shift) one coordinate at a time, for each
+window rotation.
 
-F depends on the action variable alone, so each ActionVariable carries one
-lattice context (_Lattice), every piece built on first use and kept as
-tuples: F, its one intmat.gauss_jordan pass (det F, adj F), and the column
-Hermite forms of F, of Lambda and of each F_gamma asked for.  All of it is
-exact integer work done once per action variable: inverse scattering reads
-the shift e off row 0 of adj F and det F, periods are Cramer ratios,
-det F_j / det F = (adj F h)_j / det F, and the canonical form, class
-equality and the lattice walk read the Hermite forms.
+F depends on the action variable alone, so each ActionVariable carries its
+lattice data as cached properties, built on first use and kept as tuples:
+F, its one intmat.gauss_jordan pass (det F, adj F), and the column Hermite
+forms of F and of Lambda.  All of it is exact integer work done once per
+action variable: inverse scattering reads the shift e off row 0 of adj F
+and det F, periods are Cramer ratios, det F_j / det F = (adj F h)_j / det F,
+class equality is the Cramer test above, and the canonical form and the
+lattice walk read the Hermite forms.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ from boxball.intmat import (
     lattice_points_in_box,
     lcm_of_fractions,
     moebius,
-    reduce_mod_hnf,
     reduce_mod_lattice,  # noqa: F401  (perfbench/spans.py traces pbbs.reduce_mod_lattice)
     require_int,
 )
@@ -100,6 +101,7 @@ class PeriodicState:
 
     def shifted(self, d: int) -> "PeriodicState":
         """T_1^d: rotate right by d cells."""
+        require_int("d", d)
         d %= self.L
         return PeriodicState(self.cells[-d:] + self.cells[:-d]) if d else self
 
@@ -183,52 +185,27 @@ class ActionVariable:
         return tuple(min(i, l) for i in self.I)
 
     @cached_property
-    def _lattice(self) -> "_Lattice":
-        return _Lattice(self)
-
-
-def _hnf(cols) -> tuple[tuple[int, ...], ...]:
-    return tuple(map(tuple, column_hnf(list(cols))))
-
-
-class _Lattice:
-    """The exact linear algebra of one action variable's period matrix F.  Each
-    piece is built on first use and kept as tuples: F; det F and adj F from
-    one gauss_jordan; the column Hermite forms of F, of Lambda = F Z^g + Z 1
-    (coordinates reversed, the order inverse_scattering walks them in) and of
-    F_gamma for each internal symmetry gamma asked for."""
-
-    def __init__(self, mu: ActionVariable):
-        self._mu = mu
-        self._hnf_gamma: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
+    def _F(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.F()))
 
     @cached_property
-    def F(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, self._mu.F()))
-
-    @cached_property
-    def elimination(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    def _elimination(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """(det F, adj F); F is nonsingular (F diag(m)^-1 = diag(p / m) + 2 M with
         p >= 0 and M = (min(i, j)) positive definite), so adj F exists."""
-        e = gauss_jordan(self.F)
+        e = gauss_jordan(self._F)
         return e.det, tuple(map(tuple, e.adj))
 
     @cached_property
-    def hnf(self) -> tuple[tuple[int, ...], ...]:
-        return _hnf(zip(*self.F))
+    def _hnf(self) -> tuple[tuple[int, ...], ...]:
+        """Column Hermite form of F."""
+        return tuple(map(tuple, column_hnf(list(zip(*self._F)))))
 
     @cached_property
-    def hnf_lambda(self) -> tuple[tuple[int, ...], ...]:
-        return _hnf([col[::-1] for col in zip(*self.F)] + [(1,) * self._mu.g])
-
-    def hnf_gamma(self, gamma: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-        """Hermite form of F_gamma (ValueError unless gamma divides F's columns);
-        F_1 = F shares F's form."""
-        if all(gam == 1 for gam in gamma):
-            return self.hnf
-        if gamma not in self._hnf_gamma:
-            self._hnf_gamma[gamma] = _hnf(zip(*self._mu.F(gamma)))
-        return self._hnf_gamma[gamma]
+    def _hnf_lambda(self) -> tuple[tuple[int, ...], ...]:
+        """Column Hermite form of Lambda = F Z^g + Z 1, coordinates reversed (the
+        order inverse_scattering walks them in)."""
+        cols = [col[::-1] for col in zip(*self._F)] + [(1,) * self.g]
+        return tuple(map(tuple, column_hnf(cols)))
 
 
 def action_variable(p: PeriodicState) -> ActionVariable:
@@ -294,7 +271,7 @@ def _scatter(p: PeriodicState) -> AngleVariable:
     the (uncanonicalized) angle variable of p.  Read through p._scattered, so
     each state scatters once for all of its action, angle, symmetry and periods."""
     d, p_plus = _some_highest_rotation(p)
-    rc = kkr_phi(p_plus.word(), rank=1)
+    rc = kkr_phi(p_plus.cells, rank=1)
     mu = ActionVariable(p.L, rc.mu(1))
     return AngleVariable(
         mu, tuple(tuple(sorted(r + d for j, r in rc.color(1) if j == i)) for i in mu.I)
@@ -344,7 +321,7 @@ def canonicalize(J: AngleVariable) -> AngleVariable:
     candidates still tied for the minimum.
     """
     mu = J.mu
-    H = mu._lattice.hnf
+    H = mu._hnf
     # tail[k]: the largest T_k; tied: (T_k, rows >= k of the partially reduced b)
     tail = list(accumulate((m - 1 for m in reversed(mu.mults)), initial=0))[::-1]
     tied = [(T, (0,) * mu.g) for T in range(tail[0] + 1)]
@@ -391,8 +368,9 @@ def angle_equal(A: AngleVariable, B: AngleVariable) -> bool:
     Per color, the rotations taking A's cyclic gaps to B's are r_i + k m_i /
     gamma_i (none: not equal), gamma_i the internal symmetry.  Rotating by
     m_i / gamma_i adds p_i / gamma_i to window i; with the slide's 2 M e_i m_i /
-    gamma_i that is column i of F_gamma (F with column i divided by gamma_i).
-    So A ~ B iff v = (B_i[0] - A_i[r_i] - 2 (M r)_i)_i lies in F_gamma Z^g.
+    gamma_i that is column i of F_gamma = F diag(gamma)^-1.  So A ~ B iff
+    v = (B_i[0] - A_i[r_i] - 2 (M r)_i)_i lies in F_gamma Z^g, that is iff
+    diag(gamma) F^-1 v is integral: det F divides gamma_j (adj F v)_j for all j.
     """
     if A.mu != B.mu:
         return False
@@ -405,8 +383,11 @@ def angle_equal(A: AngleVariable, B: AngleVariable) -> bool:
         wb[0] - wa[ri] - d
         for wa, wb, ri, d in zip(A.windows, B.windows, r, _slide_shift(mu.I, r))
     ]
-    gamma = tuple(map(len, matches))  # gamma_i = len(matches[i])
-    return not any(reduce_mod_hnf(v, mu._lattice.hnf_gamma(gamma)))
+    det, adj = mu._elimination
+    # gamma_j = len(matches[j])
+    return not any(
+        len(hits) * sum(x * y for x, y in zip(row, v)) % det for hits, row in zip(matches, adj)
+    )
 
 
 def direct_scattering(p: PeriodicState) -> AngleVariable:
@@ -434,9 +415,9 @@ def inverse_scattering(J: AngleVariable) -> PeriodicState:
     mu = J.mu
     L = mu.L
     I = mu.I
-    det, adj = mu._lattice.elimination
+    det, adj = mu._elimination
     # coordinates from the largest part size down: its window is the narrowest
-    H = mu._lattice.hnf_lambda
+    H = mu._hnf_lambda
     for rotated in _orbit_candidates(J):
         lo = [-w[0] for w in reversed(rotated)]
         hi = [p - w[-1] for p, w in zip(reversed(mu.vacancies), reversed(rotated))]
@@ -492,14 +473,14 @@ def fundamental_period(p: PeriodicState, l: int | None) -> int:
     det F_j != 0 (F_j: column j replaced by h_l, so det F_j = (adj F h_l)_j);
     1 when there is no such j (the vacuum, or T_0)."""
     J = p._scattered
-    h, (det, adj) = J.mu.h(l), J.mu._lattice.elimination
+    h, (det, adj) = J.mu.h(l), J.mu._elimination
     dets = (sum(x * y for x, y in zip(row, h)) for row in adj)
     return lcm_of_fractions(Fraction(det, gam * d) for gam, d in zip(_symmetry(J), dets) if d)
 
 
 def isolevel_cardinality(mu: ActionVariable) -> int:
     """|P_L(mu)| by the determinant form; ValueError unless the product form agrees."""
-    a = Fraction(mu._lattice.elimination[0])
+    a = Fraction(mu._elimination[0])
     for m, p in zip(mu.mults, mu.vacancies):
         a *= Fraction(comb(p + m - 1, m - 1), m)
     # second closed form: L/p_{i_g} prod binom(p_i + m_i - 1, m_i), regularized

@@ -275,6 +275,7 @@ def embed_pbbs(word, leftmost: int = 0) -> TodaState:
         cells = tuple(word)
         if not set(cells) <= {1, 2}:
             raise ValueError("cells must be 1 or 2")
+    require_int("leftmost", leftmost)
     leftmost %= len(cells) or 1  # the empty word keeps its error below
     cells = cells[leftmost:] + cells[:leftmost]
     # N = 1 + number of cyclic ball runs (= 1 + soliton count of the isolevel set);

@@ -577,6 +577,14 @@ def test_step_counts_and_action_variables_must_be_ints():
             ActionVariable(L, parts)
 
 
+@pytest.mark.parametrize("d", [1.5, "2", True])
+def test_shifted_requires_int_offset(d):
+    # before, 1.5 raised TypeError from the slice, "2" a string-formatting
+    # TypeError, and True was read as 1
+    with pytest.raises(ValueError, match="d must be an int"):
+        PeriodicState.parse("1122..").shifted(d)
+
+
 def test_evolve_angle_rejects_negative_capacity():
     J = direct_scattering(PeriodicState.parse("1212111222"))
     with pytest.raises(ValueError, match="capacity l must be >= 0"):

@@ -287,6 +287,14 @@ def test_omega_f_omegaprime_triple():
     assert Oprime == [[16, 11], [11, 16]]
 
 
+@pytest.mark.parametrize("leftmost", [1.5, "2", True])
+def test_embed_requires_int_offset(leftmost):
+    # before, 1.5 raised TypeError from the slice, "2" a string-formatting
+    # TypeError, and True was read as 1
+    with pytest.raises(ValueError, match="leftmost must be an int"):
+        embed_pbbs("1122..", leftmost)
+
+
 def test_embed_rejects_bad_cell_characters():
     assert embed_pbbs("1.2221.211") == embed_pbbs("1122211211")
     for bad in ("12x211211", "123", "2a"):
