@@ -3,11 +3,12 @@
 elimination, the slide-orbit routines and the tropical Toda layer: CPU times,
 fitted growth exponents and the src/ line count, printed as JSON.
 
-For each size L it draws one random sl3 highest path with round(0.45 L)
-letters above 1, times kkr_phi and kkr_phi_inv (median of 3 runs of
-time.process_time), checks the round trip, and fits t ~ L^k by least squares
-on log t against log L.  On another such path per L it times, for carrier
-capacities l = 3 and infinity, one bbs.evolve step and kkr.solve_ivp over
+For each rank in KKR_RANKS (sl2, sl3 and sl4) and each size L it draws one
+random highest path with round(0.45 L) letters above 1, times kkr_phi and
+kkr_phi_inv (median of 3 runs of time.process_time), checks the round trip,
+and fits t ~ L^k per rank by least squares on log t against log L.  On one
+random sl3 highest path per L it times, for carrier capacities l = 3 and
+infinity, one bbs.evolve step and kkr.solve_ivp over
 EVOLVE_STEPS steps, checks solve_ivp against bbs.evolve^EVOLVE_STEPS, and
 fits t ~ L^k for both.  For each genus g in GENERA it times
 intmat.gauss_jordan (behind det_int) on the period matrix F of the periodic
@@ -73,6 +74,7 @@ from boxball.theta import PeriodMatrix, _scaled, _theta_num, theta_argmin
 from boxball.troptoda import TodaState, _theta_sites, conserved_all, evolve_toda, spectral_data, theta_state
 
 RANK = 2
+KKR_RANKS = (1, 2, 3)  # the ranks of the perfbench ivp mix
 BALL_FRACTION = 0.45
 REPEATS = 3
 EVOLVE_CAPACITIES = (3, None)  # None: T_infinity
@@ -135,25 +137,31 @@ def growth_exponent(sizes, times) -> float | None:
 
 
 def kkr_sweep(sizes) -> dict:
-    phi_s, phi_inv_s, roundtrip = [], [], True
-    for L in sizes:
-        word = highest_word(random.Random(f"kkr/{L}"), L, RANK, round(BALL_FRACTION * L))
-        t_phi, rc = median_time(kkr_phi, word, RANK)
-        t_inv, back = median_time(kkr_phi_inv, rc)
-        phi_s.append(t_phi)
-        phi_inv_s.append(t_inv)
-        roundtrip = roundtrip and back == word
-    return {
-        "rank": RANK,
+    out = {
+        "ranks": list(KKR_RANKS),
         "ball_fraction": BALL_FRACTION,
         "repeats": REPEATS,
         "sizes": list(sizes),
-        "phi_s": phi_s,
-        "phi_inv_s": phi_inv_s,
-        "phi_growth_exp": growth_exponent(sizes, phi_s),
-        "phi_inv_growth_exp": growth_exponent(sizes, phi_inv_s),
-        "roundtrip": roundtrip,
+        "by_rank": {},
     }
+    for rank in KKR_RANKS:
+        phi_s, phi_inv_s, roundtrip = [], [], True
+        for L in sizes:
+            word = highest_word(random.Random(f"kkr/{rank}/{L}"), L, rank, round(BALL_FRACTION * L))
+            t_phi, rc = median_time(kkr_phi, word, rank)
+            t_inv, back = median_time(kkr_phi_inv, rc)
+            phi_s.append(t_phi)
+            phi_inv_s.append(t_inv)
+            roundtrip = roundtrip and back == word
+        out["by_rank"][str(rank)] = {
+            "phi_s": phi_s,
+            "phi_inv_s": phi_inv_s,
+            "phi_growth_exp": growth_exponent(sizes, phi_s),
+            "phi_inv_growth_exp": growth_exponent(sizes, phi_inv_s),
+            "roundtrip": roundtrip,
+        }
+    out["roundtrip"] = all(r["roundtrip"] for r in out["by_rank"].values())
+    return out
 
 
 def evolve_sweep(sizes) -> dict:

@@ -4,17 +4,26 @@ linearized inverse-scattering solver for the infinite box-ball system.
 A rigged configuration stores, per color a in 1..n, a multiset of strings
 (length j, rigging J).  The bijection phi maps highest paths to rigged
 configurations one letter at a time; phi^{-1} inverts it.  Both walk one
-bucketed shape (_Shape): per color, the riggings of each length kept sorted
-and the vacancy of each present length kept current in place.  A string
-growing or shrinking by one shifts the stored vacancies above it in three
-colors; a length seen for the first time gets its vacancy from the one
-q-formula, which RiggedConfiguration.vacancy and through it
-pbbs.ActionVariable also use.  A singular string of a given length is one
-bisect away, so a letter costs time in the number of distinct lengths, not
-of strings; a letter 1 costs O(1) in phi (it only lengthens the path), and a
-run of 1s costs one scan in phi^{-1}.  Extended configurations (riggings
-outside the [0, vacancy] window, arising from non-highest paths or long
-evolutions) are carried by the same algorithms and flagged by is_valid().
+shape (_Shape) held as three index-aligned lists per color: lens (the
+present lengths, ascending), vacs (the vacancy of each, color 1's without
+its L term) and rigs (the riggings of each, sorted).  The vacancies start
+from one merge of each color's lengths against prefix sums of its own and
+its neighbours' cells (the q-formula, which RiggedConfiguration.vacancy
+and .vacancies, and through them pbbs.ActionVariable, also read) and are
+then kept current in place: a string growing or shrinking by one shifts
+the stored vacancies above it in three colors, skipping a neighbour with
+no length above the move, and a length seen for the first time gets its
+vacancy from the q-formula.  phi and phi^{-1} look for singular strings
+(rigging equal to the vacancy) inline in their letter loops.  phi never
+leaves a rigging above its vacancy, so a length holds a singular string
+exactly when its top rigging equals the vacancy; phi^{-1} tests the top
+rigging first and bisects only when it lies above the vacancy (an extended
+configuration).  So a letter costs time in the number of distinct lengths,
+not of strings; a letter 1 costs O(1) in phi (it only lengthens the path),
+and a run of 1s costs one scan in phi^{-1}.  Extended configurations
+(riggings outside the [0, vacancy] window, arising from non-highest paths
+or long evolutions) are carried by the same algorithms and flagged by
+is_valid().
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ import json
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import filterfalse
 from math import inf
 
 from boxball.bbs import capacity, decode_word, encode_word
@@ -39,15 +49,24 @@ class RiggedConfiguration:
     strings: tuple[tuple[tuple[int, int], ...], ...]
 
     def __post_init__(self):
+        require_int("L", self.L)
+        require_int("rank", self.rank)
         if self.L < 0:
             raise ValueError("L must be >= 0")
         if len(self.strings) != self.rank:
             raise ValueError("need one string multiset per color 1..rank")
         for block in self.strings:
-            if any(j < 1 for j, _ in block):
-                raise ValueError("string lengths must be >= 1")
-            if list(block) != sorted(block):
-                raise ValueError("strings must be sorted by (length, rigging)")
+            # one pass per block: int entries, lengths >= 1, sorted order
+            lj, lr = 1, -inf
+            for j, r in block:
+                if type(j) is not int or type(r) is not int:  # int subclasses: is_int decides
+                    require_int("a string length", j)
+                    require_int("a rigging", r)
+                if j < lj or j == lj and r < lr:
+                    if j < 1:
+                        raise ValueError("string lengths must be >= 1")
+                    raise ValueError("strings must be sorted by (length, rigging)")
+                lj, lr = j, r
 
     @classmethod
     def make(cls, L: int, rank: int, strings) -> "RiggedConfiguration":
@@ -62,7 +81,7 @@ class RiggedConfiguration:
 
     @cached_property
     def _shape(self) -> "_Shape":
-        return _Shape(self.L, self.rank, self.strings)
+        return _Shape(self.rank, self.strings)
 
     def vacancy(self, a: int, j: int) -> int:
         """p^(a)_j = q^(a-1)_j - 2 q^(a)_j + q^(a+1)_j."""
@@ -70,15 +89,24 @@ class RiggedConfiguration:
             raise ValueError("color out of range")
         if j < 1:
             raise ValueError("length must be >= 1")
-        return self._shape.vacancy(a, j)
+        p = self._shape.vacancy(a, j)
+        return p + self.L if a == 1 else p
+
+    def vacancies(self, a: int) -> tuple[int, ...]:
+        """The vacancy of each distinct color-a length, lengths ascending."""
+        if not 1 <= a <= self.rank:
+            raise ValueError("color out of range")
+        off = self.L if a == 1 else 0
+        return tuple(p + off for p in self._shape.vacs[a])
 
     def is_valid(self) -> bool:
         """True iff every rigging sits in [0, vacancy] (a genuine rigged configuration)."""
-        for a in range(1, self.rank + 1):
-            for j, r in self.color(a):
-                if not 0 <= r <= self.vacancy(a, j):
-                    return False
-        return True
+        shape = self._shape
+        return all(
+            rs[0] >= 0 and rs[-1] <= p + (self.L if a == 1 else 0)
+            for a in range(1, self.rank + 1)
+            for p, rs in zip(shape.vacs[a], shape.rigs[a])
+        )
 
     def to_json(self) -> str:
         return json.dumps(
@@ -110,110 +138,135 @@ class RiggedConfiguration:
         return cls.make(L, n, [[tuple(s) for s in b] for b in blocks])
 
 
-class _Shape:
-    """A (possibly extended) rigged configuration bucketed by (color, length),
-    with the vacancy of every present length kept current in place.
+def _q(ks: list[int], rigs: list[list[int]], js) -> list[int]:
+    """q_j = sum_k min(j, k) m_k, the cells in the left j columns of the
+    partition with lengths ks (multiplicities len(rigs[i])), at each of the
+    ascending lengths js: one merge, keeping the cells of the lengths <= j
+    and the number of longer strings."""
+    out = []
+    cells, longer = 0, sum(map(len, rigs))
+    i, n = 0, len(ks)
+    for j in js:
+        while i < n and ks[i] <= j:
+            m = len(rigs[i])
+            cells += ks[i] * m
+            longer -= m
+            i += 1
+        out.append(cells + j * longer)
+    return out
 
-    For each color a, rigs[a] maps a length to the sorted riggings of that
-    length, lens[a] lists the present lengths in increasing order and vacs[a]
-    maps each of them to its vacancy.  Colors 0 and rank + 1 are empty
-    sentinels.  Color 1's vacancies are stored without their L term, which
-    vacancy() adds back, so changing L costs nothing.
+
+class _Shape:
+    """A (possibly extended) rigged configuration as three index-aligned lists
+    per color, with the vacancy of every present length kept current in place.
+
+    For each color a, lens[a] lists the present lengths in increasing order,
+    vacs[a][i] is the vacancy of length lens[a][i] and rigs[a][i] its sorted
+    riggings.  Colors 0 and rank + 1 are empty sentinels.  Color 1's
+    vacancies are stored without their L term, which the reader adds, so
+    changing L costs nothing.
     """
 
-    def __init__(self, L: int, rank: int, strings=()):
-        self.L, self.rank = L, rank
-        self.rigs: list[dict[int, list[int]]] = [{} for _ in range(rank + 2)]
-        for a, block in enumerate(strings, 1):
+    def __init__(self, rank: int, strings=()):
+        self.rank = rank
+        self.lens: list[list[int]] = [[] for _ in range(rank + 2)]
+        self.rigs: list[list[list[int]]] = [[] for _ in range(rank + 2)]
+        for ks, rigs, block in zip(self.lens[1:], self.rigs[1:], strings):
             for j, r in block:  # sorted by (length, rigging)
-                self.rigs[a].setdefault(j, []).append(r)
-        self.lens = [sorted(rigs) for rigs in self.rigs]
-        self.vacs = [{j: self._p(a, j) for j in rigs} for a, rigs in enumerate(self.rigs)]
+                if ks and ks[-1] == j:
+                    rigs[-1].append(r)
+                else:
+                    ks.append(j)
+                    rigs.append([r])
+        self.vacs = [[], *map(self._sweep, range(1, rank + 1)), []]
 
     def _p(self, a: int, j: int) -> int:
         """p^(a)_j = q^(a-1)_j - 2 q^(a)_j + q^(a+1)_j, without color 1's L term;
         q^(b)_j = sum_k min(j, k) m^(b)_k, the cells in the left j columns of mu^(b)."""
-        return sum(
-            w * min(j, k) * len(rs)
-            for b, w in ((a - 1, 1), (a, -2), (a + 1, 1))
-            for k, rs in self.rigs[b].items()
-        )
+        lens, rigs = self.lens, self.rigs
+        p = 0
+        for b, w in ((a - 1, 1), (a, -2), (a + 1, 1)):
+            for k, rs in zip(lens[b], rigs[b]):
+                p += w * (k if k < j else j) * len(rs)
+        return p
+
+    def _sweep(self, a: int) -> list[int]:
+        """_p at every present color-a length, from one merge (_q) per color
+        instead of one sum per length."""
+        js, lens, rigs = self.lens[a], self.lens, self.rigs
+        qm, q, qp = (_q(lens[b], rigs[b], js) for b in (a - 1, a, a + 1))
+        return [x - 2 * y + z for x, y, z in zip(qm, q, qp)]
 
     def vacancy(self, a: int, j: int) -> int:
-        p = self.vacs[a].get(j)
-        if p is None:
-            p = self._p(a, j)
-        return p + self.L if a == 1 else p
+        """p^(a)_j, without color 1's L term."""
+        ks = self.lens[a]
+        i = bisect_left(ks, j)
+        return self.vacs[a][i] if i < len(ks) and ks[i] == j else self._p(a, j)
 
-    def singular(self, a: int, lo, hi, longest: bool) -> tuple[int, int] | None:
-        """(length, rigging) of a singular color-a string (rigging equal to its
-        vacancy) with lo <= length <= hi, the longest or the shortest such;
-        None if there is none."""
-        lens, vacs, rigs = self.lens[a], self.vacs[a], self.rigs[a]
-        js = lens[bisect_left(lens, lo) : bisect_right(lens, hi)]
-        off = self.L if a == 1 else 0
-        for j in reversed(js) if longest else js:
-            p, rs = vacs[j] + off, rigs[j]
-            i = bisect_left(rs, p)
-            if i < len(rs) and rs[i] == p:
-                return j, p
-        return None
-
-    def ones_run(self) -> int:
-        """How many letters 1 phi^{-1} emits before a color-1 string turns
-        singular: each 1 lowers every color-1 vacancy by one."""
-        L, vacs = self.L, self.vacs[1]
-        run = L
-        for j, rs in self.rigs[1].items():
-            p = vacs[j] + L
-            i = bisect_right(rs, p)
-            if i and p - rs[i - 1] < run:
-                run = p - rs[i - 1]
-        return run
-
-    def move(self, a: int, j: int, r: int, by: int) -> None:
-        """Change the color-a string (j, r)'s length by by = +-1 (length 0 is
-        no string).  q^(a)_k moves by by at every k > min(j, j + by), so the
-        stored vacancies of colors a - 1, a, a + 1 there shift by by, -2 by, by."""
-        rigs, lens, vacs = self.rigs[a], self.lens[a], self.vacs[a]
-        if j:
-            rs = rigs[j]
+    def move(self, a: int, i: int, r: int, by: int, lift: int) -> None:
+        """Change the length of the color-a string with rigging r in bucket i
+        (i = -1: a new string of length 0) by by = +-1; a string left at
+        length 0 is gone.  q^(a)_k moves by by at every k > min(j, j + by), so
+        the stored vacancies of colors a - 1, a, a + 1 there shift by by,
+        -2 by, by.  The string enters its new bucket singular: its rigging is
+        the bucket's vacancy plus lift, which the caller sets to what the L
+        term and the later moves of the same letter add to that vacancy."""
+        lens, vacs = self.lens, self.vacs
+        ks, vs, rigs = lens[a], vacs[a], self.rigs[a]
+        if i < 0:
+            j, t = 0, 0
+        else:
+            j, rs = ks[i], rigs[i]
+            t = i + 1
             if len(rs) == 1:
-                del rigs[j], vacs[j], lens[bisect_left(lens, j)]
+                del ks[i], vs[i], rigs[i]
+                t = i
+            elif rs[-1] == r:  # a singular string is the top one unless riggings exceed vacancies
+                rs.pop()
             else:
-                rs.pop(bisect_left(rs, r))
+                del rs[bisect_left(rs, r)]
+        # color a's lengths above lo = min(j, j + by) start at t when growing,
+        # at i when shrinking
+        w = -2 * by
+        for s in range(t if by > 0 else i, len(ks)):
+            vs[s] += w
         lo = j if by > 0 else j + by
-        for b, w in ((a - 1, by), (a, -2 * by), (a + 1, by)):
-            ks = self.lens[b]
-            if ks:
-                vb = self.vacs[b]
-                for k in ks[bisect_right(ks, lo) :]:
-                    vb[k] += w
+        for b in (a - 1, a + 1):
+            kb = lens[b]
+            if kb and kb[-1] > lo:  # a color with no length above lo keeps its vacancies
+                vb = vacs[b]
+                for s in range(bisect_right(kb, lo), len(kb)):
+                    vb[s] += by
         j += by
-        if j in rigs:
-            insort(rigs[j], r)
-        elif j:
-            rigs[j] = [r]
-            insort(lens, j)
-            vacs[j] = self._p(a, j)
-
-    def rerig(self, a: int, j: int, r: int) -> None:
-        """Make the color-a string (j, r) singular; length j must be present."""
-        rs = self.rigs[a][j]
-        rs.pop(bisect_left(rs, r))
-        insort(rs, self.vacs[a][j] + self.L if a == 1 else self.vacs[a][j])
+        if not j:
+            return
+        if by < 0:
+            t = i - 1 if i and ks[i - 1] == j else i
+        # length j sits at t, or its bucket is inserted there
+        if t < len(ks) and ks[t] == j:
+            insort(rigs[t], vs[t] + lift)
+        else:
+            ks.insert(t, j)
+            rigs.insert(t, [0])  # the multiplicity _p reads
+            p = self._p(a, j)
+            vs.insert(t, p)
+            rigs[t][0] = p + lift
 
     def strings(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         return tuple(
-            tuple((j, r) for j in self.lens[a] for r in self.rigs[a][j])
-            for a in range(1, self.rank + 1)
+            tuple((j, r) for j, rs in zip(ks, rigs) for r in rs)
+            for ks, rigs in zip(self.lens[1 : self.rank + 1], self.rigs[1 : self.rank + 1])
         )
 
 
 def is_highest(word: str | tuple[int, ...], rank: int | None = None) -> bool:
-    """Prefix letter-count dominance #1 >= #2 >= ... >= #(n+1) at every prefix.
-    A letter a can only break the one inequality #(a-1) >= #a."""
-    letters = _letters(word)
+    """Prefix letter-count dominance #1 >= #2 >= ... >= #(n+1) at every prefix."""
+    return _highest(_letters(word), rank)
+
+
+def _highest(letters: list[int], rank: int | None) -> bool:
+    """is_highest of checked letters.  A letter a can only break the one
+    inequality #(a-1) >= #a."""
     if letters and min(letters) < 1:
         raise ValueError("letters must be >= 1")
     n1 = max(rank + 1 if rank is not None else 0, max(letters, default=1))
@@ -226,7 +279,14 @@ def is_highest(word: str | tuple[int, ...], rank: int | None = None) -> bool:
 
 
 def _letters(word) -> list[int]:
-    return list(decode_word(word) if isinstance(word, str) else word)
+    """The letters of a word given as a string or as a sequence of ints."""
+    if isinstance(word, str):
+        return list(decode_word(word))
+    letters = list(word)
+    if not {int}.issuperset(map(type, letters)):  # int subclasses: is_int decides
+        for a in filterfalse(is_int, letters):
+            require_int("a letter", a)
+    return letters
 
 
 def kkr_phi(word, rank: int | None = None, check: bool = True) -> RiggedConfiguration:
@@ -238,62 +298,99 @@ def kkr_phi(word, rank: int | None = None, check: bool = True) -> RiggedConfigur
     letters = _letters(word)
     if rank is None:
         rank = rank_of(letters)
+    require_int("rank", rank)
     if rank < 1:
         raise ValueError("rank must be >= 1")
     if letters and not 1 <= min(letters) <= max(letters) <= rank + 1:
         raise ValueError(f"letters must lie in 1..{rank + 1} for rank {rank}")
-    if check and not is_highest(letters, rank):
+    if check and not _highest(letters, rank):
         raise ValueError("path is not highest")
-    shape = _Shape(0, rank)
+    shape = _Shape(rank)
+    lens, vacs, rigs = shape.lens, shape.vacs, shape.rigs
+    L = 0
     for d in letters:
         if d == 1:
-            shape.L += 1
+            L += 1
             continue
         # for colors d-1 down to 1, the longest singular string no longer than
         # the previous pick; once none is found, new strings (length 0 -> 1).
-        # Every pick reads the shape before any string moves.
+        # Every pick reads the shape before any string moves.  phi keeps every
+        # rigging at or below its vacancy: above a color-c pick j_c the letter
+        # takes 2 from the vacancies and gives 1 back through color c - 1's
+        # move (or L), and 1 more through color c + 1's above its pick; a
+        # string in between was a candidate, so not singular.  So the top
+        # rigging of a length decides.
         picks = []
         bound = inf
         for c in range(d - 1, 0, -1):
-            bound, r = shape.singular(c, 1, bound, longest=True) or (0, 0)
-            picks.append((c, bound, r))
-        shape.L += 1
-        for c, j, r in picks:
-            shape.move(c, j, r, 1)
-        # the grown strings become singular in the new configuration
-        for c, j, r in picks:
-            shape.rerig(c, j + 1, r)
-    return RiggedConfiguration(shape.L, rank, shape.strings())
+            ks, vs, rs_c = lens[c], vacs[c], rigs[c]
+            off = L if c == 1 else 0
+            i = bisect_right(ks, bound)
+            while i:
+                i -= 1
+                p = vs[i] + off
+                if rs_c[i][-1] == p:
+                    picks.append((c, i, p))
+                    bound = ks[i]
+                    break
+            else:
+                picks.append((c, -1, 0))
+                bound = 0
+        L += 1
+        # the grown strings enter singular in the new configuration; the move
+        # of color c - 1, which comes next, lifts color c's vacancies above
+        # its pick, and so above color c's new length, by one
+        for c, i, r in picks:
+            shape.move(c, i, r, 1, L if c == 1 else 1)
+    return RiggedConfiguration(L, rank, shape.strings())
 
 
 def kkr_phi_inv(rc: RiggedConfiguration) -> str:
     """Inverse KKR map phi^{-1}: rigged configuration -> path word."""
-    shape = _Shape(rc.L, rc.rank, rc.strings)
+    shape = _Shape(rc.rank, rc.strings)
+    lens, vacs, rigs = shape.lens, shape.vacs, shape.rigs
+    L = rc.L
     out = []  # the letters, last first
-    while shape.L > 0:
-        ones = shape.ones_run()
+    while L > 0:
+        # how many letters 1 come before a color-1 string turns singular: each
+        # 1 lowers every color-1 vacancy by one, so riggings above it never do
+        ones = L
+        for p, rs in zip(vacs[1], rigs[1]):
+            p += L
+            top = rs[-1]
+            if top > p:
+                i = bisect_right(rs, p)
+                if not i:
+                    continue
+                top = rs[i - 1]
+            if p - top < ones:
+                ones = p - top
         if ones:
             out += [1] * ones
-            shape.L -= ones
+            L -= ones
             continue
         # for colors 1, 2, ..., the shortest singular string no shorter than
         # the previous pick; the letter is one more than the number picked
         picks = []
         bound = 1
         for c in range(1, rc.rank + 1):
-            s = shape.singular(c, bound, inf, longest=False)
-            if s is None:
+            ks, vs, rs_c = lens[c], vacs[c], rigs[c]
+            off = L if c == 1 else 0
+            for i in range(bisect_left(ks, bound), len(ks)):
+                p, rs = vs[i] + off, rs_c[i]
+                if rs[-1] == p or rs[-1] > p and rs[bisect_left(rs, p)] == p:
+                    picks.append((c, i, p))
+                    bound = ks[i]
+                    break
+            else:
                 break
-            picks.append((c, *s))
-            bound = s[0]
         out.append(len(picks) + 1)
-        shape.L -= 1
-        for c, j, r in picks:
-            shape.move(c, j, r, -1)
-        for c, j, r in picks:
-            if j > 1:
-                shape.rerig(c, j - 1, r)
-    if any(shape.rigs):
+        L -= 1
+        # the shortened strings enter singular in the new configuration; the
+        # later moves, of picks no shorter, leave color c's new length alone
+        for c, i, r in picks:
+            shape.move(c, i, r, -1, L if c == 1 else 0)
+    if any(rigs):
         raise ValueError("strings left over; invalid rigged configuration")
     return encode_word(out[::-1])
 
@@ -324,7 +421,7 @@ def solve_ivp(word: str, l: int | None, t: int) -> str:
     letters = _letters(word)
     rank = rank_of(letters)
     balls = len(letters) - letters.count(1)
-    rc = evolve_rc(kkr_phi(letters, rank), l, steps=t)
+    rc = evolve_rc(kkr_phi(word, rank), l, steps=t)
     pad = t * capacity(l, balls) + balls + 2
     return kkr_phi_inv(RiggedConfiguration(rc.L + pad, rank, rc.strings))
 

@@ -155,8 +155,9 @@ class ActionVariable:
         I = tuple(sorted(set(self.parts)))
         object.__setattr__(self, "I", I)
         object.__setattr__(self, "mults", tuple(self.parts.count(i) for i in I))
-        rc = RiggedConfiguration.make(self.L, 1, [[(i, 0) for i in self.parts]])  # kkr's q-formula
-        object.__setattr__(self, "vacancies", tuple(rc.vacancy(1, i) for i in I))
+        # kkr's q-formula, one sweep over the parts ascending
+        rc = RiggedConfiguration(self.L, 1, (tuple((i, 0) for i in reversed(self.parts)),))
+        object.__setattr__(self, "vacancies", rc.vacancies(1))
 
     @property
     def g(self) -> int:

@@ -18,9 +18,12 @@ def test_kkr_sweep_prints_timings_exponents_and_roundtrip():
     assert run.returncode == 0, run.stderr
     doc = json.loads(run.stdout)
     kkr = doc["kkr"]
-    assert kkr["sizes"] == [60, 120]
-    assert len(kkr["phi_s"]) == len(kkr["phi_inv_s"]) == 2
-    assert {"phi_growth_exp", "phi_inv_growth_exp", "rank", "repeats"} <= set(kkr)
+    assert kkr["sizes"] == [60, 120] and kkr["repeats"] == 3
+    assert kkr["ranks"] == [1, 2, 3] and set(kkr["by_rank"]) == {"1", "2", "3"}
+    for sweep in kkr["by_rank"].values():
+        assert len(sweep["phi_s"]) == len(sweep["phi_inv_s"]) == 2
+        assert {"phi_growth_exp", "phi_inv_growth_exp"} <= set(sweep)
+        assert sweep["roundtrip"] is True
     assert kkr["roundtrip"] is True
     ev = doc["evolve"]
     assert ev["sizes"] == [60, 120] and ev["repeats"] == 3 and ev["steps"] == 3

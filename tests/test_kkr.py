@@ -95,6 +95,64 @@ def test_phi_inv_all_L8_mu211():
         assert kkr_phi(word, rank=1) == rc
 
 
+def test_vacancies_list_each_distinct_length_ascending():
+    assert WORKED_RC.vacancies(1) == (5, 2, 0)
+    assert WORKED_RC.vacancies(2) == (0, 1)
+    assert WORKED_RC.vacancies(3) == (0,)
+    assert RC.make(6, 2, [[], []]).vacancies(1) == ()
+    with pytest.raises(ValueError, match="color out of range"):
+        WORKED_RC.vacancies(4)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (2.5, 1, ((),)),
+        (True, 1, ((),)),
+        (4, 1.0, ((),)),
+        (4, True, ((),)),
+        (4, 1, (((1, 0.5),),)),
+        (4, 1, (((True, 0),),)),
+        (4, 1, (((1, 0), (2.0, 1)),)),
+        (4, 1, (((1, False),),)),
+    ],
+)
+def test_rigged_configuration_entries_must_be_non_bool_ints(args):
+    with pytest.raises(ValueError, match="must be an int"):
+        RC(*args)
+
+
+def test_bad_entries_never_reach_phi_inv():
+    # a float rigging used to end in a TypeError, a bool length read as 1
+    for strings in ([[(1, 0.5)]], [[(True, 0)]]):
+        with pytest.raises(ValueError, match="must be an int"):
+            kkr_phi_inv(RC.make(4, 1, strings))
+    with pytest.raises(ValueError, match="must be an int"):
+        RC.make(4, 1.0, [[(1, 0)]])
+
+
+def test_rigged_configuration_rejects_unsorted_and_short_strings():
+    with pytest.raises(ValueError, match="sorted"):
+        RC(4, 1, (((2, 0), (1, 0)),))
+    with pytest.raises(ValueError, match="sorted"):
+        RC(4, 1, (((1, 1), (1, 0)),))
+    with pytest.raises(ValueError, match="lengths must be >= 1"):
+        RC(4, 1, (((0, 0), (1, 0)),))
+
+
+@pytest.mark.parametrize("word", [(1, 2.0), (1, True, 2), [1, "2"], (1, 2, None)])
+def test_tuple_words_must_hold_non_bool_int_letters(word):
+    for call in (kkr_phi, is_highest):
+        with pytest.raises(ValueError, match="must be an int"):
+            call(word)
+
+
+@pytest.mark.parametrize("rank", [1.5, 2.0, True, "1"])
+def test_phi_rank_must_be_a_non_bool_int(rank):
+    with pytest.raises(ValueError, match="rank must be an int"):
+        kkr_phi("12", rank=rank)
+
+
 def test_phi_inv_empty():
     assert kkr_phi_inv(RC.make(4, 1, [[]])) == "1111"
     assert kkr_phi_inv(RC.make(5, 3, [[], [], []])) == "11111"

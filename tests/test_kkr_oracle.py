@@ -12,6 +12,7 @@ make.  scan_is_highest checks the whole count vector after every letter.
 import random
 from itertools import product
 
+from boxball import kkr
 from boxball.kkr import (
     RiggedConfiguration,
     _letters,
@@ -249,3 +250,95 @@ def test_is_highest_matches_full_count_check():
         for L in range(9):
             for letters in product(range(1, rank + 2), repeat=L):
                 assert is_highest(letters, rank) == scan_is_highest(letters, rank), letters
+
+
+def spy_on_buckets(monkeypatch) -> set:
+    """Record where _Shape.move creates and deletes a length bucket in its
+    color's lens: ("created" or "deleted", "front", "middle", "end" or "alone")."""
+    seen = set()
+    move = kkr._Shape.move
+
+    def spy(shape, a, *args):
+        before = list(shape.lens[a])
+        move(shape, a, *args)
+        after = shape.lens[a]
+        for kind, old, new in (("created", before, after), ("deleted", after, before)):
+            for k in set(new) - set(old):
+                t = new.index(k)
+                where = "alone" if len(new) == 1 else "front" if t == 0 else "end" if t == len(new) - 1 else "middle"
+                seen.add((kind, where))
+
+    monkeypatch.setattr(kkr._Shape, "move", spy)
+    return seen
+
+
+BUCKET_EVENTS = {(kind, where) for kind in ("created", "deleted") for where in ("front", "middle", "end")}
+
+
+def with_rigging(rc, a, s, r):
+    """rc with rigging r on string s of color a."""
+    blocks = [list(rc.color(b)) for b in range(1, rc.rank + 1)]
+    blocks[a - 1][s] = (blocks[a - 1][s][0], r)
+    return RiggedConfiguration.make(rc.L, rc.rank, blocks)
+
+
+def above_and_below(rc) -> bool:
+    """Some length holds a rigging above its vacancy and one at or below it,
+    so a singular string there is found only by the bisect fallback."""
+    return any(
+        max(rs) > rc.vacancy(a, j) >= min(rs)
+        for a in range(1, rc.rank + 1)
+        for j in {j for j, _ in rc.color(a)}
+        for rs in [[r for k, r in rc.color(a) if k == j]]
+    )
+
+
+def test_agrees_on_every_small_word_and_lifted_configuration(monkeypatch):
+    # every word up to a small length, highest or not, and every highest
+    # image with one rigging lifted above its vacancy
+    seen = spy_on_buckets(monkeypatch)
+    seed = fallback = 0
+    for rank, max_L in ((1, 8), (2, 6), (3, 5)):
+        for L in range(1, max_L + 1):
+            for letters in product(range(1, rank + 2), repeat=L):
+                seed += 1
+                rc = assert_same_phi(letters, rank, seed, check=False)
+                assert_same_phi_inv(rc, seed)
+                # phi leaves no rigging above its vacancy (every prefix is one
+                # of these words too), so its pick loop reads top riggings only
+                assert all(
+                    r <= rc.vacancy(a, j) for a in range(1, rank + 1) for j, r in rc.color(a)
+                ), letters
+                if not is_highest(letters, rank):
+                    continue
+                for a in range(1, rank + 1):
+                    for s, (j, _) in enumerate(rc.color(a)):
+                        up = with_rigging(rc, a, s, rc.vacancy(a, j) + 1)
+                        fallback += above_and_below(up)
+                        assert_same_phi_inv(up, seed)
+    assert fallback > 250
+    assert BUCKET_EVENTS <= seen, seen
+
+
+def test_agrees_on_random_lifted_configurations(monkeypatch):
+    # random highest paths, or their evolved images, with several riggings
+    # moved near their vacancies, most of them above
+    seen = spy_on_buckets(monkeypatch)
+    rng = random.Random(44)
+    fallback = raised = 0
+    for seed in range(300):
+        rank = 1 + seed % 3
+        L = rng.randint(12, 40)
+        rc = kkr_phi(random_highest_word(rng, L, rank, round(0.4 * L)), rank)
+        if rng.random() < 0.5:
+            rc = evolve_rc(rc, rng.choice((1, 2, None)), rng.randint(1, 4))
+        for _ in range(rng.randint(1, 3)):
+            a = rng.randint(1, rank)
+            if rc.color(a):
+                s = rng.randrange(len(rc.color(a)))
+                j = rc.color(a)[s][0]
+                rc = with_rigging(rc, a, s, rc.vacancy(a, j) + rng.randint(-1, 3))
+        fallback += above_and_below(rc)
+        raised += isinstance(assert_same_phi_inv(rc, seed), tuple)
+    assert fallback > 150 and 30 < raised < 270
+    assert BUCKET_EVENTS <= seen, seen

@@ -149,6 +149,18 @@ def test_action_variable_rejects_parts_below_one():
     assert ActionVariable(6, ()).g == 0
 
 
+def test_action_variable_vacancies_follow_the_q_formula():
+    # p_i = L - 2 sum_k min(i, k) m_k over the distinct part sizes i, ascending
+    rng = random.Random(23)
+    for _ in range(200):
+        parts = tuple(sorted((rng.randint(1, 9) for _ in range(rng.randint(0, 12))), reverse=True))
+        L = 2 * sum(parts) + rng.randint(0, 10)
+        mu = ActionVariable(L, parts)
+        assert mu.vacancies == tuple(
+            L - 2 * sum(min(i, k) for k in parts) for i in sorted(set(parts))
+        ), (L, parts)
+
+
 def test_action_variable_rotation_independent():
     p = P("2211221112122111221")
     for d, p_plus in all_highest_rotations(p):
