@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Size sweeps of the KKR bijection, the carrier evolution, the exact
 elimination, the slide-orbit routines and the tropical Toda layer: CPU times,
-fitted growth exponents and the src/ line count, printed as JSON.
+fitted growth exponents and the line count of the imported boxball package,
+printed as JSON.
 
 For each rank in KKR_RANKS (sl2, sl3 and sl4) and each size L it draws one
 random highest path with round(0.45 L) letters above 1, times kkr_phi and
@@ -31,7 +32,8 @@ TODA_SIZES it times troptoda.conserved_all and troptoda.evolve_toda on a
 seeded random integral state, checks that the step keeps the conserved
 values, and fits t ~ N^k; it then times one theta_state trajectory of
 TODA_STEPS + 1 states at genus 4 from cold memos and checks it against
-evolve_toda and the conserved values.  For each genus g in THETA_GENERA
+evolve_toda and the conserved values, and counts the thetas it computed
+(theta._theta_num misses).  For each genus g in THETA_GENERA
 it draws a seeded smooth Toda period matrix Omega (N = g + 1) and THETA_ARGS
 arguments Omega x with every x_i in [-1, 1] of denominator 12, and times
 the cold value path theta._theta_num (memo cleared first) and
@@ -56,6 +58,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import boxball
 from boxball.bbs import BBSState, evolve
 from boxball.intmat import gauss_jordan
 from boxball.kkr import kkr_phi, kkr_phi_inv, solve_ivp
@@ -92,7 +95,8 @@ TAU_SIZES = (12, 14, 16, 18, 40)
 # the conserved values of Q = (0, 1, 11, 8, 10), W = (6, 11, 8, 4, 8): genus 4
 TODA_THETA = ((3, -7, 12, 0), (0, 1, 5, 13, 30, 67))  # (Z0, C)
 ROOT = Path(__file__).resolve().parents[1]
-SRC = ROOT / "src" / "boxball"
+# the package timed here, wherever PYTHONPATH put it: its lines are the ones counted
+SRC = Path(boxball.__file__).resolve().parent
 
 
 def highest_word(rng: random.Random, L: int, rank: int, balls: int) -> str:
@@ -281,6 +285,7 @@ def toda_sweep() -> dict:
         return [theta_state(Z0, C, t) for t in range(TODA_STEPS + 1)]
 
     t_theta, states = median_time(trajectory)
+    misses = _theta_num.cache_info().misses  # of the last cold run
     theta_ok = conserved_all(states[0]) == C and all(
         evolve_toda(a) == b for a, b in zip(states, states[1:])
     )
@@ -295,6 +300,7 @@ def toda_sweep() -> dict:
         "theta_genus": len(C) - 2,
         "theta_steps": TODA_STEPS,
         "theta_trajectory_s": t_theta,
+        "theta_trajectory_misses": misses,
         "theta_trajectory": theta_ok,
     }
 

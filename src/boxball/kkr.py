@@ -72,6 +72,13 @@ class RiggedConfiguration:
     def make(cls, L: int, rank: int, strings) -> "RiggedConfiguration":
         return cls(L, rank, tuple(tuple(sorted(block)) for block in strings))
 
+    @classmethod
+    def _trusted(cls, L: int, rank: int, strings: tuple) -> "RiggedConfiguration":
+        """A configuration from fields already valid, built unchecked."""
+        rc = object.__new__(cls)
+        rc.__dict__.update(L=L, rank=rank, strings=strings)
+        return rc
+
     def color(self, a: int) -> tuple[tuple[int, int], ...]:
         return self.strings[a - 1]
 
@@ -406,8 +413,9 @@ def evolve_rc(rc: RiggedConfiguration, l: int | None, steps: int = 1) -> RiggedC
     require_int("steps", steps)
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    new1 = tuple(sorted((j, r + steps * min(l, j)) for j, r in rc.color(1)))
-    return RiggedConfiguration(rc.L, rc.rank, (new1,) + rc.strings[1:])
+    # riggings of one length move together, so the (length, rigging) order holds
+    new1 = tuple((j, r + steps * min(l, j)) for j, r in rc.color(1))
+    return RiggedConfiguration._trusted(rc.L, rc.rank, (new1,) + rc.strings[1:])
 
 
 def solve_ivp(word: str, l: int | None, t: int) -> str:
@@ -423,7 +431,7 @@ def solve_ivp(word: str, l: int | None, t: int) -> str:
     balls = len(letters) - letters.count(1)
     rc = evolve_rc(kkr_phi(word, rank), l, steps=t)
     pad = t * capacity(l, balls) + balls + 2
-    return kkr_phi_inv(RiggedConfiguration(rc.L + pad, rank, rc.strings))
+    return kkr_phi_inv(RiggedConfiguration._trusted(rc.L + pad, rank, rc.strings))
 
 
 def highest_paths(L: int, rank: int):

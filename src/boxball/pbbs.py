@@ -41,12 +41,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, combinations, product
-from math import comb, gcd
+from math import comb, gcd, prod
 
 from boxball.bbs import capacity, carrier_pass, decode_word, encode_word
 from boxball.intmat import (
     column_hnf,
-    det_int,
+    det_int,  # noqa: F401  (perfbench/spans.py traces pbbs.det_int)
     divisors,
     gauss_jordan,
     is_int,
@@ -259,11 +259,19 @@ class AngleVariable:
                 # within one quasi-period the spread cannot exceed p_i
                 raise ValueError("window spread exceeds the quasi-period")
 
+    @classmethod
+    def _trusted(cls, mu: ActionVariable, windows: tuple) -> "AngleVariable":
+        """An angle variable from windows already valid for mu, built unchecked."""
+        J = object.__new__(cls)
+        J.__dict__.update(mu=mu, windows=windows)
+        return J
+
     def window(self, i: int) -> tuple[int, ...]:
         return self.windows[self.mu.I.index(i)]
 
     def uniform_shift(self, d: int) -> "AngleVariable":
-        return AngleVariable(self.mu, tuple(tuple(x + d for x in w) for w in self.windows))
+        # a shift keeps each window sorted and its spread: nothing to re-check
+        return AngleVariable._trusted(self.mu, tuple(tuple(x + d for x in w) for w in self.windows))
 
 
 def _scatter(p: PeriodicState) -> AngleVariable:
@@ -399,9 +407,9 @@ def direct_scattering(p: PeriodicState) -> AngleVariable:
 def evolve_angle(J: AngleVariable, l: int | None, steps: int = 1) -> AngleVariable:
     """T_l^steps on angle variables: add steps*min(i,l) to every window entry."""
     require_int("steps", steps)
-    return AngleVariable(
-        J.mu,
-        tuple(tuple(x + steps * v for x in w) for v, w in zip(J.mu.h(l), J.windows)),
+    # uniform within each window, so the shift keeps both window checks
+    return AngleVariable._trusted(
+        J.mu, tuple(tuple(x + steps * v for x in w) for v, w in zip(J.mu.h(l), J.windows))
     )
 
 
@@ -509,10 +517,12 @@ def _C_gamma(m: int, p: int, gamma: int) -> int:
 def torus_decomposition(mu: ActionVariable) -> list[tuple[tuple[int, ...], int, list[list[int]]]]:
     """[(gamma, multiplicity, F_gamma)] over all internal symmetries.
 
-    F_gamma divides the columns of F by gamma; the multiplicities satisfy
+    F_gamma divides the columns of F by gamma, so det F_gamma = det F / prod
+    gamma_j, read off F's elimination; the multiplicities satisfy
     sum mult(gamma) det F_gamma = |P_L(mu)| (ValueError otherwise).
     """
     out, total = [], 0
+    det = mu._elimination[0]
     for gamma in product(*(divisors(gcd(m, p)) for m, p in zip(mu.mults, mu.vacancies))):
         mult = Fraction(1)
         for gam, m, p in zip(gamma, mu.mults, mu.vacancies):
@@ -524,7 +534,7 @@ def torus_decomposition(mu: ActionVariable) -> list[tuple[tuple[int, ...], int, 
             continue
         Fg = mu.F(gamma)
         out.append((gamma, mult, Fg))
-        total += mult * det_int(Fg)
+        total += mult * (det // prod(gamma))
     if total != isolevel_cardinality(mu):
         raise ValueError("multiplicities do not add up")
     return out

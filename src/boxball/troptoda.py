@@ -16,7 +16,11 @@ survives as the test oracle.  Invariance is enforced in tests.  The theta-functi
 builds its spectral data and period matrix once per (Z0, C), kept in a
 one-entry memo so a trajectory builds them once, and sums its thetas as
 integers; theta itself is an exact Fincke-Pohst enumeration in int (see
-boxball.theta).
+boxball.theta).  The period matrix maps m = (g, ..., 1) to N L e_1 on every
+smooth curve, so the theta argument of site n + N is that of site n
+translated by -Omega m, and theta quasi-periodicity gives its value exactly:
+a trajectory keeps its thetas on one grid keyed by (t, n mod N), and each
+row of it costs N theta searches.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
+from operator import mul
 
 from boxball.bbs import toda_pass
 from boxball.intmat import exact, lcm_int, require_int
@@ -33,6 +38,14 @@ from boxball.theta import PeriodMatrix, _theta_num, theta  # noqa: F401
 
 
 Exact = int | Fraction  # int when integral, else Fraction
+# theta grid entries one trajectory keeps; a longer one restarts its grid,
+# and _theta_num's bounded memo still holds the values
+_GRID_CAP = 1 << 14
+
+
+def _require_phase_space(Q, W) -> None:
+    if sum(Q) >= sum(W):
+        raise ValueError("phase space requires sum(Q) < sum(W)")
 
 
 @dataclass(frozen=True)
@@ -45,8 +58,14 @@ class TodaState:
         object.__setattr__(self, "W", tuple(map(exact, self.W)))
         if len(self.Q) != len(self.W) or not self.Q:
             raise ValueError("Q and W must have equal positive length")
-        if sum(self.Q) >= sum(self.W):
-            raise ValueError("phase space requires sum(Q) < sum(W)")
+        _require_phase_space(self.Q, self.W)
+
+    @classmethod
+    def _trusted(cls, Q: tuple, W: tuple) -> "TodaState":
+        """A state from tuples already exact and valid, built unchecked."""
+        s = object.__new__(cls)
+        s.__dict__.update(Q=Q, W=W)
+        return s
 
     @property
     def N(self) -> int:
@@ -78,11 +97,18 @@ def evolve_toda(s: TodaState) -> TodaState:
     As sum(W - Q) > 0, longer reads never go lower, so
     X_j = min(0, X_{j-1} + W_{j-1} - Q_{j-1}): a running minimum started at 0
     is exact from its N-th step: one toda_pass round the cycle from 0 gives
-    X_1, and a second from X_1 gives the step.  O(N)."""
+    X_1, and a second from X_1 gives the step.  O(N).
+
+    Q'_j = Q_j - X_j + X_{j+1}, so the step keeps sum(Q) and sum(W) and its
+    result is a valid state; int coordinates stay int, so an integral state
+    steps without re-normalising, and only a state holding a Fraction goes
+    through exact (an integral Fraction result becomes an int)."""
     N = s.N
     _, x1 = toda_pass(s.Q, s.W)
     Qn, _ = toda_pass(s.Q, s.W, x1)
     Wn = [s.Q[(j + 1) % N] + s.W[j] - Qn[j] for j in range(N)]
+    if all(type(x) is int for x in s.Q + s.W):
+        return TodaState._trusted(tuple(Qn), tuple(Wn))
     return TodaState(tuple(Qn), tuple(Wn))
 
 
@@ -138,8 +164,9 @@ def conserved_all(s: TodaState) -> tuple[Exact, ...]:
 
 
 def shift_s(s: TodaState) -> TodaState:
-    """Cyclic pair rotation (Q_1,W_1,...) -> (Q_2,W_2,...,Q_1,W_1); s^N = id."""
-    return TodaState(s.Q[1:] + s.Q[:1], s.W[1:] + s.W[:1])
+    """Cyclic pair rotation (Q_1,W_1,...) -> (Q_2,W_2,...,Q_1,W_1); s^N = id.
+    It moves exact coordinates and keeps both sums, so nothing is re-checked."""
+    return TodaState._trusted(s.Q[1:] + s.Q[:1], s.W[1:] + s.W[:1])
 
 
 def s_equivalent(a: TodaState, b: TodaState) -> bool:
@@ -191,11 +218,21 @@ def spectral_data(C) -> SpectralData:
 
 @lru_cache(maxsize=1)
 def _theta_sites(Z0: tuple, C: tuple):
-    """(Q_n^t, W_n^t) as a function of (t, n), with the spectral data and the
+    """(Q_n^t, W_n^t) for a range of n at time t, with the spectral data and the
     period matrix of C built once.  Every theta argument is b / (s u) for
     integers b, with s the period matrix's denominator lcm and u the lcm of
     the denominators of Z0, the velocity, L and C_1; each site value is an
     integer sum over 2 s u, an int when 2 s u divides it, else one Fraction.
+
+    The scaled thetas T(t, n) = 2 s u Theta(b(t, n) / (s u)) live on one grid
+    keyed by (t, r = n mod N).  On a smooth curve Omega m = N L e_1 for
+    m = (g, ..., 1): row 1 is (L + eta_1 + 2 lambda_1)(N - 1) - eta_1 (N - 2)
+    = N L as eta_1 = L - 2 (N - 1) lambda_1, and row i > 1 is
+    eta_i - eta_{i-1} + 2 (N - i)(lambda_i - lambda_{i-1}) = 0.  So column
+    r + k N is column r translated by -k Omega m, and quasi-periodicity,
+    Theta(Z + Omega m) = Theta(Z) - m.(Omega m / 2 + Z), gives it exactly:
+    T(t, r + k N) = T(t, r) + 2 k m.b(t, r) - k^2 N g s u L.  Only a grid
+    miss computes a theta, so a row of sites costs N thetas.
     Memoized on the last (Z0, C): a trajectory builds its sites once."""
     sd = spectral_data(C)
     if not sd.smooth or sd.Omega is None:
@@ -214,11 +251,21 @@ def _theta_sites(Z0: tuple, C: tuple):
         return x.numerator * (su // x.denominator)
 
     b0, v, shift = [scaled(z) for z in Z0], [scaled(x) for x in vel], scaled(sd.L)
+    N, m = g + 1, range(g, 0, -1)
+    period = N * g * shift
+    grid: dict[tuple[int, int], tuple[int, int]] = {}  # (t, r) -> (T(t, r), 2 m.b(t, r))
 
     def T(tt: int, nn: int) -> int:
-        b = [b0[i] + v[i] * tt for i in range(g)]
-        b[0] -= shift * nn
-        return _theta_num(tuple(b), u, Xi._form)
+        k, r = divmod(nn, N)
+        hit = grid.get((tt, r))
+        if hit is None:
+            if len(grid) >= _GRID_CAP:
+                grid.clear()
+            b = [b0[i] + v[i] * tt for i in range(g)]
+            b[0] -= shift * r
+            hit = grid[tt, r] = _theta_num(tuple(b), u, Xi._form), 2 * sum(map(mul, m, b))
+        value, twice_mb = hit
+        return value + k * (twice_mb - k * period)
 
     q_const, w_const = 2 * scaled(C1), 2 * scaled(sd.L + C1)
     den = 2 * su
@@ -227,11 +274,19 @@ def _theta_sites(Z0: tuple, C: tuple):
         q, r = divmod(num, den)
         return Fraction(num, den) if r else q
 
-    def site(t: int, n: int) -> tuple[Exact, Exact]:
-        a, b, c, d = T(t, n - 1), T(t + 1, n), T(t + 1, n - 1), T(t, n)
-        return over_den(a + b - c - d + q_const), over_den(c + T(t, n + 1) - d - b + w_const)
+    def sites(t: int, first: int, last: int) -> list[tuple[Exact, Exact]]:
+        """(Q_n^t, W_n^t) for first <= n <= last, each T read once."""
+        now = [T(t, n) for n in range(first - 1, last + 2)]
+        nxt = [T(t + 1, n) for n in range(first - 1, last + 1)]
+        return [
+            (
+                over_den(now[i] + nxt[i + 1] - nxt[i] - now[i + 1] + q_const),
+                over_den(nxt[i] + now[i + 2] - now[i + 1] - nxt[i + 1] + w_const),
+            )
+            for i in range(last - first + 1)
+        ]
 
-    return site
+    return sites
 
 
 def theta_solution(Z0, C, t: int, n: int) -> tuple[Exact, Exact]:
@@ -244,16 +299,17 @@ def theta_solution(Z0, C, t: int, n: int) -> tuple[Exact, Exact]:
     """
     require_int("t", t)
     require_int("n", n)
-    return _theta_sites(tuple(Z0), tuple(C))(t, n)
+    return _theta_sites(tuple(Z0), tuple(C))(t, n, n)[0]
 
 
 def theta_state(Z0, C, t: int) -> TodaState:
     """Full state at time t from the theta solution (same conditions as
     theta_solution)."""
     require_int("t", t)
-    site = _theta_sites(tuple(Z0), tuple(C))
-    pairs = [site(t, n) for n in range(1, len(C))]
-    return TodaState.make([q for q, _ in pairs], [w for _, w in pairs])
+    # site values are already exact: only the phase space is checked
+    Q, W = zip(*_theta_sites(tuple(Z0), tuple(C))(t, 1, len(C) - 1))
+    _require_phase_space(Q, W)
+    return TodaState._trusted(Q, W)
 
 
 def embed_pbbs(word, leftmost: int = 0) -> TodaState:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +10,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_kkr_sweep_prints_timings_exponents_and_roundtrip():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+def test_kkr_sweep_prints_timings_exponents_and_roundtrip(tmp_path):
+    # time a copy of the package one line longer than src/: src_lines counts
+    # the package the script imports, not the checkout the script sits in
+    shutil.copytree(ROOT / "src" / "boxball", tmp_path / "boxball", ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "boxball" / "__init__.py", "a") as f:
+        f.write("# one more line\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), os.environ.get("PYTHONPATH", "")]))
     run = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "bench.py"), "60", "120"],
         env=env, capture_output=True, text=True, timeout=120,
@@ -54,6 +60,8 @@ def test_kkr_sweep_prints_timings_exponents_and_roundtrip():
     assert {"conserved_all_growth_exp", "evolve_toda_growth_exp", "theta_trajectory_s"} <= set(toda)
     assert toda["theta_genus"] == 4 and toda["theta_steps"] == 4
     assert toda["invariant"] is True and toda["theta_trajectory"] is True
+    # a cold trajectory of 5 states computes 6 rows of N = 5 thetas
+    assert toda["theta_trajectory_misses"] == 6 * 5
     theta = doc["theta"]
     assert theta["genera"] == [2, 4, 6, 8] and theta["repeats"] == 3 and theta["arguments"] > 0
     assert len(theta["value_s"]) == len(theta["argmin_s"]) == 4
@@ -63,4 +71,5 @@ def test_kkr_sweep_prints_timings_exponents_and_roundtrip():
     assert tau["sizes"] == [12, 14, 16, 18, 40] and tau["repeats"] == 3
     assert len(tau["table_s"]) == 5 and "growth_exp" in tau
     assert tau["oracle"] is True
-    assert doc["src_lines"] > 0
+    src_lines = sum(len(p.read_text().splitlines()) for p in (ROOT / "src" / "boxball").glob("*.py"))
+    assert doc["src_lines"] == src_lines + 1

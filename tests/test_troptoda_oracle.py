@@ -16,10 +16,12 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations, product
+from operator import mul
 from types import SimpleNamespace
 
 import pytest
 
+from boxball import troptoda
 from boxball.theta import PeriodMatrix, theta
 from boxball.theta import _theta_num
 from boxball.troptoda import (
@@ -28,6 +30,7 @@ from boxball.troptoda import (
     conserved,
     conserved_all,
     evolve_toda,
+    shift_s,
     spectral_data,
     theta_solution,
     theta_state,
@@ -213,9 +216,68 @@ def test_theta_sites_match_public_theta():
             if spectral_data(C).smooth:
                 cases.append((C, tuple(F(rng.randint(-20, 20), rng.randint(1, 5)) for _ in range(N - 1))))
     for C, Z0 in cases:
-        for t in range(3):
-            for n in range(1, len(C)):
+        N = len(C) - 1
+        # sites outside 1..N read the theta grid through its N-periodicity
+        for t in range(7):
+            for n in range(-2 * N, 3 * N + 1):
                 assert theta_solution(Z0, C, t, n) == oracle_theta_solution(Z0, C, t, n), (C, Z0)
+
+
+def test_theta_grid_restarts_past_its_cap(monkeypatch):
+    # a trajectory longer than the grid cap keeps its values: rows dropped
+    # with the grid come back from the theta memo
+    C, Z0 = (0, 1, 4, 9), (2, 5)
+    _theta_sites.cache_clear()
+    expect = [theta_state(Z0, C, t) for t in range(8)]
+    monkeypatch.setattr(troptoda, "_GRID_CAP", 4)
+    _theta_sites.cache_clear()
+    _theta_num.cache_clear()
+    assert [theta_state(Z0, C, t) for t in range(8)] == expect
+    assert _theta_num.cache_info().hits > 0
+    _theta_sites.cache_clear()
+
+
+def _smooth_curves(rng, count):
+    """Smooth C from random states: integral with C_1 != 0, or rational."""
+    out = []
+    while len(out) < count:
+        Q, W = _draw_state(rng, rational=len(out) % 2 == 1)
+        C = conserved_all(TodaState.make(Q, W))
+        if len(C) > 2 and spectral_data(C).smooth:
+            out.append(C)
+    return out
+
+
+def test_period_matrix_maps_g_to_1_onto_N_L_e1():
+    # Omega (g, ..., 1) = N L e_1 on every smooth curve: the identity behind
+    # the theta grid's N-periodicity in n, checked in Fraction
+    curves = _smooth_curves(random.Random(70), 60)
+    assert any(C[0] != 0 and type(C[0]) is int for C in curves)
+    assert any(type(c) is F for C in curves for c in C)
+    for C in curves:
+        L, _, _, Omega = frac_spectral_data(C)
+        N = len(C) - 1
+        g = N - 1
+        m = range(g, 0, -1)
+        assert [sum(map(mul, row, m)) for row in Omega] == [N * L] + [0] * (g - 1), C
+
+
+def test_cold_trajectory_computes_six_rows_of_n_thetas():
+    # theta_state(t) reads rows t and t + 1 of the (t, n mod N) grid, N
+    # thetas each; every other site value is a lattice translate
+    rng = random.Random(71)
+    for N in (2, 3, 4, 5):
+        C = _smooth_problem(rng, N)
+        Z0 = tuple(rng.randint(-20, 20) for _ in range(N - 1))
+        _theta_sites.cache_clear()
+        _theta_num.cache_clear()
+        states = [theta_state(Z0, C, t) for t in range(5)]
+        info = _theta_num.cache_info()
+        assert info.hits + info.misses == 6 * N
+        if N > 2:  # at genus 1 two grid points can share an argument
+            assert info.misses == 6 * N
+        for a, b in zip(states, states[1:]):
+            assert evolve_toda(a) == b
 
 
 @pytest.mark.parametrize(
@@ -300,6 +362,29 @@ def test_int_path_matches_fraction_oracle(rational):
         assert (sd.L, sd.lam, sd.eta) == (L, tuple(lam), tuple(eta))
         if sd.smooth and len(C) > 2:
             assert sd.Omega == tuple(map(tuple, Omega))
+
+
+def test_fraction_states_stay_exact_under_step_and_shift():
+    # Fraction arithmetic can land on an integral Fraction: the step normalises
+    # it to an int, and the pair rotation moves exact coordinates unchanged
+    s = TodaState.make([F(1, 2), F(3, 2)], [F(5, 2), F(3, 1)])
+    assert_exact(s.flat())
+    nxt = evolve_toda(s)
+    assert_exact(nxt.flat())
+    assert (nxt.Q, nxt.W) == tuple(map(tuple, frac_evolve(s.Q, s.W)))
+    assert int in map(type, nxt.flat())
+    rng = random.Random(72)
+    for _ in range(60):
+        Q, W = _draw_state(rng, rational=True)
+        s = TodaState.make(Q, W)
+        for _ in range(3):
+            Q, W = frac_evolve(Q, W)
+            s = evolve_toda(s)
+            assert_exact(s.flat())
+            assert s.Q == tuple(Q) and s.W == tuple(W)
+            s, Q, W = shift_s(s), Q[1:] + Q[:1], W[1:] + W[:1]
+            assert_exact(s.flat())
+            assert s.Q == tuple(Q) and s.W == tuple(W)
 
 
 def test_theta_state_matches_fraction_oracle_cold_and_warm():
