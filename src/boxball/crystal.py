@@ -6,7 +6,9 @@ the one-row tableau word is only an I/O presentation: ASCII digits, one letter
 per character or comma-separated with no empty field.  rank_of is the one rule
 for the rank a word implies, here and in every box-ball layer.  All letter
 indices are cyclic mod n+1, with color 0 acting between letters n+1 and 1.
-The crystal 0 is represented by None throughout.
+The crystal 0 is represented by None throughout.  On B_{l_1} (x) ... (x) B_{l_n}
+one right-to-left fold of the signature rule gives (eps_i, phi_i) of every
+tail, which both tensor_eps_phi and tensor_kashiwara read, in O(n).
 
 The combinatorial R and the birational R (`boxball.birational`) are one
 subtraction-free formula, `semifield_R`, read over two semifields: `comb_R`
@@ -157,43 +159,34 @@ class TensorElement:
         return self.word()
 
 
+def _tails(factors, i: int) -> list[tuple[int, int]]:
+    """(eps_i, phi_i) of every tail factors[j:], j = 0..n, by one right-to-left
+    fold from (0, 0) for the empty tail of the signature rule
+    eps(b (x) T) = eps_b + max(eps_T - phi_b, 0), phi(b (x) T) = phi_T + max(phi_b - eps_T, 0)."""
+    out = [(0, 0)]
+    for b in reversed(factors):
+        e, f = eps_phi(b, i)
+        e_tail, f_tail = out[-1]
+        out.append((e + max(e_tail - f, 0), f_tail + max(f - e_tail, 0)))
+    return out[::-1]
+
+
 def tensor_eps_phi(p: TensorElement | CrystalElement, i: int) -> tuple[int, int]:
-    """(eps_i, phi_i) on a tensor product, by the left-to-right pairwise rule."""
+    """(eps_i, phi_i) on a tensor product: the signature fold of all of it."""
     if isinstance(p, CrystalElement):
         return eps_phi(p, i)
-    eps, phi = eps_phi(p.factors[0], i)
-    for f in p.factors[1:]:
-        e2, p2 = eps_phi(f, i)
-        eps = eps + max(e2 - phi, 0)
-        phi = p2 + max(phi - e2, 0)
-    return eps, phi
+    return _tails(p.factors, i)[0]
 
 
 def tensor_kashiwara(p: TensorElement, i: int, dir: str) -> TensorElement | None:
-    """Route e~_i / f~_i to the unique factor given by the signature rule."""
-    factors = list(p.factors)
-
-    def rec(lo: int, hi: int) -> bool:
-        # act on factors[lo:hi]; returns False if the result is 0
-        if hi - lo == 1:
-            out = kashiwara(factors[lo], i, dir)
-            if out is None:
-                return False
-            factors[lo] = out
-            return True
-        phi_head = eps_phi(factors[lo], i)[1]
-        eps_tail = tensor_eps_phi(TensorElement(tuple(factors[lo + 1 : hi])), i)[0]
-        if dir == "raise":
-            head = phi_head >= eps_tail
-        else:
-            head = phi_head > eps_tail
-        if head:
-            return rec(lo, lo + 1)
-        return rec(lo + 1, hi)
-
-    if not rec(0, len(factors)):
-        return None
-    return TensorElement(tuple(factors))
+    """e~_i / f~_i by the signature rule: act on the first factor whose phi_i
+    exceeds eps_i of the tail after it (reaches it, for e~_i), else on the
+    last factor; None if that factor's result is the crystal 0."""
+    tails, last = _tails(p.factors, i), len(p.factors) - 1
+    need = 0 if dir == "raise" else 1  # least phi_i - eps_i(tail after) that takes the head
+    j = next((j for j in range(last) if eps_phi(p.factors[j], i)[1] - tails[j + 1][0] >= need), last)
+    out = kashiwara(p.factors[j], i, dir)
+    return None if out is None else TensorElement(p.factors[:j] + (out,) + p.factors[j + 1 :])
 
 
 @dataclass(frozen=True)

@@ -446,13 +446,12 @@ def highest_paths(L: int, rank: int):
             yield encode_word(word)
             return
         for a in range(1, rank + 2):
-            counts[a - 1] += 1
-            ok = all(counts[i] >= counts[i + 1] for i in range(rank))
-            if ok:
+            if a == 1 or counts[a - 2] > counts[a - 1]:  # a new a can only break #(a-1) >= #a
+                counts[a - 1] += 1
                 word.append(a)
                 yield from rec(k + 1)
                 word.pop()
-            counts[a - 1] -= 1
+                counts[a - 1] -= 1
 
     yield from rec(0)
 

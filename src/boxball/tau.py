@@ -9,7 +9,7 @@ cells capped at 2^BOXBALL_SUBSET_CAP) minimizes exactly and builds the
 whole table of tau_{k,a} once per StringSet (a cached property), which every
 query, path reconstruction and Hirota-Miwa check then reads.
 
-Also here: the corner ball-count rho of an evolution profile, the path
+Also here: the corner ball-count rho of the carrier's T_infinity profile, the path
 reconstruction from second differences of tau, and the ultradiscrete
 Hirota-Miwa check relating tau before and after a T_infinity step.
 """
@@ -22,7 +22,9 @@ from functools import cached_property
 from itertools import accumulate, combinations
 from math import prod
 
-from boxball.bbs import BBSState, encode_word, evolve_takahashi
+from boxball.bbs import BBSState, encode_word, evolve
+from boxball.bbs import evolve_takahashi  # noqa: F401  (perfbench/spans.py traces tau.evolve_takahashi)
+from boxball.intmat import require_int
 from boxball.kkr import RiggedConfiguration, evolve_rc
 
 
@@ -39,11 +41,15 @@ class StringSet:
     strings: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
+        require_int("rank", self.rank)
+        require_int("L", self.L)
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
         if self.L < 0:
             raise ValueError("L must be >= 0")
-        for a, l, _ in self.strings:
+        for a, l, r in self.strings:
+            for name, x in (("string color", a), ("string length", l), ("rigging", r)):
+                require_int(name, x)
             if not 1 <= a <= self.rank:
                 raise ValueError("string color out of range")
             if l < 1:
@@ -148,6 +154,8 @@ def _column(v: list[int], L: int) -> list[int]:
 
 def tau(s: StringSet, k: int, a: int) -> int:
     """tau_{k,a}(S) for 0 <= k <= L and 0 <= a <= n+1 (a=0 via tau_{k,n+1} - k)."""
+    require_int("k", k)
+    require_int("a", a)
     if not 0 <= k <= s.L:
         raise ValueError("k out of range")
     if not 0 <= a <= s.rank + 1:
@@ -184,33 +192,26 @@ def rho(state: BBSState | str, k: int, a: int, t: int = 0, rank: int | None = No
 
     Row t contributes letters 2..a at cells <= k; every later row contributes
     all its balls at cells <= k.  The sum is finite because supports drift
-    right under T_infinity; rows are generated on demand.
+    right under T_infinity; bbs.evolve(., None) makes the rows on demand.
     """
+    for name, x in (("k", k), ("a", a), ("t", t)):
+        require_int(name, x)
+    if t < 0:
+        raise ValueError("t must be >= 0")
     if isinstance(state, str):
         state = BBSState.parse(state, rank=rank, origin=1)
     if not 0 <= a <= state.rank + 1:
         raise ValueError("color out of range")
-    s = state
-    for _ in range(t):
-        s = evolve_takahashi(s)
-
-    def row_count(st: BBSState, colors_up_to: int) -> int:
-        return sum(
-            1
-            for pos in range(st.origin, min(st.origin + len(st.cells), k + 1))
-            if 2 <= st.cell(pos) <= colors_up_to
-        )
-
     if a == 0:
         return rho(state, k, state.rank + 1, t) - k
-    total = row_count(s, a)
-    cur = s
-    while True:
-        cur = evolve_takahashi(cur)
-        if cur.balls() == 0 or cur.support()[0] > k:
-            break
-        total += row_count(cur, state.rank + 1)
-    return total
+    s, top, total = state, a, 0
+    for _ in range(t):
+        s = evolve(s, None)[0]
+    while True:  # row t counts letters 2..a, every later row all its balls
+        total += sum(2 <= c <= top for c in s.cells[: max(0, k + 1 - s.origin)])
+        s, top = evolve(s, None)[0], state.rank + 1
+        if not s.balls() or s.origin > k:  # evolve trims: origin is the first ball
+            return total
 
 
 def check_hirota(s: StringSet) -> bool:

@@ -11,8 +11,9 @@ where relied on).  The intermediate conserved quantities H_k interpolate the
 displayed H_1, H_2, H_N as minima over k-element subsets avoiding the pairs
 {W_j, Q_j} and {W_j, Q_{j+1}} (cyclically), i.e. minimum-weight independent
 k-sets on the cycle Q_1 W_1 Q_2 W_2 ... Q_N W_N; conserved_all finds every H_k
-in one O(N^2) dynamic program over that cycle, and the C(2N, k) subset scan
-survives as the test oracle.  Invariance is enforced in tests.  The theta-function solution
+in one O(N^2) prefix dynamic program over that cycle's attainable k, with no
+sentinel, and the C(2N, k) subset scan survives as the test oracle.
+Invariance is enforced in tests.  The theta-function solution
 builds its spectral data and period matrix once per (Z0, C), kept in a
 one-entry memo so a trajectory builds them once, and sums its thetas as
 integers; theta itself is an exact Fincke-Pohst enumeration in int (see
@@ -100,35 +101,26 @@ def evolve_toda(s: TodaState) -> TodaState:
     X_1, and a second from X_1 gives the step.  O(N).
 
     Q'_j = Q_j - X_j + X_{j+1}, so the step keeps sum(Q) and sum(W) and its
-    result is a valid state; int coordinates stay int, so an integral state
-    steps without re-normalising, and only a state holding a Fraction goes
-    through exact (an integral Fraction result becomes an int)."""
+    result is a valid state; exact turns an integral Fraction into an int."""
     N = s.N
     _, x1 = toda_pass(s.Q, s.W)
     Qn, _ = toda_pass(s.Q, s.W, x1)
     Wn = [s.Q[(j + 1) % N] + s.W[j] - Qn[j] for j in range(N)]
-    if all(type(x) is int for x in s.Q + s.W):
-        return TodaState._trusted(tuple(Qn), tuple(Wn))
-    return TodaState(tuple(Qn), tuple(Wn))
+    return TodaState._trusted(tuple(map(exact, Qn)), tuple(map(exact, Wn)))
 
 
-def _min(a, b):
-    """Minimum of two optional values; None stands for no candidate."""
-    if a is None:
-        return b
-    return a if b is None or a <= b else b
-
-
-def _path_minima(values, k_max: int) -> list:
+def _path_minima(values) -> list:
     """m[k] = least sum of k pairwise non-adjacent entries of the path
-    `values` (None if there are fewer than k such entries), k = 0..k_max."""
-    free = [0] + [None] * k_max  # best with the last entry unused
-    used = [None] * (k_max + 1)  # best with the last entry used
+    `values`, for each attainable k = 0..ceil(len(values) / 2).  With a and b
+    the minima of the path short of its last two entries and of its last,
+    appending v gives min(b[k], a[k-1] + v), and a[-1] + v alone for a new k."""
+    a, b = [0], [0]
     for v in values:
-        taken = [None] + [None if f is None else f + v for f in free[:-1]]
-        free = [_min(a, b) for a, b in zip(free, used)]
-        used = taken
-    return [_min(a, b) for a, b in zip(free, used)]
+        c = [0, *map(min, b[1:], [x + v for x in a])]
+        if len(a) == len(b):
+            c.append(a[-1] + v)
+        a, b = b, c
+    return b
 
 
 def conserved(s: TodaState, k: int) -> Exact:
@@ -150,16 +142,13 @@ def conserved_all(s: TodaState) -> tuple[Exact, ...]:
     Q_1 W_1 Q_2 W_2 ... Q_N W_N, so H_k (k <= N) is its minimum-weight
     independent k-set.  The cycle is closed by two path problems: Q_1 unused
     leaves the path W_1 Q_2 ... Q_N W_N; Q_1 used excludes both its
-    neighbours and leaves Q_2 W_2 ... Q_N.  One pass each, O(N^2) in all.
+    neighbours and leaves Q_2 W_2 ... Q_N, with every k <= N and k <= N - 1
+    attainable.  One pass each, O(N^2) in all.
     """
-    N = s.N
     cycle = s.flat()
-    without_q1 = _path_minima(cycle[1:], N)
-    with_q1 = _path_minima(cycle[2:-1], N - 1)
-    H = [
-        _min(without_q1[k], None if with_q1[k - 1] is None else with_q1[k - 1] + s.Q[0])
-        for k in range(1, N + 1)
-    ]
+    without_q1 = _path_minima(cycle[1:])
+    with_q1 = _path_minima(cycle[2:-1])
+    H = [min(without_q1[k], with_q1[k - 1] + s.Q[0]) for k in range(1, s.N + 1)]
     return tuple(map(exact, H + [sum(s.Q) + sum(s.W)]))
 
 

@@ -135,6 +135,50 @@ def test_tensor_kashiwara_b11_graph():
     assert tensor_kashiwara(p, 1, "raise") is None
 
 
+def pairwise_eps_phi(p, i):
+    """(eps_i, phi_i) by the left-to-right pairwise rule."""
+    eps, phi = eps_phi(p.factors[0], i)
+    for f in p.factors[1:]:
+        e2, p2 = eps_phi(f, i)
+        eps, phi = eps + max(e2 - phi, 0), p2 + max(phi - e2, 0)
+    return eps, phi
+
+
+def recursive_kashiwara(p, i, dir):
+    """The signature rule by recursion on tails: act on the head iff its phi_i
+    exceeds eps_i of the tail (reaches it, for raise), else on the tail."""
+    factors = list(p.factors)
+
+    def rec(lo):
+        if lo < len(factors) - 1:
+            phi_head = eps_phi(factors[lo], i)[1]
+            eps_tail = pairwise_eps_phi(TensorElement(tuple(factors[lo + 1 :])), i)[0]
+            if not (phi_head >= eps_tail if dir == "raise" else phi_head > eps_tail):
+                return rec(lo + 1)
+        factors[lo] = kashiwara(factors[lo], i, dir)
+        return factors[lo] is not None
+
+    return TensorElement(tuple(factors)) if rec(0) else None
+
+
+def test_signature_fold_matches_tail_recursion_exhaustive():
+    checked = zeros = 0
+    for rank in (1, 2):
+        crystal = [x for cap in range(3) for x in elements(rank, cap)]
+        for n in range(1, 5):
+            for factors in product(crystal, repeat=n):
+                p = TensorElement(factors)
+                for i in range(rank + 1):
+                    assert tensor_eps_phi(p, i) == pairwise_eps_phi(p, i), (p, i)
+                    for dir in ("raise", "lower"):
+                        got = tensor_kashiwara(p, i, dir)
+                        assert got == recursive_kashiwara(p, i, dir), (p, i, dir)
+                        checked += 1
+                        zeros += got is None
+    assert checked == 2 * 2 * (6 + 36 + 216 + 1296) + 3 * 2 * (10 + 100 + 1000 + 10000)
+    assert 0 < zeros < checked
+
+
 def test_comb_R_worked_example():
     x = C.from_word("13347")
     y = C.from_word("135", rank=6)

@@ -202,6 +202,14 @@ def test_roundtrip_exhaustive():
             assert kkr_phi_inv(rc) == word
 
 
+def test_highest_paths_is_the_is_highest_filter_in_order():
+    # product yields words in lexicographic order, as highest_paths does
+    for rank in (1, 2, 3):
+        for L in range(8):
+            words = ("".join(map(str, w)) for w in product(range(1, rank + 2), repeat=L))
+            assert list(highest_paths(L, rank)) == [w for w in words if is_highest(w, rank)], (L, rank)
+
+
 def test_roundtrip_random_long():
     rng = random.Random(31)
     words = []

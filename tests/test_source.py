@@ -84,6 +84,23 @@ def test_only_intmat_reads_exact_numbers():
     assert not found, found
 
 
+def test_only_bbs_calls_the_ball_moving_oracles():
+    # evolve_takahashi and scatter_two_simulated are bbs's independent second
+    # algorithms, kept for tests; no working path of another module runs them
+    oracles = {"evolve_takahashi", "scatter_two_simulated"}
+    found = []
+    for path in sorted(Path(boxball.__file__).parent.glob("*.py")):
+        if path.name == "bbs.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name in oracles:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
 def test_toda_and_theta_hold_no_true_division_or_float():
     # plain ints flow through these modules, where int / int gives a float;
     # exact division goes through Fraction or divmod

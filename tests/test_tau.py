@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from boxball.bbs import BBSState
+from boxball.bbs import BBSState, evolve_takahashi
 from boxball.cli import main
 from boxball.kkr import evolve_rc, highest_paths, kkr_phi, kkr_phi_inv
 from boxball.tau import (
@@ -119,6 +119,66 @@ def test_rho_vacuum():
     assert rho("...", 2, 1, 0) == 0
 
 
+def takahashi_rows(state, t, k_max):
+    """Rows t, t+1, ... of the T_infinity profile from the ball-moving
+    algorithm, up to vacuum or a row whose balls all lie right of k_max."""
+    rows = [state]
+    for _ in range(t):
+        rows = [evolve_takahashi(rows[0])]
+    while True:
+        nxt = evolve_takahashi(rows[-1])
+        if nxt.balls() == 0 or nxt.support()[0] > k_max:
+            return rows
+        rows.append(nxt)
+
+
+def takahashi_rho(rows, k, a, rank):
+    """rho read off takahashi_rows: row t up to letter a, later rows whole,
+    each until the first later row whose balls all lie right of k."""
+    if a == 0:
+        return takahashi_rho(rows, k, rank + 1, rank) - k
+    rows = rows[:1] + [row for row in rows[1:] if row.support()[0] <= k]
+    return sum(
+        2 <= row.cell(pos) <= (a if n == 0 else rank + 1)
+        for n, row in enumerate(rows)
+        for pos in range(row.origin, min(row.origin + len(row.cells), k + 1))
+    )
+
+
+def test_rho_matches_takahashi_rows_exhaustive():
+    # every highest path with L <= 8, rank <= 2, t <= 3 and every corner k,
+    # at one color a per (k, t), cycling with k + t
+    checked = 0
+    for rank in (1, 2):
+        for L in range(1, 9):
+            for word in highest_paths(L, rank):
+                state = BBSState.parse(word, rank=rank, origin=1)
+                for t in range(4):
+                    rows = takahashi_rows(state, t, L + 1)
+                    for k in range(L + 2):
+                        a = (k + t) % (rank + 2)
+                        assert rho(word, k, a, t, rank=rank) == takahashi_rho(rows, k, a, rank), (word, k, a, t)
+                        checked += 1
+    assert checked == 4 * sum((L + 2) * len(list(highest_paths(L, r))) for r in (1, 2) for L in range(1, 9))
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (("1122", 3, 2, -3), "t must be >= 0"),
+        (("1122", 3, 2, -1), "t must be >= 0"),
+        (("1122", 3, 2, 1.5), "t must be an int"),
+        (("1122", 3, 2, True), "t must be an int"),
+        (("1122", 3.0, 2, 1), "k must be an int"),
+        (("1122", 3, True, 1), "a must be an int"),
+        (("1122", 3, 4, 1), "color out of range"),
+    ],
+)
+def test_rho_rejects_bad_corner_and_time(args, message):
+    with pytest.raises(ValueError, match=message):
+        rho(*args)
+
+
 def test_rho_recursion_identities():
     # rho_{k,n+1}^{t+1} = rho_{k,1}^t and the second difference recovers x
     word = THREE_BODY_T0
@@ -216,6 +276,30 @@ def test_tau_rows_are_bounded_and_not_shared():
 def test_string_set_rejects_bad_rank_and_length(rank, L, message):
     with pytest.raises(ValueError, match=message):
         StringSet(rank, L, ())
+
+
+@pytest.mark.parametrize(
+    "rank,L,strings,message",
+    [
+        (1, True, (), "L must be an int"),
+        (1, 5.0, ((1, 1, 0),), "L must be an int"),
+        (1.0, 5, (), "rank must be an int"),
+        (2, 5, ((True, 1, 0),), "string color must be an int"),
+        (1, 5, ((1, 2.0, 0),), "string length must be an int"),
+        (1, 5, ((1, 2, 0.5),), "rigging must be an int"),
+        (1, 5, ((1, 2, False),), "rigging must be an int"),
+    ],
+)
+def test_string_set_takes_ints_only(rank, L, strings, message):
+    with pytest.raises(ValueError, match=message):
+        StringSet(rank, L, strings)
+
+
+@pytest.mark.parametrize("k,a,message", [(True, 1, "k must be an int"), (1, 1.0, "a must be an int"), (0.5, 1, "k must be an int")])
+def test_tau_takes_int_k_and_a(k, a, message):
+    s = _S("1122")
+    with pytest.raises(ValueError, match=message):
+        tau(s, k, a)
 
 
 def test_tau_beyond_the_count_vector_cap(capsys, monkeypatch):
