@@ -31,12 +31,12 @@ against the rotation-scan oracle of tests/test_pbbs_oracle.py.  For each N in
 TODA_SIZES it times troptoda.conserved_all and troptoda.evolve_toda on a
 seeded random integral state, checks that the step keeps the conserved
 values, and fits t ~ N^k; it then times one theta_state trajectory of
-TODA_STEPS + 1 states at genus 4 from cold memos and checks it against
+TODA_STEPS + 1 states at genus 4 from cold sites and checks it against
 evolve_toda and the conserved values, and counts the thetas it computed
-(theta._theta_num misses).  For each genus g in THETA_GENERA
+(troptoda._argmin_int calls).  For each genus g in THETA_GENERA
 it draws a seeded smooth Toda period matrix Omega (N = g + 1) and THETA_ARGS
 arguments Omega x with every x_i in [-1, 1] of denominator 12, and times
-the cold value path theta._theta_num (memo cleared first) and
+the value path theta._argmin_int (no tied minimizers) and
 theta.theta_argmin on all of them, each the median of 3 runs divided by the
 argument count (per-call CPU seconds); it checks that the values are equal
 and fits t ~ g^k for both.  For each N in TAU_SIZES it times
@@ -73,7 +73,8 @@ from boxball.pbbs import (
     inverse_scattering,
 )
 from boxball.tau import StringSet, _TauTable
-from boxball.theta import PeriodMatrix, _scaled, _theta_num, theta_argmin
+from boxball import troptoda
+from boxball.theta import PeriodMatrix, _argmin_int, _scaled, theta_argmin
 from boxball.troptoda import TodaState, _theta_sites, conserved_all, evolve_toda, spectral_data, theta_state
 
 RANK = 2
@@ -127,6 +128,23 @@ def median_time(fn, *args):
         out = fn(*args)
         times.append(time.process_time() - start)
     return statistics.median(times), out
+
+
+def count_calls(module, name: str, fn) -> int:
+    """How many times one run of fn() calls module.name."""
+    real, calls = getattr(module, name), 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    setattr(module, name, counted)
+    try:
+        fn()
+    finally:
+        setattr(module, name, real)
+    return calls
 
 
 def growth_exponent(sizes, times) -> float | None:
@@ -281,11 +299,10 @@ def toda_sweep() -> dict:
 
     def trajectory():
         _theta_sites.cache_clear()
-        _theta_num.cache_clear()
         return [theta_state(Z0, C, t) for t in range(TODA_STEPS + 1)]
 
     t_theta, states = median_time(trajectory)
-    misses = _theta_num.cache_info().misses  # of the last cold run
+    thetas = count_calls(troptoda, "_argmin_int", trajectory)
     theta_ok = conserved_all(states[0]) == C and all(
         evolve_toda(a) == b for a, b in zip(states, states[1:])
     )
@@ -300,7 +317,7 @@ def toda_sweep() -> dict:
         "theta_genus": len(C) - 2,
         "theta_steps": TODA_STEPS,
         "theta_trajectory_s": t_theta,
-        "theta_trajectory_misses": misses,
+        "theta_trajectory_thetas": thetas,
         "theta_trajectory": theta_ok,
     }
 
@@ -325,11 +342,7 @@ def theta_sweep() -> dict:
         Zs = [Xi.mul(tuple(x)) for x in xs]
         keys = [_scaled(Z, Xi) for Z in Zs]
 
-        def cold_values():
-            _theta_num.cache_clear()
-            return [_theta_num(b, t, Xi._form) for b, t in keys]
-
-        t_value, values = median_time(cold_values)
+        t_value, values = median_time(lambda: [_argmin_int(b, t, Xi._form)[0] for b, t in keys])
         t_argmin, pairs = median_time(lambda: [theta_argmin(Z, Xi) for Z in Zs])
         value_s.append(t_value / THETA_ARGS)
         argmin_s.append(t_argmin / THETA_ARGS)

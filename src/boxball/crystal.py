@@ -25,6 +25,8 @@ import random
 from dataclasses import dataclass
 from functools import reduce
 
+from boxball.intmat import require_int
+
 
 class RankMismatch(ValueError):
     pass
@@ -60,10 +62,13 @@ class CrystalElement:
     counts: tuple[int, ...]
 
     def __post_init__(self):
+        require_int("rank", self.rank)
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
         if len(self.counts) != self.rank + 1:
             raise ValueError("counts must have length rank+1")
+        for c in self.counts:
+            require_int("letter count", c)
         if any(c < 0 for c in self.counts):
             raise ValueError("counts must be nonnegative")
 

@@ -48,6 +48,7 @@ from boxball.intmat import (
     column_hnf,
     det_int,  # noqa: F401  (perfbench/spans.py traces pbbs.det_int)
     divisors,
+    exact,
     gauss_jordan,
     is_int,
     lattice_points_in_box,
@@ -58,6 +59,12 @@ from boxball.intmat import (
 )
 from boxball.kkr import RiggedConfiguration, kkr_phi, kkr_phi_inv
 from boxball.theta import PeriodMatrix, theta
+
+
+def require_cells(cells: tuple) -> None:
+    """ValueError unless every cell is the int 1 or 2 (a float or bool is not)."""
+    if not set(cells) <= {1, 2} or not set(map(type, cells)) <= {int}:
+        raise ValueError("cells must be 1 or 2")
 
 
 def parse_cells(text: str) -> tuple[int, ...]:
@@ -76,8 +83,7 @@ class PeriodicState:
     def __post_init__(self):
         if not self.cells:
             raise ValueError("empty state")
-        if not set(self.cells) <= {1, 2}:
-            raise ValueError("cells must be 1 or 2")
+        require_cells(self.cells)
         if 2 * self.balls > len(self.cells):
             raise ValueError("more than L/2 balls; not a box-ball phase space point")
 
@@ -445,20 +451,23 @@ def periodic_theta_state(Jvec, mu: ActionVariable) -> PeriodicState:
     """State from the tropical theta formula (multiplicity-free mu only).
 
     b_k is a difference of four thetas with period matrix F, argument
-    J - p/2 - k h_1 (+ h_inf); invariant under J -> J + F Z^g.
+    J - p/2 - k h_1 (+ h_inf), J of g ints or Fractions; invariant under J -> J + F Z^g.
     """
     if any(m != 1 for m in mu.mults):
         raise ValueError("theta formula requires all multiplicities 1")
+    Jvec = tuple(exact(j, "angle entries") for j in Jvec)
+    if len(Jvec) != mu.g:
+        raise ValueError(f"angle vector must have g = {mu.g} entries, got {len(Jvec)}")
     Xi = PeriodMatrix.from_rows(mu.F())
-    base = [Fraction(j) - Fraction(p, 2) for j, p in zip(Jvec, mu.vacancies)]
-    h1, hinf = mu.h(1), mu.h(None)
-
-    def th(k: int, plus_inf: bool) -> Fraction:
-        return theta([b - k * x + (y if plus_inf else 0) for b, x, y in zip(base, h1, hinf)], Xi)
-
+    base = [j - Fraction(p, 2) for j, p in zip(Jvec, mu.vacancies)]
+    h1 = mu.h(1)
+    th, th_inf = (
+        [theta([b - k * x + y for b, x, y in zip(base, h1, lift)], Xi) for k in range(mu.L + 1)]
+        for lift in ((0,) * mu.g, mu.h(None))
+    )
     cells = []
     for k in range(1, mu.L + 1):
-        b = 1 - th(k, False) + th(k - 1, False) + th(k, True) - th(k - 1, True)
+        b = 1 - th[k] + th[k - 1] + th_inf[k] - th_inf[k - 1]
         if b not in (1, 2):
             raise ValueError(f"theta formula produced letter {b} at cell {k}")
         cells.append(int(b))

@@ -13,12 +13,13 @@ Per call, Z is scaled to integers b = s t Z; coordinates are fixed from the
 last down, each visited in Schnorr-Euchner zig-zag order from the rounded
 center until its term reaches R, and R shrinks to each better point found.
 The value is read off the final R in O(g).  The value path (theta, and the
-Toda sites through _theta_num) cuts at equality, so it enumerates no tied
+Toda sites through _argmin_int) cuts at equality, so it enumerates no tied
 minimizers; only theta_argmin collects the ties and breaks them.
 The work grows with the number of lattice points in the ellipsoid, not with a
 box around it; genus 5 takes milliseconds per call.  One Fraction is made per
-returned value.  Values (not minimizers) are memoized in one lru_cache keyed
-on integers, so equal period matrices share them.  Arguments and matrix
+returned value.  Nothing is memoized here: a caller that reads a value twice
+keeps it on its own data (a Toda trajectory keeps its two theta rows, the
+box-ball theta formula its 2 (L + 1) thetas).  Arguments and matrix
 entries are ints or Fractions; floats and bools raise ValueError.  The wide
 brute-force scan and the Fraction LDL^T enumeration are the test oracles.
 """
@@ -28,7 +29,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from operator import mul
 from typing import NamedTuple
 
@@ -39,15 +39,14 @@ class _IntegerForm(NamedTuple):
     """A = s Xi in integers through its intmat.gauss_jordan: det = det A,
     piv the pivot columns (cols[j] their entries piv[i][j] above the
     diagonal, i < j), adj = det(A) A^{-1}.  With Delta_k the leading minors,
-    w[i] = M / (Delta_i Delta_{i+1}) for M the lcm of these products.  All
-    ints and tuples of ints, so a form is a hashable key of the theta memo."""
+    w[i] = M / (Delta_i Delta_{i+1}) for M the lcm of these products."""
 
     s: int
-    piv: tuple[tuple[int, ...], ...]
+    piv: list[list[int]]
     cols: tuple[tuple[int, ...], ...]
     w: tuple[int, ...]
     M: int
-    adj: tuple[tuple[int, ...], ...]
+    adj: list[list[int]]
     det: int
 
 
@@ -60,9 +59,8 @@ def _integer_form(rows) -> _IntegerForm:
         raise ValueError("matrix must be positive definite")
     products = [a * b for a, b in zip(e.pivots, e.pivots[1:])]
     M = lcm_int(products)
-    piv, adj = (tuple(map(tuple, m)) for m in (e.piv, e.adj))
-    cols = tuple(tuple(piv[i][j] for i in range(j)) for j in range(len(piv)))
-    return _IntegerForm(s, piv, cols, tuple(M // p for p in products), M, adj, e.det)
+    cols = tuple(tuple(e.piv[i][j] for i in range(j)) for j in range(len(e.piv)))
+    return _IntegerForm(s, e.piv, cols, tuple(M // p for p in products), M, e.adj, e.det)
 
 
 @dataclass(frozen=True)
@@ -94,13 +92,6 @@ class PeriodMatrix:
 
     def mul(self, v: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
         return tuple(sum(r[j] * v[j] for j in range(self.g)) for r in self.rows)
-
-
-def _objective(n, Xi_rows, Z):
-    # n.(Xi n / 2 + Z), assembled as (n.Xi n + 2 n.Z)/2
-    quad = sum(n[i] * sum(Xi_rows[i][j] * n[j] for j in range(len(n))) for i in range(len(n)))
-    lin = sum(ni * zi for ni, zi in zip(n, Z))
-    return Fraction(quad, 2) + lin
 
 
 def _argmin_int(
@@ -203,16 +194,10 @@ def theta_argmin(Z, Xi: PeriodMatrix) -> tuple[Fraction, tuple[int, ...]]:
     return Fraction(num, 2 * Xi._form.s * t), n_star
 
 
-@lru_cache(maxsize=200_000)
-def _theta_num(b: tuple[int, ...], t: int, form: _IntegerForm) -> int:
-    """2 s t Theta(b / (s t); Xi) for any t > 0 and form = Xi._form."""
-    return _argmin_int(b, t, form)[0]
-
-
 def theta(Z, Xi: PeriodMatrix) -> Fraction:
-    """Tropical Riemann theta Theta(Z; Xi), exactly (memoized)."""
+    """Tropical Riemann theta Theta(Z; Xi), exactly."""
     b, t = _scaled(Z, Xi)
-    return Fraction(_theta_num(b, t, Xi._form), 2 * Xi._form.s * t)
+    return Fraction(_argmin_int(b, t, Xi._form)[0], 2 * Xi._form.s * t)
 
 
 def check_quasi_periodicity(
@@ -224,9 +209,9 @@ def check_quasi_periodicity(
     for _ in range(trials):
         Z = tuple(Fraction(rng.randint(-40, 40), rng.randint(1, 4)) for _ in range(g))
         m = tuple(rng.randint(-3, 3) for _ in range(g))
-        Xim = Xi.mul(tuple(Fraction(x) for x in m))
+        Xim = Xi.mul(m)
         lhs = theta(tuple(z + w for z, w in zip(Z, Xim)), Xi)
-        rhs = -_objective(m, Xi.rows, Z) + theta(Z, Xi)
+        rhs = theta(Z, Xi) - sum(map(mul, m, Xim)) * Fraction(1, 2) - sum(map(mul, m, Z))
         if lhs != rhs:
             return False
     return True

@@ -20,8 +20,8 @@ integers; theta itself is an exact Fincke-Pohst enumeration in int (see
 boxball.theta).  The period matrix maps m = (g, ..., 1) to N L e_1 on every
 smooth curve, so the theta argument of site n + N is that of site n
 translated by -Omega m, and theta quasi-periodicity gives its value exactly:
-a trajectory keeps its thetas on one grid keyed by (t, n mod N), and each
-row of it costs N theta searches.
+a state at time t reads only theta rows t and t + 1, N thetas each, and a
+trajectory keeps the two rows its last state read.
 """
 
 from __future__ import annotations
@@ -35,13 +35,10 @@ from operator import mul
 from boxball.bbs import toda_pass
 from boxball.intmat import exact, lcm_int, require_int
 # theta is re-exported; the sites below use the integer entry point
-from boxball.theta import PeriodMatrix, _theta_num, theta  # noqa: F401
+from boxball.theta import PeriodMatrix, _argmin_int, theta  # noqa: F401
 
 
 Exact = int | Fraction  # int when integral, else Fraction
-# theta grid entries one trajectory keeps; a longer one restarts its grid,
-# and _theta_num's bounded memo still holds the values
-_GRID_CAP = 1 << 14
 
 
 def _require_phase_space(Q, W) -> None:
@@ -213,15 +210,16 @@ def _theta_sites(Z0: tuple, C: tuple):
     the denominators of Z0, the velocity, L and C_1; each site value is an
     integer sum over 2 s u, an int when 2 s u divides it, else one Fraction.
 
-    The scaled thetas T(t, n) = 2 s u Theta(b(t, n) / (s u)) live on one grid
-    keyed by (t, r = n mod N).  On a smooth curve Omega m = N L e_1 for
+    The scaled thetas T(t, n) = 2 s u Theta(b(t, n) / (s u)) of time t form
+    one row of N values, r = n mod N.  On a smooth curve Omega m = N L e_1 for
     m = (g, ..., 1): row 1 is (L + eta_1 + 2 lambda_1)(N - 1) - eta_1 (N - 2)
     = N L as eta_1 = L - 2 (N - 1) lambda_1, and row i > 1 is
     eta_i - eta_{i-1} + 2 (N - i)(lambda_i - lambda_{i-1}) = 0.  So column
     r + k N is column r translated by -k Omega m, and quasi-periodicity,
     Theta(Z + Omega m) = Theta(Z) - m.(Omega m / 2 + Z), gives it exactly:
-    T(t, r + k N) = T(t, r) + 2 k m.b(t, r) - k^2 N g s u L.  Only a grid
-    miss computes a theta, so a row of sites costs N thetas.
+    T(t, r + k N) = T(t, r) + 2 k m.b(t, r) - k^2 N g s u L.  The sites of
+    time t read rows t and t + 1 only, and the two rows the last call read
+    are kept, so a run of consecutive times costs one row of N thetas each.
     Memoized on the last (Z0, C): a trajectory builds its sites once."""
     sd = spectral_data(C)
     if not sd.smooth or sd.Omega is None:
@@ -230,11 +228,11 @@ def _theta_sites(Z0: tuple, C: tuple):
     Z0 = tuple(map(exact, Z0))
     if len(Z0) != g:
         raise ValueError(f"Z0 must have len(C) - 2 = {g} entries, got {len(Z0)}")
-    Xi = PeriodMatrix.from_rows(sd.Omega)
+    form = PeriodMatrix.from_rows(sd.Omega)._form
     vel = tuple(sd.lam[i + 1] - sd.lam[i] for i in range(g))
     C1 = sd.C[0]
     u = lcm_int(x.denominator for x in Z0 + vel + (sd.L, C1))
-    su = Xi._form.s * u
+    su = form.s * u
 
     def scaled(x: Exact) -> int:
         return x.numerator * (su // x.denominator)
@@ -242,19 +240,19 @@ def _theta_sites(Z0: tuple, C: tuple):
     b0, v, shift = [scaled(z) for z in Z0], [scaled(x) for x in vel], scaled(sd.L)
     N, m = g + 1, range(g, 0, -1)
     period = N * g * shift
-    grid: dict[tuple[int, int], tuple[int, int]] = {}  # (t, r) -> (T(t, r), 2 m.b(t, r))
+    rows: dict[int, list[tuple[int, int]]] = {}  # the last call's two rows
 
-    def T(tt: int, nn: int) -> int:
-        k, r = divmod(nn, N)
-        hit = grid.get((tt, r))
-        if hit is None:
-            if len(grid) >= _GRID_CAP:
-                grid.clear()
-            b = [b0[i] + v[i] * tt for i in range(g)]
-            b[0] -= shift * r
-            hit = grid[tt, r] = _theta_num(tuple(b), u, Xi._form), 2 * sum(map(mul, m, b))
-        value, twice_mb = hit
-        return value + k * (twice_mb - k * period)
+    def row(tt: int) -> list[tuple[int, int]]:
+        """[(T(tt, r), 2 m.b(tt, r)) for r < N], N thetas unless held."""
+        if tt in rows:
+            return rows[tt]
+        base = [b0[i] + v[i] * tt for i in range(g)]
+        bs = [(base[0] - shift * r, *base[1:]) for r in range(N)]
+        return [(_argmin_int(b, u, form)[0], 2 * sum(map(mul, m, b))) for b in bs]
+
+    def T(held: list[tuple[int, int]], n: int) -> int:
+        k, r = divmod(n, N)
+        return held[r][0] + k * (held[r][1] - k * period)
 
     q_const, w_const = 2 * scaled(C1), 2 * scaled(sd.L + C1)
     den = 2 * su
@@ -265,8 +263,10 @@ def _theta_sites(Z0: tuple, C: tuple):
 
     def sites(t: int, first: int, last: int) -> list[tuple[Exact, Exact]]:
         """(Q_n^t, W_n^t) for first <= n <= last, each T read once."""
-        now = [T(t, n) for n in range(first - 1, last + 2)]
-        nxt = [T(t + 1, n) for n in range(first - 1, last + 1)]
+        nonlocal rows
+        rows = {t: row(t), t + 1: row(t + 1)}
+        now = [T(rows[t], n) for n in range(first - 1, last + 2)]
+        nxt = [T(rows[t + 1], n) for n in range(first - 1, last + 1)]
         return [
             (
                 over_den(now[i] + nxt[i + 1] - nxt[i] - now[i + 1] + q_const),
@@ -310,7 +310,7 @@ def embed_pbbs(word, leftmost: int = 0) -> TodaState:
     empty), then alternating empty/ball run lengths; the result always has
     Q_1 = 0 or W_N = 0.
     """
-    from boxball.pbbs import PeriodicState, parse_cells
+    from boxball.pbbs import PeriodicState, parse_cells, require_cells
 
     if isinstance(word, PeriodicState):
         cells = word.cells
@@ -318,8 +318,7 @@ def embed_pbbs(word, leftmost: int = 0) -> TodaState:
         cells = parse_cells(word)
     else:
         cells = tuple(word)
-        if not set(cells) <= {1, 2}:
-            raise ValueError("cells must be 1 or 2")
+        require_cells(cells)
     require_int("leftmost", leftmost)
     leftmost %= len(cells) or 1  # the empty word keeps its error below
     cells = cells[leftmost:] + cells[:leftmost]

@@ -61,7 +61,7 @@ def test_kkr_sweep_prints_timings_exponents_and_roundtrip(tmp_path):
     assert toda["theta_genus"] == 4 and toda["theta_steps"] == 4
     assert toda["invariant"] is True and toda["theta_trajectory"] is True
     # a cold trajectory of 5 states computes 6 rows of N = 5 thetas
-    assert toda["theta_trajectory_misses"] == 6 * 5
+    assert toda["theta_trajectory_thetas"] == 30
     theta = doc["theta"]
     assert theta["genera"] == [2, 4, 6, 8] and theta["repeats"] == 3 and theta["arguments"] > 0
     assert len(theta["value_s"]) == len(theta["argmin_s"]) == 4

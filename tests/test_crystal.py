@@ -410,3 +410,14 @@ def test_from_word_keeps_unsorted_words_and_letter_bounds():
         C.from_word("102")
     with pytest.raises(ValueError, match="exceeds rank"):
         TensorElement.from_word("13*2", rank=1)
+
+
+@pytest.mark.parametrize(
+    "rank, counts, what",
+    [(1, (1.5, 0.5), "letter count"), (True, (1, 0), "rank"), (1, (True, 0), "letter count"), (1.0, (1, 0), "rank")],
+)
+def test_element_takes_int_rank_and_counts(rank, counts, what):
+    # before, C(1, (1.5, 0.5)) was accepted and comb_R on it returned counts
+    # (0.5, 0.5) with energy 1.0
+    with pytest.raises(ValueError, match=f"{what} must be an int"):
+        C(rank, counts)

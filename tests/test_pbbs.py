@@ -1,9 +1,10 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from boxball import pbbs
+from boxball import pbbs, theta
 from boxball.kkr import is_highest, kkr_phi
 from boxball.pbbs import (
     ActionVariable,
@@ -100,6 +101,12 @@ def test_t1_is_cyclic_shift():
 def test_rejects_too_many_balls():
     with pytest.raises(ValueError):
         PeriodicState((2, 2, 2, 1))
+
+
+@pytest.mark.parametrize("cells", [(1, 2.0, 1, 1), (1, 2, True, 1), (1.0, 2, 1, 1), (1, 3, 1, 1), (1, "2", 1, 1)])
+def test_rejects_cells_other_than_int_1_or_2(cells):
+    with pytest.raises(ValueError, match="cells must be 1 or 2"):
+        PeriodicState(cells)
 
 
 def test_commutativity_and_energy_conservation():
@@ -488,6 +495,32 @@ def test_theta_state_single_soliton():
 def test_theta_state_rejects_multiplicity():
     with pytest.raises(ValueError):
         periodic_theta_state((0, 0), ActionVariable(10, (2, 2)))
+
+
+@pytest.mark.parametrize("J", [(0, 1, 99), (0,), (0.0, 1.0), (True, 1), (0, "1")])
+def test_theta_state_takes_g_exact_entries(J):
+    with pytest.raises(ValueError):
+        periodic_theta_state(J, ActionVariable(8, (2, 1)))
+
+
+def test_theta_state_takes_fraction_entries():
+    mu = ActionVariable(9, (3, 1))
+    assert periodic_theta_state((Fraction(4, 2), Fraction(5)), mu) == periodic_theta_state((2, 5), mu)
+
+
+def test_theta_state_computes_each_theta_once(monkeypatch):
+    # cells 1..L read the thetas of k = 0..L with and without h_inf
+    calls, argmin_int = [], theta._argmin_int
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return argmin_int(*args, **kwargs)
+
+    monkeypatch.setattr(theta, "_argmin_int", counted)
+    for L, parts, J in [(9, (3, 1), (2, 5)), (7, (2,), (3,)), (12, (3, 2), (1, 4))]:
+        calls.clear()
+        periodic_theta_state(J, ActionVariable(L, parts))
+        assert len(calls) == 2 * (L + 1)
 
 
 def _apply_slide(J: AngleVariable, k: int) -> AngleVariable:

@@ -46,6 +46,24 @@ def test_library_holds_no_module_level_container():
     assert not found, found
 
 
+def test_one_functools_memo_the_toda_sites():
+    # a value is cached on the data it describes; the one functools memo is
+    # _theta_sites' single entry, the last trajectory's sites
+    found = []
+    for path in sorted(Path(boxball.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for dec in node.decorator_list:
+                f = dec.func if isinstance(dec, ast.Call) else dec
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name in ("lru_cache", "cache"):
+                    args = [ast.unparse(a) for a in getattr(dec, "args", [])]
+                    args += [ast.unparse(k) for k in getattr(dec, "keywords", [])]
+                    found.append(f"{path.stem}.{node.name} {name}({', '.join(args)})")
+    assert found == ["troptoda._theta_sites lru_cache(maxsize=1)"], found
+
+
 def test_only_bbs_raises_the_word_and_capacity_errors():
     # bbs owns the one-character word form and the carrier capacity; every other
     # module calls encode_word and capacity instead of raising its own copy

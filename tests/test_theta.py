@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxball.theta import PeriodMatrix, _theta_num, check_quasi_periodicity, theta, theta_argmin
+from boxball.theta import PeriodMatrix, check_quasi_periodicity, theta, theta_argmin
 
 F = Fraction
 
@@ -41,19 +41,6 @@ def test_g2_wide_scan_oracle():
     for _ in range(40):
         Z = (F(rng.randint(-25, 25), rng.randint(1, 2)), F(rng.randint(-25, 25), rng.randint(1, 2)))
         assert theta(Z, Xi) == brute_theta(Z, rows, radius=30)
-
-
-def test_equal_period_matrices_share_theta_values():
-    # the memo is keyed on integers, so a second, equal matrix object reads the
-    # value the first one computed
-    rows = [[16, -5, 1], [-5, 10, -3], [1, -3, 9]]
-    Z = (F(7, 3), F(-11, 2), F(5))
-    _theta_num.cache_clear()
-    value = theta(Z, PeriodMatrix.from_rows(rows))
-    assert _theta_num.cache_info()[:2] == (0, 1)
-    assert theta(Z, PeriodMatrix.from_rows(rows)) == value
-    assert _theta_num.cache_info()[:2] == (1, 1)
-    assert value == theta_argmin(Z, PeriodMatrix.from_rows(rows))[0]
 
 
 def test_quasi_periodicity_fixture_matrices():

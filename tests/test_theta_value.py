@@ -1,13 +1,13 @@
-"""Differential tests of the value-only theta search behind theta._theta_num.
+"""Differential tests of the value-only theta search, _argmin_int with ties off.
 
-_theta_num cuts the Fincke-Pohst search at equality, so it collects no tied
-minimizers, and reads the value off the final bound; theta_argmin runs the
-same search with every tie collected.  Both must give the value of the
-test-local Fraction search and shell scan of tests/test_theta_oracle.py,
-from a cold and from a warm memo, on integral forms, forms with rational
-entries and Toda period matrices at genus 1-6, for arguments with
-denominators 1-4 and for the tie-heavy arguments Xi m / 2.  The identity
-the value is read from is checked on its own, at every lattice point tried.
+The value path cuts the Fincke-Pohst search at equality, so it collects no
+tied minimizers, and reads the value off the final bound; theta_argmin runs
+the same search with every tie collected.  Both must give the value of the
+test-local Fraction search and shell scan of tests/test_theta_oracle.py, on
+integral forms, forms with rational entries and Toda period matrices at
+genus 1-6, for arguments with denominators 1-4 and for the tie-heavy
+arguments Xi m / 2.  The identity the value is read from is checked on its
+own, at every lattice point tried.
 """
 
 import random
@@ -16,7 +16,7 @@ from math import floor
 
 import pytest
 
-from boxball.theta import PeriodMatrix, _argmin_int, _scaled, _theta_num, theta, theta_argmin
+from boxball.theta import PeriodMatrix, _argmin_int, _scaled, theta, theta_argmin
 from boxball.troptoda import TodaState, conserved_all, spectral_data
 from test_intmat_oracle import old_solve
 from test_theta_oracle import fraction_fincke_pohst, objective, pd_matrix, shell_scan_argmin
@@ -77,7 +77,7 @@ CASES = cases()
 def test_value_path_matches_argmin_and_oracles():
     for rows, Xi, Z in CASES:
         b, t = _scaled(Z, Xi)
-        num = _theta_num(b, t, Xi._form)
+        num = _argmin_int(b, t, Xi._form)[0]
         expect, n_star = fraction_fincke_pohst(Z, rows)
         assert _argmin_int(b, t, Xi._form, ties=True)[0] == num
         assert F(num, 2 * Xi._form.s * t) == expect == theta(Z, Xi)
@@ -91,16 +91,6 @@ def test_value_path_matches_argmin_and_oracles():
         n0 = tuple(floor(x + F(1, 2)) for x in old_solve(rows, [-z for z in Z]))
         if objective(n0, rows, Z) == expect:
             assert point == n0
-
-
-def test_values_equal_from_cold_and_warm_memo():
-    keys = {_scaled(Z, Xi) + (Xi._form,) for _, Xi, Z in CASES}
-    _theta_num.cache_clear()
-    cold = [theta(Z, Xi) for _, Xi, Z in CASES]
-    assert _theta_num.cache_info().misses == len(keys)
-    warm = [theta(Z, Xi) for _, Xi, Z in CASES]
-    assert _theta_num.cache_info().misses == len(keys)
-    assert warm == cold == [theta_argmin(Z, Xi)[0] for _, Xi, Z in CASES]
 
 
 @pytest.mark.parametrize("g", GENERA)

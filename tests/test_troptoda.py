@@ -301,7 +301,8 @@ def test_embed_rejects_bad_cell_characters():
         with pytest.raises(ValueError):
             embed_pbbs(bad)
     # a cell tuple must hold 1s and 2s too; before, the first of these raised IndexError
-    for bad in ((1, 3, 3, 1, 1, 2, 1, 1), (1, 0, 2), (1, 2, 1, 2.5)):
+    # and they must be ints: before, (1, 2.0, 1, 1) returned a state
+    for bad in ((1, 3, 3, 1, 1, 2, 1, 1), (1, 0, 2), (1, 2, 1, 2.5), (1, 2.0, 1, 1), (1, True, 2, 1, 1)):
         with pytest.raises(ValueError, match="cells must be 1 or 2"):
             embed_pbbs(bad)
 

@@ -23,7 +23,6 @@ import pytest
 
 from boxball import troptoda
 from boxball.theta import PeriodMatrix, theta
-from boxball.theta import _theta_num
 from boxball.troptoda import (
     TodaState,
     _theta_sites,
@@ -217,24 +216,10 @@ def test_theta_sites_match_public_theta():
                 cases.append((C, tuple(F(rng.randint(-20, 20), rng.randint(1, 5)) for _ in range(N - 1))))
     for C, Z0 in cases:
         N = len(C) - 1
-        # sites outside 1..N read the theta grid through its N-periodicity
+        # sites outside 1..N read the theta rows through their N-periodicity
         for t in range(7):
             for n in range(-2 * N, 3 * N + 1):
                 assert theta_solution(Z0, C, t, n) == oracle_theta_solution(Z0, C, t, n), (C, Z0)
-
-
-def test_theta_grid_restarts_past_its_cap(monkeypatch):
-    # a trajectory longer than the grid cap keeps its values: rows dropped
-    # with the grid come back from the theta memo
-    C, Z0 = (0, 1, 4, 9), (2, 5)
-    _theta_sites.cache_clear()
-    expect = [theta_state(Z0, C, t) for t in range(8)]
-    monkeypatch.setattr(troptoda, "_GRID_CAP", 4)
-    _theta_sites.cache_clear()
-    _theta_num.cache_clear()
-    assert [theta_state(Z0, C, t) for t in range(8)] == expect
-    assert _theta_num.cache_info().hits > 0
-    _theta_sites.cache_clear()
 
 
 def _smooth_curves(rng, count):
@@ -250,7 +235,7 @@ def _smooth_curves(rng, count):
 
 def test_period_matrix_maps_g_to_1_onto_N_L_e1():
     # Omega (g, ..., 1) = N L e_1 on every smooth curve: the identity behind
-    # the theta grid's N-periodicity in n, checked in Fraction
+    # the theta rows' N-periodicity in n, checked in Fraction
     curves = _smooth_curves(random.Random(70), 60)
     assert any(C[0] != 0 and type(C[0]) is int for C in curves)
     assert any(type(c) is F for C in curves for c in C)
@@ -262,22 +247,54 @@ def test_period_matrix_maps_g_to_1_onto_N_L_e1():
         assert [sum(map(mul, row, m)) for row in Omega] == [N * L] + [0] * (g - 1), C
 
 
-def test_cold_trajectory_computes_six_rows_of_n_thetas():
-    # theta_state(t) reads rows t and t + 1 of the (t, n mod N) grid, N
-    # thetas each; every other site value is a lattice translate
+@pytest.fixture
+def thetas(monkeypatch):
+    """The argument of every theta the Toda sites compute (_argmin_int calls),
+    from cold sites."""
+    calls, argmin_int = [], troptoda._argmin_int
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return argmin_int(*args, **kwargs)
+
+    monkeypatch.setattr(troptoda, "_argmin_int", counted)
+    _theta_sites.cache_clear()
+    yield calls
+    _theta_sites.cache_clear()
+
+
+def test_cold_trajectory_computes_six_rows_of_n_thetas(thetas):
+    # theta_state(t) reads rows t and t + 1, N thetas each, and the sites keep
+    # the two rows the last state read; genus 1 is no exception
     rng = random.Random(71)
     for N in (2, 3, 4, 5):
         C = _smooth_problem(rng, N)
         Z0 = tuple(rng.randint(-20, 20) for _ in range(N - 1))
         _theta_sites.cache_clear()
-        _theta_num.cache_clear()
+        thetas.clear()
         states = [theta_state(Z0, C, t) for t in range(5)]
-        info = _theta_num.cache_info()
-        assert info.hits + info.misses == 6 * N
-        if N > 2:  # at genus 1 two grid points can share an argument
-            assert info.misses == 6 * N
+        assert len(thetas) == 6 * N
         for a, b in zip(states, states[1:]):
             assert evolve_toda(a) == b
+
+
+def test_backward_trajectory_equals_forward(thetas):
+    # read from t = 4 down to 0 a trajectory computes the same 6 rows; every
+    # site of the last time read, n outside 1..N included, costs no theta
+    rng = random.Random(72)
+    for N in (2, 3, 4):
+        C = _smooth_problem(rng, N)
+        Z0 = tuple(rng.randint(-20, 20) for _ in range(N - 1))
+        _theta_sites.cache_clear()
+        forward = [theta_state(Z0, C, t) for t in range(5)]
+        _theta_sites.cache_clear()
+        thetas.clear()
+        backward = [theta_state(Z0, C, t) for t in range(4, -1, -1)]
+        assert backward[::-1] == forward
+        assert len(thetas) == 6 * N
+        sites = [theta_solution(Z0, C, 0, n) for n in range(-2 * N, 3 * N + 1)]
+        assert len(thetas) == 6 * N
+        assert sites[2 * N + 1 : 3 * N + 1] == list(zip(forward[0].Q, forward[0].W))
 
 
 @pytest.mark.parametrize(
@@ -387,7 +404,7 @@ def test_fraction_states_stay_exact_under_step_and_shift():
             assert s.Q == tuple(Q) and s.W == tuple(W)
 
 
-def test_theta_state_matches_fraction_oracle_cold_and_warm():
+def test_theta_state_matches_fraction_oracle_cold_and_warm(thetas):
     # rational Z0 or C, or an integral C with C_1 != 0
     rng = random.Random(69)
     cases = []
@@ -402,11 +419,14 @@ def test_theta_state_matches_fraction_oracle_cold_and_warm():
         den = rng.choice((1, 2, 3)) if rational else 1
         cases.append((tuple(F(rng.randint(-20, 20), den) for _ in range(len(Q) - 1)), C))
     for Z0, C in cases:
+        N = len(C) - 1
         _theta_sites.cache_clear()
-        _theta_num.cache_clear()
+        thetas.clear()
         cold = [theta_state(Z0, C, t) for t in range(3)]
+        assert len(thetas) == 4 * N  # rows 0..3
+        assert theta_state(Z0, C, 2) == cold[2] and len(thetas) == 4 * N  # rows 2, 3 kept
         warm = [theta_state(Z0, C, t) for t in range(3)]
-        assert warm == cold
+        assert warm == cold and len(thetas) == 8 * N
         # spectral data and period matrix were built once for the trajectory
         assert _theta_sites.cache_info().misses == 1
         for t, s in enumerate(cold):
