@@ -9,7 +9,8 @@ reads and writes words, one character per letter ('.' or '1' for 1, the ASCII
 digits 2-9), through decode_word and encode_word, and reads a capacity l, an
 int >= 0 or None for T_infinity, through capacity.  Soliton labels are words
 too: scatter_two decodes them with decode_word and writes them with
-encode_word.  The rank of a word is crystal.rank_of.
+encode_word.  The rank of a word is crystal.rank_of, and crystal.require_rank
+checks a rank given.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import groupby
 
-from boxball.crystal import CrystalElement, comb_R, rank_of
-from boxball.intmat import is_int
+from boxball.crystal import CrystalElement, comb_R, rank_of, require_rank
+from boxball.intmat import is_int, require_int
 
 _WORD_CHARS = b".123456789"
 _DECODE = bytes.maketrans(_WORD_CHARS, bytes((1, 1, 2, 3, 4, 5, 6, 7, 8, 9)))
@@ -64,6 +65,7 @@ class BBSState:
     origin: int = 0
 
     def __post_init__(self):
+        require_rank(self.rank)
         if self.cells and not 1 <= min(self.cells) <= max(self.cells) <= self.rank + 1:
             raise ValueError("cells must be letters in 1..rank+1")
 
@@ -187,6 +189,7 @@ def evolve_takahashi(state: BBSState) -> BBSState:
 
 def energies(state: BBSState, l_max: int) -> list[int]:
     """[E_1, ..., E_l_max]; weakly increasing, stabilizing at the ball count."""
+    require_int("l_max", l_max)
     return [evolve(state, l)[1] for l in range(1, l_max + 1)]
 
 

@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from boxball.crystal import MAX_PLUS, RankMismatch, semifield_R
+from boxball.crystal import MAX_PLUS, RankMismatch, require_rank, semifield_R
 from boxball.intmat import exact, require_int
 
 
@@ -31,8 +31,7 @@ class RationalPoint:
     coords: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
+        require_rank(self.rank)
         if len(self.coords) != self.rank + 1:
             raise ValueError("coords must have length rank+1")
         coords = tuple(Fraction(exact(c, "coordinates")) for c in self.coords)

@@ -4,8 +4,9 @@ combinatorial R.
 An element of B_l is a vector of letter counts (x_1,...,x_{n+1}) summing to l;
 the one-row tableau word is only an I/O presentation: ASCII digits, one letter
 per character or comma-separated with no empty field.  rank_of is the one rule
-for the rank a word implies, here and in every box-ball layer.  All letter
-indices are cyclic mod n+1, with color 0 acting between letters n+1 and 1.
+for the rank a word implies, and require_rank the one check of a rank given,
+here and in every box-ball layer.  All letter indices are cyclic mod n+1,
+with color 0 acting between letters n+1 and 1.
 The crystal 0 is represented by None throughout.  On B_{l_1} (x) ... (x) B_{l_n}
 one right-to-left fold of the signature rule gives (eps_i, phi_i) of every
 tail, which both tensor_eps_phi and tensor_kashiwara read, in O(n).
@@ -42,6 +43,14 @@ def rank_of(letters) -> int:
     return max(max(letters, default=2), 2) - 1
 
 
+def require_rank(rank) -> None:
+    """ValueError unless rank is an int (not a bool) >= 1: the one rank rule of
+    crystals, box-ball states, rigged configurations and tau string sets."""
+    require_int("rank", rank)
+    if rank < 1:
+        raise ValueError("rank must be >= 1")
+
+
 def _word_letters(word: str) -> list[int]:
     """Letters of a tableau word: ASCII digits, one per character ("13347") or
     comma-separated with no empty field ("1,3,10"); ValueError otherwise."""
@@ -62,9 +71,7 @@ class CrystalElement:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        require_int("rank", self.rank)
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
+        require_rank(self.rank)
         if len(self.counts) != self.rank + 1:
             raise ValueError("counts must have length rank+1")
         for c in self.counts:

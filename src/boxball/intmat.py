@@ -9,7 +9,7 @@ calls: is_int and require_int (an int, not a bool) and exact (int or Fraction).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from numbers import Rational
 from typing import NamedTuple
 
@@ -145,14 +145,6 @@ def lattice_points_in_box(h: list[list[int]], lo: list[int], hi: list[int]):
     yield from walk(0, [0] * g)
 
 
-def lcm_int(values) -> int:
-    out = 1
-    for v in values:
-        v = abs(int(v))
-        out = out * v // gcd(out, v)
-    return out
-
-
 def lcm_of_fractions(ratios) -> int:
     """Least common multiple of nonzero rationals: the smallest positive integer
     lying in every cyclic group Z*r.  For r = a/b in lowest terms, Z cap Z*r = aZ,
@@ -163,8 +155,8 @@ def lcm_of_fractions(ratios) -> int:
         r = Fraction(r)
         if r == 0:
             raise ValueError("ratios must be nonzero")
-        nums.append(abs(r.numerator))
-    return lcm_int(nums)
+        nums.append(r.numerator)
+    return lcm(*nums)
 
 
 def moebius(k: int) -> int:

@@ -6,24 +6,23 @@ A rigged configuration stores, per color a in 1..n, a multiset of strings
 configurations one letter at a time; phi^{-1} inverts it.  Both walk one
 shape (_Shape) held as three index-aligned lists per color: lens (the
 present lengths, ascending), vacs (the vacancy of each, color 1's without
-its L term) and rigs (the riggings of each, sorted).  The vacancies start
-from one merge of each color's lengths against prefix sums of its own and
-its neighbours' cells (the q-formula, which RiggedConfiguration.vacancy
-and .vacancies, and through them pbbs.ActionVariable, also read) and are
-then kept current in place: a string growing or shrinking by one shifts
-the stored vacancies above it in three colors, skipping a neighbour with
-no length above the move, and a length seen for the first time gets its
-vacancy from the q-formula.  phi and phi^{-1} look for singular strings
-(rigging equal to the vacancy) inline in their letter loops.  phi never
-leaves a rigging above its vacancy, so a length holds a singular string
-exactly when its top rigging equals the vacancy; phi^{-1} tests the top
-rigging first and bisects only when it lies above the vacancy (an extended
-configuration).  So a letter costs time in the number of distinct lengths,
-not of strings; a letter 1 costs O(1) in phi (it only lengthens the path),
-and a run of 1s costs one scan in phi^{-1}.  Extended configurations
-(riggings outside the [0, vacancy] window, arising from non-highest paths
-or long evolutions) are carried by the same algorithms and flagged by
-is_valid().
+its L term) and rigs (the riggings of each, sorted).  Every vacancy is read
+from one function, q_sum (q_j = sum_k min(j, k) m_k), which
+pbbs.ActionVariable, the slide shifts of the angle variables and
+troptoda.spectral_data also call.  The shape's vacancies are kept current
+in place: a string growing or shrinking by one shifts the stored vacancies
+above it in three colors, skipping a neighbour with no length above the
+move, and a length seen for the first time gets its vacancy from q_sum.
+phi and phi^{-1} look for singular strings (rigging equal to the vacancy)
+inline in their letter loops.  phi never leaves a rigging above its
+vacancy, so a length holds a singular string exactly when its top rigging
+equals the vacancy; phi^{-1} tests the top rigging first and bisects only
+when it lies above the vacancy (an extended configuration).  So a letter
+costs time in the number of distinct lengths, not of strings; a letter 1
+costs O(1) in phi (it only lengthens the path), and a run of 1s costs one
+scan in phi^{-1}.  Extended configurations (riggings outside the
+[0, vacancy] window, arising from non-highest paths or long evolutions)
+are carried by the same algorithms and flagged by is_valid().
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from itertools import filterfalse
 from math import inf
 
 from boxball.bbs import capacity, decode_word, encode_word
-from boxball.crystal import rank_of
+from boxball.crystal import rank_of, require_rank
 from boxball.intmat import is_int, require_int
 
 
@@ -50,7 +49,7 @@ class RiggedConfiguration:
 
     def __post_init__(self):
         require_int("L", self.L)
-        require_int("rank", self.rank)
+        require_rank(self.rank)
         if self.L < 0:
             raise ValueError("L must be >= 0")
         if len(self.strings) != self.rank:
@@ -92,6 +91,8 @@ class RiggedConfiguration:
 
     def vacancy(self, a: int, j: int) -> int:
         """p^(a)_j = q^(a-1)_j - 2 q^(a)_j + q^(a+1)_j."""
+        require_int("color", a)
+        require_int("length", j)
         if not 1 <= a <= self.rank:
             raise ValueError("color out of range")
         if j < 1:
@@ -145,22 +146,15 @@ class RiggedConfiguration:
         return cls.make(L, n, [[tuple(s) for s in b] for b in blocks])
 
 
-def _q(ks: list[int], rigs: list[list[int]], js) -> list[int]:
-    """q_j = sum_k min(j, k) m_k, the cells in the left j columns of the
-    partition with lengths ks (multiplicities len(rigs[i])), at each of the
-    ascending lengths js: one merge, keeping the cells of the lengths <= j
-    and the number of longer strings."""
-    out = []
-    cells, longer = 0, sum(map(len, rigs))
-    i, n = 0, len(ks)
-    for j in js:
-        while i < n and ks[i] <= j:
-            m = len(rigs[i])
-            cells += ks[i] * m
-            longer -= m
-            i += 1
-        out.append(cells + j * longer)
-    return out
+def q_sum(ks, ms, j):
+    """q_j = sum_k min(j, k) m_k over lengths ks (any order) with multiplicities
+    ms: the cells in the left j columns of the partition.  Every vacancy is
+    read from it: p^(a)_j = q^(a-1)_j - 2 q^(a)_j + q^(a+1)_j (plus L for
+    color 1).  Exact for ints and Fractions alike."""
+    q = 0
+    for k, m in zip(ks, ms):
+        q += (k if k < j else j) * m
+    return q
 
 
 class _Shape:
@@ -185,24 +179,18 @@ class _Shape:
                 else:
                     ks.append(j)
                     rigs.append([r])
-        self.vacs = [[], *map(self._sweep, range(1, rank + 1)), []]
+        # O(n^2) in a color's n <= sqrt(2 L) distinct lengths, so O(L)
+        self.vacs = [[self._p(a, j) for j in self.lens[a]] for a in range(rank + 2)]
 
     def _p(self, a: int, j: int) -> int:
         """p^(a)_j = q^(a-1)_j - 2 q^(a)_j + q^(a+1)_j, without color 1's L term;
-        q^(b)_j = sum_k min(j, k) m^(b)_k, the cells in the left j columns of mu^(b)."""
+        a neighbour color with no strings adds nothing."""
         lens, rigs = self.lens, self.rigs
-        p = 0
-        for b, w in ((a - 1, 1), (a, -2), (a + 1, 1)):
-            for k, rs in zip(lens[b], rigs[b]):
-                p += w * (k if k < j else j) * len(rs)
+        p = -2 * q_sum(lens[a], map(len, rigs[a]), j)
+        for b in (a - 1, a + 1):
+            if lens[b]:
+                p += q_sum(lens[b], map(len, rigs[b]), j)
         return p
-
-    def _sweep(self, a: int) -> list[int]:
-        """_p at every present color-a length, from one merge (_q) per color
-        instead of one sum per length."""
-        js, lens, rigs = self.lens[a], self.lens, self.rigs
-        qm, q, qp = (_q(lens[b], rigs[b], js) for b in (a - 1, a, a + 1))
-        return [x - 2 * y + z for x, y, z in zip(qm, q, qp)]
 
     def vacancy(self, a: int, j: int) -> int:
         """p^(a)_j, without color 1's L term."""
@@ -305,9 +293,7 @@ def kkr_phi(word, rank: int | None = None, check: bool = True) -> RiggedConfigur
     letters = _letters(word)
     if rank is None:
         rank = rank_of(letters)
-    require_int("rank", rank)
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
+    require_rank(rank)
     if letters and not 1 <= min(letters) <= max(letters) <= rank + 1:
         raise ValueError(f"letters must lie in 1..{rank + 1} for rank {rank}")
     if check and not _highest(letters, rank):
@@ -435,25 +421,33 @@ def solve_ivp(word: str, l: int | None, t: int) -> str:
 
 
 def highest_paths(L: int, rank: int):
-    """All highest words of length L over letters 1..rank+1 (prefix dominance).
+    """All highest words of length L over letters 1..rank+1 (prefix dominance),
+    in lexicographic order, by a depth-first walk with the prefix as its stack.
     ValueError when one would hold a letter above 9 (rank >= 9 and L >= 10)."""
+    require_int("L", L)
+    if L < 0:
+        raise ValueError("L must be >= 0")
+    require_rank(rank)
     encode_word([min(L, rank + 1)])  # the largest letter a highest word can hold, checked up front
-    counts = [0] * (rank + 1)
+    counts = [0] * (rank + 2)  # counts[a]: the letters a in the prefix
     word: list[int] = []
-
-    def rec(k):
-        if k == L:
+    a = 1  # the least letter still to try after the prefix
+    while True:
+        if len(word) == L:
             yield encode_word(word)
+            a = rank + 2
+        while 1 < a <= rank + 1 and counts[a - 1] <= counts[a]:  # a new a can only break #(a-1) >= #a
+            a += 1
+        if a <= rank + 1:
+            counts[a] += 1
+            word.append(a)
+            a = 1
+        elif word:
+            a = word.pop()
+            counts[a] -= 1
+            a += 1
+        else:
             return
-        for a in range(1, rank + 2):
-            if a == 1 or counts[a - 2] > counts[a - 1]:  # a new a can only break #(a-1) >= #a
-                counts[a - 1] += 1
-                word.append(a)
-                yield from rec(k + 1)
-                word.pop()
-                counts[a - 1] -= 1
-
-    yield from rec(0)
 
 
 def enumerate_rcs(L: int, rank: int, weight: tuple[int, ...]):

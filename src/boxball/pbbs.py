@@ -57,7 +57,7 @@ from boxball.intmat import (
     reduce_mod_lattice,  # noqa: F401  (perfbench/spans.py traces pbbs.reduce_mod_lattice)
     require_int,
 )
-from boxball.kkr import RiggedConfiguration, kkr_phi, kkr_phi_inv
+from boxball.kkr import RiggedConfiguration, kkr_phi, kkr_phi_inv, q_sum
 from boxball.theta import PeriodMatrix, theta
 
 
@@ -160,10 +160,10 @@ class ActionVariable:
             raise ValueError("|mu| must be at most L/2")
         I = tuple(sorted(set(self.parts)))
         object.__setattr__(self, "I", I)
-        object.__setattr__(self, "mults", tuple(self.parts.count(i) for i in I))
-        # kkr's q-formula, one sweep over the parts ascending
-        rc = RiggedConfiguration(self.L, 1, (tuple((i, 0) for i in reversed(self.parts)),))
-        object.__setattr__(self, "vacancies", rc.vacancies(1))
+        mults = tuple(self.parts.count(i) for i in I)
+        object.__setattr__(self, "mults", mults)
+        # the vacancies of the one-color configuration of shape mu, from kkr's q-sum
+        object.__setattr__(self, "vacancies", tuple(self.L - 2 * q_sum(I, mults, i) for i in I))
 
     @property
     def g(self) -> int:
@@ -259,6 +259,8 @@ class AngleVariable:
         for i, m, p, w in zip(mu.I, mu.mults, mu.vacancies, self.windows):
             if len(w) != m:
                 raise ValueError(f"window for size {i} must have m_{i} entries")
+            for x in w:
+                require_int("window entries", x)
             if list(w) != sorted(w):
                 raise ValueError("windows must be weakly increasing")
             if w[-1] - w[0] > p:
@@ -315,14 +317,9 @@ def _orbit_candidates(J: AngleVariable):
 
 
 def _slide_shift(I: tuple[int, ...], r) -> list[int]:
-    """2 M r, (2 M r)_i = 2 sum_k min(i, i_k) r_k: the additive part of sigma^r.
-    With I ascending that is 2 (sum_{i_k < i} i_k r_k + i sum_{i_k >= i} r_k)."""
-    out, low, tail = [], 0, sum(r)
-    for i, rk in zip(I, r):
-        out.append(2 * (low + i * tail))
-        low += i * rk
-        tail -= rk
-    return out
+    """2 M r, (2 M r)_i = 2 sum_k min(i, i_k) r_k: the additive part of sigma^r,
+    twice kkr's q-sum of the rotations r as multiplicities."""
+    return [2 * q_sum(I, r, i) for i in I]
 
 
 def canonicalize(J: AngleVariable) -> AngleVariable:

@@ -24,6 +24,7 @@ from math import prod
 
 from boxball.bbs import BBSState, encode_word, evolve
 from boxball.bbs import evolve_takahashi  # noqa: F401  (perfbench/spans.py traces tau.evolve_takahashi)
+from boxball.crystal import require_rank
 from boxball.intmat import require_int
 from boxball.kkr import RiggedConfiguration, evolve_rc
 
@@ -41,10 +42,8 @@ class StringSet:
     strings: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        require_int("rank", self.rank)
+        require_rank(self.rank)
         require_int("L", self.L)
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
         if self.L < 0:
             raise ValueError("L must be >= 0")
         for a, l, r in self.strings:

@@ -29,10 +29,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from operator import mul
 from typing import NamedTuple
 
-from boxball.intmat import exact, gauss_jordan, lcm_int
+from boxball.intmat import exact, gauss_jordan
 
 
 class _IntegerForm(NamedTuple):
@@ -51,14 +52,14 @@ class _IntegerForm(NamedTuple):
 
 
 def _integer_form(rows) -> _IntegerForm:
-    s = lcm_int(x.denominator for r in rows for x in r)
+    s = lcm(*(x.denominator for r in rows for x in r))
     A = tuple(tuple(x.numerator * (s // x.denominator) for x in r) for r in rows)
     e = gauss_jordan(A)
     # Sylvester's criterion: with no row swapped the pivots are the leading minors
     if e.swaps or min(e.pivots) <= 0:
         raise ValueError("matrix must be positive definite")
     products = [a * b for a, b in zip(e.pivots, e.pivots[1:])]
-    M = lcm_int(products)
+    M = lcm(*products)
     cols = tuple(tuple(e.piv[i][j] for i in range(j)) for j in range(len(e.piv)))
     return _IntegerForm(s, e.piv, cols, tuple(M // p for p in products), M, e.adj, e.det)
 
@@ -177,7 +178,7 @@ def _scaled(Z, Xi: PeriodMatrix) -> tuple[tuple[int, ...], int]:
     Z = tuple(exact(z, "theta argument entries") for z in Z)
     if len(Z) != Xi.g:
         raise ValueError(f"theta argument must have g = {Xi.g} entries, got {len(Z)}")
-    t = lcm_int(z.denominator for z in Z)
+    t = lcm(*(z.denominator for z in Z))
     st = Xi._form.s * t
     return tuple(z.numerator * (st // z.denominator) for z in Z), t
 

@@ -29,11 +29,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby
+from itertools import groupby, repeat
+from math import lcm
 from operator import mul
 
 from boxball.bbs import toda_pass
-from boxball.intmat import exact, lcm_int, require_int
+from boxball.intmat import exact, require_int
+from boxball.kkr import q_sum
 # theta is re-exported; the sites below use the integer entry point
 from boxball.theta import PeriodMatrix, _argmin_int, theta  # noqa: F401
 
@@ -127,6 +129,7 @@ def conserved(s: TodaState, k: int) -> Exact:
     {Q_1..Q_N, W_1..W_N} containing no pair {W_j, Q_j} or {W_j, Q_{j+1}};
     H_{N+1} = sum(Q) + sum(W).  Read from conserved_all, O(N^2).
     """
+    require_int("k", k)
     if not 1 <= k <= s.N + 1:
         raise ValueError("k out of range")
     return conserved_all(s)[k - 1]
@@ -174,10 +177,12 @@ class SpectralData:
 def spectral_data(C) -> SpectralData:
     """Spectral data of the tropical curve for conserved values C = (C_1..C_{N+1}).
 
-    lambda_k = C_{k+1} - C_k; eta_k = L - 2 sum_j min(lambda_k, lambda_j);
-    the curve is smooth iff the lambdas are strictly increasing and every
-    eta_k is positive, in which case the (N-1)x(N-1) period matrix is the
-    tridiagonal Omega below.
+    lambda_k = C_{k+1} - C_k; eta_k = L - 2 sum_j min(lambda_k, lambda_j) are the
+    curve's vacancies, read like the vacancies p_i = L - 2 q_i of a rigged
+    configuration from kkr.q_sum, over lambda_1..lambda_{N-1} each of
+    multiplicity 1.  The curve is smooth iff the lambdas are strictly
+    increasing and every eta_k is positive, in which case the (N-1)x(N-1)
+    period matrix is the tridiagonal Omega below.
     """
     C = tuple(map(exact, C))
     N = len(C) - 1
@@ -185,7 +190,8 @@ def spectral_data(C) -> SpectralData:
         raise ValueError("need at least C_1, C_2")
     L = C[N] - 2 * (N - 1) * C[0]
     lam = [0] + [C[k] - C[k - 1] for k in range(1, N)]
-    eta = [L] + [L - 2 * sum(min(lam[k], lam[j]) for j in range(1, N)) for k in range(1, N)]
+    lams = lam[1:]
+    eta = [L] + [L - 2 * q_sum(lams, repeat(1), x) for x in lams]
     smooth = all(lam[k] < lam[k + 1] for k in range(N - 1)) and all(
         e > 0 for e in eta[1:]
     )
@@ -231,7 +237,7 @@ def _theta_sites(Z0: tuple, C: tuple):
     form = PeriodMatrix.from_rows(sd.Omega)._form
     vel = tuple(sd.lam[i + 1] - sd.lam[i] for i in range(g))
     C1 = sd.C[0]
-    u = lcm_int(x.denominator for x in Z0 + vel + (sd.L, C1))
+    u = lcm(*(x.denominator for x in Z0 + vel + (sd.L, C1)))
     su = form.s * u
 
     def scaled(x: Exact) -> int:

@@ -182,6 +182,22 @@ def test_capacity_must_be_a_non_bool_int(l):
             call()
 
 
+@pytest.mark.parametrize("n", [1.5, 2.0, True])
+def test_energy_count_must_be_a_non_bool_int(n):
+    # before, energies(s, True) returned [E_1] and 1.5 raised TypeError
+    with pytest.raises(ValueError, match="l_max must be an int"):
+        energies(BBSState.parse("..22.2.."), n)
+
+
+@pytest.mark.parametrize("rank", [1.5, 2.0, True, "1"])
+def test_state_rank_must_be_a_non_bool_int(rank):
+    # before, BBSState.parse("1122", rank=1.5) made a rank-1.5 state
+    with pytest.raises(ValueError, match="rank must be an int"):
+        BBSState.parse("1122", rank=rank)
+    with pytest.raises(ValueError, match="rank must be >= 1"):
+        BBSState(0, ())
+
+
 def test_capacity_none_is_t_infinity():
     assert capacity(None, 7) == 7 and capacity(0, 7) == 0 and capacity(3, 7) == 3
     word, p = "1122.3..2.3", PeriodicState.parse("1212111222")

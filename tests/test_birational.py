@@ -195,6 +195,13 @@ def test_rational_point_rejects_rank_below_one(rank, coords):
         RationalPoint(rank, coords)
 
 
+@pytest.mark.parametrize("rank", [True, 1.0, Fraction(1)])
+def test_rational_point_rank_must_be_a_non_bool_int(rank):
+    # before, RationalPoint(True, (1, 2)) and RationalPoint(1.0, (1, 2)) were accepted
+    with pytest.raises(ValueError, match="rank must be an int"):
+        RationalPoint(rank, (1, 2))
+
+
 @pytest.mark.parametrize("X, Y", [((3,), (5,)), ((), ())])
 def test_ultradiscretization_rejects_vectors_shorter_than_two(X, Y):
     # before, ultradiscretize_R((3,), (5,)) returned ((5,), (3,))

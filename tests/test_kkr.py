@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from boxball.kkr import (
     is_highest,
     kkr_phi,
     kkr_phi_inv,
+    q_sum,
     solve_ivp,
 )
 
@@ -104,6 +106,13 @@ def test_vacancies_list_each_distinct_length_ascending():
         WORKED_RC.vacancies(4)
 
 
+@pytest.mark.parametrize("a, j", [(1, 2.5), (1, True), (True, 2), (2, 2.0)])
+def test_vacancy_takes_int_color_and_length(a, j):
+    # before, vacancy(1, 2.5) returned 3.5 and a bool was read as 1
+    with pytest.raises(ValueError, match="must be an int"):
+        WORKED_RC.vacancy(a, j)
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -151,6 +160,9 @@ def test_tuple_words_must_hold_non_bool_int_letters(word):
 def test_phi_rank_must_be_a_non_bool_int(rank):
     with pytest.raises(ValueError, match="rank must be an int"):
         kkr_phi("12", rank=rank)
+    # before, highest_paths(3, True) yielded words and 1.5 raised TypeError
+    with pytest.raises(ValueError, match="rank must be an int"):
+        next(highest_paths(3, rank))
 
 
 def test_phi_inv_empty():
@@ -406,6 +418,11 @@ def test_phi_rejects_letters_outside_rank_and_bad_rank():
     for rank in (0, -1):
         with pytest.raises(ValueError, match="rank must be >= 1"):
             kkr_phi("12", rank=rank)
+        # before, RiggedConfiguration(3, 0, ()) was accepted
+        with pytest.raises(ValueError, match="rank must be >= 1"):
+            RC(3, rank, ())
+        with pytest.raises(ValueError, match="rank must be >= 1"):
+            next(highest_paths(3, rank))
     assert kkr_phi("1213", rank=2) == kkr_phi("1213")
 
 
@@ -457,3 +474,37 @@ def test_letters_above_nine_have_no_one_character_form():
     with pytest.raises(ValueError, match="above 9"):
         next(highest_paths(10, 9))
     assert len(list(highest_paths(9, 9))) == len(list(highest_paths(9, 8)))
+
+
+@pytest.mark.parametrize("L", [1.5, 3.0, True, "3"])
+def test_highest_paths_length_must_be_a_non_bool_int(L):
+    with pytest.raises(ValueError, match="L must be an int"):
+        next(highest_paths(L, 1))
+    # before, L = -1 raised "bytes must be in range(0, 256)" from the letter check
+    with pytest.raises(ValueError, match="L must be >= 0"):
+        next(highest_paths(-1, 1))
+
+
+def test_highest_paths_walks_long_words_without_recursion():
+    # before, one recursion level per letter raised RecursionError at 1500
+    assert next(highest_paths(2000, 1)) == "1" * 2000
+    assert list(highest_paths(0, 2)) == [""]
+
+
+def test_q_sum_is_the_double_sum():
+    # lengths in any order, repeated, int or Fraction; q_j = sum_k min(j, k) m_k
+    rng = random.Random(26)
+    for _ in range(300):
+        n = rng.randint(0, 8)
+        if rng.random() < 0.5:
+            ks = [rng.randint(1, 9) for _ in range(n)]
+            j = rng.randint(0, 10)
+        else:
+            ks = [Fraction(rng.randint(-9, 30), rng.randint(1, 6)) for _ in range(n)]
+            j = Fraction(rng.randint(-9, 30), rng.randint(1, 6))
+        ks += rng.sample(ks, min(2, n))
+        ms = [rng.randint(-3, 4) for _ in ks]
+        expected = sum(min(j, k) * m for k, m in zip(ks, ms))
+        got = q_sum(ks, ms, j)
+        assert got == expected and type(got) is type(expected), (ks, ms, j)
+        assert q_sum(ks[::-1], ms[::-1], j) == expected

@@ -168,6 +168,28 @@ def test_action_variable_vacancies_follow_the_q_formula():
         ), (L, parts)
 
 
+def test_action_variable_vacancies_are_the_phi_vacancies():
+    # for every mu with |mu| <= L / 2, L <= 16, phi of the highest path
+    # 1^{mu_1} 2^{mu_1} 1^{mu_2} 2^{mu_2} ... padded with 1s has shape mu
+    def partitions(n, cap):
+        if n == 0:
+            yield ()
+        for first in range(min(n, cap), 0, -1):
+            for rest in partitions(n - first, first):
+                yield (first,) + rest
+
+    checked = 0
+    for L in range(17):
+        for size in range(L // 2 + 1):
+            for parts in partitions(size, size):
+                word = "".join("1" * i + "2" * i for i in parts).ljust(L, "1")
+                rc = kkr_phi(word, rank=1)
+                assert rc.mu(1) == parts, word
+                assert ActionVariable(L, parts).vacancies == rc.vacancies(1), word
+                checked += 1
+    assert checked == 307  # sum over L of p(0) + ... + p(L // 2)
+
+
 def test_action_variable_rotation_independent():
     p = P("2211221112122111221")
     for d, p_plus in all_highest_rotations(p):
@@ -651,6 +673,13 @@ def test_angle_window_spread_beyond_quasi_period_raises():
     with pytest.raises(ValueError, match="window spread exceeds the quasi-period"):
         AngleVariable(mu, ((0, 14, 28),))
     assert AngleVariable(mu, ((0, 7, 14),)).windows == ((0, 7, 14),)
+
+
+@pytest.mark.parametrize("window", [(1.5,), (Fraction(1, 2),), (True,), (Fraction(2),), ("1",)])
+def test_angle_window_entries_must_be_non_bool_ints(window):
+    # before, AngleVariable(ActionVariable(8, (2,)), ((1.5,),)) was built
+    with pytest.raises(ValueError, match="window entries must be an int"):
+        AngleVariable(ActionVariable(8, (2,)), (window,))
 
 
 def test_direct_scattering_then_period_scatters_once(monkeypatch):

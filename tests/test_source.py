@@ -102,6 +102,21 @@ def test_only_intmat_reads_exact_numbers():
     assert not found, found
 
 
+def test_only_crystal_raises_the_rank_error():
+    # crystal owns the rank rule (require_rank); no other module raises it itself
+    found = []
+    for path in sorted(Path(boxball.__file__).parent.glob("*.py")):
+        if path.name == "crystal.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Raise):
+                strings = [c.value for c in ast.walk(node) if isinstance(c, ast.Constant)]
+                text = " ".join(x for x in strings if isinstance(x, str))
+                if "rank must be >= 1" in text:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
 def test_only_bbs_calls_the_ball_moving_oracles():
     # evolve_takahashi and scatter_two_simulated are bbs's independent second
     # algorithms, kept for tests; no working path of another module runs them

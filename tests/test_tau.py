@@ -172,6 +172,8 @@ def test_rho_matches_takahashi_rows_exhaustive():
         (("1122", 3.0, 2, 1), "k must be an int"),
         (("1122", 3, True, 1), "a must be an int"),
         (("1122", 3, 4, 1), "color out of range"),
+        (("1122", 3, 2, 1, True), "rank must be an int"),
+        (("1122", 3, 2, 1, 1.5), "rank must be an int"),
     ],
 )
 def test_rho_rejects_bad_corner_and_time(args, message):

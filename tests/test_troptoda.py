@@ -114,6 +114,31 @@ def test_spectral_data_non_smooth_flagged():
     assert not sd.smooth and sd.Omega is None
 
 
+def test_spectral_eta_is_the_double_sum():
+    # eta_k = L - 2 sum_j min(lambda_k, lambda_j), on random rational C,
+    # non-smooth curves (repeated or decreasing lambdas, eta <= 0) included
+    rng = random.Random(26)
+    smooth = 0
+    for _ in range(300):
+        N = rng.randint(1, 6)
+        C = [F(rng.randint(-20, 40), rng.randint(1, 4)) for _ in range(N + 1)]
+        if rng.random() < 0.3:
+            C = sorted(C)
+        sd = spectral_data(C)
+        L, lam = sd.L, sd.lam
+        expected = (L,) + tuple(L - 2 * sum(min(lam[k], lam[j]) for j in range(1, N)) for k in range(1, N))
+        assert sd.eta == expected, C
+        smooth += sd.smooth
+    assert 0 < smooth < 300
+
+
+@pytest.mark.parametrize("k", [1.5, F(1), True])
+def test_conserved_index_must_be_a_non_bool_int(k):
+    # before, conserved(s, True) returned H_1 and 1.5 raised TypeError
+    with pytest.raises(ValueError, match="k must be an int"):
+        conserved(TodaState.make([1, 2], [3, 4]), k)
+
+
 def test_theta_solution_n2():
     # trajectory (3,4,0,1) -> ... with angle 9, 12, 15, 18, 21 on R/16Z
     C = (0, 3, 8)
