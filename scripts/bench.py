@@ -41,7 +41,8 @@ theta.theta_argmin on all of them, each the median of 3 runs divided by the
 argument count (per-call CPU seconds); it checks that the values are equal
 and fits t ~ g^k for both.  For each N in TAU_SIZES it times
 tau._TauTable on the string set of the sl2 highest path 1 2 11 22 ... 1^N 2^N
-(N strings, of lengths 1..N), fits t ~ N^k and, at the smallest N, checks the
+(N strings, of lengths 1..N) and a cold tau.check_hirota on a fresh copy of
+that set (hirota_s), fits t ~ N^k to the table times and, at the smallest N, checks the
 table against the all-subsets oracle of tests/test_tau_oracle.py.
 
 Example:
@@ -72,7 +73,7 @@ from boxball.pbbs import (
     fundamental_period,
     inverse_scattering,
 )
-from boxball.tau import StringSet, _TauTable
+from boxball.tau import StringSet, _TauTable, check_hirota
 from boxball import troptoda
 from boxball.theta import PeriodMatrix, _argmin_int, _scaled, theta_argmin
 from boxball.troptoda import TodaState, _theta_sites, conserved_all, evolve_toda, spectral_data, theta_state
@@ -364,17 +365,21 @@ def tau_sweep() -> dict:
     sys.path.insert(0, str(ROOT / "tests"))
     from test_tau_oracle import subset_best
 
-    times, oracle = [], None
+    times, hirota_times, oracle = [], [], None
     for N in TAU_SIZES:
-        s = StringSet.from_rc(kkr_phi("".join("1" * k + "2" * k for k in range(1, N + 1)), 1))
+        rc = kkr_phi("".join("1" * k + "2" * k for k in range(1, N + 1)), 1)
+        s = StringSet.from_rc(rc)
         t, table = median_time(_TauTable, s)
         times.append(t)
+        # cold: a fresh string set per call builds its table inside check_hirota
+        hirota_times.append(median_time(lambda: check_hirota(StringSet.from_rc(rc)))[0])
         if oracle is None:
             oracle = table.best == subset_best(s)
     return {
         "sizes": list(TAU_SIZES),
         "repeats": REPEATS,
         "table_s": times,
+        "hirota_s": hirota_times,
         "growth_exp": growth_exponent(TAU_SIZES, times),
         "oracle": oracle,
     }

@@ -190,6 +190,8 @@ def evolve_takahashi(state: BBSState) -> BBSState:
 def energies(state: BBSState, l_max: int) -> list[int]:
     """[E_1, ..., E_l_max]; weakly increasing, stabilizing at the ball count."""
     require_int("l_max", l_max)
+    if l_max < 0:
+        raise ValueError("l_max must be >= 0")
     return [evolve(state, l)[1] for l in range(1, l_max + 1)]
 
 

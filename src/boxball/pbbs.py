@@ -99,6 +99,13 @@ class PeriodicState:
     def parse(cls, text: str) -> "PeriodicState":
         return cls(parse_cells(text))
 
+    @classmethod
+    def _trusted(cls, cells: tuple) -> "PeriodicState":
+        """A state from cells already valid, built unchecked."""
+        p = object.__new__(cls)
+        p.__dict__.update(cells=cells)
+        return p
+
     def render(self) -> str:
         return encode_word(self.cells, ".")
 
@@ -109,7 +116,7 @@ class PeriodicState:
         """T_1^d: rotate right by d cells."""
         require_int("d", d)
         d %= self.L
-        return PeriodicState(self.cells[-d:] + self.cells[:-d]) if d else self
+        return PeriodicState._trusted(self.cells[-d:] + self.cells[:-d]) if d else self
 
     def word(self) -> str:
         return encode_word(self.cells)
@@ -137,7 +144,7 @@ def evolve_periodic(p: PeriodicState, l: int | None = None) -> tuple[PeriodicSta
     out, energy = carrier_pass(p.cells, carrier, 1)
     if carrier != fixed:
         raise ValueError("carrier fixed point failed to close up")
-    return PeriodicState(tuple(out)), energy
+    return PeriodicState._trusted(tuple(out)), energy  # the closed carrier kept every ball
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ rigging sum, least on each class's smallest riggings; a dynamic program over
 the counts chosen per color (prod(N_b + 1) states, N_b strings of color b; its
 cells capped at 2^BOXBALL_SUBSET_CAP) minimizes exactly and builds the
 whole table of tau_{k,a} once per StringSet (a cached property), which every
-query, path reconstruction and Hirota-Miwa check then reads.
+query, path reconstruction and Hirota-Miwa check then reads.  The same pass
+gives the T_infinity update taubar too, so a lone tau query pays for both.
 
 Also here: the corner ball-count rho of the carrier's T_infinity profile, the path
 reconstruction from second differences of tau, and the ultradiscrete
@@ -26,7 +27,7 @@ from boxball.bbs import BBSState, encode_word, evolve
 from boxball.bbs import evolve_takahashi  # noqa: F401  (perfbench/spans.py traces tau.evolve_takahashi)
 from boxball.crystal import require_rank
 from boxball.intmat import require_int
-from boxball.kkr import RiggedConfiguration, evolve_rc
+from boxball.kkr import RiggedConfiguration
 
 
 def _subset_cap() -> int:
@@ -55,11 +56,18 @@ class StringSet:
                 raise ValueError("string length must be >= 1")
 
     @classmethod
+    def _trusted(cls, rank: int, L: int, strings: tuple) -> "StringSet":
+        """A string set from fields already valid, built unchecked."""
+        s = object.__new__(cls)
+        s.__dict__.update(rank=rank, L=L, strings=strings)
+        return s
+
+    @classmethod
     def from_rc(cls, rc: RiggedConfiguration) -> "StringSet":
         flat = tuple(
             (a, j, r) for a in range(1, rc.rank + 1) for j, r in rc.color(a)
         )
-        return cls(rc.rank, rc.L, flat)
+        return cls._trusted(rc.rank, rc.L, flat)
 
     def to_rc(self) -> RiggedConfiguration:
         blocks = [[] for _ in range(self.rank)]
@@ -86,38 +94,47 @@ def cocharge(strings) -> int:
 
 class _TauTable:
     """For each color a and color-1 count m, the minimum of c(T) + lensum_a(T)
-    (best[a][m]), and from it every tau_{k,a} (rows[k][a], k = 0..L, a = 0..n+1).
+    (best[a][m]), and from it every tau_{k,a} (rows[k][a], k = 0..L, a = 0..n+1)
+    and the taubar_{k,a} of the T_infinity update (bar_rows).
 
     With k_d strings of class d = (b, l), at best its k_d smallest riggings,
     c(T) = sum_d (l k_d^2 + prefix_d[k_d]) + sum_{c<d} k_c k_d C min(l_c, l_d).
     In descending length min(l_c, l_d) = l_d, so class d adds
     k_d l (2 K_b - K_{b-1} - K_{b+1}) in the counts K of each color chosen
-    before it, and lensum_a adds l per color-a string: one DP over (a, K).
+    before it, and lensum_a adds l per color-a string.  taubar's objective adds
+    lensum_1, as evolve_rc(., None) moves a color-1 rigging r of length j to r + j.
+    One DP over (o, K): objective o = 0..2n is color o % (n+1) + 1, bar for o > n;
+    taubar's a = n+1 is tau's a = 1, as lensum_{n+1} = 0.
     """
 
     def __init__(self, s: StringSet):
         n = s.rank
         classes: dict[tuple[int, int], list[int]] = {}
-        radix = [n + 1] + [1] * (n + 1)  # digits of a DP index: a - 1, then K_b = 0..N_b
+        radix = [2 * n + 1] + [1] * (n + 1)  # digits of a DP index: o, then K_b = 0..N_b
         for a, l, r in s.strings:
             classes.setdefault((a, l), []).append(r)
             radix[a] += 1
         stride = [prod(radix[:b]) for b in range(n + 3)]
-        cells, cap = stride[n + 1] // (n + 1) * len(classes), _subset_cap()
+        cells, cap = stride[n + 1] // radix[0] * len(classes), _subset_cap()
         if cells > 2**cap:
             raise ValueError(
                 f"string set needs {cells} DP cells, over the cap 2^{cap}; "
                 "set BOXBALL_SUBSET_CAP to raise it"
             )
-        f = [0] * stride[n + 1]  # all DPs a = 1..n+1; entries past done never feed reachable ones
+        f = [0] * stride[n + 1]  # all objectives o; entries past done never feed reachable ones
         done = [0] * (n + 1)  # so far K_b <= done[b]
         for b, l in sorted(classes, key=lambda c: -c[1]):
             prefix = accumulate(sorted(classes[b, l]), initial=0)
             cost = [l * k * k + p for k, p in enumerate(prefix)]
             top, m, st, blk = done[b], len(cost) - 1, stride[b], stride[b + 1]
-            # K_b leads each block of fixed K_{b+1}, ..., K_n; w = [a = b] - K_{b-1} below it
+            # K_b leads each block of fixed K_{b+1}, ..., K_n; below it
+            # w = [a = b] + [bar and b = 1] - K_{b-1}, and for b = 1 the index i is o alone
             below = stride[b - 1] if b > 1 else 0
-            w = [(i % (n + 1) + 1 == b) - (below and i // below % radix[b - 1]) for i in range(st)]
+            w = [
+                (i % radix[0] % (n + 1) + 1 == b) + (b == 1 and i > n)
+                - (below and i // below % radix[b - 1])
+                for i in range(st)
+            ]
             for base in range(0, sum(done[c] * stride[c] for c in range(b + 1, n + 1)) + 1, blk):
                 up = base // blk % radix[b + 1]  # K_{b+1}
                 lin = [l * (2 * j + x - up) for j in range(top + 1) for x in w]
@@ -128,11 +145,15 @@ class _TauTable:
                     new[k * st :] = [*map(min, new[k * st :], step), *step[top * st :]]
                 f[base : base + (top + m + 1) * st] = new
             done[b] += m
-        self.best = [[None] * radix[1]] + [  # [a][m]
-            [min(f[a + (n + 1) * m :: stride[2]]) for m in range(radix[1])] for a in range(n + 1)
+        v = [  # [o][m]
+            [min(f[o + radix[0] * m :: stride[2]]) for m in range(radix[1])] for o in range(radix[0])
         ]
-        cols = [_column(v, s.L) for v in self.best[1:]]
-        self.rows = [[r[-1] - k] + list(r) for k, r in enumerate(zip(*cols))]  # tau_{k,0} = tau_{k,n+1} - k
+        self.best = [[None] * radix[1]] + v[: n + 1]  # [a][m]
+        cols = [_column(x, s.L) for x in v]
+        plain, bar = cols[: n + 1], cols[n + 1 :] + cols[:1]  # columns a = 1..n+1
+        self.rows, self.bar_rows = (  # tau_{k,0} = tau_{k,n+1} - k
+            [[r[-1] - k] + list(r) for k, r in enumerate(zip(*c))] for c in (plain, bar)
+        )
 
 
 def _column(v: list[int], L: int) -> list[int]:
@@ -220,8 +241,7 @@ def check_hirota(s: StringSet) -> bool:
                                        taubar_{k-1,a-1} + tau_{k,a} - 1)
     for 1 <= k <= L and 2 <= a <= n+1.
     """
-    t = s._table.rows
-    tbar = StringSet.from_rc(evolve_rc(s.to_rc(), None))._table.rows
+    t, tbar = s._table.rows, s._table.bar_rows
     for k in range(1, len(t)):
         for a in range(2, s.rank + 2):
             lhs = tbar[k][a - 1] + t[k - 1][a]

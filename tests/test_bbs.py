@@ -189,6 +189,14 @@ def test_energy_count_must_be_a_non_bool_int(n):
         energies(BBSState.parse("..22.2.."), n)
 
 
+def test_energy_count_must_be_non_negative():
+    # before, energies(s, -1) returned [] as if it had been asked for none
+    s = BBSState.parse("..22.2..")
+    assert energies(s, 0) == []
+    with pytest.raises(ValueError, match="l_max must be >= 0"):
+        energies(s, -1)
+
+
 @pytest.mark.parametrize("rank", [1.5, 2.0, True, "1"])
 def test_state_rank_must_be_a_non_bool_int(rank):
     # before, BBSState.parse("1122", rank=1.5) made a rank-1.5 state

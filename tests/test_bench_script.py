@@ -69,7 +69,7 @@ def test_kkr_sweep_prints_timings_exponents_and_roundtrip(tmp_path):
     assert theta["equal"] is True
     tau = doc["tau"]
     assert tau["sizes"] == [12, 14, 16, 18, 40] and tau["repeats"] == 3
-    assert len(tau["table_s"]) == 5 and "growth_exp" in tau
+    assert len(tau["table_s"]) == len(tau["hirota_s"]) == 5 and "growth_exp" in tau
     assert tau["oracle"] is True
     src_lines = sum(len(p.read_text().splitlines()) for p in (ROOT / "src" / "boxball").glob("*.py"))
     assert doc["src_lines"] == src_lines + 1

@@ -77,7 +77,7 @@ def test_subset_cap(monkeypatch):
 
 def test_one_table_per_string_set(monkeypatch):
     # tau, tau_table, path_from_tau and check_hirota all read the table that
-    # the string set built on first use; check_hirota adds the evolved set's
+    # the string set built on first use; it holds the T_infinity update's rows too
     import boxball.tau as tau_mod
 
     built = []
@@ -87,15 +87,20 @@ def test_one_table_per_string_set(monkeypatch):
             built.append(s)
             super().__init__(s)
 
+    def refused(*args):
+        raise AssertionError("check_hirota rebuilt the evolved string set")
+
     monkeypatch.setattr(tau_mod, "_TauTable", CountingTable)
     s = _S("11112221322433")
+    for name in ("to_rc", "from_rc"):
+        monkeypatch.setattr(StringSet, name, refused)
     table = tau_table(s)
     assert [tau(s, k, a) for k in range(s.L + 1) for a in range(s.rank + 2)] == sum(table, [])
     assert path_from_tau(s) == "11112221322433"
     assert check_hirota(s)
-    assert built[0] is s and len(built) == 2 and built[1] != s
+    assert built == [s] and built[0] is s
     # an equal, fresh string set builds its own table, with the same rows
-    assert tau_table(StringSet(s.rank, s.L, s.strings)) == table and len(built) == 3
+    assert tau_table(StringSet(s.rank, s.L, s.strings)) == table and len(built) == 2
 
 
 def test_tau_equals_rho_worked_example():
@@ -244,6 +249,29 @@ def test_tau_first_color_equals_evolved_last():
         sbar = StringSet.from_rc(evolve_rc(s.to_rc(), None))
         for k in range(s.L + 1):
             assert tau(s, k, 1) == tau(sbar, k, s.rank + 1)
+
+
+def _evolved_rows(s):
+    # taubar the long way: T_infinity on the rigged configuration, then its own table
+    return tau_table(StringSet.from_rc(evolve_rc(s.to_rc(), None)))
+
+
+def test_bar_rows_equal_the_evolved_table():
+    # the fused DP's taubar rows against the evolved set's own table
+    for rank in (1, 2):
+        for L in range(1, 9):
+            for word in highest_paths(L, rank):
+                s = _S(word, rank)
+                assert s._table.bar_rows == _evolved_rows(s), word
+    rng = random.Random(27)
+    for _ in range(300):
+        rank = rng.randint(1, 3)
+        strings = tuple(
+            (rng.randint(1, rank), rng.randint(1, 5), rng.randint(-4, 6))
+            for _ in range(rng.randint(0, 10))
+        )
+        s = StringSet(rank, rng.randint(0, 12), strings)
+        assert s._table.bar_rows == _evolved_rows(s), s
 
 
 def test_hirota_fixtures():
