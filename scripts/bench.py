@@ -11,7 +11,11 @@ and fits t ~ L^k per rank by least squares on log t against log L.  On one
 random sl3 highest path per L it times, for carrier capacities l = 3 and
 infinity, one bbs.evolve step and kkr.solve_ivp over
 EVOLVE_STEPS steps, checks solve_ivp against bbs.evolve^EVOLVE_STEPS, and
-fits t ~ L^k for both.  For each genus g in GENERA it times
+fits t ~ L^k for both; it times the same two calls at the size of the
+perfbench ivp workload (IVP_L letters, IVP_BALL_FRACTION of them balls) on
+one random highest path per rank in KKR_RANKS, per call over IVP_CALLS
+calls, where the per-call overhead shows, and checks them the same way.
+For each genus g in GENERA it times
 intmat.gauss_jordan (behind det_int) on the period matrix F of the periodic
 action variable with parts g, g-1, ..., 1 on L = g (g + 2) cells, checks
 adj F F = det F I, and fits t ~ g^k the same way.  For each (g, m, L) in
@@ -84,6 +88,9 @@ BALL_FRACTION = 0.45
 REPEATS = 3
 EVOLVE_CAPACITIES = (3, None)  # None: T_infinity
 EVOLVE_STEPS = 3
+IVP_L = 130  # the perfbench ivp workload draws L in [60, 200] with 0.35 L balls
+IVP_BALL_FRACTION = 0.35
+IVP_CALLS = 20
 GENERA = (4, 8, 16, 32)
 PBBS_SIZES = ((3, 6, 200), (8, 3, 500), (14, 2, 900))  # (g, m_i, L)
 # inverse_scattering of the g = 14 canonical form tries 6,149 of the 16,384
@@ -129,6 +136,19 @@ def median_time(fn, *args):
         out = fn(*args)
         times.append(time.process_time() - start)
     return statistics.median(times), out
+
+
+def median_call_time(calls: int, fn, *args):
+    """(median over REPEATS runs of `calls` calls of the CPU seconds per call,
+    the last call's result)."""
+
+    def run():
+        for _ in range(calls):
+            out = fn(*args)
+        return out
+
+    t, out = median_time(run)
+    return t / calls, out
 
 
 def count_calls(module, name: str, fn) -> int:
@@ -206,6 +226,22 @@ def evolve_sweep(sizes) -> dict:
         out[f"solve_ivp_{key}_s"] = ivp_s
         out[f"evolve_{key}_growth_exp"] = growth_exponent(sizes, evolve_s)
         out[f"solve_ivp_{key}_growth_exp"] = growth_exponent(sizes, ivp_s)
+    out.update(ivp_L=IVP_L, ivp_ball_fraction=IVP_BALL_FRACTION, ivp_ranks=list(KKR_RANKS), ivp_calls=IVP_CALLS)
+    for l in EVOLVE_CAPACITIES:
+        key = "inf" if l is None else str(l)
+        evolve_s, ivp_s = [], []
+        for rank in KKR_RANKS:
+            rng = random.Random(f"evolve/ivp/{rank}")
+            word = highest_word(rng, IVP_L, rank, round(IVP_BALL_FRACTION * IVP_L))
+            state = BBSState.parse(word, rank=rank)
+            evolve_s.append(median_call_time(IVP_CALLS, evolve, state, l)[0])
+            t_ivp, got = median_call_time(IVP_CALLS, solve_ivp, word, l, EVOLVE_STEPS)
+            ivp_s.append(t_ivp)
+            for _ in range(EVOLVE_STEPS):
+                state = evolve(state, l)[0]
+            out["oracle"] = out["oracle"] and BBSState.parse(got, rank=rank) == state
+        out[f"evolve_{key}_ivp_s"] = evolve_s
+        out[f"solve_ivp_{key}_ivp_s"] = ivp_s
     return out
 
 

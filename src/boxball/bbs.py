@@ -11,6 +11,13 @@ int >= 0 or None for T_infinity, through capacity.  Soliton labels are words
 too: scatter_two decodes them with decode_word and writes them with
 encode_word.  The rank of a word is crystal.rank_of, and crystal.require_rank
 checks a rank given.
+
+The BBSState constructor checks what it is given: a rank, an int origin and
+int cells in 1..rank+1.  The states this module builds from states already
+valid skip that check (BBSState._trusted): the result of evolve and the
+windows trimmed() cuts, and trimmed() returns a state already trimmed as it
+is.  parse strips the vacuum off the decoded bytes and builds one checked
+state.
 """
 
 from __future__ import annotations
@@ -66,13 +73,30 @@ class BBSState:
 
     def __post_init__(self):
         require_rank(self.rank)
-        if self.cells and not 1 <= min(self.cells) <= max(self.cells) <= self.rank + 1:
-            raise ValueError("cells must be letters in 1..rank+1")
+        require_int("origin", self.origin)
+        cells = self.cells
+        if cells and (
+            not {int}.issuperset(map(type, cells))  # a float or bool cell is not a letter
+            or not 1 <= min(cells) <= max(cells) <= self.rank + 1
+        ):
+            raise ValueError("cells must be letters in 1..rank+1, each an int")
+
+    @classmethod
+    def _trusted(cls, rank: int, cells: tuple, origin: int) -> "BBSState":
+        """A state from fields already valid, built unchecked."""
+        s = object.__new__(cls)
+        s.__dict__.update(rank=rank, cells=cells, origin=origin)
+        return s
 
     @classmethod
     def parse(cls, text: str, rank: int | None = None, origin: int = 0) -> "BBSState":
-        cells = decode_word(text)
-        return cls(rank_of(cells) if rank is None else rank, tuple(cells), origin).trimmed()
+        """The trimmed state of a word whose first letter sits at origin; an
+        all-vacuum word keeps origin."""
+        raw = decode_word(text)
+        cells = raw.lstrip(b"\x01")
+        if cells and is_int(origin):  # a bad origin is the constructor's to refuse
+            origin += len(raw) - len(cells)
+        return cls(rank_of(raw) if rank is None else rank, tuple(cells.rstrip(b"\x01")), origin)
 
     def render(self, left: int | None = None, right: int | None = None) -> str:
         """Dot notation over [left, right); defaults to the support window.
@@ -90,17 +114,20 @@ class BBSState:
         return 1
 
     def trimmed(self) -> "BBSState":
-        """Shrink the window to the support (all-vacuum states keep one cell)."""
+        """Shrink the window to the support (an all-vacuum state keeps its
+        origin); a state already trimmed is returned as it is."""
         cells, origin = self.cells, self.origin
+        if not cells or cells[0] != 1 and cells[-1] != 1:
+            return self
         lo = 0
         while lo < len(cells) and cells[lo] == 1:
             lo += 1
         if lo == len(cells):
-            return BBSState(self.rank, (), origin)
+            return BBSState._trusted(self.rank, (), origin)
         hi = len(cells)
         while cells[hi - 1] == 1:
             hi -= 1
-        return BBSState(self.rank, cells[lo:hi], origin + lo)
+        return BBSState._trusted(self.rank, cells[lo:hi], origin + lo)
 
     def balls(self) -> int:
         return len(self.cells) - self.cells.count(1)
@@ -160,7 +187,7 @@ def evolve(state: BBSState, l: int | None = None) -> tuple[BBSState, int]:
     out, energy = carrier_pass(s.cells, carrier, n)
     for a in range(n + 1, 1, -1):
         out += [a] * carrier[a]
-    return BBSState(n, tuple(out), s.origin).trimmed(), energy
+    return BBSState._trusted(n, tuple(out), s.origin).trimmed(), energy
 
 
 def evolve_takahashi(state: BBSState) -> BBSState:

@@ -23,6 +23,12 @@ costs O(1) in phi (it only lengthens the path), and a run of 1s costs one
 scan in phi^{-1}.  Extended configurations (riggings outside the
 [0, vacancy] window, arising from non-highest paths or long evolutions)
 are carried by the same algorithms and flagged by is_valid().
+
+kkr_phi and kkr_phi_inv check their input and wrap the letter loops _phi
+(letters -> shape and L) and _phi_inv (shape and L -> word).  solve_ivp
+decodes its word once and hands the shape phi builds through T_l straight
+into phi^{-1}: T_l only adds t min(l, j) to the color-1 riggings of length
+j, in place, and no RiggedConfiguration is built in between.
 """
 
 from __future__ import annotations
@@ -102,6 +108,7 @@ class RiggedConfiguration:
 
     def vacancies(self, a: int) -> tuple[int, ...]:
         """The vacancy of each distinct color-a length, lengths ascending."""
+        require_int("color", a)
         if not 1 <= a <= self.rank:
             raise ValueError("color out of range")
         off = self.L if a == 1 else 0
@@ -259,7 +266,7 @@ def is_highest(word: str | tuple[int, ...], rank: int | None = None) -> bool:
     return _highest(_letters(word), rank)
 
 
-def _highest(letters: list[int], rank: int | None) -> bool:
+def _highest(letters: bytes | list[int], rank: int | None) -> bool:
     """is_highest of checked letters.  A letter a can only break the one
     inequality #(a-1) >= #a."""
     if letters and min(letters) < 1:
@@ -273,10 +280,11 @@ def _highest(letters: list[int], rank: int | None) -> bool:
     return True
 
 
-def _letters(word) -> list[int]:
-    """The letters of a word given as a string or as a sequence of ints."""
+def _letters(word) -> bytes | list[int]:
+    """The letters of a word given as a string (one byte each) or as a
+    sequence of ints."""
     if isinstance(word, str):
-        return list(decode_word(word))
+        return decode_word(word)
     letters = list(word)
     if not {int}.issuperset(map(type, letters)):  # int subclasses: is_int decides
         for a in filterfalse(is_int, letters):
@@ -284,12 +292,9 @@ def _letters(word) -> list[int]:
     return letters
 
 
-def kkr_phi(word, rank: int | None = None, check: bool = True) -> RiggedConfiguration:
-    """Direct KKR map phi: highest path -> rigged configuration.
-
-    With check=False the same algorithm runs on arbitrary paths, producing an
-    extended configuration (Remark-style; riggings may be negative).
-    """
+def _path(word, rank: int | None, check: bool) -> tuple[bytes | list[int], int]:
+    """(letters, rank) of a path for phi: the rank defaults to the word's, and
+    every letter must lie in 1..rank+1; with check, the path must be highest."""
     letters = _letters(word)
     if rank is None:
         rank = rank_of(letters)
@@ -298,6 +303,23 @@ def kkr_phi(word, rank: int | None = None, check: bool = True) -> RiggedConfigur
         raise ValueError(f"letters must lie in 1..{rank + 1} for rank {rank}")
     if check and not _highest(letters, rank):
         raise ValueError("path is not highest")
+    return letters, rank
+
+
+def kkr_phi(word, rank: int | None = None, check: bool = True) -> RiggedConfiguration:
+    """Direct KKR map phi: highest path -> rigged configuration.
+
+    With check=False the same algorithm runs on arbitrary paths, producing an
+    extended configuration (Remark-style; riggings may be negative).
+    """
+    letters, rank = _path(word, rank, check)
+    shape, L = _phi(letters, rank)
+    # the shape lists its lengths ascending and each length's riggings sorted
+    return RiggedConfiguration._trusted(L, rank, shape.strings())
+
+
+def _phi(letters: bytes | list[int], rank: int) -> tuple[_Shape, int]:
+    """phi of checked letters 1..rank+1: the shape it builds and its L."""
     shape = _Shape(rank)
     lens, vacs, rigs = shape.lens, shape.vacs, shape.rigs
     L = 0
@@ -335,14 +357,17 @@ def kkr_phi(word, rank: int | None = None, check: bool = True) -> RiggedConfigur
         # its pick, and so above color c's new length, by one
         for c, i, r in picks:
             shape.move(c, i, r, 1, L if c == 1 else 1)
-    return RiggedConfiguration(L, rank, shape.strings())
+    return shape, L
 
 
 def kkr_phi_inv(rc: RiggedConfiguration) -> str:
     """Inverse KKR map phi^{-1}: rigged configuration -> path word."""
-    shape = _Shape(rc.rank, rc.strings)
+    return _phi_inv(_Shape(rc.rank, rc.strings), rc.L)
+
+
+def _phi_inv(shape: _Shape, L: int) -> str:
+    """phi^{-1} of the configuration held by shape with L; it empties shape."""
     lens, vacs, rigs = shape.lens, shape.vacs, shape.rigs
-    L = rc.L
     out = []  # the letters, last first
     while L > 0:
         # how many letters 1 come before a color-1 string turns singular: each
@@ -366,7 +391,7 @@ def kkr_phi_inv(rc: RiggedConfiguration) -> str:
         # the previous pick; the letter is one more than the number picked
         picks = []
         bound = 1
-        for c in range(1, rc.rank + 1):
+        for c in range(1, shape.rank + 1):
             ks, vs, rs_c = lens[c], vacs[c], rigs[c]
             off = L if c == 1 else 0
             for i in range(bisect_left(ks, bound), len(ks)):
@@ -388,6 +413,16 @@ def kkr_phi_inv(rc: RiggedConfiguration) -> str:
     return encode_word(out[::-1])
 
 
+def _linear_capacity(l: int | None, balls: int, steps: int) -> int:
+    """The capacity of T_l on a configuration of `balls` color-1 cells, once
+    l and the step count are checked."""
+    l = capacity(l, balls)
+    require_int("steps", steps)
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    return l
+
+
 def evolve_rc(rc: RiggedConfiguration, l: int | None, steps: int = 1) -> RiggedConfiguration:
     """Linearized T_l on rigged configurations: color-1 riggings grow by min(l,j).
 
@@ -395,10 +430,7 @@ def evolve_rc(rc: RiggedConfiguration, l: int | None, steps: int = 1) -> RiggedC
     corresponding path would overrun its window; it is returned flagged via
     is_valid(), not rejected.
     """
-    l = capacity(l, sum(j for j, _ in rc.color(1)))
-    require_int("steps", steps)
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
+    l = _linear_capacity(l, sum(j for j, _ in rc.color(1)), steps)
     # riggings of one length move together, so the (length, rigging) order holds
     new1 = tuple((j, r + steps * min(l, j)) for j, r in rc.color(1))
     return RiggedConfiguration._trusted(rc.L, rc.rank, (new1,) + rc.strings[1:])
@@ -410,14 +442,19 @@ def solve_ivp(word: str, l: int | None, t: int) -> str:
     The window is padded on the right so the evolution never feels the
     boundary; the padded evolved word is returned (support included).  phi
     reads a letter 1 as L += 1 alone, so phi of the padded word is phi of the
-    word with L raised by the padding.
+    word with L raised by the padding.  The shape phi builds goes through T_l
+    as it is: each color-1 length's riggings move by t min(l, j) in place
+    (their order holds, and color 1's vacancies are stored without L) before
+    phi^{-1} runs on it.
     """
-    letters = _letters(word)
-    rank = rank_of(letters)
+    letters, rank = _path(word, None, True)
     balls = len(letters) - letters.count(1)
-    rc = evolve_rc(kkr_phi(word, rank), l, steps=t)
-    pad = t * capacity(l, balls) + balls + 2
-    return kkr_phi_inv(RiggedConfiguration._trusted(rc.L + pad, rank, rc.strings))
+    l = _linear_capacity(l, balls, t)
+    shape, L = _phi(letters, rank)
+    for j, rs in zip(shape.lens[1], shape.rigs[1]):
+        d = t * min(l, j)
+        rs[:] = [r + d for r in rs]
+    return _phi_inv(shape, L + t * l + balls + 2)
 
 
 def highest_paths(L: int, rank: int):

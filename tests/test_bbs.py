@@ -206,6 +206,26 @@ def test_state_rank_must_be_a_non_bool_int(rank):
         BBSState(0, ())
 
 
+@pytest.mark.parametrize("cells", [(1, 2.0), (1, True, 2), (2.0,), (False,), ("2",)])
+def test_state_cells_must_be_non_bool_ints(cells):
+    # before, BBSState(1, (1, 2.0)) and BBSState(1, (1, True, 2)) were built
+    with pytest.raises(ValueError, match="cells must be letters"):
+        BBSState(1, cells)
+
+
+@pytest.mark.parametrize("origin", [1.5, 2.0, True, "0"])
+def test_state_origin_must_be_a_non_bool_int(origin):
+    # before, BBSState(1, (1, 2), 1.5) was built and parse shifted the bad origin
+    for make in (
+        lambda: BBSState(1, (1, 2), origin),
+        lambda: BBSState(1, (), origin),
+        lambda: BBSState.parse("112", origin=origin),
+        lambda: BBSState.parse("111", origin=origin),
+    ):
+        with pytest.raises(ValueError, match="origin must be an int"):
+            make()
+
+
 def test_capacity_none_is_t_infinity():
     assert capacity(None, 7) == 7 and capacity(0, 7) == 0 and capacity(3, 7) == 3
     word, p = "1122.3..2.3", PeriodicState.parse("1212111222")

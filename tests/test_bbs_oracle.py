@@ -5,7 +5,9 @@ library replaced: the infinite evolution as one function call per box
 (old_carrier_step), the periodic evolution as its own sl2 pass over a ball
 count, and the Toda step with prefix sums recomputed for every soliton.
 They serve as oracles: the library must return the same values and raise on
-the same inputs.
+the same inputs.  The states the carrier and parse build skip the checks of
+the BBSState constructor; they are compared here with states built the
+checked way.
 """
 
 import random
@@ -13,7 +15,8 @@ from itertools import product
 
 import pytest
 
-from boxball.bbs import BBSState, evolve, toda_evolve
+from boxball.bbs import BBSState, decode_word, evolve, toda_evolve
+from boxball.crystal import rank_of
 from boxball.pbbs import PeriodicState, evolve_periodic
 
 
@@ -152,6 +155,28 @@ def test_evolve_matches_carrier_step_loop_at_realistic_size():
                 got = evolve(s, l)
                 assert got == old_evolve(s, l), (s0, l)
                 s = got[0]
+
+
+def test_trusted_states_equal_the_checked_ones_on_every_small_word():
+    # parse and evolve build their states unchecked, and trimmed() returns a
+    # trimmed state itself; each must equal the state built the checked way
+    origins = (0, -3, 4)
+    for n in range(7):
+        for word in map("".join, product(".123", repeat=n)):
+            cells = tuple(decode_word(word))
+            for rank in range(rank_of(cells), 3):
+                for origin in origins:
+                    s = BBSState.parse(word, rank, origin)
+                    assert s == BBSState(rank, cells, origin).trimmed(), (word, rank, origin)
+                    assert s.trimmed() is s
+    for n in range(8):
+        for i, letters in enumerate(product((1, 2, 3), repeat=n)):
+            for rank in range(rank_of(letters), 3):
+                s = BBSState(rank, letters, origins[i % 3])
+                for l in (0, 1, 2, 3, None):
+                    got = evolve(s, l)
+                    assert got == old_evolve(s, l), (s, l)
+                    assert got[0].trimmed() is got[0]
 
 
 def test_toda_evolve_matches_prefix_sums():

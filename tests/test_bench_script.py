@@ -36,6 +36,10 @@ def test_kkr_sweep_prints_timings_exponents_and_roundtrip(tmp_path):
     for key in ("3", "inf"):
         assert len(ev[f"evolve_{key}_s"]) == len(ev[f"solve_ivp_{key}_s"]) == 2
         assert {f"evolve_{key}_growth_exp", f"solve_ivp_{key}_growth_exp"} <= set(ev)
+    assert ev["ivp_L"] == 130 and ev["ivp_ball_fraction"] == 0.35
+    assert ev["ivp_ranks"] == [1, 2, 3] and ev["ivp_calls"] == 20
+    for key in ("3", "inf"):
+        assert len(ev[f"evolve_{key}_ivp_s"]) == len(ev[f"solve_ivp_{key}_ivp_s"]) == 3
     assert ev["oracle"] is True
     intmat = doc["intmat"]
     assert intmat["genera"] == [4, 8, 16, 32] and intmat["repeats"] == 3

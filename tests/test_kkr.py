@@ -106,6 +106,13 @@ def test_vacancies_list_each_distinct_length_ascending():
         WORKED_RC.vacancies(4)
 
 
+@pytest.mark.parametrize("a", [True, 1.0])
+def test_vacancies_take_an_int_color(a):
+    # before, vacancies(True) answered as color 1 and vacancies(1.0) raised TypeError
+    with pytest.raises(ValueError, match="color must be an int"):
+        WORKED_RC.vacancies(a)
+
+
 @pytest.mark.parametrize("a, j", [(1, 2.5), (1, True), (True, 2), (2, 2.0)])
 def test_vacancy_takes_int_color_and_length(a, j):
     # before, vacancy(1, 2.5) returned 3.5 and a bool was read as 1
@@ -335,6 +342,13 @@ def test_solve_ivp_rejects_negative_capacity():
     for t in (0, 3):
         with pytest.raises(ValueError, match="capacity l must be >= 0"):
             solve_ivp("1122", -1, t)
+
+
+def test_solve_ivp_rejects_negative_steps_after_the_path():
+    with pytest.raises(ValueError, match="steps must be >= 0, got -1"):
+        solve_ivp("1122", 1, -1)
+    with pytest.raises(ValueError, match="path is not highest"):
+        solve_ivp("21", -1, -1)
 
 
 def test_phi_of_trailing_ones_only_lengthens_the_path():

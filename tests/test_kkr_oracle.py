@@ -7,12 +7,18 @@ for the library's bucketed versions, which must return the same values and
 raise on the same inputs.  Tied candidates are distinct objects here, so the
 oracle takes an rng that breaks ties at random; the library has no choice to
 make.  scan_is_highest checks the whole count vector after every letter.
+old_solve_ivp is the composition solve_ivp replaced: phi, evolve_rc, and
+phi^{-1} of a configuration rebuilt with L raised by the padding.
 """
 
 import random
 from itertools import product
 
+import pytest
+
 from boxball import kkr
+from boxball.bbs import capacity
+from boxball.crystal import rank_of
 from boxball.kkr import (
     RiggedConfiguration,
     _letters,
@@ -21,7 +27,17 @@ from boxball.kkr import (
     is_highest,
     kkr_phi,
     kkr_phi_inv,
+    solve_ivp,
 )
+
+
+def old_solve_ivp(word, l, t):
+    letters = _letters(word)
+    rank = rank_of(letters)
+    balls = len(letters) - letters.count(1)
+    rc = evolve_rc(kkr_phi(word, rank), l, steps=t)
+    pad = t * capacity(l, balls) + balls + 2
+    return kkr_phi_inv(RiggedConfiguration._trusted(rc.L + pad, rank, rc.strings))
 
 
 def scan_is_highest(word, rank=None):
@@ -229,6 +245,41 @@ def test_agrees_on_random_highest_paths_at_realistic_size():
         invalid += not evolved.is_valid()
         raised += isinstance(fast, tuple)
     assert invalid > 10 and raised > 10
+
+
+def test_solve_ivp_is_the_composition_it_replaced():
+    # solve_ivp hands phi's shape through T_l to phi^{-1}; the padded words
+    # must be the ones of the rebuilt configuration, byte for byte
+    paths = 0
+    for L in range(8):
+        for word in highest_paths(L, 3):
+            paths += 1
+            for l, t in product((0, 1, 2, 3, None), (0, 1, 3)):
+                assert solve_ivp(word, l, t) == old_solve_ivp(word, l, t), (word, l, t)
+    assert paths == 1 + 1 + 2 + 4 + 10 + 25 + 70 + 196
+
+
+@pytest.mark.parametrize(
+    "word, l, t",
+    [
+        ("21", -1, -1),  # a word that is not highest, before a bad l or t
+        ("1132", 1.5, 1),
+        ("12x", -1, 1),  # a character that is no letter, before anything else
+        ((1, 0, 2), -1, 1),  # a letter below 1
+        ((1, 2.0), 1, 1),
+        ((1, True), 1, 1),
+        ("1122", -1, -1),  # a bad capacity before a bad step count
+        ("1122", 1.5, 1),
+        ("1122", True, 1),
+        ("1122", 1, -1),
+        ("1122", None, 1.0),
+        ("1122", 2, False),
+    ],
+)
+def test_solve_ivp_raises_what_the_composition_raised(word, l, t):
+    raised = outcome(old_solve_ivp, word, l, t)
+    assert raised[0] is ValueError
+    assert outcome(solve_ivp, word, l, t) == raised
 
 
 def test_choice_independence():

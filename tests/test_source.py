@@ -134,6 +134,21 @@ def test_only_bbs_calls_the_ball_moving_oracles():
     assert not found, found
 
 
+def test_no_module_builds_another_modules_trusted_state():
+    # a _trusted constructor skips the checks of its class, so only the module
+    # that owns the class, and can vouch for the fields, calls it
+    found = []
+    for path in sorted(Path(boxball.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        own = {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)} | {"cls"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_trusted":
+                owner = node.func.value
+                if not (isinstance(owner, ast.Name) and owner.id in own):
+                    found.append(f"{path.name}:{node.lineno} {ast.unparse(node.func)}")
+    assert not found, found
+
+
 def test_toda_and_theta_hold_no_true_division_or_float():
     # plain ints flow through these modules, where int / int gives a float;
     # exact division goes through Fraction or divmod
