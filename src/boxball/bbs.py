@@ -14,7 +14,7 @@ checks a rank given.
 
 The BBSState constructor checks what it is given: a rank, an int origin and
 int cells in 1..rank+1.  The states this module builds from states already
-valid skip that check (BBSState._trusted): the result of evolve and the
+valid skip that check (intmat.trusted): the result of evolve and the
 windows trimmed() cuts, and trimmed() returns a state already trimmed as it
 is.  parse strips the vacuum off the decoded bytes and builds one checked
 state.
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import groupby
 
 from boxball.crystal import CrystalElement, comb_R, rank_of, require_rank
-from boxball.intmat import is_int, require_int
+from boxball.intmat import exact, is_int, require_int, trusted
 
 _WORD_CHARS = b".123456789"
 _DECODE = bytes.maketrans(_WORD_CHARS, bytes((1, 1, 2, 3, 4, 5, 6, 7, 8, 9)))
@@ -82,13 +82,6 @@ class BBSState:
             raise ValueError("cells must be letters in 1..rank+1, each an int")
 
     @classmethod
-    def _trusted(cls, rank: int, cells: tuple, origin: int) -> "BBSState":
-        """A state from fields already valid, built unchecked."""
-        s = object.__new__(cls)
-        s.__dict__.update(rank=rank, cells=cells, origin=origin)
-        return s
-
-    @classmethod
     def parse(cls, text: str, rank: int | None = None, origin: int = 0) -> "BBSState":
         """The trimmed state of a word whose first letter sits at origin; an
         all-vacuum word keeps origin."""
@@ -105,6 +98,8 @@ class BBSState:
             left = self.origin
         if right is None:
             right = self.origin + len(self.cells)
+        require_int("left", left)
+        require_int("right", right)
         return encode_word([self.cell(pos) for pos in range(left, right)], ".")
 
     def cell(self, pos: int) -> int:
@@ -123,11 +118,11 @@ class BBSState:
         while lo < len(cells) and cells[lo] == 1:
             lo += 1
         if lo == len(cells):
-            return BBSState._trusted(self.rank, (), origin)
+            return trusted(BBSState, rank=self.rank, cells=(), origin=origin)
         hi = len(cells)
         while cells[hi - 1] == 1:
             hi -= 1
-        return BBSState._trusted(self.rank, cells[lo:hi], origin + lo)
+        return trusted(BBSState, rank=self.rank, cells=cells[lo:hi], origin=origin + lo)
 
     def balls(self) -> int:
         return len(self.cells) - self.cells.count(1)
@@ -187,7 +182,7 @@ def evolve(state: BBSState, l: int | None = None) -> tuple[BBSState, int]:
     out, energy = carrier_pass(s.cells, carrier, n)
     for a in range(n + 1, 1, -1):
         out += [a] * carrier[a]
-    return BBSState._trusted(n, tuple(out), s.origin).trimmed(), energy
+    return trusted(BBSState, rank=n, cells=tuple(out), origin=s.origin).trimmed(), energy
 
 
 def evolve_takahashi(state: BBSState) -> BBSState:
@@ -216,9 +211,7 @@ def evolve_takahashi(state: BBSState) -> BBSState:
 
 def energies(state: BBSState, l_max: int) -> list[int]:
     """[E_1, ..., E_l_max]; weakly increasing, stabilizing at the ball count."""
-    require_int("l_max", l_max)
-    if l_max < 0:
-        raise ValueError("l_max must be >= 0")
+    require_int("l_max", l_max, 0)
     return [evolve(state, l)[1] for l in range(1, l_max + 1)]
 
 
@@ -349,7 +342,9 @@ def toda_evolve(Q: list[int], W: list[int]) -> tuple[list[int], list[int]]:
     """One T_infinity step in soliton coordinates (W_0 = W_N = infinity).
 
     Open-chain running minimum (toda_pass from X_1 = 0), with no cap for j = N.
+    Entries are read by intmat.exact: ints or Fractions, not floats or bools.
     """
+    Q, W = list(map(exact, Q)), list(map(exact, W))
     N = len(Q)
     if len(W) != N - 1:
         raise ValueError("need len(W) == len(Q) - 1")

@@ -75,9 +75,7 @@ class CrystalElement:
         if len(self.counts) != self.rank + 1:
             raise ValueError("counts must have length rank+1")
         for c in self.counts:
-            require_int("letter count", c)
-        if any(c < 0 for c in self.counts):
-            raise ValueError("counts must be nonnegative")
+            require_int("letter count", c, 0)
 
     @property
     def capacity(self) -> int:
@@ -114,29 +112,26 @@ def u_vac(rank: int, l: int) -> CrystalElement:
 
 
 def eps_phi(x: CrystalElement, i: int) -> tuple[int, int]:
-    """(eps_i, phi_i) of x: how far the raising/lowering operators act."""
+    """(eps_i, phi_i) of x: how far the raising/lowering operators act.  The one
+    check of a color index, here and in kashiwara: an int in 0..rank, not a bool."""
+    require_int("color index", i)
     if not 0 <= i <= x.rank:
         raise ValueError(f"color index {i} out of range 0..{x.rank}")
     return x.count(i + 1), x.count(i)
 
 
 def kashiwara(x: CrystalElement, i: int, dir: str) -> CrystalElement | None:
-    """Apply e~_i (dir='raise') or f~_i (dir='lower'); None is the crystal 0."""
-    if not 0 <= i <= x.rank:
-        raise ValueError(f"color index {i} out of range 0..{x.rank}")
-    m = x.rank + 1
-    lo, hi = _cyc(i, m) - 1, _cyc(i + 1, m) - 1
-    counts = list(x.counts)
-    if dir == "raise":
-        counts[lo] += 1
-        counts[hi] -= 1
-    elif dir == "lower":
-        counts[lo] -= 1
-        counts[hi] += 1
-    else:
+    """Apply e~_i (dir='raise') or f~_i (dir='lower'); None is the crystal 0.
+    e~_i turns a letter i+1 into i, so it acts iff eps_i > 0; f~_i iff phi_i > 0."""
+    eps, phi = eps_phi(x, i)
+    if dir not in ("raise", "lower"):
         raise ValueError("dir must be 'raise' or 'lower'")
-    if counts[lo] < 0 or counts[hi] < 0:
+    if not (eps if dir == "raise" else phi):
         return None
+    m, d = x.rank + 1, 1 if dir == "raise" else -1
+    counts = list(x.counts)
+    counts[_cyc(i, m) - 1] += d
+    counts[_cyc(i + 1, m) - 1] -= d
     return CrystalElement(x.rank, tuple(counts))
 
 

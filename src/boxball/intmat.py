@@ -3,7 +3,10 @@
 
 Everything here works over exact integers or fractions.Fraction; no floats.
 It also owns the library's exact-number input rule, which every other module
-calls: is_int and require_int (an int, not a bool) and exact (int or Fraction).
+calls: is_int and require_int (an int, not a bool, and at least lo when a
+bound is given) and exact (int or Fraction).  And it owns the one way past a
+class's checks: trusted builds an instance from fields already valid, and
+only the module that defines the class calls it.
 """
 
 from __future__ import annotations
@@ -19,10 +22,12 @@ def is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def require_int(name: str, x) -> None:
-    """ValueError unless x is an int that is not a bool."""
+def require_int(name: str, x, lo: int | None = None) -> None:
+    """ValueError unless x is an int that is not a bool and, given lo, x >= lo."""
     if not is_int(x):
         raise ValueError(f"{name} must be an int, got {x!r}")
+    if lo is not None and x < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {x!r}")
 
 
 def exact(x, what: str = "values") -> int | Fraction:
@@ -34,6 +39,15 @@ def exact(x, what: str = "values") -> int | Fraction:
         raise ValueError(f"{what} must be ints or Fractions, got {x!r}")
     x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
+
+
+def trusted(cls, **fields):
+    """An instance of cls holding fields already valid, built without its
+    checks: for a value the dynamics built from a valid one, and called only
+    by the module that defines cls."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 class Elimination(NamedTuple):
@@ -152,7 +166,7 @@ def lcm_of_fractions(ratios) -> int:
     """
     nums = []
     for r in ratios:
-        r = Fraction(r)
+        r = exact(r, "ratios")
         if r == 0:
             raise ValueError("ratios must be nonzero")
         nums.append(r.numerator)
@@ -160,8 +174,7 @@ def lcm_of_fractions(ratios) -> int:
 
 
 def moebius(k: int) -> int:
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    require_int("k", k, 1)
     out = 1
     d = 2
     while d * d <= k:
@@ -177,8 +190,7 @@ def moebius(k: int) -> int:
 
 
 def divisors(k: int) -> list[int]:
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    require_int("k", k, 1)
     small, big = [], []
     d = 1
     while d * d <= k:

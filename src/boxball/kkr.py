@@ -42,7 +42,7 @@ from math import inf
 
 from boxball.bbs import capacity, decode_word, encode_word
 from boxball.crystal import rank_of, require_rank
-from boxball.intmat import is_int, require_int
+from boxball.intmat import is_int, require_int, trusted
 
 
 @dataclass(frozen=True)
@@ -54,10 +54,8 @@ class RiggedConfiguration:
     strings: tuple[tuple[tuple[int, int], ...], ...]
 
     def __post_init__(self):
-        require_int("L", self.L)
+        require_int("L", self.L, 0)
         require_rank(self.rank)
-        if self.L < 0:
-            raise ValueError("L must be >= 0")
         if len(self.strings) != self.rank:
             raise ValueError("need one string multiset per color 1..rank")
         for block in self.strings:
@@ -77,13 +75,6 @@ class RiggedConfiguration:
     def make(cls, L: int, rank: int, strings) -> "RiggedConfiguration":
         return cls(L, rank, tuple(tuple(sorted(block)) for block in strings))
 
-    @classmethod
-    def _trusted(cls, L: int, rank: int, strings: tuple) -> "RiggedConfiguration":
-        """A configuration from fields already valid, built unchecked."""
-        rc = object.__new__(cls)
-        rc.__dict__.update(L=L, rank=rank, strings=strings)
-        return rc
-
     def color(self, a: int) -> tuple[tuple[int, int], ...]:
         return self.strings[a - 1]
 
@@ -98,11 +89,9 @@ class RiggedConfiguration:
     def vacancy(self, a: int, j: int) -> int:
         """p^(a)_j = q^(a-1)_j - 2 q^(a)_j + q^(a+1)_j."""
         require_int("color", a)
-        require_int("length", j)
+        require_int("length", j, 1)
         if not 1 <= a <= self.rank:
             raise ValueError("color out of range")
-        if j < 1:
-            raise ValueError("length must be >= 1")
         p = self._shape.vacancy(a, j)
         return p + self.L if a == 1 else p
 
@@ -315,7 +304,7 @@ def kkr_phi(word, rank: int | None = None, check: bool = True) -> RiggedConfigur
     letters, rank = _path(word, rank, check)
     shape, L = _phi(letters, rank)
     # the shape lists its lengths ascending and each length's riggings sorted
-    return RiggedConfiguration._trusted(L, rank, shape.strings())
+    return trusted(RiggedConfiguration, L=L, rank=rank, strings=shape.strings())
 
 
 def _phi(letters: bytes | list[int], rank: int) -> tuple[_Shape, int]:
@@ -417,9 +406,7 @@ def _linear_capacity(l: int | None, balls: int, steps: int) -> int:
     """The capacity of T_l on a configuration of `balls` color-1 cells, once
     l and the step count are checked."""
     l = capacity(l, balls)
-    require_int("steps", steps)
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
+    require_int("steps", steps, 0)
     return l
 
 
@@ -433,7 +420,7 @@ def evolve_rc(rc: RiggedConfiguration, l: int | None, steps: int = 1) -> RiggedC
     l = _linear_capacity(l, sum(j for j, _ in rc.color(1)), steps)
     # riggings of one length move together, so the (length, rigging) order holds
     new1 = tuple((j, r + steps * min(l, j)) for j, r in rc.color(1))
-    return RiggedConfiguration._trusted(rc.L, rc.rank, (new1,) + rc.strings[1:])
+    return trusted(RiggedConfiguration, L=rc.L, rank=rc.rank, strings=(new1,) + rc.strings[1:])
 
 
 def solve_ivp(word: str, l: int | None, t: int) -> str:
@@ -461,9 +448,7 @@ def highest_paths(L: int, rank: int):
     """All highest words of length L over letters 1..rank+1 (prefix dominance),
     in lexicographic order, by a depth-first walk with the prefix as its stack.
     ValueError when one would hold a letter above 9 (rank >= 9 and L >= 10)."""
-    require_int("L", L)
-    if L < 0:
-        raise ValueError("L must be >= 0")
+    require_int("L", L, 0)
     require_rank(rank)
     encode_word([min(L, rank + 1)])  # the largest letter a highest word can hold, checked up front
     counts = [0] * (rank + 2)  # counts[a]: the letters a in the prefix

@@ -56,6 +56,7 @@ from boxball.intmat import (
     moebius,
     reduce_mod_lattice,  # noqa: F401  (perfbench/spans.py traces pbbs.reduce_mod_lattice)
     require_int,
+    trusted,
 )
 from boxball.kkr import RiggedConfiguration, kkr_phi, kkr_phi_inv, q_sum
 from boxball.theta import PeriodMatrix, theta
@@ -99,13 +100,6 @@ class PeriodicState:
     def parse(cls, text: str) -> "PeriodicState":
         return cls(parse_cells(text))
 
-    @classmethod
-    def _trusted(cls, cells: tuple) -> "PeriodicState":
-        """A state from cells already valid, built unchecked."""
-        p = object.__new__(cls)
-        p.__dict__.update(cells=cells)
-        return p
-
     def render(self) -> str:
         return encode_word(self.cells, ".")
 
@@ -116,7 +110,7 @@ class PeriodicState:
         """T_1^d: rotate right by d cells."""
         require_int("d", d)
         d %= self.L
-        return PeriodicState._trusted(self.cells[-d:] + self.cells[:-d]) if d else self
+        return trusted(PeriodicState, cells=self.cells[-d:] + self.cells[:-d]) if d else self
 
     def word(self) -> str:
         return encode_word(self.cells)
@@ -144,7 +138,7 @@ def evolve_periodic(p: PeriodicState, l: int | None = None) -> tuple[PeriodicSta
     out, energy = carrier_pass(p.cells, carrier, 1)
     if carrier != fixed:
         raise ValueError("carrier fixed point failed to close up")
-    return PeriodicState._trusted(tuple(out)), energy  # the closed carrier kept every ball
+    return trusted(PeriodicState, cells=tuple(out)), energy  # the closed carrier kept every ball
 
 
 @dataclass(frozen=True)
@@ -159,8 +153,7 @@ class ActionVariable:
     def __post_init__(self):
         if not (is_int(self.L) and all(map(is_int, self.parts))):
             raise ValueError("L and the parts must be ints")
-        if any(i < 1 for i in self.parts):
-            raise ValueError("parts must be >= 1")
+        require_int("parts", min(self.parts, default=1), 1)
         if list(self.parts) != sorted(self.parts, reverse=True):
             raise ValueError("parts must be weakly decreasing")
         if 2 * sum(self.parts) > self.L:
@@ -181,8 +174,14 @@ class ActionVariable:
 
     def F(self, gamma=None) -> list[list[int]]:
         """Period matrix F_ij = delta_ij p_i + 2 min(i,j) m_j over I x I; given
-        gamma, F_gamma: column j divided by gamma_j (ValueError unless exact)."""
-        gamma = gamma or (1,) * self.g
+        gamma (g ints >= 1), F_gamma: column j divided by gamma_j (ValueError
+        unless exact)."""
+        if gamma is None:
+            gamma = (1,) * self.g
+        elif len(gamma) != self.g:
+            raise ValueError(f"gamma must have g = {self.g} entries, got {len(gamma)}")
+        for gam in gamma:
+            require_int("gamma", gam, 1)
         if any(m % gam or p % gam for m, p, gam in zip(self.mults, self.vacancies, gamma)):
             raise ValueError("gamma does not divide the columns of F")
         return [
@@ -274,19 +273,14 @@ class AngleVariable:
                 # within one quasi-period the spread cannot exceed p_i
                 raise ValueError("window spread exceeds the quasi-period")
 
-    @classmethod
-    def _trusted(cls, mu: ActionVariable, windows: tuple) -> "AngleVariable":
-        """An angle variable from windows already valid for mu, built unchecked."""
-        J = object.__new__(cls)
-        J.__dict__.update(mu=mu, windows=windows)
-        return J
-
     def window(self, i: int) -> tuple[int, ...]:
         return self.windows[self.mu.I.index(i)]
 
     def uniform_shift(self, d: int) -> "AngleVariable":
-        # a shift keeps each window sorted and its spread: nothing to re-check
-        return AngleVariable._trusted(self.mu, tuple(tuple(x + d for x in w) for w in self.windows))
+        # an int shift keeps each window sorted and its spread: nothing to re-check
+        require_int("d", d)
+        windows = tuple(tuple(x + d for x in w) for w in self.windows)
+        return trusted(AngleVariable, mu=self.mu, windows=windows)
 
 
 def _scatter(p: PeriodicState) -> AngleVariable:
@@ -418,9 +412,8 @@ def evolve_angle(J: AngleVariable, l: int | None, steps: int = 1) -> AngleVariab
     """T_l^steps on angle variables: add steps*min(i,l) to every window entry."""
     require_int("steps", steps)
     # uniform within each window, so the shift keeps both window checks
-    return AngleVariable._trusted(
-        J.mu, tuple(tuple(x + steps * v for x in w) for v, w in zip(J.mu.h(l), J.windows))
-    )
+    windows = tuple(tuple(x + steps * v for x in w) for v, w in zip(J.mu.h(l), J.windows))
+    return trusted(AngleVariable, mu=J.mu, windows=windows)
 
 
 def inverse_scattering(J: AngleVariable) -> PeriodicState:

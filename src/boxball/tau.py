@@ -26,7 +26,7 @@ from math import prod
 from boxball.bbs import BBSState, encode_word, evolve
 from boxball.bbs import evolve_takahashi  # noqa: F401  (perfbench/spans.py traces tau.evolve_takahashi)
 from boxball.crystal import require_rank
-from boxball.intmat import require_int
+from boxball.intmat import require_int, trusted
 from boxball.kkr import RiggedConfiguration
 
 
@@ -44,30 +44,20 @@ class StringSet:
 
     def __post_init__(self):
         require_rank(self.rank)
-        require_int("L", self.L)
-        if self.L < 0:
-            raise ValueError("L must be >= 0")
+        require_int("L", self.L, 0)
         for a, l, r in self.strings:
-            for name, x in (("string color", a), ("string length", l), ("rigging", r)):
-                require_int(name, x)
+            require_int("string color", a)
+            require_int("string length", l, 1)
+            require_int("rigging", r)
             if not 1 <= a <= self.rank:
                 raise ValueError("string color out of range")
-            if l < 1:
-                raise ValueError("string length must be >= 1")
-
-    @classmethod
-    def _trusted(cls, rank: int, L: int, strings: tuple) -> "StringSet":
-        """A string set from fields already valid, built unchecked."""
-        s = object.__new__(cls)
-        s.__dict__.update(rank=rank, L=L, strings=strings)
-        return s
 
     @classmethod
     def from_rc(cls, rc: RiggedConfiguration) -> "StringSet":
         flat = tuple(
             (a, j, r) for a in range(1, rc.rank + 1) for j, r in rc.color(a)
         )
-        return cls._trusted(rc.rank, rc.L, flat)
+        return trusted(cls, rank=rc.rank, L=rc.L, strings=flat)
 
     def to_rc(self) -> RiggedConfiguration:
         blocks = [[] for _ in range(self.rank)]
@@ -214,10 +204,9 @@ def rho(state: BBSState | str, k: int, a: int, t: int = 0, rank: int | None = No
     all its balls at cells <= k.  The sum is finite because supports drift
     right under T_infinity; bbs.evolve(., None) makes the rows on demand.
     """
-    for name, x in (("k", k), ("a", a), ("t", t)):
-        require_int(name, x)
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    require_int("k", k)
+    require_int("a", a)
+    require_int("t", t, 0)
     if isinstance(state, str):
         state = BBSState.parse(state, rank=rank, origin=1)
     if not 0 <= a <= state.rank + 1:

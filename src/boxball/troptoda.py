@@ -34,7 +34,7 @@ from math import lcm
 from operator import mul
 
 from boxball.bbs import toda_pass
-from boxball.intmat import exact, require_int
+from boxball.intmat import exact, require_int, trusted
 from boxball.kkr import q_sum
 # theta is re-exported; the sites below use the integer entry point
 from boxball.theta import PeriodMatrix, _argmin_int, theta  # noqa: F401
@@ -59,13 +59,6 @@ class TodaState:
         if len(self.Q) != len(self.W) or not self.Q:
             raise ValueError("Q and W must have equal positive length")
         _require_phase_space(self.Q, self.W)
-
-    @classmethod
-    def _trusted(cls, Q: tuple, W: tuple) -> "TodaState":
-        """A state from tuples already exact and valid, built unchecked."""
-        s = object.__new__(cls)
-        s.__dict__.update(Q=Q, W=W)
-        return s
 
     @property
     def N(self) -> int:
@@ -105,7 +98,7 @@ def evolve_toda(s: TodaState) -> TodaState:
     _, x1 = toda_pass(s.Q, s.W)
     Qn, _ = toda_pass(s.Q, s.W, x1)
     Wn = [s.Q[(j + 1) % N] + s.W[j] - Qn[j] for j in range(N)]
-    return TodaState._trusted(tuple(map(exact, Qn)), tuple(map(exact, Wn)))
+    return trusted(TodaState, Q=tuple(map(exact, Qn)), W=tuple(map(exact, Wn)))
 
 
 def _path_minima(values) -> list:
@@ -155,7 +148,7 @@ def conserved_all(s: TodaState) -> tuple[Exact, ...]:
 def shift_s(s: TodaState) -> TodaState:
     """Cyclic pair rotation (Q_1,W_1,...) -> (Q_2,W_2,...,Q_1,W_1); s^N = id.
     It moves exact coordinates and keeps both sums, so nothing is re-checked."""
-    return TodaState._trusted(s.Q[1:] + s.Q[:1], s.W[1:] + s.W[:1])
+    return trusted(TodaState, Q=s.Q[1:] + s.Q[:1], W=s.W[1:] + s.W[:1])
 
 
 def s_equivalent(a: TodaState, b: TodaState) -> bool:
@@ -304,7 +297,7 @@ def theta_state(Z0, C, t: int) -> TodaState:
     # site values are already exact: only the phase space is checked
     Q, W = zip(*_theta_sites(tuple(Z0), tuple(C))(t, 1, len(C) - 1))
     _require_phase_space(Q, W)
-    return TodaState._trusted(Q, W)
+    return trusted(TodaState, Q=Q, W=W)
 
 
 def embed_pbbs(word, leftmost: int = 0) -> TodaState:

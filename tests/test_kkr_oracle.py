@@ -37,7 +37,7 @@ def old_solve_ivp(word, l, t):
     balls = len(letters) - letters.count(1)
     rc = evolve_rc(kkr_phi(word, rank), l, steps=t)
     pad = t * capacity(l, balls) + balls + 2
-    return kkr_phi_inv(RiggedConfiguration._trusted(rc.L + pad, rank, rc.strings))
+    return kkr_phi_inv(kkr.trusted(RiggedConfiguration, L=rc.L + pad, rank=rank, strings=rc.strings))
 
 
 def scan_is_highest(word, rank=None):

@@ -135,17 +135,40 @@ def test_only_bbs_calls_the_ball_moving_oracles():
 
 
 def test_no_module_builds_another_modules_trusted_state():
-    # a _trusted constructor skips the checks of its class, so only the module
-    # that owns the class, and can vouch for the fields, calls it
-    found = []
+    # intmat.trusted(X, ...) skips the checks of class X, so only the module
+    # that defines X, and can vouch for the fields, calls it; and it calls it
+    # by that name, so no alias hides a call from this check
+    found, calls = [], 0
     for path in sorted(Path(boxball.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         own = {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)} | {"cls"}
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_trusted":
-                owner = node.func.value
+            if isinstance(node, ast.alias) and node.name == "trusted" and node.asname:
+                found.append(f"{path.name}: trusted imported as {node.asname}")
+            if isinstance(node, ast.Call):
+                f = node.func
+                if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) != "trusted":
+                    continue
+                calls += 1
+                owner = node.args[0] if node.args else None
                 if not (isinstance(owner, ast.Name) and owner.id in own):
-                    found.append(f"{path.name}:{node.lineno} {ast.unparse(node.func)}")
+                    found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert calls and not found, found
+
+
+def test_only_intmat_builds_objects_unchecked():
+    # object.__new__ with a __dict__ update is the build past a class's checks;
+    # intmat.trusted is its one copy, and no class keeps a _trusted of its own
+    found = []
+    for path in sorted(Path(boxball.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "_trusted":
+                found.append(f"{path.name}:{node.lineno} def _trusted")
+            elif path.name != "intmat.py" and isinstance(node, ast.Attribute) and (
+                node.attr == "__new__" and isinstance(node.value, ast.Name) and node.value.id == "object"
+                or node.attr == "update" and getattr(node.value, "attr", None) == "__dict__"
+            ):
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
     assert not found, found
 
 
