@@ -103,6 +103,7 @@ class BBSState:
         return encode_word([self.cell(pos) for pos in range(left, right)], ".")
 
     def cell(self, pos: int) -> int:
+        require_int("position", pos)
         i = pos - self.origin
         if 0 <= i < len(self.cells):
             return self.cells[i]

@@ -51,27 +51,6 @@ def birational_R(x: RationalPoint, y: RationalPoint) -> tuple[RationalPoint, Rat
     return RationalPoint(x.rank, yt), RationalPoint(x.rank, xt)
 
 
-def check_toda_relations(
-    x: RationalPoint, y: RationalPoint, yt: RationalPoint, xt: RationalPoint
-) -> bool:
-    """Exact check of x_i y_i = y~_i x~_i, 1/x_i + 1/y_{i+1} = 1/y~_i + 1/x~_{i+1},
-    and the product constraint prod(x_i/x~_i) = prod(y_i/y~_i) = 1."""
-    m = x.rank + 1
-    if not (x.rank == y.rank == yt.rank == xt.rank):
-        return False
-    for i in range(1, m + 1):
-        if x.coord(i) * y.coord(i) != yt.coord(i) * xt.coord(i):
-            return False
-        if 1 / x.coord(i) + 1 / y.coord(i + 1) != 1 / yt.coord(i) + 1 / xt.coord(i + 1):
-            return False
-    px = Fraction(1)
-    py = Fraction(1)
-    for i in range(1, m + 1):
-        px *= x.coord(i) / xt.coord(i)
-        py *= y.coord(i) / yt.coord(i)
-    return px == 1 and py == 1
-
-
 def ultradiscretize_R(
     X: tuple[int, ...], Y: tuple[int, ...]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:

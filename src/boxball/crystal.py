@@ -22,7 +22,6 @@ it also yields the energy as the number of winding pairs.
 from __future__ import annotations
 
 import operator
-import random
 from dataclasses import dataclass
 from functools import reduce
 
@@ -250,15 +249,13 @@ def _dots(x: CrystalElement) -> list[int]:
     return out
 
 
-def comb_R_ny(
-    x: CrystalElement, y: CrystalElement, rng: random.Random | None = None
-) -> RResult:
+def comb_R_ny(x: CrystalElement, y: CrystalElement, rng=None) -> RResult:
     """Combinatorial R by the winding/unwinding pairing algorithm (test oracle).
 
     Dots of the larger-capacity pile are matched from the smaller one; the
     energy is the number of winding (wrap-around) pairs.  The pairing is
-    choice-independent; pass rng to randomize the processing order (used by
-    tests to check exactly that).
+    choice-independent; pass rng (a random.Random) to shuffle the processing
+    order (used by tests to check exactly that).
     """
     if x.rank != y.rank:
         raise RankMismatch("R needs equal ranks")

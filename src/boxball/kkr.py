@@ -75,7 +75,14 @@ class RiggedConfiguration:
     def make(cls, L: int, rank: int, strings) -> "RiggedConfiguration":
         return cls(L, rank, tuple(tuple(sorted(block)) for block in strings))
 
+    def _check_color(self, a: int) -> None:
+        """ValueError unless a is an int color in 1..rank."""
+        require_int("color", a)
+        if not 1 <= a <= self.rank:
+            raise ValueError("color out of range")
+
     def color(self, a: int) -> tuple[tuple[int, int], ...]:
+        self._check_color(a)
         return self.strings[a - 1]
 
     def mu(self, a: int) -> tuple[int, ...]:
@@ -88,18 +95,14 @@ class RiggedConfiguration:
 
     def vacancy(self, a: int, j: int) -> int:
         """p^(a)_j = q^(a-1)_j - 2 q^(a)_j + q^(a+1)_j."""
-        require_int("color", a)
+        self._check_color(a)
         require_int("length", j, 1)
-        if not 1 <= a <= self.rank:
-            raise ValueError("color out of range")
         p = self._shape.vacancy(a, j)
         return p + self.L if a == 1 else p
 
     def vacancies(self, a: int) -> tuple[int, ...]:
         """The vacancy of each distinct color-a length, lengths ascending."""
-        require_int("color", a)
-        if not 1 <= a <= self.rank:
-            raise ValueError("color out of range")
+        self._check_color(a)
         off = self.L if a == 1 else 0
         return tuple(p + off for p in self._shape.vacs[a])
 
@@ -470,74 +473,3 @@ def highest_paths(L: int, rank: int):
             a += 1
         else:
             return
-
-
-def enumerate_rcs(L: int, rank: int, weight: tuple[int, ...]):
-    """All rigged configurations of the given weight (exhaustive, small scale)."""
-    sizes = [sum(weight[a:]) for a in range(1, rank + 1)]  # |mu^(a)|
-
-    def partitions(total, cap=None):
-        cap = cap or total
-        if total == 0:
-            yield ()
-            return
-        for first in range(min(total, cap), 0, -1):
-            for rest in partitions(total - first, first):
-                yield (first,) + rest
-
-    def riggings_for(shape, vac):
-        # weakly increasing riggings per block within [0, vacancy]
-        blocks = {}
-        for j in shape:
-            blocks[j] = blocks.get(j, 0) + 1
-
-        def rec(js):
-            if not js:
-                yield ()
-                return
-            j, m = js[0]
-            p = vac(j)
-            if p < 0:
-                return
-
-            def combos(m, lo):
-                if m == 0:
-                    yield ()
-                    return
-                for r in range(lo, p + 1):
-                    for rest in combos(m - 1, r):
-                        yield (r,) + rest
-
-            for rig in combos(m, 0):
-                for rest in rec(js[1:]):
-                    yield tuple((j, r) for r in rig) + rest
-
-        yield from rec(sorted(blocks.items()))
-
-    def rec_shapes(a, shapes):
-        if a > rank:
-            yield tuple(shapes)
-            return
-        for mu in partitions(sizes[a - 1]):
-            yield from rec_shapes(a + 1, shapes + [mu])
-
-    for shapes in rec_shapes(1, []):
-        probe = RiggedConfiguration.make(
-            L, rank, [[(j, 0) for j in shape] for shape in shapes]
-        )
-        ok = True
-        for a in range(1, rank + 1):
-            for j in set(shapes[a - 1]):
-                if probe.vacancy(a, j) < 0:
-                    ok = False
-        if not ok:
-            continue
-
-        def build(a, acc):
-            if a > rank:
-                yield RiggedConfiguration.make(L, rank, acc)
-                return
-            for rig in riggings_for(shapes[a - 1], lambda j, a=a: probe.vacancy(a, j)):
-                yield from build(a + 1, acc + [rig])
-
-        yield from build(1, [])

@@ -8,9 +8,10 @@ for T_l is found by the two-pass construction, both passes bbs.carrier_pass:
 the vacant carrier's pass yields the periodic fixed point, a second pass from
 it produces the evolved state and the energy.
 
-One scattering pass (_scatter: a highest rotation, then the KKR map) gives
-the action variable, the raw angle variable and the internal symmetries; a
-PeriodicState makes it once, on first use, and keeps it.
+One scattering pass (_scatter: the first highest rotation, which starts at
+the first minimum of the prefix sums of (#empty - #balls) by the cycle lemma,
+then the KKR map) gives the action variable, the raw angle variable and the
+internal symmetries; a PeriodicState makes it once, on first use, and keeps it.
 Angle variables live on quasi-periodic extensions of riggings modulo the
 slide group (Kuniba-Takagi-Takenouchi, Nucl. Phys. B 747 (2006)); with
 I = {i_1 < ... < i_g} and multiplicities m_i, a slide on color k rotates that
@@ -40,8 +41,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations, groupby, product
 from math import comb, gcd, prod
+from operator import itemgetter
 
 from boxball.bbs import capacity, carrier_pass, decode_word, encode_word
 from boxball.intmat import (
@@ -170,6 +172,7 @@ class ActionVariable:
         return len(self.I)
 
     def m(self, i: int) -> int:
+        require_int("part size", i)
         return self.mults[self.I.index(i)] if i in self.I else 0
 
     def F(self, gamma=None) -> list[list[int]]:
@@ -227,22 +230,15 @@ def action_variable(p: PeriodicState) -> ActionVariable:
 
 
 def _some_highest_rotation(p: PeriodicState) -> tuple[int, PeriodicState]:
-    """(d, p_+) with p = T_1^d(p_+) and p_+ highest; smallest such d >= 0."""
-    return next(all_highest_rotations(p))
-
-
-def all_highest_rotations(p: PeriodicState):
-    """(d, p_+) for every highest rotation p_+ = T_1^{-d}(p), ascending in d.  Cycle
-    lemma: with S the prefix sums of (#empty - #balls), p_+ is highest iff S_d <= S_i
-    for i >= d and S_d <= S_i + S_L for i < d; the first minimum of S qualifies."""
+    """(d, p_+) with p = T_1^d(p_+) and p_+ highest; smallest such d >= 0.  Cycle
+    lemma: with S the prefix sums of (#empty - #balls), p_+ is highest iff
+    S_d <= S_i for i >= d and S_d <= S_i + S_L for i < d.  For S_L >= 0 the
+    first minimum of S qualifies, and no d before it does (S_d > min S there)."""
     S = list(accumulate((1 if c == 1 else -1 for c in p.cells), initial=0))
     if S[-1] < 0:
         raise ValueError("no highest rotation exists (more balls than boxes?)")
-    after = list(accumulate(reversed(S), min))[::-1]  # after[d] = min S[d:]
-    before = list(accumulate(S, min))  # before[d] = min S[:d+1]
-    for d in range(p.L):
-        if S[d] == after[d] and S[d] - S[-1] <= before[d]:
-            yield d, p.shifted(-d)
+    d = S.index(min(S))
+    return d, p.shifted(-d)
 
 
 @dataclass(frozen=True)
@@ -284,16 +280,15 @@ class AngleVariable:
 
 
 def _scatter(p: PeriodicState) -> AngleVariable:
-    """The one scattering pass: KKR of the first highest rotation p_+ = T_1^{-d}(p),
-    whose color-1 riggings, grouped by length, sorted and shifted by d, form
-    the (uncanonicalized) angle variable of p.  Read through p._scattered, so
+    """The one scattering pass: KKR of the first highest rotation p_+ = T_1^{-d}(p)
+    (d the first minimum of the prefix sums), whose color-1 riggings, grouped
+    by length and shifted by d, form the (uncanonicalized) angle variable of p.  Read through p._scattered, so
     each state scatters once for all of its action, angle, symmetry and periods."""
     d, p_plus = _some_highest_rotation(p)
     rc = kkr_phi(p_plus.cells, rank=1)
-    mu = ActionVariable(p.L, rc.mu(1))
-    return AngleVariable(
-        mu, tuple(tuple(sorted(r + d for j, r in rc.color(1) if j == i)) for i in mu.I)
-    )
+    # color 1 is sorted by (length, rigging): one run per part size, ascending
+    windows = tuple(tuple(r + d for _, r in run) for _, run in groupby(rc.color(1), itemgetter(0)))
+    return AngleVariable(ActionVariable(p.L, rc.mu(1)), windows)
 
 
 def _rotated_window(w: tuple[int, ...], p: int, r: int) -> tuple[int, ...]:

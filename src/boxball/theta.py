@@ -26,7 +26,6 @@ brute-force scan and the Fraction LDL^T enumeration are the test oracles.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -199,20 +198,3 @@ def theta(Z, Xi: PeriodMatrix) -> Fraction:
     """Tropical Riemann theta Theta(Z; Xi), exactly."""
     b, t = _scaled(Z, Xi)
     return Fraction(_argmin_int(b, t, Xi._form)[0], 2 * Xi._form.s * t)
-
-
-def check_quasi_periodicity(
-    Xi: PeriodMatrix, trials: int = 20, rng: random.Random | None = None
-) -> bool:
-    """Randomized check of Theta(Z + Xi m) = -m.(Xi m/2 + Z) + Theta(Z)."""
-    rng = rng or random.Random(0)
-    g = Xi.g
-    for _ in range(trials):
-        Z = tuple(Fraction(rng.randint(-40, 40), rng.randint(1, 4)) for _ in range(g))
-        m = tuple(rng.randint(-3, 3) for _ in range(g))
-        Xim = Xi.mul(m)
-        lhs = theta(tuple(z + w for z, w in zip(Z, Xim)), Xi)
-        rhs = theta(Z, Xi) - sum(map(mul, m, Xim)) * Fraction(1, 2) - sum(map(mul, m, Z))
-        if lhs != rhs:
-            return False
-    return True

@@ -7,7 +7,6 @@ import pytest
 from boxball.birational import (
     RationalPoint,
     birational_R,
-    check_toda_relations,
     ultradiscretize_R,
 )
 from boxball.crystal import CrystalElement, RankMismatch, comb_R, comb_R_ny
@@ -59,6 +58,27 @@ def _ultradiscretize_by_large_base(X, Y):
         except AmbiguousLeadingOrder:
             continue
     raise AmbiguousLeadingOrder("leading order still ambiguous at base 2^80")
+
+
+def check_toda_relations(
+    x: RationalPoint, y: RationalPoint, yt: RationalPoint, xt: RationalPoint
+) -> bool:
+    """Exact check of x_i y_i = y~_i x~_i, 1/x_i + 1/y_{i+1} = 1/y~_i + 1/x~_{i+1},
+    and the product constraint prod(x_i/x~_i) = prod(y_i/y~_i) = 1."""
+    m = x.rank + 1
+    if not (x.rank == y.rank == yt.rank == xt.rank):
+        return False
+    for i in range(1, m + 1):
+        if x.coord(i) * y.coord(i) != yt.coord(i) * xt.coord(i):
+            return False
+        if 1 / x.coord(i) + 1 / y.coord(i + 1) != 1 / yt.coord(i) + 1 / xt.coord(i + 1):
+            return False
+    px = Fraction(1)
+    py = Fraction(1)
+    for i in range(1, m + 1):
+        px *= x.coord(i) / xt.coord(i)
+        py *= y.coord(i) / yt.coord(i)
+    return px == 1 and py == 1
 
 
 def _rand_point(rng, rank, num_max=12):

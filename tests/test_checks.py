@@ -158,6 +158,12 @@ BOUNDED = [
     ("left", None, lambda x: STATE.render(x)),
     ("right", None, lambda x: STATE.render(0, x)),
     ("d", None, lambda x: direct_scattering(PeriodicState.parse("1122..")).uniform_shift(x)),
+    ("color", 1, RC.color),
+    ("color", 1, RC.mu),
+    ("color", 1, lambda x: RC.vacancy(x, 1)),
+    ("color", 1, RC.vacancies),
+    ("position", None, STATE.cell),
+    ("part size", None, MU.m),
 ]
 
 
@@ -172,6 +178,17 @@ BOUNDED = [
 def test_bounded_ints_refuse_below_bools_and_floats(name, call, x):
     with pytest.raises(ValueError, match=f"^(L and the )?{name}"):
         call(x)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [RC.color, RC.mu, RC.vacancies, lambda a: RC.vacancy(a, 1)],
+    ids=["color", "mu", "vacancies", "vacancy"],
+)
+def test_colors_above_the_rank_are_refused(call):
+    # before, color(rank + 1) and mu(rank + 1) raised IndexError
+    with pytest.raises(ValueError, match="color out of range"):
+        call(RC.rank + 1)
 
 
 def test_gamma_has_one_entry_per_part_size():

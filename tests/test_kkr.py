@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from boxball.bbs import BBSState, evolve, soliton_content
 from boxball.kkr import (
     RiggedConfiguration,
-    enumerate_rcs,
     evolve_rc,
     highest_paths,
     is_highest,
@@ -241,6 +240,77 @@ def test_roundtrip_random_long():
                 break
     for word, n in words:
         assert kkr_phi_inv(kkr_phi(word, n)) == word
+
+
+def enumerate_rcs(L: int, rank: int, weight: tuple[int, ...]):
+    """All rigged configurations of the given weight (exhaustive, small scale)."""
+    sizes = [sum(weight[a:]) for a in range(1, rank + 1)]  # |mu^(a)|
+
+    def partitions(total, cap=None):
+        cap = cap or total
+        if total == 0:
+            yield ()
+            return
+        for first in range(min(total, cap), 0, -1):
+            for rest in partitions(total - first, first):
+                yield (first,) + rest
+
+    def riggings_for(shape, vac):
+        # weakly increasing riggings per block within [0, vacancy]
+        blocks = {}
+        for j in shape:
+            blocks[j] = blocks.get(j, 0) + 1
+
+        def rec(js):
+            if not js:
+                yield ()
+                return
+            j, m = js[0]
+            p = vac(j)
+            if p < 0:
+                return
+
+            def combos(m, lo):
+                if m == 0:
+                    yield ()
+                    return
+                for r in range(lo, p + 1):
+                    for rest in combos(m - 1, r):
+                        yield (r,) + rest
+
+            for rig in combos(m, 0):
+                for rest in rec(js[1:]):
+                    yield tuple((j, r) for r in rig) + rest
+
+        yield from rec(sorted(blocks.items()))
+
+    def rec_shapes(a, shapes):
+        if a > rank:
+            yield tuple(shapes)
+            return
+        for mu in partitions(sizes[a - 1]):
+            yield from rec_shapes(a + 1, shapes + [mu])
+
+    for shapes in rec_shapes(1, []):
+        probe = RiggedConfiguration.make(
+            L, rank, [[(j, 0) for j in shape] for shape in shapes]
+        )
+        ok = True
+        for a in range(1, rank + 1):
+            for j in set(shapes[a - 1]):
+                if probe.vacancy(a, j) < 0:
+                    ok = False
+        if not ok:
+            continue
+
+        def build(a, acc):
+            if a > rank:
+                yield RiggedConfiguration.make(L, rank, acc)
+                return
+            for rig in riggings_for(shapes[a - 1], lambda j, a=a: probe.vacancy(a, j)):
+                yield from build(a + 1, acc + [rig])
+
+        yield from build(1, [])
 
 
 def test_rc_roundtrip_exhaustive_small():

@@ -12,7 +12,6 @@ from boxball.pbbs import (
     PeriodicState,
     _some_highest_rotation,
     action_variable,
-    all_highest_rotations,
     angle_equal,
     canonicalize,
     direct_scattering,
@@ -28,6 +27,13 @@ from boxball.pbbs import (
 )
 
 P = PeriodicState.parse
+
+
+def highest_rotations(p):
+    """(d, p_+) for every highest rotation p_+ = T_1^{-d}(p), ascending in d:
+    every rotation tried with is_highest."""
+    return [(d, p.shifted(-d)) for d in range(p.L) if is_highest(p.shifted(-d).cells, 1)]
+
 
 PERIODIC_COLUMNS = {
     None: [  # T_l for l >= 3
@@ -192,9 +198,7 @@ def test_action_variable_vacancies_are_the_phi_vacancies():
 
 def test_action_variable_rotation_independent():
     p = P("2211221112122111221")
-    for d, p_plus in all_highest_rotations(p):
-        from boxball.kkr import kkr_phi
-
+    for d, p_plus in highest_rotations(p):
         rc = kkr_phi(p_plus.word(), rank=1)
         assert rc.mu(1) == (3, 2, 2, 1, 1)
         assert p_plus.shifted(d) == p
@@ -207,9 +211,7 @@ def test_highest_rotations_match_scan_exhaustive():
             if 2 * cells.count(2) > L:
                 continue
             p = PeriodicState(cells)
-            scan = [(d, p.shifted(-d)) for d in range(L) if is_highest(p.shifted(-d).cells, 1)]
-            assert list(all_highest_rotations(p)) == scan
-            assert _some_highest_rotation(p) == scan[0]
+            assert _some_highest_rotation(p) == highest_rotations(p)[0]
 
 
 def test_highest_rotation_rejects_more_balls_than_boxes():
@@ -226,7 +228,7 @@ def test_phi_canonical_class_example():
     from boxball.kkr import kkr_phi
 
     reps = []
-    for d, p_plus in all_highest_rotations(p):
+    for d, p_plus in highest_rotations(p):
         rc = kkr_phi(p_plus.word(), rank=1)
         mu = J.mu
         windows = tuple(

@@ -102,6 +102,19 @@ def test_only_intmat_reads_exact_numbers():
     assert not found, found
 
 
+def test_library_imports_no_random():
+    # randomized checks live in the tests; a library routine that takes an rng
+    # (crystal.comb_R_ny) is handed one by its caller
+    found = []
+    for path in sorted(Path(boxball.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "random":
+                found.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Import) and any(a.name == "random" for a in node.names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
 def test_only_crystal_raises_the_rank_error():
     # crystal owns the rank rule (require_rank); no other module raises it itself
     found = []

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxball.theta import PeriodMatrix, check_quasi_periodicity, theta, theta_argmin
+from boxball.theta import PeriodMatrix, theta, theta_argmin
 
 F = Fraction
 
@@ -18,6 +19,23 @@ def brute_theta(Z, rows, radius=100):
         quad = sum(n[i] * sum(rows[i][j] * n[j] for j in range(g)) for i in range(g))
         best = min(best, F(quad, 2) + sum(a * b for a, b in zip(n, Z)))
     return best
+
+
+def check_quasi_periodicity(
+    Xi: PeriodMatrix, trials: int = 20, rng: random.Random | None = None
+) -> bool:
+    """Randomized check of Theta(Z + Xi m) = -m.(Xi m/2 + Z) + Theta(Z)."""
+    rng = rng or random.Random(0)
+    g = Xi.g
+    for _ in range(trials):
+        Z = tuple(Fraction(rng.randint(-40, 40), rng.randint(1, 4)) for _ in range(g))
+        m = tuple(rng.randint(-3, 3) for _ in range(g))
+        Xim = Xi.mul(m)
+        lhs = theta(tuple(z + w for z, w in zip(Z, Xim)), Xi)
+        rhs = theta(Z, Xi) - sum(map(mul, m, Xim)) * Fraction(1, 2) - sum(map(mul, m, Z))
+        if lhs != rhs:
+            return False
+    return True
 
 
 def test_zero_argument():
