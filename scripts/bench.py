@@ -376,14 +376,14 @@ def theta_sweep() -> dict:
         rng = random.Random(f"theta/{g}")
         Xi = toda_period_matrix(rng, g)
         xs = [[Fraction(rng.randint(-12, 12), 12) for _ in range(g)] for _ in range(THETA_ARGS)]
-        Zs = [Xi.mul(tuple(x)) for x in xs]
+        Zs = [tuple(sum(a * b for a, b in zip(r, x)) for r in Xi.rows) for x in xs]
         keys = [_scaled(Z, Xi) for Z in Zs]
 
-        t_value, values = median_time(lambda: [_argmin_int(b, t, Xi._form)[0] for b, t in keys])
+        t_value, values = median_time(lambda: [_argmin_int(b, t, Xi)[0] for b, t in keys])
         t_argmin, pairs = median_time(lambda: [theta_argmin(Z, Xi) for Z in Zs])
         value_s.append(t_value / THETA_ARGS)
         argmin_s.append(t_argmin / THETA_ARGS)
-        s = Xi._form.s
+        s = Xi.s
         equal = equal and [Fraction(v, 2 * s * t) for v, (_, t) in zip(values, keys)] == [v for v, _ in pairs]
     return {
         "genera": list(THETA_GENERA),

@@ -1,5 +1,6 @@
 """Exact integer matrix helpers: one fraction-free Gauss-Jordan elimination
-(determinant, adjugate and the LDL^T pivot data), lattice reduction, LCMs.
+(determinant, adjugate and the LDL^T pivot data), Lattice, which caches it
+for one period matrix (F, a theta form, Omega), lattice reduction, LCMs.
 
 Everything here works over exact integers or fractions.Fraction; no floats.
 It also owns the library's exact-number input rule, which every other module
@@ -11,7 +12,9 @@ only the module that defines the class calls it.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from numbers import Rational
 from typing import NamedTuple
@@ -94,7 +97,9 @@ def gauss_jordan(rows) -> Elimination:
 
 
 def det_int(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix (gauss_jordan)."""
+    """Determinant of a square matrix of ints, not bools (else ValueError)."""
+    for x in (x for r in rows for x in r):
+        require_int("matrix entries", x)
     return gauss_jordan(rows).det
 
 
@@ -124,6 +129,61 @@ def column_hnf(cols: list[list[int]]) -> list[list[int]]:
         if h[i][i] == 0:
             raise ValueError("lattice must have full rank")
     return h[:g]
+
+
+class LDL(NamedTuple):  # A = L D L^T in integers, for Fincke-Pohst
+    cols: tuple[tuple[int, ...], ...]  # cols[j] = (piv[i][j] for i < j)
+    w: tuple[int, ...]  # w[i] = M / (Delta_i Delta_{i+1}), Delta_k the leading minors
+    M: int  # the lcm of those products
+
+
+@dataclass(frozen=True)
+class Lattice:
+    """A square matrix of exact rationals and the lattice its columns span: g, s
+    the lcm of its denominators and A = s rows in ints, set once; A's one
+    gauss_jordan, column Hermite form and LDL^T, cached as tuples (it is shared)."""
+
+    rows: tuple[tuple[int | Fraction, ...], ...]
+
+    def __post_init__(self):
+        rows = tuple(map(tuple, self.rows))
+        if any(len(r) != len(rows) for r in rows):
+            raise ValueError("matrix must be square")
+        if not {type(x) for r in rows for x in r} <= {int}:  # ints need no exact
+            rows = tuple(tuple(exact(x, "matrix entries") for x in r) for r in rows)
+        s = lcm(*(x.denominator for r in rows for x in r))
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "g", len(rows))
+        object.__setattr__(self, "s", s)
+        A = rows if s == 1 else tuple(tuple(x.numerator * (s // x.denominator) for x in r) for r in rows)
+        object.__setattr__(self, "A", A)
+
+    @classmethod
+    def from_rows(cls, rows):
+        return cls(rows)
+
+    @cached_property
+    def elimination(self) -> Elimination:
+        e = gauss_jordan(self.A)
+        adj = None if e.adj is None else tuple(map(tuple, e.adj))
+        return Elimination(e.det, tuple(e.pivots), e.swaps, tuple(map(tuple, e.piv)), adj)
+
+    @cached_property
+    def hnf(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, column_hnf(list(zip(*self.A)))))
+
+    @cached_property
+    def ldl(self) -> LDL:
+        """ValueError unless A is symmetric and positive definite (Sylvester)."""
+        if self.A != tuple(zip(*self.A)):
+            raise ValueError("matrix must be symmetric")
+        e = self.elimination
+        if e.swaps or min(e.pivots) <= 0:
+            raise ValueError("matrix must be positive definite")
+        products = [a * b for a, b in zip(e.pivots, e.pivots[1:])]
+        M = lcm(*products)
+        cols = tuple(tuple(e.piv[i][j] for i in range(j)) for j in range(len(e.piv)))
+        return LDL(cols, tuple(M // p for p in products), M)
 
 
 def reduce_mod_lattice(v: list[int], cols: list[list[int]]) -> tuple[int, ...]:

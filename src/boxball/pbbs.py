@@ -26,14 +26,14 @@ Inverse scattering walks the box of valid riggings in Lambda = F Z^g + Z 1
 (F 1 = L 1 absorbs the uniform shift) one coordinate at a time, for each
 window rotation.
 
-F depends on the action variable alone, so each ActionVariable carries its
-lattice data as cached properties, built on first use and kept as tuples:
-F, its one intmat.gauss_jordan pass (det F, adj F), and the column Hermite
-forms of F and of Lambda.  All of it is exact integer work done once per
-action variable: inverse scattering reads the shift e off row 0 of adj F
-and det F, periods are Cramer ratios, det F_j / det F = (adj F h)_j / det F,
-class equality is the Cramer test above, and the canonical form and the
-lattice walk read the Hermite forms.
+F depends on the action variable alone, so each ActionVariable caches it
+as one intmat.Lattice, which caches F's one elimination (det F, adj F) and
+its column Hermite form; the ActionVariable also caches that of Lambda.
+All of it is exact integer work done once per action variable: inverse
+scattering reads the shift e off row 0 of adj F and det F, periods are
+Cramer ratios, det F_j / det F = (adj F h)_j / det F, class equality is the
+Cramer test above, the canonical form and the lattice walk read the Hermite
+forms, and the theta formula hands the same Lattice to theta.
 """
 
 from __future__ import annotations
@@ -47,11 +47,11 @@ from operator import itemgetter
 
 from boxball.bbs import capacity, carrier_pass, decode_word, encode_word
 from boxball.intmat import (
+    Lattice,
     column_hnf,
     det_int,  # noqa: F401  (perfbench/spans.py traces pbbs.det_int)
     divisors,
     exact,
-    gauss_jordan,
     is_int,
     lattice_points_in_box,
     lcm_of_fractions,
@@ -61,7 +61,7 @@ from boxball.intmat import (
     trusted,
 )
 from boxball.kkr import RiggedConfiguration, kkr_phi, kkr_phi_inv, q_sum
-from boxball.theta import PeriodMatrix, theta
+from boxball.theta import theta
 
 
 def require_cells(cells: tuple) -> None:
@@ -201,26 +201,16 @@ class ActionVariable:
         return tuple(min(i, l) for i in self.I)
 
     @cached_property
-    def _F(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, self.F()))
-
-    @cached_property
-    def _elimination(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """(det F, adj F); F is nonsingular (F diag(m)^-1 = diag(p / m) + 2 M with
-        p >= 0 and M = (min(i, j)) positive definite), so adj F exists."""
-        e = gauss_jordan(self._F)
-        return e.det, tuple(map(tuple, e.adj))
-
-    @cached_property
-    def _hnf(self) -> tuple[tuple[int, ...], ...]:
-        """Column Hermite form of F."""
-        return tuple(map(tuple, column_hnf(list(zip(*self._F)))))
+    def lattice(self) -> Lattice:
+        """F as a Lattice.  F is nonsingular (F diag(m)^-1 = diag(p / m) + 2 M
+        with p >= 0 and M = (min(i, j)) positive definite), so adj F exists."""
+        return Lattice.from_rows(self.F())
 
     @cached_property
     def _hnf_lambda(self) -> tuple[tuple[int, ...], ...]:
         """Column Hermite form of Lambda = F Z^g + Z 1, coordinates reversed (the
         order inverse_scattering walks them in)."""
-        cols = [col[::-1] for col in zip(*self._F)] + [(1,) * self.g]
+        cols = [col[::-1] for col in zip(*self.lattice.rows)] + [(1,) * self.g]
         return tuple(map(tuple, column_hnf(cols)))
 
 
@@ -329,7 +319,7 @@ def canonicalize(J: AngleVariable) -> AngleVariable:
     candidates still tied for the minimum.
     """
     mu = J.mu
-    H = mu._hnf
+    H = mu.lattice.hnf
     # tail[k]: the largest T_k; tied: (T_k, rows >= k of the partially reduced b)
     tail = list(accumulate((m - 1 for m in reversed(mu.mults)), initial=0))[::-1]
     tied = [(T, (0,) * mu.g) for T in range(tail[0] + 1)]
@@ -391,10 +381,10 @@ def angle_equal(A: AngleVariable, B: AngleVariable) -> bool:
         wb[0] - wa[ri] - d
         for wa, wb, ri, d in zip(A.windows, B.windows, r, _slide_shift(mu.I, r))
     ]
-    det, adj = mu._elimination
+    e = mu.lattice.elimination
     # gamma_j = len(matches[j])
     return not any(
-        len(hits) * sum(x * y for x, y in zip(row, v)) % det for hits, row in zip(matches, adj)
+        len(hits) * sum(x * y for x, y in zip(row, v)) % e.det for hits, row in zip(matches, e.adj)
     )
 
 
@@ -422,7 +412,7 @@ def inverse_scattering(J: AngleVariable) -> PeriodicState:
     mu = J.mu
     L = mu.L
     I = mu.I
-    det, adj = mu._elimination
+    elim = mu.lattice.elimination
     # coordinates from the largest part size down: its window is the narrowest
     H = mu._hnf_lambda
     for rotated in _orbit_candidates(J):
@@ -431,7 +421,7 @@ def inverse_scattering(J: AngleVariable) -> PeriodicState:
         for u in lattice_points_in_box(H, lo, hi):
             u = u[::-1]
             # F s = u + e 1 with s integral: e = -L (adj F u)_0 / det F mod L
-            e = -L * sum(x * y for x, y in zip(adj[0], u)) // det % L if I else 0
+            e = -L * sum(x * y for x, y in zip(elim.adj[0], u)) // elim.det % L if I else 0
             rc = RiggedConfiguration.make(
                 L, 1, [[(i, x + ui) for i, w, ui in zip(I, rotated, u) for x in w]]
             )
@@ -450,7 +440,7 @@ def periodic_theta_state(Jvec, mu: ActionVariable) -> PeriodicState:
     Jvec = tuple(exact(j, "angle entries") for j in Jvec)
     if len(Jvec) != mu.g:
         raise ValueError(f"angle vector must have g = {mu.g} entries, got {len(Jvec)}")
-    Xi = PeriodMatrix.from_rows(mu.F())
+    Xi = mu.lattice  # every m_i is 1, so F is symmetric
     base = [j - Fraction(p, 2) for j, p in zip(Jvec, mu.vacancies)]
     h1 = mu.h(1)
     th, th_inf = (
@@ -483,14 +473,14 @@ def fundamental_period(p: PeriodicState, l: int | None) -> int:
     det F_j != 0 (F_j: column j replaced by h_l, so det F_j = (adj F h_l)_j);
     1 when there is no such j (the vacuum, or T_0)."""
     J = p._scattered
-    h, (det, adj) = J.mu.h(l), J.mu._elimination
-    dets = (sum(x * y for x, y in zip(row, h)) for row in adj)
-    return lcm_of_fractions(Fraction(det, gam * d) for gam, d in zip(_symmetry(J), dets) if d)
+    h, e = J.mu.h(l), J.mu.lattice.elimination
+    dets = (sum(x * y for x, y in zip(row, h)) for row in e.adj)
+    return lcm_of_fractions(Fraction(e.det, gam * d) for gam, d in zip(_symmetry(J), dets) if d)
 
 
 def isolevel_cardinality(mu: ActionVariable) -> int:
     """|P_L(mu)| by the determinant form; ValueError unless the product form agrees."""
-    a = Fraction(mu._elimination[0])
+    a = Fraction(mu.lattice.elimination.det)
     for m, p in zip(mu.mults, mu.vacancies):
         a *= Fraction(comb(p + m - 1, m - 1), m)
     # second closed form: L/p_{i_g} prod binom(p_i + m_i - 1, m_i), regularized
@@ -523,7 +513,7 @@ def torus_decomposition(mu: ActionVariable) -> list[tuple[tuple[int, ...], int, 
     sum mult(gamma) det F_gamma = |P_L(mu)| (ValueError otherwise).
     """
     out, total = [], 0
-    det = mu._elimination[0]
+    det = mu.lattice.elimination.det
     for gamma in product(*(divisors(gcd(m, p)) for m, p in zip(mu.mults, mu.vacancies))):
         mult = Fraction(1)
         for gam, m, p in zip(gamma, mu.mults, mu.vacancies):

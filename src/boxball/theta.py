@@ -4,11 +4,11 @@ quadratic-plus-linear form.
 Theta(Z; Xi) = min over integer n of n.(Xi n/2 + Z) for a symmetric positive
 definite Xi.  The minimum is found by Fincke-Pohst enumeration of the
 ellipsoid (n - c).Xi(n - c) <= R around the real minimizer c = -Xi^{-1} Z,
-with every node in Python int.  Once per PeriodMatrix, Xi is scaled by the
-lcm s of its denominators to an integer matrix A, and the library's one
-fraction-free Gauss-Jordan pass (intmat.gauss_jordan) gives the leading
-minors of A (the positive definiteness check: no row swap, every pivot
-positive), the pivot columns of its LDL^T factorization and its adjugate.
+with every node in Python int.  Xi is an intmat.Lattice, scaled once by the
+lcm s of its denominators to an integer A whose one fraction-free elimination
+gives its adjugate, its LDL^T pivot columns and its leading minors (with
+the symmetry check, the positive definiteness check).  A PeriodMatrix is a
+Lattice built with its LDL^T; pbbs passes its action variable's F as is.
 Per call, Z is scaled to integers b = s t Z; coordinates are fixed from the
 last down, each visited in Schnorr-Euchner zig-zag order from the rounded
 center until its term reaches R, and R shrinks to each better point found.
@@ -26,76 +26,26 @@ brute-force scan and the Fraction LDL^T enumeration are the test oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import NamedTuple
 
-from boxball.intmat import exact, gauss_jordan
-
-
-class _IntegerForm(NamedTuple):
-    """A = s Xi in integers through its intmat.gauss_jordan: det = det A,
-    piv the pivot columns (cols[j] their entries piv[i][j] above the
-    diagonal, i < j), adj = det(A) A^{-1}.  With Delta_k the leading minors,
-    w[i] = M / (Delta_i Delta_{i+1}) for M the lcm of these products."""
-
-    s: int
-    piv: list[list[int]]
-    cols: tuple[tuple[int, ...], ...]
-    w: tuple[int, ...]
-    M: int
-    adj: list[list[int]]
-    det: int
-
-
-def _integer_form(rows) -> _IntegerForm:
-    s = lcm(*(x.denominator for r in rows for x in r))
-    A = tuple(tuple(x.numerator * (s // x.denominator) for x in r) for r in rows)
-    e = gauss_jordan(A)
-    # Sylvester's criterion: with no row swapped the pivots are the leading minors
-    if e.swaps or min(e.pivots) <= 0:
-        raise ValueError("matrix must be positive definite")
-    products = [a * b for a, b in zip(e.pivots, e.pivots[1:])]
-    M = lcm(*products)
-    cols = tuple(tuple(e.piv[i][j] for i in range(j)) for j in range(len(e.piv)))
-    return _IntegerForm(s, e.piv, cols, tuple(M // p for p in products), M, e.adj, e.det)
+from boxball.intmat import Lattice, exact
 
 
 @dataclass(frozen=True)
-class PeriodMatrix:
-    """Symmetric positive definite rational matrix defining a tropical torus;
-    entries are ints or Fractions, held as Fractions."""
-
-    rows: tuple[tuple[Fraction, ...], ...]
-    # built once; building it is the positive definiteness check
-    _form: _IntegerForm = field(init=False, repr=False, compare=False)
+class PeriodMatrix(Lattice):
+    """Symmetric positive definite rational matrix defining a tropical torus: a
+    Lattice built with its LDL^T, so checked symmetric and positive definite."""
 
     def __post_init__(self):
-        g = len(self.rows)
-        if any(len(r) != g for r in self.rows):
-            raise ValueError("matrix must be square")
-        rows = tuple(tuple(Fraction(exact(x, "matrix entries")) for x in r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
-        if any(self.rows[i][j] != self.rows[j][i] for i in range(g) for j in range(g)):
-            raise ValueError("matrix must be symmetric")
-        object.__setattr__(self, "_form", _integer_form(self.rows))
-
-    @property
-    def g(self) -> int:
-        return len(self.rows)
-
-    @classmethod
-    def from_rows(cls, rows) -> "PeriodMatrix":
-        return cls(tuple(map(tuple, rows)))
-
-    def mul(self, v: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-        return tuple(sum(r[j] * v[j] for j in range(self.g)) for r in self.rows)
+        super().__post_init__()
+        self.ldl
 
 
 def _argmin_int(
-    b: tuple[int, ...], t: int, f: _IntegerForm, ties: bool = False
+    b: tuple[int, ...], t: int, Xi: Lattice, ties: bool = False
 ) -> tuple[int, tuple[int, ...]]:
     """2 s t Theta(Z; Xi) and a minimizer, for Z = b / (s t) and A = s Xi.
 
@@ -118,16 +68,16 @@ def _argmin_int(
     theta_argmin.
     """
     g = len(b)
-    den = f.det * t
-    C = [-sum(map(mul, row, b)) for row in f.adj]
+    (det, _, _, piv, adj), (cols, w, M) = Xi.elimination, Xi.ldl
+    den = det * t
+    C = [-sum(map(mul, row, b)) for row in adj]
     n0 = [(2 * c + den) // (2 * den) for c in C]
     n = n0[:]
-    k = [row[i] * den for i, row in enumerate(f.piv)]
-    w, cols = f.w, f.cols
+    k = [row[i] * den for i, row in enumerate(piv)]
     # r_i = r0[i] + den sum_{j > i} piv[i][j] n_j, and u_i(n0) = piv[i].e
-    r0 = [-sum(map(mul, row, C)) for row in f.piv]
+    r0 = [-sum(map(mul, row, C)) for row in piv]
     e = [den * x - c for x, c in zip(n0, C)]
-    bound = sum(wi * sum(map(mul, row, e)) ** 2 for wi, row in zip(w, f.piv))
+    bound = sum(wi * sum(map(mul, row, e)) ** 2 for wi, row in zip(w, piv))
     # ties prune only past the bound, the value path at it: limit = bound + slack
     slack = 1 if ties else 0
     limit, found = bound + slack, []
@@ -159,7 +109,7 @@ def _argmin_int(
 
     if g:
         descend(g - 1, 0, r0)
-    num = (t * bound + f.M * den * sum(map(mul, C, b))) // (f.M * den * den)
+    num = (t * bound + M * den * sum(map(mul, C, b))) // (M * den * den)
     if num > 0:
         raise ValueError("theta minimum exceeds the n = 0 value")
     if not ties:
@@ -172,17 +122,17 @@ def _argmin_int(
     return num, min(found, key=shell_order)
 
 
-def _scaled(Z, Xi: PeriodMatrix) -> tuple[tuple[int, ...], int]:
+def _scaled(Z, Xi: Lattice) -> tuple[tuple[int, ...], int]:
     """(b, t) with Z = b / (s t) in integers, t the lcm of Z's denominators."""
     Z = tuple(exact(z, "theta argument entries") for z in Z)
     if len(Z) != Xi.g:
         raise ValueError(f"theta argument must have g = {Xi.g} entries, got {len(Z)}")
     t = lcm(*(z.denominator for z in Z))
-    st = Xi._form.s * t
+    st = Xi.s * t
     return tuple(z.numerator * (st // z.denominator) for z in Z), t
 
 
-def theta_argmin(Z, Xi: PeriodMatrix) -> tuple[Fraction, tuple[int, ...]]:
+def theta_argmin(Z, Xi: Lattice) -> tuple[Fraction, tuple[int, ...]]:
     """Tropical theta with a minimizer.
 
     Among ties the one returned minimizes (max |n - n0|, n - n0
@@ -190,11 +140,11 @@ def theta_argmin(Z, Xi: PeriodMatrix) -> tuple[Fraction, tuple[int, ...]]:
     -Xi^{-1} Z: the first a scan of sup-norm shells around n0 meets.
     """
     b, t = _scaled(Z, Xi)
-    num, n_star = _argmin_int(b, t, Xi._form, ties=True)
-    return Fraction(num, 2 * Xi._form.s * t), n_star
+    num, n_star = _argmin_int(b, t, Xi, ties=True)
+    return Fraction(num, 2 * Xi.s * t), n_star
 
 
-def theta(Z, Xi: PeriodMatrix) -> Fraction:
+def theta(Z, Xi: Lattice) -> Fraction:
     """Tropical Riemann theta Theta(Z; Xi), exactly."""
     b, t = _scaled(Z, Xi)
-    return Fraction(_argmin_int(b, t, Xi._form)[0], 2 * Xi._form.s * t)
+    return Fraction(_argmin_int(b, t, Xi)[0], 2 * Xi.s * t)

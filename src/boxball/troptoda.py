@@ -13,15 +13,15 @@ displayed H_1, H_2, H_N as minima over k-element subsets avoiding the pairs
 k-sets on the cycle Q_1 W_1 Q_2 W_2 ... Q_N W_N; conserved_all finds every H_k
 in one O(N^2) prefix dynamic program over that cycle's attainable k, with no
 sentinel, and the C(2N, k) subset scan survives as the test oracle.
-Invariance is enforced in tests.  The theta-function solution
-builds its spectral data and period matrix once per (Z0, C), kept in a
-one-entry memo so a trajectory builds them once, and sums its thetas as
-integers; theta itself is an exact Fincke-Pohst enumeration in int (see
-boxball.theta).  The period matrix maps m = (g, ..., 1) to N L e_1 on every
-smooth curve, so the theta argument of site n + N is that of site n
-translated by -Omega m, and theta quasi-periodicity gives its value exactly:
-a state at time t reads only theta rows t and t + 1, N thetas each, and a
-trajectory keeps the two rows its last state read.
+Invariance is enforced in tests.  The theta-function solution builds its
+spectral data and its PeriodMatrix (an intmat.Lattice of Omega) once per
+(Z0, C), kept in a one-entry memo so a trajectory builds them once, and
+sums its thetas as integers; theta is an exact Fincke-Pohst enumeration in
+int (see boxball.theta).  The period matrix maps m = (g, ..., 1) to N L e_1
+on every smooth curve, so the theta argument of site n + N is that of site
+n translated by -Omega m, and theta quasi-periodicity gives its value
+exactly: a state at time t reads only theta rows t and t + 1, N thetas
+each, and a trajectory keeps the two rows its last state read.
 """
 
 from __future__ import annotations
@@ -227,11 +227,11 @@ def _theta_sites(Z0: tuple, C: tuple):
     Z0 = tuple(map(exact, Z0))
     if len(Z0) != g:
         raise ValueError(f"Z0 must have len(C) - 2 = {g} entries, got {len(Z0)}")
-    form = PeriodMatrix.from_rows(sd.Omega)._form
+    Omega = PeriodMatrix.from_rows(sd.Omega)
     vel = tuple(sd.lam[i + 1] - sd.lam[i] for i in range(g))
     C1 = sd.C[0]
     u = lcm(*(x.denominator for x in Z0 + vel + (sd.L, C1)))
-    su = form.s * u
+    su = Omega.s * u
 
     def scaled(x: Exact) -> int:
         return x.numerator * (su // x.denominator)
@@ -247,7 +247,7 @@ def _theta_sites(Z0: tuple, C: tuple):
             return rows[tt]
         base = [b0[i] + v[i] * tt for i in range(g)]
         bs = [(base[0] - shift * r, *base[1:]) for r in range(N)]
-        return [(_argmin_int(b, u, form)[0], 2 * sum(map(mul, m, b))) for b in bs]
+        return [(_argmin_int(b, u, Omega)[0], 2 * sum(map(mul, m, b))) for b in bs]
 
     def T(held: list[tuple[int, int]], n: int) -> int:
         k, r = divmod(n, N)

@@ -164,6 +164,7 @@ BOUNDED = [
     ("color", 1, RC.vacancies),
     ("position", None, STATE.cell),
     ("part size", None, MU.m),
+    ("matrix entries", None, lambda x: intmat.det_int([[x, 0], [0, 2]])),
 ]
 
 
@@ -197,3 +198,12 @@ def test_gamma_has_one_entry_per_part_size():
         with pytest.raises(ValueError, match="gamma must have g = 2 entries"):
             MU.F(gamma)
     assert MU.F((1, 1)) == MU.F()
+
+
+def test_det_int_reads_int_entries_only():
+    # before, det_int returned 3.0, 2, 'a' and 1 for these: a Fraction matrix's
+    # determinant is not that of its scaled integer form (intmat.Lattice.A)
+    for rows in ([[1.5, 0], [0, 2]], [[True, 0], [0, 2]], [["a"]], [[Fraction(1, 2), 0], [0, 2]]):
+        with pytest.raises(ValueError, match="^matrix entries must be an int"):
+            intmat.det_int(rows)
+    assert intmat.det_int([[2, 1], [1, 3]]) == 5

@@ -13,8 +13,9 @@ from fractions import Fraction
 
 import pytest
 
-from boxball.intmat import det_int, gauss_jordan
+from boxball.intmat import Lattice, column_hnf, det_int, gauss_jordan
 from boxball.pbbs import ActionVariable
+from boxball.theta import theta
 
 
 def old_det_int(rows):
@@ -160,6 +161,8 @@ def test_period_matrices_of_random_action_variables():
         F = mu.F()
         e = gauss_jordan(F)
         assert e.det == old_det_int(F) > 0
+        # mu's Lattice holds the same elimination, as tuples
+        assert mu.lattice.elimination == (e.det, tuple(e.pivots), e.swaps, *map(_tuples, (e.piv, e.adj)))
         for l in (1, 2, None):
             h = mu.h(l)
             x = old_solve(F, h)
@@ -173,3 +176,44 @@ def test_rejects_non_square():
     for rows in ([[1, 2]], [[1], [2]], [[1, 2], [3]]):
         with pytest.raises(ValueError, match="square"):
             gauss_jordan(rows)
+
+
+def _tuples(rows):
+    return tuple(map(tuple, rows))
+
+
+def test_lattice_scales_once():
+    F = Fraction
+    X = Lattice(([F(1, 2), F(1, 3)], [F(2, 6), 1]))
+    # entries read by exact: ints where integral, so the repr prints 1, not Fraction(1, 1)
+    assert X.rows == ((F(1, 2), F(1, 3)), (F(1, 3), 1)) and type(X.rows[1][1]) is int
+    assert X.s == 6 and X.A == ((3, 2), (2, 6)) and X.g == 2
+    assert X.elimination == (14, (1, 3, 14), 0, ((3, 2), (0, 14)), ((6, -2), (-2, 3)))
+    assert X.hnf == _tuples(column_hnf([[3, 2], [2, 6]]))
+    assert X.ldl.cols == ((), (2,)) and X.ldl.M == 42 and X.ldl.w == (14, 1)
+    Y = Lattice.from_rows([[7, 2], [2, 7]])
+    assert Y.s == 1 and Y.A is Y.rows and repr(Y) == "Lattice(rows=((7, 2), (2, 7)))"
+    assert Lattice(()).elimination.det == 1 and Lattice(()).ldl.M == 1
+
+
+def test_lattice_checks():
+    for rows in ([[1, 2]], [[1], [2]], [[1, 2], [3]]):
+        with pytest.raises(ValueError, match="matrix must be square"):
+            Lattice.from_rows(rows)
+    for x in (1.5, True, "a"):
+        with pytest.raises(ValueError, match="matrix entries must be ints or Fractions"):
+            Lattice.from_rows([[x]])
+    # the symmetry and positive definiteness checks are ldl's, on first use, so
+    # theta refuses a Lattice that has no L D L^T; a singular A has no adjugate
+    for rows, error in [
+        ([[2, 1], [0, 2]], "symmetric"),
+        ([[1, Fraction(1, 2)], [Fraction(1, 3), 1]], "symmetric"),
+        ([[0, 1], [1, 0]], "positive definite"),
+        ([[1, 2], [2, 1]], "positive definite"),
+        ([[1, 1], [1, 1]], "positive definite"),
+    ]:
+        with pytest.raises(ValueError, match=f"^matrix must be {error}"):
+            Lattice.from_rows(rows).ldl
+        with pytest.raises(ValueError, match=f"^matrix must be {error}"):
+            theta((0, 0), Lattice.from_rows(rows))
+    assert Lattice.from_rows([[1, 1], [1, 1]]).elimination.adj is None

@@ -1,8 +1,9 @@
-"""The lattice data of an action variable: F, its elimination and its Hermite
-forms are cached properties built once per ActionVariable (class equality
-reads the elimination, so no Hermite form of an F_gamma is built), and
-reading them from a shared instance gives the same values as fresh, equal
-instances."""
+"""The lattice data of an action variable: F is one intmat.Lattice built once
+per ActionVariable, whose elimination and Hermite form are built once, as is
+the Hermite form of Lambda (class equality reads the elimination, so no
+Hermite form of an F_gamma is built; the theta formula reads the same
+elimination), and reading them from a shared instance gives the same values
+as fresh, equal instances."""
 
 import random
 
@@ -19,6 +20,7 @@ from boxball.pbbs import (
     internal_symmetry,
     inverse_scattering,
     isolevel_cardinality,
+    periodic_theta_state,
     torus_decomposition,
 )
 
@@ -36,8 +38,23 @@ def _problem(p, l, t):
     return [angle_equal(evolve_angle(J, l, n), J) for n in [N] + [N // r for r in _prime_factors(N)]]
 
 
+def _counting(record, fn):
+    def wrapped(arg):
+        record.append(tuple(map(tuple, arg)))
+        return fn(arg)
+
+    return wrapped
+
+
+def _count_eliminations(monkeypatch) -> list:
+    # intmat is the only module that calls gauss_jordan (tests/test_source.py)
+    eliminations = []
+    monkeypatch.setattr(intmat, "gauss_jordan", _counting(eliminations, intmat.gauss_jordan))
+    return eliminations
+
+
 def test_one_lattice_context_per_problem(monkeypatch):
-    F_builds, eliminations, hnf_inputs = [], [], []
+    F_builds, hnf_inputs = [], []
     build_F = ActionVariable.F
 
     def counting_F(self, gamma=None):
@@ -45,16 +62,9 @@ def test_one_lattice_context_per_problem(monkeypatch):
             F_builds.append(self)
         return build_F(self, gamma)
 
-    def counting(record, fn):
-        def wrapped(arg):
-            record.append(tuple(map(tuple, arg)))
-            return fn(arg)
-
-        return wrapped
-
     monkeypatch.setattr(ActionVariable, "F", counting_F)
-    monkeypatch.setattr(pbbs, "gauss_jordan", counting(eliminations, intmat.gauss_jordan))
-    hnf = counting(hnf_inputs, intmat.column_hnf)
+    eliminations = _count_eliminations(monkeypatch)
+    hnf = _counting(hnf_inputs, intmat.column_hnf)
     monkeypatch.setattr(pbbs, "column_hnf", hnf)
     monkeypatch.setattr(intmat, "column_hnf", hnf)
 
@@ -77,9 +87,27 @@ def test_one_lattice_context_per_problem(monkeypatch):
         # at most the forms of F and Lambda, each once, whatever gamma is
         assert len(hnf_inputs) == len(set(hnf_inputs)) <= 2, p
         mu = p._scattered.mu
-        for matrix in (mu._F, mu._elimination[1], mu._hnf, mu._hnf_lambda):
+        e = mu.lattice.elimination
+        assert type(e.pivots) is tuple
+        for matrix in (mu.lattice.rows, mu.lattice.A, e.piv, e.adj, mu.lattice.hnf, mu._hnf_lambda):
             assert type(matrix) is tuple and all(type(row) is tuple for row in matrix)
     assert symmetric >= 2  # the gamma != 1 class test was exercised
+
+
+def test_theta_formula_reads_the_one_elimination_of_F(monkeypatch):
+    # the theta formula hands mu's own Lattice to theta, so the theta states,
+    # inverse scattering, class equality and the isolevel count of one mu
+    # eliminate F once
+    eliminations = _count_eliminations(monkeypatch)
+    for L, parts in [(9, (3, 1)), (15, (4, 2, 1)), (22, (4, 3, 2, 1))]:
+        eliminations.clear()
+        mu = ActionVariable(L, parts)
+        for Jvec in [(0,) * mu.g, tuple(range(1, mu.g + 1))]:
+            J = AngleVariable(mu, tuple((j,) for j in Jvec))
+            assert periodic_theta_state(Jvec, mu) == inverse_scattering(J)
+            assert angle_equal(evolve_angle(J, 1, isolevel_cardinality(mu)), evolve_angle(J, 1, 0))
+        assert isolevel_cardinality(mu) == mu.lattice.elimination.det
+        assert eliminations == [mu.lattice.rows], (L, parts)
 
 
 def _fresh(J):

@@ -169,6 +169,25 @@ def test_no_module_builds_another_modules_trusted_state():
     assert calls and not found, found
 
 
+def test_only_intmat_eliminates():
+    # intmat.Lattice owns the one gauss_jordan of a period matrix (F, a theta
+    # form, Omega); no other module imports or calls it, so no second
+    # elimination of the same matrix can be forked off it
+    found = []
+    for path in sorted(Path(boxball.__file__).parent.glob("*.py")):
+        if path.name == "intmat.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.alias) and node.name == "gauss_jordan":
+                found.append(f"{path.name}:{node.lineno} imports gauss_jordan")
+            elif isinstance(node, (ast.Name, ast.Attribute)) and "gauss_jordan" in (
+                getattr(node, "id", None),
+                getattr(node, "attr", None),
+            ):
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert not found, found
+
+
 def test_only_intmat_builds_objects_unchecked():
     # object.__new__ with a __dict__ update is the build past a class's checks;
     # intmat.trusted is its one copy, and no class keeps a _trusted of its own

@@ -30,7 +30,7 @@ def check_quasi_periodicity(
     for _ in range(trials):
         Z = tuple(Fraction(rng.randint(-40, 40), rng.randint(1, 4)) for _ in range(g))
         m = tuple(rng.randint(-3, 3) for _ in range(g))
-        Xim = Xi.mul(m)
+        Xim = tuple(sum(map(mul, r, m)) for r in Xi.rows)
         lhs = theta(tuple(z + w for z, w in zip(Z, Xim)), Xi)
         rhs = theta(Z, Xi) - sum(map(mul, m, Xim)) * Fraction(1, 2) - sum(map(mul, m, Z))
         if lhs != rhs:

@@ -77,16 +77,16 @@ CASES = cases()
 def test_value_path_matches_argmin_and_oracles():
     for rows, Xi, Z in CASES:
         b, t = _scaled(Z, Xi)
-        num = _argmin_int(b, t, Xi._form)[0]
+        num = _argmin_int(b, t, Xi)[0]
         expect, n_star = fraction_fincke_pohst(Z, rows)
-        assert _argmin_int(b, t, Xi._form, ties=True)[0] == num
-        assert F(num, 2 * Xi._form.s * t) == expect == theta(Z, Xi)
+        assert _argmin_int(b, t, Xi, ties=True)[0] == num
+        assert F(num, 2 * Xi.s * t) == expect == theta(Z, Xi)
         assert theta_argmin(Z, Xi) == (expect, n_star)
         if len(rows) <= 2:
             assert shell_scan_argmin(Z, rows) == (expect, n_star)
         # the value path cuts at equality: it returns a minimizer, and n0
         # (the rounded real minimizer it starts from) when n0 is one
-        point = _argmin_int(b, t, Xi._form)[1]
+        point = _argmin_int(b, t, Xi)[1]
         assert objective(point, rows, Z) == expect
         n0 = tuple(floor(x + F(1, 2)) for x in old_solve(rows, [-z for z in Z]))
         if objective(n0, rows, Z) == expect:
@@ -100,14 +100,15 @@ def test_value_from_bound_identity(g):
     rng = random.Random(f"bound/{g}")
     for make in (integral_form, rational_form, toda_form):
         rows = [[F(x) for x in r] for r in make(rng, g)]
-        f = PeriodMatrix.from_rows(rows)._form
-        A = [[x.numerator * (f.s // x.denominator) for x in r] for r in rows]
+        Xi = PeriodMatrix.from_rows(rows)
+        e, f = Xi.elimination, Xi.ldl
+        A = [[x.numerator * (Xi.s // x.denominator) for x in r] for r in rows]
         for _ in range(10):
             b, t = tuple(rng.randint(-60, 60) for _ in range(g)), rng.randint(1, 4)
-            den = f.det * t
-            C = [-sum(x * y for x, y in zip(row, b)) for row in f.adj]
+            den = e.det * t
+            C = [-sum(x * y for x, y in zip(row, b)) for row in e.adj]
             n = [rng.randint(-5, 5) for _ in range(g)]
-            u = [sum(p * (den * x - c) for p, x, c in zip(row, n, C)) for row in f.piv]
+            u = [sum(p * (den * x - c) for p, x, c in zip(row, n, C)) for row in e.piv]
             bound = sum(w * x * x for w, x in zip(f.w, u))
             quad = sum(n[i] * A[i][j] * n[j] for i in range(g) for j in range(g))
             value = t * quad + 2 * sum(x * y for x, y in zip(n, b))
