@@ -367,7 +367,7 @@ def toda_period_matrix(rng: random.Random, g: int) -> PeriodMatrix:
         if sum(Q) < sum(W):
             sd = spectral_data(conserved_all(TodaState.make(Q, W)))
             if sd.smooth:
-                return PeriodMatrix.from_rows(sd.Omega)
+                return sd.Omega
 
 
 def theta_sweep() -> dict:

@@ -175,7 +175,7 @@ def cmd_toda(args) -> int:
             "lambda": [str(x) for x in sd.lam],
             "eta": [str(x) for x in sd.eta],
             "smooth": sd.smooth,
-            "Omega": [[str(x) for x in row] for row in sd.Omega] if sd.Omega else None,
+            "Omega": None if sd.Omega is None else [[str(x) for x in row] for row in sd.Omega.rows],
         }
         print(json.dumps(out))
     elif what == "solve":
@@ -246,7 +246,7 @@ def cmd_selftest(args) -> int:
     )
     check(
         "toda spectral fixture",
-        lambda: troptoda.spectral_data((0, 1, 4, 9)).Omega == ((16, -5), (-5, 10)),
+        lambda: troptoda.spectral_data((0, 1, 4, 9)).Omega.rows == ((16, -5), (-5, 10)),
     )
     check(
         "toda theta solution",

@@ -1,6 +1,6 @@
 """Exact integer matrix helpers: one fraction-free Gauss-Jordan elimination
-(determinant, adjugate and the LDL^T pivot data), Lattice, which caches it
-for one period matrix (F, a theta form, Omega), lattice reduction, LCMs.
+(determinant, adjugate and the LDL^T pivot data); Lattice (one constructor)
+caches it for F, a theta form or a Toda curve's Omega; lattice reduction; LCMs.
 
 Everything here works over exact integers or fractions.Fraction; no floats.
 It also owns the library's exact-number input rule, which every other module
@@ -112,6 +112,8 @@ def column_hnf(cols: list[list[int]]) -> list[list[int]]:
     basis); such a basis is returned unchanged.
     """
     g = len(cols[0]) if cols else 0
+    if any(len(c) != g for c in cols):
+        raise ValueError("columns must have equal length")
     h = [list(c) for c in cols]
     if len(h) < g:
         raise ValueError("lattice must have full rank")
@@ -157,10 +159,6 @@ class Lattice:
         object.__setattr__(self, "s", s)
         A = rows if s == 1 else tuple(tuple(x.numerator * (s // x.denominator) for x in r) for r in rows)
         object.__setattr__(self, "A", A)
-
-    @classmethod
-    def from_rows(cls, rows):
-        return cls(rows)
 
     @cached_property
     def elimination(self) -> Elimination:

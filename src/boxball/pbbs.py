@@ -204,7 +204,7 @@ class ActionVariable:
     def lattice(self) -> Lattice:
         """F as a Lattice.  F is nonsingular (F diag(m)^-1 = diag(p / m) + 2 M
         with p >= 0 and M = (min(i, j)) positive definite), so adj F exists."""
-        return Lattice.from_rows(self.F())
+        return Lattice(self.F())
 
     @cached_property
     def _hnf_lambda(self) -> tuple[tuple[int, ...], ...]:
@@ -485,10 +485,9 @@ def isolevel_cardinality(mu: ActionVariable) -> int:
         a *= Fraction(comb(p + m - 1, m - 1), m)
     # second closed form: L/p_{i_g} prod binom(p_i + m_i - 1, m_i), regularized
     # through binom(p+m, m)/(p+m) for the largest size so p_{i_g} = 0 is allowed
-    m_g, p_g = mu.mults[-1], mu.vacancies[-1]
-    b = Fraction(mu.L) * Fraction(comb(p_g + m_g, m_g), p_g + m_g)
-    for m, p in zip(mu.mults[:-1], mu.vacancies[:-1]):
-        b *= comb(p + m - 1, m)
+    b, last = Fraction(1), len(mu.mults) - 1  # genus 0: the empty product
+    for i, (m, p) in enumerate(zip(mu.mults, mu.vacancies)):
+        b *= Fraction(mu.L * comb(p + m, m), p + m) if i == last else comb(p + m - 1, m)
     if a != b:
         raise ValueError("the two closed forms disagree")
     if a.denominator != 1:

@@ -8,7 +8,8 @@ with every node in Python int.  Xi is an intmat.Lattice, scaled once by the
 lcm s of its denominators to an integer A whose one fraction-free elimination
 gives its adjugate, its LDL^T pivot columns and its leading minors (with
 the symmetry check, the positive definiteness check).  A PeriodMatrix is a
-Lattice built with its LDL^T; pbbs passes its action variable's F as is.
+Lattice built with its LDL^T: troptoda's spectral data hold the curve's
+Omega as one, and pbbs passes its action variable's F as a plain Lattice.
 Per call, Z is scaled to integers b = s t Z; coordinates are fixed from the
 last down, each visited in Schnorr-Euchner zig-zag order from the rounded
 center until its term reaches R, and R shrinks to each better point found.

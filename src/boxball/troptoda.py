@@ -14,8 +14,8 @@ k-sets on the cycle Q_1 W_1 Q_2 W_2 ... Q_N W_N; conserved_all finds every H_k
 in one O(N^2) prefix dynamic program over that cycle's attainable k, with no
 sentinel, and the C(2N, k) subset scan survives as the test oracle.
 Invariance is enforced in tests.  The theta-function solution builds its
-spectral data and its PeriodMatrix (an intmat.Lattice of Omega) once per
-(Z0, C), kept in a one-entry memo so a trajectory builds them once, and
+spectral data, which hold Omega as one PeriodMatrix (empty at genus 0), once
+per (Z0, C), kept in a one-entry memo so a trajectory builds them once, and
 sums its thetas as integers; theta is an exact Fincke-Pohst enumeration in
 int (see boxball.theta).  The period matrix maps m = (g, ..., 1) to N L e_1
 on every smooth curve, so the theta argument of site n + N is that of site
@@ -163,7 +163,7 @@ class SpectralData:
     L: Exact
     lam: tuple[Exact, ...]  # lambda_0 = 0, lambda_1, ..., lambda_{N-1}
     eta: tuple[Exact, ...]  # eta_0 = L, eta_1, ..., eta_{N-1}
-    Omega: tuple[tuple[Exact, ...], ...] | None
+    Omega: PeriodMatrix | None  # None iff the curve is not smooth
     smooth: bool
 
 
@@ -175,7 +175,9 @@ def spectral_data(C) -> SpectralData:
     configuration from kkr.q_sum, over lambda_1..lambda_{N-1} each of
     multiplicity 1.  The curve is smooth iff the lambdas are strictly
     increasing and every eta_k is positive, in which case the (N-1)x(N-1)
-    period matrix is the tridiagonal Omega below.
+    period matrix is the tridiagonal Omega below, a PeriodMatrix (empty at N = 1):
+    each diagonal entry exceeds its row's other entries in size by at least
+    2 (lambda_i - lambda_{i-1}) > 0, so Omega is positive definite.
     """
     C = tuple(map(exact, C))
     N = len(C) - 1
@@ -190,14 +192,14 @@ def spectral_data(C) -> SpectralData:
     )
     g = N - 1
     Omega = None
-    if smooth and g >= 1:
+    if smooth:
         rows = [[0] * g for _ in range(g)]
         for i in range(1, g + 1):
             rows[i - 1][i - 1] = eta[i - 1] + eta[i] + 2 * (lam[i] - lam[i - 1])
             if i + 1 <= g:
                 rows[i - 1][i] = -eta[i]
                 rows[i][i - 1] = -eta[i]
-        Omega = tuple(tuple(r) for r in rows)
+        Omega = PeriodMatrix(rows)
     return SpectralData(C, L, tuple(lam), tuple(eta), Omega, smooth)
 
 
@@ -219,15 +221,13 @@ def _theta_sites(Z0: tuple, C: tuple):
     T(t, r + k N) = T(t, r) + 2 k m.b(t, r) - k^2 N g s u L.  The sites of
     time t read rows t and t + 1 only, and the two rows the last call read
     are kept, so a run of consecutive times costs one row of N thetas each.
-    Memoized on the last (Z0, C): a trajectory builds its sites once."""
+    Memoized on the last exact (Z0, C): a trajectory builds its sites once."""
     sd = spectral_data(C)
-    if not sd.smooth or sd.Omega is None:
+    if sd.Omega is None:
         raise ValueError("spectral curve is not smooth")
-    g = len(C) - 2
-    Z0 = tuple(map(exact, Z0))
+    Omega, g = sd.Omega, sd.Omega.g
     if len(Z0) != g:
         raise ValueError(f"Z0 must have len(C) - 2 = {g} entries, got {len(Z0)}")
-    Omega = PeriodMatrix.from_rows(sd.Omega)
     vel = tuple(sd.lam[i + 1] - sd.lam[i] for i in range(g))
     C1 = sd.C[0]
     u = lcm(*(x.denominator for x in Z0 + vel + (sd.L, C1)))
@@ -246,7 +246,7 @@ def _theta_sites(Z0: tuple, C: tuple):
         if tt in rows:
             return rows[tt]
         base = [b0[i] + v[i] * tt for i in range(g)]
-        bs = [(base[0] - shift * r, *base[1:]) for r in range(N)]
+        bs = [(*[x - shift * r for x in base[:1]], *base[1:]) for r in range(N)]
         return [(_argmin_int(b, u, Omega)[0], 2 * sum(map(mul, m, b))) for b in bs]
 
     def T(held: list[tuple[int, int]], n: int) -> int:
@@ -287,7 +287,8 @@ def theta_solution(Z0, C, t: int, n: int) -> tuple[Exact, Exact]:
     """
     require_int("t", t)
     require_int("n", n)
-    return _theta_sites(tuple(Z0), tuple(C))(t, n, n)[0]
+    # exact before the memo, whose keys compare by value: 1.0 would hit 1's entry
+    return _theta_sites(tuple(map(exact, Z0)), tuple(map(exact, C)))(t, n, n)[0]
 
 
 def theta_state(Z0, C, t: int) -> TodaState:
@@ -295,7 +296,7 @@ def theta_state(Z0, C, t: int) -> TodaState:
     theta_solution)."""
     require_int("t", t)
     # site values are already exact: only the phase space is checked
-    Q, W = zip(*_theta_sites(tuple(Z0), tuple(C))(t, 1, len(C) - 1))
+    Q, W = zip(*_theta_sites(tuple(map(exact, Z0)), tuple(map(exact, C)))(t, 1, len(C) - 1))
     _require_phase_space(Q, W)
     return trusted(TodaState, Q=Q, W=W)
 

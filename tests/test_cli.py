@@ -195,6 +195,21 @@ def test_toda_spectral(capsys):
     assert doc["smooth"] is True
 
 
+def test_toda_genus_zero(capsys):
+    # N = 1: Omega is the empty matrix (null only off smooth curves), and the
+    # theta solution is the fixed point (0, L)
+    code, out, _ = run(capsys, "toda", "spectral", "0,5")
+    assert code == 0
+    assert out.splitlines() == [
+        '{"C": ["0", "5"], "L": "5", "lambda": ["0"], "eta": ["5"], "smooth": true, "Omega": []}'
+    ]
+    code, out, _ = run(capsys, "toda", "spectral", "0,2,4,19")
+    assert code == 0 and json.loads(out)["Omega"] is None
+    code, out, _ = run(capsys, "toda", "solve", "--C", "0,5", "--z0", "", "--steps", "2")
+    assert code == 0
+    assert out.splitlines() == ["0\t0\t5", "1\t0\t5", "2\t0\t5"]
+
+
 def test_toda_evolve_and_solve(capsys):
     code, out, _ = run(capsys, "toda", "evolve", "3,4,0,1", "--steps", "4", "--format", "json")
     assert code == 0

@@ -191,7 +191,7 @@ def test_lattice_scales_once():
     assert X.elimination == (14, (1, 3, 14), 0, ((3, 2), (0, 14)), ((6, -2), (-2, 3)))
     assert X.hnf == _tuples(column_hnf([[3, 2], [2, 6]]))
     assert X.ldl.cols == ((), (2,)) and X.ldl.M == 42 and X.ldl.w == (14, 1)
-    Y = Lattice.from_rows([[7, 2], [2, 7]])
+    Y = Lattice([[7, 2], [2, 7]])
     assert Y.s == 1 and Y.A is Y.rows and repr(Y) == "Lattice(rows=((7, 2), (2, 7)))"
     assert Lattice(()).elimination.det == 1 and Lattice(()).ldl.M == 1
 
@@ -199,10 +199,10 @@ def test_lattice_scales_once():
 def test_lattice_checks():
     for rows in ([[1, 2]], [[1], [2]], [[1, 2], [3]]):
         with pytest.raises(ValueError, match="matrix must be square"):
-            Lattice.from_rows(rows)
+            Lattice(rows)
     for x in (1.5, True, "a"):
         with pytest.raises(ValueError, match="matrix entries must be ints or Fractions"):
-            Lattice.from_rows([[x]])
+            Lattice([[x]])
     # the symmetry and positive definiteness checks are ldl's, on first use, so
     # theta refuses a Lattice that has no L D L^T; a singular A has no adjugate
     for rows, error in [
@@ -213,7 +213,7 @@ def test_lattice_checks():
         ([[1, 1], [1, 1]], "positive definite"),
     ]:
         with pytest.raises(ValueError, match=f"^matrix must be {error}"):
-            Lattice.from_rows(rows).ldl
+            Lattice(rows).ldl
         with pytest.raises(ValueError, match=f"^matrix must be {error}"):
-            theta((0, 0), Lattice.from_rows(rows))
-    assert Lattice.from_rows([[1, 1], [1, 1]]).elimination.adj is None
+            theta((0, 0), Lattice(rows))
+    assert Lattice([[1, 1], [1, 1]]).elimination.adj is None

@@ -359,7 +359,7 @@ def test_fundamental_period_exhaustive_L_to_9():
 def _states(L):
     from itertools import combinations
 
-    for M in range(1, (L - 1) // 2 + 1):
+    for M in range(L // 2 + 1):  # the vacuum to half filling
         for pos in combinations(range(L), M):
             cells = [1] * L
             for b in pos:

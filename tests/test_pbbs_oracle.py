@@ -492,6 +492,9 @@ def test_column_hnf_of_generating_sets():
     for singular in ([[1, 2], [2, 4]], [[1, 0]], [[1, 1], [2, 2], [3, 3]]):
         with pytest.raises(ValueError, match="full rank"):
             column_hnf(singular)
+    for ragged in ([[1, 2], [3]], [[1], [2, 3]]):
+        with pytest.raises(ValueError, match="columns must have equal length"):
+            column_hnf(ragged)
     assert list(lattice_points_in_box([], [], [])) == [()]
     assert list(lattice_points_in_box([[2]], [3], [2])) == []
 

@@ -188,6 +188,52 @@ def test_only_intmat_eliminates():
     assert not found, found
 
 
+def test_only_spectral_data_builds_a_period_matrix():
+    # the Toda curve's Omega is built once, as SpectralData.Omega: outside
+    # troptoda.spectral_data no library code names PeriodMatrix, or an alias
+    # of it, but in an annotation, so none builds, subclasses or hands it on
+    found = []
+    for path in sorted(Path(boxball.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        names = {"PeriodMatrix"} | {
+            node.asname or node.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.alias) and node.name == "PeriodMatrix"
+        }
+        skip = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and (path.stem, node.name) == ("troptoda", "spectral_data"):
+                skip.update(map(id, ast.walk(node)))
+            for annotation in (getattr(node, "returns", None), getattr(node, "annotation", None)):
+                if annotation is not None:
+                    skip.update(map(id, ast.walk(annotation)))
+        for node in ast.walk(tree):
+            name = getattr(node, "id", None) if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name in names and id(node) not in skip:
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert not found, found
+
+
+def test_no_class_keeps_a_second_name_for_its_constructor():
+    # a classmethod whose whole body is return cls(<its own parameters>) is the
+    # constructor under another name; a Lattice (F, a theta form, Omega) has
+    # only its constructor, and TodaState.make stays for the benchmark's
+    # problem builders, which call it
+    found = []
+    for path in sorted(Path(boxball.__file__).parent.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for f in cls.body:
+                if not isinstance(f, ast.FunctionDef) or "classmethod" not in map(ast.unparse, f.decorator_list):
+                    continue
+                body = [s for s in f.body if not (isinstance(s, ast.Expr) and isinstance(s.value, ast.Constant))]
+                params = ", ".join(a.arg for a in f.args.args[1:])
+                if len(body) == 1 and isinstance(body[0], ast.Return) and ast.unparse(body[0].value) == f"cls({params})":
+                    found.append(f"{path.stem}.{cls.name}.{f.name}")
+    assert found == ["troptoda.TodaState.make"], found
+
+
 def test_only_intmat_builds_objects_unchecked():
     # object.__new__ with a __dict__ update is the build past a class's checks;
     # intmat.trusted is its one copy, and no class keeps a _trusted of its own

@@ -39,13 +39,13 @@ def check_quasi_periodicity(
 
 
 def test_zero_argument():
-    Xi = PeriodMatrix.from_rows([[7, 2], [2, 7]])
+    Xi = PeriodMatrix([[7, 2], [2, 7]])
     assert theta((0, 0), Xi) == 0
     assert theta_argmin((0, 0), Xi)[1] == (0, 0)
 
 
 def test_g1_wide_scan_oracle():
-    Xi = PeriodMatrix.from_rows([[16]])
+    Xi = PeriodMatrix([[16]])
     assert theta((F(9),), Xi) == -1  # n=-1: 8 - 9
     assert theta((F(9),), Xi) == brute_theta((F(9),), [[F(16)]])
     for z in range(-30, 31):
@@ -54,7 +54,7 @@ def test_g1_wide_scan_oracle():
 
 def test_g2_wide_scan_oracle():
     rows = [[F(7), F(2)], [F(2), F(7)]]
-    Xi = PeriodMatrix.from_rows(rows)
+    Xi = PeriodMatrix(rows)
     rng = random.Random(5)
     for _ in range(40):
         Z = (F(rng.randint(-25, 25), rng.randint(1, 2)), F(rng.randint(-25, 25), rng.randint(1, 2)))
@@ -63,12 +63,12 @@ def test_g2_wide_scan_oracle():
 
 def test_quasi_periodicity_fixture_matrices():
     for rows in ([[7, 2], [2, 7]], [[16, -5], [-5, 10]], [[16]], [[34, -11], [-11, 22]]):
-        assert check_quasi_periodicity(PeriodMatrix.from_rows(rows), trials=25)
+        assert check_quasi_periodicity(PeriodMatrix(rows), trials=25)
 
 
 def test_g3_against_oracle():
     rows = [[F(6), F(1), F(0)], [F(1), F(5), F(2)], [F(0), F(2), F(7)]]
-    Xi = PeriodMatrix.from_rows(rows)
+    Xi = PeriodMatrix(rows)
     rng = random.Random(8)
     for _ in range(15):
         Z = tuple(F(rng.randint(-15, 15)) for _ in range(3))
@@ -77,7 +77,7 @@ def test_g3_against_oracle():
 
 
 def test_quasi_periodicity_zero_shift():
-    Xi = PeriodMatrix.from_rows([[5, 1], [1, 3]])
+    Xi = PeriodMatrix([[5, 1], [1, 3]])
     Z = (F(3), F(-2))
     assert theta(Z, Xi) == theta(Z, Xi)  # m=0 degenerates to an identity
 
@@ -85,7 +85,7 @@ def test_quasi_periodicity_zero_shift():
 def test_minimizer_stability_under_radius_growth():
     # the returned minimum agrees with brute force at generous radius
     rows = [[F(16), F(-5)], [F(-5), F(10)]]
-    Xi = PeriodMatrix.from_rows(rows)
+    Xi = PeriodMatrix(rows)
     rng = random.Random(6)
     for _ in range(25):
         Z = (F(rng.randint(-60, 60)), F(rng.randint(-60, 60)))
@@ -93,7 +93,7 @@ def test_minimizer_stability_under_radius_growth():
 
 
 def test_theta_never_positive():
-    Xi = PeriodMatrix.from_rows([[9, 3], [3, 11]])
+    Xi = PeriodMatrix([[9, 3], [3, 11]])
     rng = random.Random(7)
     for _ in range(50):
         Z = (F(rng.randint(-50, 50), 2), F(rng.randint(-50, 50), 2))
@@ -102,21 +102,21 @@ def test_theta_never_positive():
 
 def test_rejects_non_positive_definite():
     with pytest.raises(ValueError):
-        PeriodMatrix.from_rows([[1, 2], [2, 1]])
+        PeriodMatrix([[1, 2], [2, 1]])
     with pytest.raises(ValueError):
-        PeriodMatrix.from_rows([[0]])
+        PeriodMatrix([[0]])
     with pytest.raises(ValueError):
-        PeriodMatrix.from_rows([[1, 0], [1, 1]])
+        PeriodMatrix([[1, 0], [1, 1]])
 
 
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: theta((0.1, 0.3), PeriodMatrix.from_rows([[7, 2], [2, 7]])),
-        lambda: theta((True, 0), PeriodMatrix.from_rows([[7, 2], [2, 7]])),
-        lambda: theta_argmin(("1/2", 0), PeriodMatrix.from_rows([[7, 2], [2, 7]])),
-        lambda: PeriodMatrix.from_rows([[2.5]]),
-        lambda: PeriodMatrix.from_rows([[True]]),
+        lambda: theta((0.1, 0.3), PeriodMatrix([[7, 2], [2, 7]])),
+        lambda: theta((True, 0), PeriodMatrix([[7, 2], [2, 7]])),
+        lambda: theta_argmin(("1/2", 0), PeriodMatrix([[7, 2], [2, 7]])),
+        lambda: PeriodMatrix([[2.5]]),
+        lambda: PeriodMatrix([[True]]),
         lambda: PeriodMatrix(((F(2), 0.5), (0.5, F(2)))),
     ],
 )
@@ -135,6 +135,6 @@ def test_rejects_floats_bools_and_other_non_rationals(build):
 def test_hypothesis_oracle_g2(d, o, z1, z2):
     # diagonally dominant symmetric PD matrices
     rows = [[F(d + 4), F(o)], [F(o), F(d + 4)]]
-    Xi = PeriodMatrix.from_rows(rows)
+    Xi = PeriodMatrix(rows)
     Z = (F(z1), F(z2))
     assert theta(Z, Xi) == brute_theta(Z, rows, radius=25)

@@ -90,7 +90,7 @@ def theta_cases(draw):
 @given(theta_cases())
 def test_hypothesis_oracle_random_matrices(case):
     rows, d, Z, m = case
-    Xi = PeriodMatrix.from_rows(rows)
+    Xi = PeriodMatrix(rows)
     # a minimizer has objective <= 0, so d |n|^2 / 2 <= |Z| |n| and |n| <= 2 |Z|_1 / d
     expect = brute_theta(Z, rows, radius=ceil(2 * sum(abs(z) for z in Z) / d))
     value, n = theta_argmin(Z, Xi)
@@ -109,7 +109,7 @@ def test_hypothesis_oracle_random_matrices(case):
 )
 def test_minimizer_matches_shell_scan_ties_included(rows):
     # half-integer and third arguments put many minimizers at equal value
-    Xi = PeriodMatrix.from_rows(rows)
+    Xi = PeriodMatrix(rows)
     g = len(rows)
     for k in range(-12, 13):
         for den in (2, 3):
@@ -255,7 +255,7 @@ def test_positive_definite_iff_sylvester():
             minors = [old_det_int([r[:k] for r in rows[:k]]) for k in range(g + 1)]
             sylvester = all(m > 0 for m in minors[1:])
             try:
-                PeriodMatrix.from_rows(rows)
+                PeriodMatrix(rows)
                 accepted = True
             except ValueError:
                 accepted = False
@@ -274,7 +274,7 @@ def test_positive_definite_iff_sylvester():
 
 
 def test_theta_rejects_wrong_argument_length():
-    Xi = PeriodMatrix.from_rows([[7, 2], [2, 7]])
+    Xi = PeriodMatrix([[7, 2], [2, 7]])
     for Z in ((1,), (1, 2, 3), ()):
         with pytest.raises(ValueError, match="theta argument must have"):
             theta(Z, Xi)
@@ -296,7 +296,7 @@ def test_checks_survive_optimize():
     code = (
         "from boxball import intmat\n"
         "from boxball.theta import PeriodMatrix, theta\n"
-        "cases = [lambda: theta((1,), PeriodMatrix.from_rows([[7, 2], [2, 7]])),\n"
+        "cases = [lambda: theta((1,), PeriodMatrix([[7, 2], [2, 7]])),\n"
         "         lambda: intmat.det_int([[1, 2]]), lambda: intmat.moebius(0),\n"
         "         lambda: intmat.divisors(0), lambda: intmat.lcm_of_fractions([0]),\n"
         "         lambda: intmat.column_hnf([[1, 2], [2, 4]])]\n"

@@ -48,7 +48,7 @@ def toda_form(rng, g):
         if sum(Q) < sum(W):
             sd = spectral_data(conserved_all(TodaState.make(Q, W)))
             if sd.smooth:
-                return [list(r) for r in sd.Omega]
+                return [list(r) for r in sd.Omega.rows]
 
 
 def arguments(rng, rows):
@@ -66,7 +66,7 @@ def cases():
     for g in GENERA:
         for make in (integral_form, rational_form, toda_form):
             rows = [[F(x) for x in r] for r in make(rng, g)]
-            Xi = PeriodMatrix.from_rows(rows)
+            Xi = PeriodMatrix(rows)
             out += [(rows, Xi, Z) for Z in arguments(rng, rows)]
     return out
 
@@ -100,7 +100,7 @@ def test_value_from_bound_identity(g):
     rng = random.Random(f"bound/{g}")
     for make in (integral_form, rational_form, toda_form):
         rows = [[F(x) for x in r] for r in make(rng, g)]
-        Xi = PeriodMatrix.from_rows(rows)
+        Xi = PeriodMatrix(rows)
         e, f = Xi.elimination, Xi.ldl
         A = [[x.numerator * (Xi.s // x.denominator) for x in r] for r in rows]
         for _ in range(10):

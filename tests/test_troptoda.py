@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from boxball import intmat, troptoda
+from boxball.theta import PeriodMatrix
 from boxball.troptoda import (
     SpectralData,
     TodaState,
@@ -99,13 +101,13 @@ def test_spectral_data_fixtures():
     assert sd.lam == (0, 1, 3)
     assert sd.eta == (9, 5, 1)
     assert sd.smooth
-    assert sd.Omega == ((16, -5), (-5, 10))
+    assert sd.Omega.rows == ((16, -5), (-5, 10))
 
     sd = spectral_data((0, 2, 6, 19))
-    assert sd.Omega == ((34, -11), (-11, 22))
+    assert sd.Omega.rows == ((34, -11), (-11, 22))
 
     sd = spectral_data((0, 3, 8))
-    assert sd.Omega == ((16,),)
+    assert sd.Omega.rows == ((16,),)
     assert sd.smooth
 
 
@@ -175,7 +177,7 @@ def test_theta_solution_n3():
     for (a1, a2), (b1, b2) in zip(angles, angles[1:]):
         d = (F(b1 - a1 - 2), F(b2 - a2 - 2))
         # consecutive published angles differ by the velocity modulo Omega Z^2
-        g = [[F(x) for x in row] for row in sd.Omega]
+        g = [[F(x) for x in row] for row in sd.Omega.rows]
         det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
         s1 = (g[1][1] * d[0] - g[0][1] * d[1]) / det
         s2 = (-g[1][0] * d[0] + g[0][0] * d[1]) / det
@@ -209,6 +211,37 @@ def test_theta_solution_requires_smooth():
         theta_solution((F(0), F(0)), (0, 2, 4, 19), 0, 1)
 
 
+def test_theta_solution_genus_zero():
+    # N = 1: Omega is the empty PeriodMatrix, every theta is 0, and the
+    # solution is evolve_toda's fixed point (0, L) at every time and site
+    for L in (1, 2, 5, 12, F(7, 2)):
+        sd = spectral_data((0, L))
+        assert sd.smooth and type(sd.Omega) is PeriodMatrix and sd.Omega.rows == ()
+        for t in (-3, 0, 1, 4):
+            s = theta_state((), (0, L), t)
+            assert s == TodaState((0,), (L,)) == evolve_toda(s)
+            assert theta_solution((), (0, L), t, 7) == (0, L)
+
+
+def test_cold_theta_trajectory_eliminates_omega_once(monkeypatch):
+    # spectral_data builds the curve's one PeriodMatrix and the theta sites
+    # read it, so a trajectory from a cold memo eliminates Omega once
+    eliminations, gauss_jordan = [], intmat.gauss_jordan
+
+    def counting(rows):
+        eliminations.append(tuple(map(tuple, rows)))
+        return gauss_jordan(rows)
+
+    monkeypatch.setattr(intmat, "gauss_jordan", counting)
+    troptoda._theta_sites.cache_clear()
+    Z0, C = (-1, 8), (0, 2, 6, 19)
+    s = theta_state(Z0, C, 0)
+    for t in range(1, 5):
+        s = evolve_toda(s)
+        assert theta_state(Z0, C, t) == s
+    assert eliminations == [((34, -11), (-11, 22))]
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -221,6 +254,20 @@ def test_theta_solution_requires_smooth():
 def test_toda_values_reject_floats_and_bools(build):
     with pytest.raises(ValueError, match="must be ints or Fractions"):
         build()
+
+
+def test_theta_memo_refuses_a_float_or_bool_equal_to_its_key():
+    # the one-entry memo compares keys by value, and -1.0 == -1, True == 1:
+    # the entries are read exactly before it, so a warm memo refuses them too
+    C = (0, 2, 6, 19)
+    for good, bad in [((-1, 8), (-1.0, 8)), ((1, 8), (True, 8))]:
+        theta_state(good, C, 0)
+        for call in (lambda: theta_state(bad, C, 0), lambda: theta_solution(bad, C, 0, 1)):
+            with pytest.raises(ValueError, match="must be ints or Fractions"):
+                call()
+    theta_state((-1, 8), C, 0)
+    with pytest.raises(ValueError, match="must be ints or Fractions"):
+        theta_state((-1, 8), (0, 2.0, 6, 19), 0)
 
 
 @pytest.mark.parametrize(
@@ -298,7 +345,7 @@ def test_embed_commutes_mod_shift_random():
 
 def test_omega_f_omegaprime_triple():
     sd = spectral_data((0, 1, 4, 9))
-    Omega = [list(r) for r in sd.Omega]
+    Omega = [list(r) for r in sd.Omega.rows]
     A = [[1, 0], [1, 1]]
     B = [[1, 1], [0, 1]]
 

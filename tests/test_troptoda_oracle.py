@@ -189,7 +189,7 @@ def oracle_theta_solution(Z0, C, t, n):
     """The defining formula, each theta a Fraction from boxball.theta.theta."""
     L, lam, _, Omega = frac_spectral_data(C)
     g = len(C) - 2
-    Xi = PeriodMatrix.from_rows(Omega)
+    Xi = PeriodMatrix(Omega)
     vel = [lam[i + 1] - lam[i] for i in range(g)]
 
     def T(tt, nn):
@@ -371,14 +371,16 @@ def test_int_path_matches_fraction_oracle(rational):
             assert_exact(s.flat())
             assert s.Q == tuple(Q) and s.W == tuple(W)
         sd = spectral_data(C)
-        values = sd.C + (sd.L,) + sd.lam + sd.eta + sum(sd.Omega or (), ())
+        # Omega is the curve's PeriodMatrix on every smooth curve, genus 0 included
+        assert sd.smooth == (sd.Omega is not None)
+        values = sd.C + (sd.L,) + sd.lam + sd.eta + sum(() if sd.Omega is None else sd.Omega.rows, ())
         # ints for an integral C, exact rationals otherwise
         integral = all(type(c) is int for c in C)
         assert all(type(v) in ((int,) if integral else (int, F)) for v in values)
         L, lam, eta, Omega = frac_spectral_data(C)
         assert (sd.L, sd.lam, sd.eta) == (L, tuple(lam), tuple(eta))
-        if sd.smooth and len(C) > 2:
-            assert sd.Omega == tuple(map(tuple, Omega))
+        if sd.smooth:
+            assert type(sd.Omega) is PeriodMatrix and sd.Omega.rows == tuple(map(tuple, Omega))
 
 
 def test_fraction_states_stay_exact_under_step_and_shift():
