@@ -104,7 +104,8 @@ def cmd_tau(args) -> int:
 
 
 def _parse_mu(text: str) -> tuple[int, ...]:
-    if not text.replace(",", " ").split():
+    """Parts of mu, largest first; an empty or blank list is the vacuum's ()."""
+    if "," in text and not text.replace(",", " ").split():
         raise ValueError("empty partition")
     return tuple(sorted(map(int, _fields(text)), reverse=True))
 

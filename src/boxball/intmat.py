@@ -217,20 +217,6 @@ def lattice_points_in_box(h: list[list[int]], lo: list[int], hi: list[int]):
     yield from walk(0, [0] * g)
 
 
-def lcm_of_fractions(ratios) -> int:
-    """Least common multiple of nonzero rationals: the smallest positive integer
-    lying in every cyclic group Z*r.  For r = a/b in lowest terms, Z cap Z*r = aZ,
-    so this is the lcm of the reduced numerators.
-    """
-    nums = []
-    for r in ratios:
-        r = exact(r, "ratios")
-        if r == 0:
-            raise ValueError("ratios must be nonzero")
-        nums.append(r.numerator)
-    return lcm(*nums)
-
-
 def moebius(k: int) -> int:
     require_int("k", k, 1)
     out = 1

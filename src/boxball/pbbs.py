@@ -30,10 +30,12 @@ F depends on the action variable alone, so each ActionVariable caches it
 as one intmat.Lattice, which caches F's one elimination (det F, adj F) and
 its column Hermite form; the ActionVariable also caches that of Lambda.
 All of it is exact integer work done once per action variable: inverse
-scattering reads the shift e off row 0 of adj F and det F, periods are
-Cramer ratios, det F_j / det F = (adj F h)_j / det F, class equality is the
-Cramer test above, the canonical form and the lattice walk read the Hermite
-forms, and the theta formula hands the same Lattice to theta.
+scattering reads the shift e off row 0 of adj F and det F, periods are the
+int lcm of det F / gcd(det F, gamma_j (adj F h)_j) (Cramer: det F_j =
+(adj F h)_j), class equality is the Cramer test above, the canonical form
+and the lattice walk read the Hermite forms, and the theta formula hands
+the same Lattice to theta.  The internal symmetries gamma count the
+rotations that fix a window's cyclic gap list.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, combinations, groupby, product
-from math import comb, gcd, prod
+from math import comb, gcd, lcm, prod
 from operator import itemgetter
 
 from boxball.bbs import capacity, carrier_pass, decode_word, encode_word
@@ -54,7 +56,6 @@ from boxball.intmat import (
     exact,
     is_int,
     lattice_points_in_box,
-    lcm_of_fractions,
     moebius,
     reduce_mod_lattice,  # noqa: F401  (perfbench/spans.py traces pbbs.reduce_mod_lattice)
     require_int,
@@ -282,8 +283,7 @@ def _scatter(p: PeriodicState) -> AngleVariable:
 
 
 def _rotated_window(w: tuple[int, ...], p: int, r: int) -> tuple[int, ...]:
-    """Slide the window start forward by r within the extended sequence."""
-    r %= len(w)
+    """Slide the window start forward by r, 0 <= r < len(w), in the extended sequence."""
     return w[r:] + tuple(x + p for x in w[:r])
 
 
@@ -345,19 +345,10 @@ def canonicalize(J: AngleVariable) -> AngleVariable:
 
 def _rotations(wa: tuple[int, ...], wb: tuple[int, ...], p: int) -> list[int]:
     """Every r in [0, m) such that window wa rotated by r has the cyclic gaps of wb
-    (wrap gap w[0] + p - w[-1] last): KMP borders of gaps(wb) + [None] + gaps(wa)
-    doubled.  A window of one entry has the one gap p: r = 0 alone."""
-    if len(wa) == 1:
-        return [0]
+    (wrap gap w[0] + p - w[-1] last), found by comparing the m rotations of
+    wa's gap list with wb's; O(m^2), for windows of a few entries."""
     a, b = ([y - x for x, y in zip(w, w[1:])] + [w[0] + p - w[-1]] for w in (wa, wb))
-    s = b + [None] + a + a[:-1]
-    border = [0] * len(s)
-    for j in range(1, len(s)):
-        k = border[j - 1]
-        while k and s[j] != s[k]:
-            k = border[k - 1]
-        border[j] = k + (s[j] == s[k])
-    return [j - 2 * len(b) for j in range(2 * len(b), len(s)) if border[j] == len(b)]
+    return [r for r in range(len(a)) if a[r:] + a[:r] == b]
 
 
 def angle_equal(A: AngleVariable, B: AngleVariable) -> bool:
@@ -469,13 +460,14 @@ def _symmetry(J: AngleVariable) -> tuple[int, ...]:
 
 
 def fundamental_period(p: PeriodicState, l: int | None) -> int:
-    """Smallest N with T_l^N(p) = p: the lcm of det F / (gamma_j det F_j) over
-    det F_j != 0 (F_j: column j replaced by h_l, so det F_j = (adj F h_l)_j);
-    1 when there is no such j (the vacuum, or T_0)."""
+    """Smallest N with T_l^N(p) = p: the lcm of the rationals det F / (gamma_j
+    det F_j) over det F_j != 0 (F_j: column j replaced by h_l, so det F_j =
+    (adj F h_l)_j).  Z meets Z a/b in lcm(a / gcd(a, b)) Z, so each term is the
+    int det F // gcd(det F, gamma_j det F_j); the lcm of none is 1 (the vacuum, or T_0)."""
     J = p._scattered
     h, e = J.mu.h(l), J.mu.lattice.elimination
     dets = (sum(x * y for x, y in zip(row, h)) for row in e.adj)
-    return lcm_of_fractions(Fraction(e.det, gam * d) for gam, d in zip(_symmetry(J), dets) if d)
+    return lcm(*(e.det // gcd(e.det, gam * d) for gam, d in zip(_symmetry(J), dets) if d))
 
 
 def isolevel_cardinality(mu: ActionVariable) -> int:

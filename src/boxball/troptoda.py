@@ -158,13 +158,16 @@ def s_equivalent(a: TodaState, b: TodaState) -> bool:
 
 @dataclass(frozen=True)
 class SpectralData:
-    # ints when C is integral, else exact rationals
+    # each value an int when it is integral, else an exact rational
     C: tuple[Exact, ...]
     L: Exact
     lam: tuple[Exact, ...]  # lambda_0 = 0, lambda_1, ..., lambda_{N-1}
     eta: tuple[Exact, ...]  # eta_0 = L, eta_1, ..., eta_{N-1}
     Omega: PeriodMatrix | None  # None iff the curve is not smooth
-    smooth: bool
+
+    @property
+    def smooth(self) -> bool:
+        return self.Omega is not None
 
 
 def spectral_data(C) -> SpectralData:
@@ -183,16 +186,13 @@ def spectral_data(C) -> SpectralData:
     N = len(C) - 1
     if N < 1:
         raise ValueError("need at least C_1, C_2")
-    L = C[N] - 2 * (N - 1) * C[0]
-    lam = [0] + [C[k] - C[k - 1] for k in range(1, N)]
+    L = exact(C[N] - 2 * (N - 1) * C[0])
+    lam = [0] + [exact(C[k] - C[k - 1]) for k in range(1, N)]
     lams = lam[1:]
-    eta = [L] + [L - 2 * q_sum(lams, repeat(1), x) for x in lams]
-    smooth = all(lam[k] < lam[k + 1] for k in range(N - 1)) and all(
-        e > 0 for e in eta[1:]
-    )
+    eta = [L] + [exact(L - 2 * q_sum(lams, repeat(1), x)) for x in lams]
     g = N - 1
     Omega = None
-    if smooth:
+    if all(a < b for a, b in zip(lam, lams)) and all(e > 0 for e in eta[1:]):
         rows = [[0] * g for _ in range(g)]
         for i in range(1, g + 1):
             rows[i - 1][i - 1] = eta[i - 1] + eta[i] + 2 * (lam[i] - lam[i - 1])
@@ -200,7 +200,7 @@ def spectral_data(C) -> SpectralData:
                 rows[i - 1][i] = -eta[i]
                 rows[i][i - 1] = -eta[i]
         Omega = PeriodMatrix(rows)
-    return SpectralData(C, L, tuple(lam), tuple(eta), Omega, smooth)
+    return SpectralData(C, L, tuple(lam), tuple(eta), Omega)
 
 
 @lru_cache(maxsize=1)

@@ -154,7 +154,7 @@ BOUNDED = [
     ("gamma", 1, lambda x: MU.F((x, 1))),
     ("values", None, lambda x: toda_evolve([x, 2], [3])),
     ("values", None, lambda x: toda_evolve([1, 2], [x])),
-    ("ratios", None, lambda x: intmat.lcm_of_fractions([x])),
+    ("values", None, lambda x: spectral_data((x, 5))),
     ("left", None, lambda x: STATE.render(x)),
     ("right", None, lambda x: STATE.render(0, x)),
     ("d", None, lambda x: direct_scattering(PeriodicState.parse("1122..")).uniform_shift(x)),

@@ -187,6 +187,16 @@ def test_analyze_count_and_decompose(capsys):
     assert [row["multiplicity"] for row in doc] == [90, 30, 3, 1]
 
 
+def test_analyze_count_and_decompose_of_the_vacuum(capsys):
+    # an empty --mu is the vacuum's partition (): one state, genus 0
+    code, out, _ = run(capsys, "analyze", "count", "--L", "4", "--mu", "")
+    assert code == 0 and out == "1\n"
+    code, out, _ = run(capsys, "analyze", "decompose", "--L", "4", "--mu", " ")
+    assert code == 0 and out == '[{"gamma": [], "multiplicity": 1, "F_gamma": []}]\n'
+    code, out, _ = run(capsys, "analyze", "decompose", "--L", "4", "--mu", "", "--format", "text")
+    assert code == 0 and out.splitlines() == ["gamma\tmultiplicity\tdet F_gamma", "\t1\t1"]
+
+
 def test_toda_spectral(capsys):
     code, out, _ = run(capsys, "toda", "spectral", "0,1,4,9")
     assert code == 0
@@ -350,6 +360,13 @@ TODA_SOLVE_RATIONAL = [
         [
             '{"C": ["1/3", "10/3", "26/3"], "L": "8", "lambda": ["0", "3"], '
             '"eta": ["8", "2"], "smooth": true, "Omega": [["16"]]}'
+        ],
+    ),
+    (
+        ("spectral", "1/2,5/2,9"),
+        [
+            '{"C": ["1/2", "5/2", "9"], "L": "8", "lambda": ["0", "2"], '
+            '"eta": ["8", "4"], "smooth": true, "Omega": [["16"]]}'
         ],
     ),
 ]

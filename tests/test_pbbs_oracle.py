@@ -18,8 +18,8 @@ are the test-local Bareiss and Fraction eliminations of test_intmat_oracle.
 import random
 import time
 from fractions import Fraction
-from itertools import combinations, product
-from math import ceil, floor, gcd, prod
+from itertools import accumulate, combinations, product
+from math import ceil, floor, gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -31,8 +31,8 @@ from boxball.intmat import (
     column_hnf,
     det_int,
     divisors,
+    exact,
     lattice_points_in_box,
-    lcm_of_fractions,
     reduce_mod_lattice,
 )
 from boxball.kkr import RiggedConfiguration, kkr_phi, kkr_phi_inv
@@ -41,6 +41,7 @@ from boxball.pbbs import (
     AngleVariable,
     PeriodicState,
     _orbit_candidates,
+    _rotations,
     _scatter,
     _some_highest_rotation,
     _symmetry,
@@ -111,6 +112,20 @@ def old_internal_symmetry(p):
     return tuple(out)
 
 
+def lcm_of_fractions(ratios) -> int:
+    """Least common multiple of nonzero rationals: the smallest positive integer
+    lying in every cyclic group Z*r.  For r = a/b in lowest terms, Z cap Z*r = aZ,
+    so this is the lcm of the reduced numerators.
+    """
+    nums = []
+    for r in ratios:
+        r = exact(r, "ratios")
+        if r == 0:
+            raise ValueError("ratios must be nonzero")
+        nums.append(r.numerator)
+    return lcm(*nums)
+
+
 def old_fundamental_period(p, l):
     mu = old_action_variable(p)
     if not mu.I:
@@ -132,6 +147,23 @@ def old_fundamental_period(p, l):
     if not ratios:
         raise ValueError("velocity vector cannot be trivial")
     return lcm_of_fractions(ratios)
+
+
+def kmp_rotations(wa, wb, p):
+    """Every r in [0, m) such that window wa rotated by r has the cyclic gaps of wb
+    (wrap gap w[0] + p - w[-1] last): KMP borders of gaps(wb) + [None] + gaps(wa)
+    doubled.  A window of one entry has the one gap p: r = 0 alone."""
+    if len(wa) == 1:
+        return [0]
+    a, b = ([y - x for x, y in zip(w, w[1:])] + [w[0] + p - w[-1]] for w in (wa, wb))
+    s = b + [None] + a + a[:-1]
+    border = [0] * len(s)
+    for j in range(1, len(s)):
+        k = border[j - 1]
+        while k and s[j] != s[k]:
+            k = border[k - 1]
+        border[j] = k + (s[j] == s[k])
+    return [j - 2 * len(b) for j in range(2 * len(b), len(s)) if border[j] == len(b)]
 
 
 def old_lattice_points_in_box(F_cols, lo, hi):
@@ -325,6 +357,18 @@ def test_scattering_matches_oracle_exhaustive():
     assert count == 1198  # sum over L <= 10 of the words with at most L/2 balls
 
 
+def test_fundamental_period_matches_fraction_oracle_to_L12():
+    # the int lcm of det F // gcd(det F, gamma_j det F_j) against the lcm of the
+    # Fraction ratios; T_0 and the vacuum have no ratio, and their period is 1
+    count = 0
+    for p in all_states(12):
+        for l in (None, 0, 1, 2, 3):
+            expect = old_fundamental_period(p, l) if l != 0 and p.balls else 1
+            assert fundamental_period(p, l) == expect, (p, l)
+        count += 1
+    assert count == 4732  # sum over L <= 12 of the words with at most L/2 balls
+
+
 def test_scattering_matches_oracle_random():
     for p in random_states(200, seed=5):
         check_state(p)
@@ -385,6 +429,27 @@ def test_angle_equal_rejects_partial_rotations():
             cases += 1
             unequal += scan != J
     assert (cases, unequal) == (381, 277)
+
+
+def test_rotations_match_kmp_oracle():
+    # random windows of m = 1..60 entries whose cyclic gaps repeat a block
+    # gamma times, for every gamma dividing m, and the all-zero window (p = 0);
+    # each against itself, a rotation, a shifted rotation and an unrelated window
+    rng = random.Random(11)
+    cases = 0
+    for m in range(1, 61):
+        blocks = [[rng.randint(0, 3) for _ in range(m // gam)] for gam in divisors(m)]
+        for block in blocks + [[0]]:
+            gaps = block * (m // len(block))
+            p = sum(gaps)
+            wa = tuple(accumulate(gaps[:-1], initial=rng.randint(-9, 9)))
+            r = rng.randrange(m)
+            rotated = wa[r:] + tuple(x + p for x in wa[:r])
+            other = tuple(sorted(rng.randint(0, p) for _ in range(m)))
+            for wb in (wa, rotated, tuple(x + 5 for x in rotated), other):
+                assert _rotations(wa, wb, p) == kmp_rotations(wa, wb, p), (wa, wb, p)
+                cases += 1
+    assert cases == 4 * sum(len(divisors(m)) + 1 for m in range(1, 61))
 
 
 @st.composite

@@ -279,11 +279,46 @@ def test_acceptance_suite_under_optimize():
     assert criteria and f"{criteria} passed" in run.stdout, run.stdout[-3000:]
 
 
-def test_every_traced_name_resolves():
-    # the traced benchmark run wraps these module attributes; a rename breaks it
+def load_spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_helper_has_a_library_caller():
+    # every intmat function and every private function of the library is
+    # called or referenced by library code outside its own body, so no helper
+    # lives on for the tests alone; a name the benchmark traces may stand apart
+    traced = {(module, attr) for module, attr, _, _ in load_spans().TARGETS}
+    trees = {
+        path.stem: ast.parse(path.read_text(), str(path))
+        for path in sorted(Path(boxball.__file__).parent.glob("*.py"))
+    }
+    helpers = [
+        (stem, node)
+        for stem, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and (stem == "intmat" or node.name.startswith("_"))
+    ]
+    found = []
+    for stem, helper in helpers:
+        own = set(map(id, ast.walk(helper))) - set(map(id, helper.decorator_list))
+        used = any(
+            id(node) not in own
+            and helper.name in (getattr(node, "id", None), getattr(node, "attr", None))
+            for tree in trees.values()
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+        )
+        if not used and (stem, helper.name) not in traced:
+            found.append(f"{stem}.{helper.name}")
+    assert helpers and not found, found
+
+
+def test_every_traced_name_resolves():
+    # the traced benchmark run wraps these module attributes; a rename breaks it
+    spans = load_spans()
     missing = [
         f"{module}.{attr}"
         for module, attr, _, _ in spans.TARGETS

@@ -111,6 +111,15 @@ def test_spectral_data_fixtures():
     assert sd.smooth
 
 
+def test_spectral_data_values_are_ints_when_integral():
+    # L, lambda_k and eta_k of a rational C turn integral here: each is an int
+    sd = spectral_data((F(1, 2), F(5, 2), 9))
+    assert (sd.L, sd.lam, sd.eta) == (8, (0, 2), (8, 4))
+    assert all(type(x) is int for x in (sd.L,) + sd.lam + sd.eta)
+    assert sd.Omega.rows == ((16,),)
+    assert repr(sd).endswith("lam=(0, 2), eta=(8, 4), Omega=PeriodMatrix(rows=((16,),)))")
+
+
 def test_spectral_data_non_smooth_flagged():
     sd = spectral_data((0, 2, 4, 19))  # equal gaps: lambda_1 = lambda_2
     assert not sd.smooth and sd.Omega is None
@@ -130,6 +139,7 @@ def test_spectral_eta_is_the_double_sum():
         L, lam = sd.L, sd.lam
         expected = (L,) + tuple(L - 2 * sum(min(lam[k], lam[j]) for j in range(1, N)) for k in range(1, N))
         assert sd.eta == expected, C
+        assert all(type(x) is int for x in (L,) + lam + sd.eta if x.denominator == 1), C
         smooth += sd.smooth
     assert 0 < smooth < 300
 
