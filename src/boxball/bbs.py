@@ -7,13 +7,16 @@ carrier meets empty boxes, so it winds, scoring nothing, and unloads its ball
 letters largest first; that tail is read off its exit load.  Every layer
 reads and writes words, one character per letter ('.' or '1' for 1, the ASCII
 digits 2-9), through decode_word and encode_word, and reads a capacity l, an
-int >= 0 or None for T_infinity, through capacity.  Soliton labels are words
-too: scatter_two decodes them with decode_word and writes them with
-encode_word.  The rank of a word is crystal.rank_of, and crystal.require_rank
-checks a rank given.
+int >= 0 or None for T_infinity, through capacity.  letters is the one letter
+rule of box-ball states, KKR paths and periodic states alike: a word is text
+(decode_word) or a sequence of exact ints, its letters in 1..top.  Soliton
+labels are words too: scatter_two decodes them with decode_word and writes
+them with encode_word.  The rank of a word is crystal.rank_of, and
+crystal.require_rank checks a rank given.
 
 The BBSState constructor checks what it is given: a rank, an int origin and
-int cells in 1..rank+1.  The states this module builds from states already
+cells that letters reads in 1..rank+1, stored as a tuple (text is refused:
+it enters through parse).  The states this module builds from states already
 valid skip that check (intmat.trusted): the result of evolve and the
 windows trimmed() cuts, and trimmed() returns a state already trimmed as it
 is.  parse strips the vacuum off the decoded bytes and builds one checked
@@ -53,6 +56,22 @@ def encode_word(letters, one: str = "1") -> str:
     return bytes(letters).translate(_ENCODE_DOT if one == "." else _ENCODE_ONE).decode()
 
 
+def letters(word, top: int | None):
+    """The letters of a word in 1..top (no upper bound when top is None): text
+    through decode_word, as bytes; any other sequence as a tuple of exact ints
+    (type int, so no bool, float or int subclass).  ValueError otherwise."""
+    cells = decode_word(word) if isinstance(word, str) else tuple(word)
+    if cells and not (
+        (type(cells) is bytes or {int}.issuperset(map(type, cells)))  # bytes: text, decoded
+        and min(cells) >= 1
+        and (top is None or max(cells) <= top)
+    ):
+        bad = next(a for a in cells if type(a) is not int or a < 1 or top is not None and a > top)
+        got = repr(bad) if type(bad) is int else f"{bad!r} of type {type(bad).__name__}"
+        raise ValueError(f"letters must lie in 1..{'inf' if top is None else top}, each an int, got {got}")
+    return cells
+
+
 def capacity(l: int | None, balls: int) -> int:
     """The capacity of T_l: l, or balls when l is None (T_infinity: a carrier
     that holds every ball); ValueError unless l is a non-bool int >= 0."""
@@ -74,12 +93,8 @@ class BBSState:
     def __post_init__(self):
         require_rank(self.rank)
         require_int("origin", self.origin)
-        cells = self.cells
-        if cells and (
-            not {int}.issuperset(map(type, cells))  # a float or bool cell is not a letter
-            or not 1 <= min(cells) <= max(cells) <= self.rank + 1
-        ):
-            raise ValueError("cells must be letters in 1..rank+1, each an int")
+        # tuple() first, so text is refused cell by cell: it enters through parse
+        object.__setattr__(self, "cells", letters(tuple(self.cells), self.rank + 1))
 
     @classmethod
     def parse(cls, text: str, rank: int | None = None, origin: int = 0) -> "BBSState":
@@ -89,7 +104,7 @@ class BBSState:
         cells = raw.lstrip(b"\x01")
         if cells and is_int(origin):  # a bad origin is the constructor's to refuse
             origin += len(raw) - len(cells)
-        return cls(rank_of(raw) if rank is None else rank, tuple(cells.rstrip(b"\x01")), origin)
+        return cls(rank_of(raw) if rank is None else rank, cells.rstrip(b"\x01"), origin)
 
     def render(self, left: int | None = None, right: int | None = None) -> str:
         """Dot notation over [left, right); defaults to the support window.
@@ -207,7 +222,7 @@ def evolve_takahashi(state: BBSState) -> BBSState:
                     cells.append(1)
             cells[i] = 1
             cells[j] = a
-    return BBSState(s.rank, tuple(cells), s.origin).trimmed()
+    return BBSState(s.rank, cells, s.origin).trimmed()
 
 
 def energies(state: BBSState, l_max: int) -> list[int]:

@@ -71,6 +71,7 @@ class CrystalElement:
 
     def __post_init__(self):
         require_rank(self.rank)
+        object.__setattr__(self, "counts", tuple(self.counts))
         if len(self.counts) != self.rank + 1:
             raise ValueError("counts must have length rank+1")
         for c in self.counts:
@@ -131,7 +132,7 @@ def kashiwara(x: CrystalElement, i: int, dir: str) -> CrystalElement | None:
     counts = list(x.counts)
     counts[_cyc(i, m) - 1] += d
     counts[_cyc(i + 1, m) - 1] -= d
-    return CrystalElement(x.rank, tuple(counts))
+    return CrystalElement(x.rank, counts)
 
 
 @dataclass(frozen=True)
@@ -141,6 +142,7 @@ class TensorElement:
     factors: tuple[CrystalElement, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "factors", tuple(self.factors))
         if not self.factors:
             raise ValueError("tensor must be nonempty")
         r = self.factors[0].rank
@@ -303,6 +305,6 @@ def comb_R_ny(x: CrystalElement, y: CrystalElement, rng=None) -> RResult:
         counts = [0] * n1
         for a in dots:
             counts[a - 1] += 1
-        return CrystalElement(x.rank, tuple(counts))
+        return CrystalElement(x.rank, counts)
 
     return RResult(left_out=pack(new_left), right_out=pack(new_right), energy=winding)

@@ -24,7 +24,8 @@ scan in phi^{-1}.  Extended configurations (riggings outside the
 [0, vacancy] window, arising from non-highest paths or long evolutions)
 are carried by the same algorithms and flagged by is_valid().
 
-kkr_phi and kkr_phi_inv check their input and wrap the letter loops _phi
+kkr_phi and kkr_phi_inv check their input (a path's letters through
+bbs.letters, in 1..rank+1 once a rank is given) and wrap the letter loops _phi
 (letters -> shape and L) and _phi_inv (shape and L -> word).  solve_ivp
 decodes its word once and hands the shape phi builds through T_l straight
 into phi^{-1}: T_l only adds t min(l, j) to the color-1 riggings of length
@@ -37,10 +38,9 @@ import json
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import filterfalse
 from math import inf
 
-from boxball.bbs import capacity, decode_word, encode_word
+from boxball.bbs import capacity, encode_word, letters
 from boxball.crystal import rank_of, require_rank
 from boxball.intmat import is_int, require_int, trusted
 
@@ -56,6 +56,7 @@ class RiggedConfiguration:
     def __post_init__(self):
         require_int("L", self.L, 0)
         require_rank(self.rank)
+        object.__setattr__(self, "strings", tuple(tuple(map(tuple, block)) for block in self.strings))
         if len(self.strings) != self.rank:
             raise ValueError("need one string multiset per color 1..rank")
         for block in self.strings:
@@ -73,7 +74,7 @@ class RiggedConfiguration:
 
     @classmethod
     def make(cls, L: int, rank: int, strings) -> "RiggedConfiguration":
-        return cls(L, rank, tuple(tuple(sorted(block)) for block in strings))
+        return cls(L, rank, [sorted(block) for block in strings])
 
     def _check_color(self, a: int) -> None:
         """ValueError unless a is an int color in 1..rank."""
@@ -142,7 +143,7 @@ class RiggedConfiguration:
             for b in blocks
         ):
             raise ValueError("each color must hold a list of [length, rigging] integer pairs")
-        return cls.make(L, n, [[tuple(s) for s in b] for b in blocks])
+        return cls.make(L, n, blocks)
 
 
 def q_sum(ks, ms, j):
@@ -255,47 +256,33 @@ class _Shape:
 
 def is_highest(word: str | tuple[int, ...], rank: int | None = None) -> bool:
     """Prefix letter-count dominance #1 >= #2 >= ... >= #(n+1) at every prefix."""
-    return _highest(_letters(word), rank)
+    return _highest(_path(word, rank, False)[0])
 
 
-def _highest(letters: bytes | list[int], rank: int | None) -> bool:
+def _highest(path: bytes | tuple[int, ...]) -> bool:
     """is_highest of checked letters.  A letter a can only break the one
     inequality #(a-1) >= #a."""
-    if letters and min(letters) < 1:
-        raise ValueError("letters must be >= 1")
-    n1 = max(rank + 1 if rank is not None else 0, max(letters, default=1))
-    counts = [0] * (n1 + 1)
-    for a in letters:
+    counts = [0] * (max(path, default=1) + 1)
+    for a in path:
         counts[a] += 1
         if a > 1 and counts[a - 1] < counts[a]:
             return False
     return True
 
 
-def _letters(word) -> bytes | list[int]:
-    """The letters of a word given as a string (one byte each) or as a
-    sequence of ints."""
-    if isinstance(word, str):
-        return decode_word(word)
-    letters = list(word)
-    if not {int}.issuperset(map(type, letters)):  # int subclasses: is_int decides
-        for a in filterfalse(is_int, letters):
-            require_int("a letter", a)
-    return letters
-
-
-def _path(word, rank: int | None, check: bool) -> tuple[bytes | list[int], int]:
-    """(letters, rank) of a path for phi: the rank defaults to the word's, and
-    every letter must lie in 1..rank+1; with check, the path must be highest."""
-    letters = _letters(word)
+def _path(word, rank: int | None, check: bool) -> tuple[bytes | tuple[int, ...], int]:
+    """(letters, rank) of a path for phi (bbs.letters): the rank defaults to
+    the word's, and every letter must lie in 1..rank+1; with check, the path
+    must be highest."""
     if rank is None:
-        rank = rank_of(letters)
-    require_rank(rank)
-    if letters and not 1 <= min(letters) <= max(letters) <= rank + 1:
-        raise ValueError(f"letters must lie in 1..{rank + 1} for rank {rank}")
-    if check and not _highest(letters, rank):
+        path = letters(word, None)
+        rank = rank_of(path)
+    else:
+        require_rank(rank)
+        path = letters(word, rank + 1)
+    if check and not _highest(path):
         raise ValueError("path is not highest")
-    return letters, rank
+    return path, rank
 
 
 def kkr_phi(word, rank: int | None = None, check: bool = True) -> RiggedConfiguration:
@@ -304,18 +291,18 @@ def kkr_phi(word, rank: int | None = None, check: bool = True) -> RiggedConfigur
     With check=False the same algorithm runs on arbitrary paths, producing an
     extended configuration (Remark-style; riggings may be negative).
     """
-    letters, rank = _path(word, rank, check)
-    shape, L = _phi(letters, rank)
+    path, rank = _path(word, rank, check)
+    shape, L = _phi(path, rank)
     # the shape lists its lengths ascending and each length's riggings sorted
     return trusted(RiggedConfiguration, L=L, rank=rank, strings=shape.strings())
 
 
-def _phi(letters: bytes | list[int], rank: int) -> tuple[_Shape, int]:
+def _phi(path: bytes | tuple[int, ...], rank: int) -> tuple[_Shape, int]:
     """phi of checked letters 1..rank+1: the shape it builds and its L."""
     shape = _Shape(rank)
     lens, vacs, rigs = shape.lens, shape.vacs, shape.rigs
     L = 0
-    for d in letters:
+    for d in path:
         if d == 1:
             L += 1
             continue
@@ -437,10 +424,10 @@ def solve_ivp(word: str, l: int | None, t: int) -> str:
     (their order holds, and color 1's vacancies are stored without L) before
     phi^{-1} runs on it.
     """
-    letters, rank = _path(word, None, True)
-    balls = len(letters) - letters.count(1)
+    path, rank = _path(word, None, True)
+    balls = len(path) - path.count(1)
     l = _linear_capacity(l, balls, t)
-    shape, L = _phi(letters, rank)
+    shape, L = _phi(path, rank)
     for j, rs in zip(shape.lens[1], shape.rigs[1]):
         d = t * min(l, j)
         rs[:] = [r + d for r in rs]

@@ -3,7 +3,8 @@ theta-function states, fundamental periods and the isolevel-set torus
 decomposition.
 
 States are length-L words over {1,2} with a distinguished origin (rotations
-are genuinely different states; T_1 is the cyclic right shift).  The carrier
+are genuinely different states; T_1 is the cyclic right shift), their cells
+read by bbs.letters with top 2.  The carrier
 for T_l is found by the two-pass construction, both passes bbs.carrier_pass:
 the vacant carrier's pass yields the periodic fixed point, a second pass from
 it produces the evolved state and the energy.
@@ -47,7 +48,7 @@ from itertools import accumulate, combinations, groupby, product
 from math import comb, gcd, lcm, prod
 from operator import itemgetter
 
-from boxball.bbs import capacity, carrier_pass, decode_word, encode_word
+from boxball.bbs import capacity, carrier_pass, decode_word, encode_word, letters
 from boxball.intmat import (
     Lattice,
     column_hnf,
@@ -65,19 +66,6 @@ from boxball.kkr import RiggedConfiguration, kkr_phi, kkr_phi_inv, q_sum
 from boxball.theta import theta
 
 
-def require_cells(cells: tuple) -> None:
-    """ValueError unless every cell is the int 1 or 2 (a float or bool is not)."""
-    if not set(cells) <= {1, 2} or not set(map(type, cells)) <= {int}:
-        raise ValueError("cells must be 1 or 2")
-
-
-def parse_cells(text: str) -> tuple[int, ...]:
-    """Cells of a word over {1, 2} ('.' = 1); ValueError on any other character."""
-    if set(text) - set("1.2"):
-        raise ValueError(f"cells must be 1, . or 2: {text!r}")
-    return tuple(decode_word(text))
-
-
 @dataclass(frozen=True)
 class PeriodicState:
     """Cyclic word over {1,2} with a distinguished origin cell."""
@@ -85,9 +73,10 @@ class PeriodicState:
     cells: tuple[int, ...]
 
     def __post_init__(self):
+        # tuple() first, so text is refused cell by cell: it enters through parse
+        object.__setattr__(self, "cells", letters(tuple(self.cells), 2))
         if not self.cells:
             raise ValueError("empty state")
-        require_cells(self.cells)
         if 2 * self.balls > len(self.cells):
             raise ValueError("more than L/2 balls; not a box-ball phase space point")
 
@@ -101,7 +90,7 @@ class PeriodicState:
 
     @classmethod
     def parse(cls, text: str) -> "PeriodicState":
-        return cls(parse_cells(text))
+        return cls(decode_word(text))
 
     def render(self) -> str:
         return encode_word(self.cells, ".")
@@ -154,6 +143,7 @@ class ActionVariable:
     parts: tuple[int, ...]  # weakly decreasing
 
     def __post_init__(self):
+        object.__setattr__(self, "parts", tuple(self.parts))
         if not (is_int(self.L) and all(map(is_int, self.parts))):
             raise ValueError("L and the parts must be ints")
         require_int("parts", min(self.parts, default=1), 1)
@@ -247,6 +237,7 @@ class AngleVariable:
 
     def __post_init__(self):
         mu = self.mu
+        object.__setattr__(self, "windows", tuple(map(tuple, self.windows)))
         if len(self.windows) != len(mu.I):
             raise ValueError("need one window per distinct part size")
         for i, m, p, w in zip(mu.I, mu.mults, mu.vacancies, self.windows):
@@ -340,7 +331,7 @@ def canonicalize(J: AngleVariable) -> AngleVariable:
             if (res, offsets[r]) == best
         ]
         windows.append(tuple(best[0] + x for x in best[1]))
-    return AngleVariable(mu, tuple(windows))
+    return AngleVariable(mu, windows)
 
 
 def _rotations(wa: tuple[int, ...], wb: tuple[int, ...], p: int) -> list[int]:
@@ -444,7 +435,7 @@ def periodic_theta_state(Jvec, mu: ActionVariable) -> PeriodicState:
         if b not in (1, 2):
             raise ValueError(f"theta formula produced letter {b} at cell {k}")
         cells.append(int(b))
-    return PeriodicState(tuple(cells))
+    return PeriodicState(cells)
 
 
 def internal_symmetry(p: PeriodicState) -> tuple[int, ...]:
@@ -533,7 +524,7 @@ def enumerate_isolevel(mu: ActionVariable) -> list[PeriodicState]:
         cells = [1] * L
         for b in balls:
             cells[b] = 2
-        p = PeriodicState(tuple(cells))
+        p = PeriodicState(cells)
         if action_variable(p).parts == mu.parts:
             out.append(p)
     return out

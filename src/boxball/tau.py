@@ -45,6 +45,7 @@ class StringSet:
     def __post_init__(self):
         require_rank(self.rank)
         require_int("L", self.L, 0)
+        object.__setattr__(self, "strings", tuple(map(tuple, self.strings)))
         for a, l, r in self.strings:
             require_int("string color", a)
             require_int("string length", l, 1)

@@ -33,7 +33,7 @@ from itertools import groupby, repeat
 from math import lcm
 from operator import mul
 
-from boxball.bbs import toda_pass
+from boxball.bbs import letters, toda_pass
 from boxball.intmat import exact, require_int, trusted
 from boxball.kkr import q_sum
 # theta is re-exported; the sites below use the integer entry point
@@ -304,21 +304,16 @@ def theta_state(Z0, C, t: int) -> TodaState:
 def embed_pbbs(word, leftmost: int = 0) -> TodaState:
     """Embed a periodic sl2 box-ball state into Toda coordinates.
 
-    word: cyclic sequence over {1, 2} ('.' = 1 accepted); leftmost, taken
+    word: a PeriodicState, or a cyclic word over {1, 2} that bbs.letters
+    reads (text with '.' = 1, or a sequence of ints); leftmost, taken
     mod L as in PeriodicState.shifted, selects the distinguished box.  Runs
     are read from that box: Q_1 is the leading ball run (0 if the box is
     empty), then alternating empty/ball run lengths; the result always has
     Q_1 = 0 or W_N = 0.
     """
-    from boxball.pbbs import PeriodicState, parse_cells, require_cells
+    from boxball.pbbs import PeriodicState
 
-    if isinstance(word, PeriodicState):
-        cells = word.cells
-    elif isinstance(word, str):
-        cells = parse_cells(word)
-    else:
-        cells = tuple(word)
-        require_cells(cells)
+    cells = word.cells if isinstance(word, PeriodicState) else letters(word, 2)
     require_int("leftmost", leftmost)
     leftmost %= len(cells) or 1  # the empty word keeps its error below
     cells = cells[leftmost:] + cells[:leftmost]

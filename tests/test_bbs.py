@@ -209,7 +209,7 @@ def test_state_rank_must_be_a_non_bool_int(rank):
 @pytest.mark.parametrize("cells", [(1, 2.0), (1, True, 2), (2.0,), (False,), ("2",)])
 def test_state_cells_must_be_non_bool_ints(cells):
     # before, BBSState(1, (1, 2.0)) and BBSState(1, (1, True, 2)) were built
-    with pytest.raises(ValueError, match="cells must be letters"):
+    with pytest.raises(ValueError, match=r"^letters must lie in 1\.\.2, each an int"):
         BBSState(1, cells)
 
 

@@ -3,7 +3,9 @@
 A value built unchecked (intmat.trusted) from a valid one must be the value
 its class's checked constructor builds from the same fields.  And every
 bounded int an API reads (intmat.require_int with lo) refuses lo - 1, a
-bool and a float with a ValueError that names it.
+bool and a float with a ValueError that names it.  Every reader of a word
+over B_1 refuses the same bad letters with bbs.letters' one message, and a
+value class stores its sequence fields as tuples.
 """
 
 import random
@@ -14,7 +16,7 @@ from itertools import product
 import pytest
 
 from boxball import intmat
-from boxball.bbs import BBSState, energies, evolve, toda_evolve
+from boxball.bbs import BBSState, energies, evolve, letters, toda_evolve
 from boxball.crystal import (
     CrystalElement,
     TensorElement,
@@ -24,9 +26,17 @@ from boxball.crystal import (
     tensor_eps_phi,
     tensor_kashiwara,
 )
-from boxball.kkr import RiggedConfiguration, evolve_rc, highest_paths, kkr_phi, solve_ivp
+from boxball.kkr import (
+    RiggedConfiguration,
+    evolve_rc,
+    highest_paths,
+    is_highest,
+    kkr_phi,
+    solve_ivp,
+)
 from boxball.pbbs import (
     ActionVariable,
+    AngleVariable,
     PeriodicState,
     direct_scattering,
     evolve_angle,
@@ -36,6 +46,7 @@ from boxball.tau import StringSet, rho
 from boxball.troptoda import (
     TodaState,
     conserved_all,
+    embed_pbbs,
     evolve_toda,
     shift_s,
     spectral_data,
@@ -207,3 +218,86 @@ def test_det_int_reads_int_entries_only():
         with pytest.raises(ValueError, match="^matrix entries must be an int"):
             intmat.det_int(rows)
     assert intmat.det_int([[2, 1], [1, 3]]) == 5
+
+
+class _IntSubclass(int):
+    """An int subclass: not a letter, as a bool is not."""
+
+
+def _error(call, word) -> str:
+    with pytest.raises(ValueError) as exc:
+        call(word)
+    return str(exc.value)
+
+
+# every reader of a letter sequence, with the sl2 bound 1..2 where it takes a rank
+SL2_READERS = {
+    "BBSState": lambda w: BBSState(1, w),
+    "PeriodicState": PeriodicState,
+    "kkr_phi": lambda w: kkr_phi(w, 1),
+    "is_highest": lambda w: is_highest(w, 1),
+    "embed_pbbs": embed_pbbs,
+}
+# every reader of a word as text: the constructors refuse text, parse reads it
+SL2_PARSERS = {
+    "BBSState.parse": lambda w: BBSState.parse(w, rank=1),
+    "PeriodicState.parse": PeriodicState.parse,
+    "kkr_phi": lambda w: kkr_phi(w, 1),
+    "is_highest": lambda w: is_highest(w, 1),
+    "embed_pbbs": embed_pbbs,
+}
+
+
+@pytest.mark.parametrize(
+    "word",
+    [(1, 2.0), (1, True, 2), (1, 0), (1, 3), (1, _IntSubclass(2)), "13", "1x"],
+    ids=["float", "bool", "zero", "three", "int-subclass", "text-three", "text-x"],
+)
+def test_every_reader_refuses_bad_letters_with_one_message(word):
+    # before, each layer had its own check and message, and kkr_phi accepted an
+    # int subclass that BBSState refused
+    readers = SL2_PARSERS if isinstance(word, str) else SL2_READERS
+    messages = {name: _error(call, word) for name, call in readers.items()}
+    assert set(messages.values()) == {_error(lambda w: letters(w, 2), word)}, messages
+    # solve_ivp reads its rank off the word: a letter bad at every rank is bad there
+    try:
+        letters(word, None)
+    except ValueError as exc:
+        assert _error(lambda w: solve_ivp(w, 1, 1), word) == str(exc)
+    if isinstance(word, str):
+        for make in (SL2_READERS["BBSState"], PeriodicState):
+            assert _error(make, word) == "letters must lie in 1..2, each an int, got '1' of type str"
+
+
+@pytest.mark.parametrize(
+    "make,given,stored",
+    [
+        (lambda c: BBSState(1, c), [1, 2], (1, 2)),
+        (lambda c: BBSState(1, c), b"\x01\x02", (1, 2)),
+        (PeriodicState, [1, 2, 1], (1, 2, 1)),
+        (PeriodicState, iter((1, 2, 1)), (1, 2, 1)),
+        (lambda c: CrystalElement(1, c), [1, 2], (1, 2)),
+        (TensorElement, [X, X], (X, X)),
+        (lambda s: RiggedConfiguration(2, 1, s), [[(1, 0)]], (((1, 0),),)),
+        (lambda p: ActionVariable(6, p), [1], (1,)),
+        (lambda w: AngleVariable(ActionVariable(6, (1,)), w), [[0]], ((0,),)),
+        (lambda s: StringSet(1, 2, s), [(1, 1, 0)], ((1, 1, 0),)),
+    ],
+    ids=[
+        "BBSState",
+        "BBSState-bytes",
+        "PeriodicState",
+        "PeriodicState-iterator",
+        "CrystalElement",
+        "TensorElement",
+        "RiggedConfiguration",
+        "ActionVariable",
+        "AngleVariable",
+        "StringSet",
+    ],
+)
+def test_value_classes_store_tuples(make, given, stored):
+    # before, a list field was kept as given: the value could not be hashed and
+    # was unequal to the one built from tuples
+    value = make(given)
+    assert value == make(stored) and hash(value) == hash(make(stored))

@@ -272,12 +272,19 @@ def test_option_of_another_leaf_usage_error(capsys, argv, ignored):
         ("toda", "embed", "12x211211"),
         ("evolve", "1x1111", "--periodic"),
         ("analyze", "action", "1x1111"),
+        ("toda", "embed", "1213"),
+        ("evolve", "123", "--periodic"),
+        ("analyze", "action", "1231"),
     ],
 )
 def test_bad_cell_character_exit_code(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == ""
-    assert "cells must be 1, . or 2" in err
+    # a character outside '.' and 1-9 is decode_word's to refuse, a letter above 2 the letter rule's
+    if any("x" in a for a in argv):
+        assert "one character each ('.' or 1-9)" in err
+    else:
+        assert "letters must lie in 1..2, each an int, got 3" in err
 
 
 @pytest.mark.parametrize(

@@ -16,12 +16,11 @@ from itertools import product
 
 import pytest
 
-from boxball import kkr
+from boxball import bbs, kkr
 from boxball.bbs import capacity
 from boxball.crystal import rank_of
 from boxball.kkr import (
     RiggedConfiguration,
-    _letters,
     evolve_rc,
     highest_paths,
     is_highest,
@@ -32,7 +31,7 @@ from boxball.kkr import (
 
 
 def old_solve_ivp(word, l, t):
-    letters = _letters(word)
+    letters = bbs.letters(word, None)
     rank = rank_of(letters)
     balls = len(letters) - letters.count(1)
     rc = evolve_rc(kkr_phi(word, rank), l, steps=t)
@@ -41,7 +40,7 @@ def old_solve_ivp(word, l, t):
 
 
 def scan_is_highest(word, rank=None):
-    letters = _letters(word)
+    letters = bbs.letters(word, None)
     n1 = max(rank + 1 if rank is not None else 0, max(letters, default=1))
     counts = [0] * n1
     for a in letters:
@@ -52,7 +51,7 @@ def scan_is_highest(word, rank=None):
 
 
 def scan_phi(word, rank=None, check=True, rng=None):
-    letters = _letters(word)
+    letters = bbs.letters(word, None)
     if rank is None:
         rank = max(max(letters, default=2), 2) - 1
     if check and not scan_is_highest(letters, rank):

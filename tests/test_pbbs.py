@@ -111,7 +111,7 @@ def test_rejects_too_many_balls():
 
 @pytest.mark.parametrize("cells", [(1, 2.0, 1, 1), (1, 2, True, 1), (1.0, 2, 1, 1), (1, 3, 1, 1), (1, "2", 1, 1)])
 def test_rejects_cells_other_than_int_1_or_2(cells):
-    with pytest.raises(ValueError, match="cells must be 1 or 2"):
+    with pytest.raises(ValueError, match=r"^letters must lie in 1\.\.2, each an int"):
         PeriodicState(cells)
 
 

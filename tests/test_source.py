@@ -65,9 +65,10 @@ def test_one_functools_memo_the_toda_sites():
 
 
 def test_only_bbs_raises_the_word_and_capacity_errors():
-    # bbs owns the one-character word form and the carrier capacity; every other
-    # module calls encode_word and capacity instead of raising its own copy
-    phrases = ("above 9", "one-character", "capacity l")
+    # bbs owns the one-character word form, the letter rule and the carrier
+    # capacity; every other module calls encode_word, letters and capacity
+    # instead of raising its own copy
+    phrases = ("above 9", "one-character", "capacity l", "letters must lie in 1..")
     found = []
     for path in sorted(Path(boxball.__file__).parent.glob("*.py")):
         if path.name == "bbs.py":

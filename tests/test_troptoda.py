@@ -385,7 +385,7 @@ def test_embed_rejects_bad_cell_characters():
     # a cell tuple must hold 1s and 2s too; before, the first of these raised IndexError
     # and they must be ints: before, (1, 2.0, 1, 1) returned a state
     for bad in ((1, 3, 3, 1, 1, 2, 1, 1), (1, 0, 2), (1, 2, 1, 2.5), (1, 2.0, 1, 1), (1, True, 2, 1, 1)):
-        with pytest.raises(ValueError, match="cells must be 1 or 2"):
+        with pytest.raises(ValueError, match=r"^letters must lie in 1\.\.2, each an int"):
             embed_pbbs(bad)
 
 
