@@ -47,7 +47,12 @@ and fits t ~ g^k for both.  For each N in TAU_SIZES it times
 tau._TauTable on the string set of the sl2 highest path 1 2 11 22 ... 1^N 2^N
 (N strings, of lengths 1..N) and a cold tau.check_hirota on a fresh copy of
 that set (hirota_s), fits t ~ N^k to the table times and, at the smallest N, checks the
-table against the all-subsets oracle of tests/test_tau_oracle.py.
+table against the all-subsets oracle of tests/test_tau_oracle.py.  At the
+perfbench tau workload's shape it also times tau._TauTable per call (median
+of 3 runs of TAU_SL3_CALLS calls) on the string set of one seeded sl3
+highest path per count in TAU_SL3_STRINGS (L in 20..40, that many strings,
+some length repeated within a color) and checks the smallest against the
+same oracle.
 
 Example:
     PYTHONPATH=src python scripts/bench.py 800 2000 5000
@@ -101,6 +106,8 @@ TODA_STEPS = 4
 THETA_GENERA = (2, 4, 6, 8)
 THETA_ARGS = 96
 TAU_SIZES = (12, 14, 16, 18, 40)
+TAU_SL3_STRINGS = (12, 14, 16)  # the perfbench tau workload draws 12..16 strings
+TAU_SL3_CALLS = 10
 # the conserved values of Q = (0, 1, 11, 8, 10), W = (6, 11, 8, 4, 8): genus 4
 TODA_THETA = ((3, -7, 12, 0), (0, 1, 5, 13, 30, 67))  # (Z0, C)
 ROOT = Path(__file__).resolve().parents[1]
@@ -411,6 +418,8 @@ def tau_sweep() -> dict:
         hirota_times.append(median_time(lambda: check_hirota(StringSet.from_rc(rc)))[0])
         if oracle is None:
             oracle = table.best == subset_best(s)
+    rng = random.Random(35)
+    sl3_sets = [tau_sl3_set(rng, N) for N in TAU_SL3_STRINGS]
     return {
         "sizes": list(TAU_SIZES),
         "repeats": REPEATS,
@@ -418,7 +427,22 @@ def tau_sweep() -> dict:
         "hirota_s": hirota_times,
         "growth_exp": growth_exponent(TAU_SIZES, times),
         "oracle": oracle,
+        "sl3_strings": list(TAU_SL3_STRINGS),
+        "sl3_L": [s.L for s in sl3_sets],
+        "sl3_table_s": [median_call_time(TAU_SL3_CALLS, _TauTable, s)[0] for s in sl3_sets],
+        "sl3_oracle": _TauTable(sl3_sets[0]).best == subset_best(sl3_sets[0]),
     }
+
+
+def tau_sl3_set(rng: random.Random, strings: int) -> StringSet:
+    """The string set of a random sl3 highest path of length 20..40 with
+    `strings` strings, two of them of one color and length."""
+    while True:
+        L = rng.randint(20, 40)
+        s = StringSet.from_rc(kkr_phi(highest_word(rng, L, 2, rng.randint(L // 3, L // 2)), 2))
+        classes = {(a, l) for a, l, _ in s.strings}
+        if len(s.strings) == strings and len(classes) < strings:
+            return s
 
 
 def main(argv=None) -> None:

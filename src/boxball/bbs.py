@@ -42,9 +42,7 @@ def decode_word(text: str) -> bytes:
     passes; ValueError unless every character is '.' or an ASCII digit 1-9."""
     raw = text.encode("ascii", "replace")
     if raw.translate(None, _WORD_CHARS):
-        raise ValueError(
-            f"letters must be >= 1 and <= 9, one character each ('.' or 1-9): {text!r}"
-        )
+        raise ValueError(f"letters must lie in 1..9, one character each ('.' or 1-9): {text!r}")
     return raw.translate(_DECODE)
 
 

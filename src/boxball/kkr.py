@@ -350,31 +350,34 @@ def _phi_inv(shape: _Shape, L: int) -> str:
     out = []  # the letters, last first
     while L > 0:
         # how many letters 1 come before a color-1 string turns singular: each
-        # 1 lowers every color-1 vacancy by one, so riggings above it never do
+        # 1 lowers every color-1 vacancy by one, so riggings above it never do.
+        # The first length with no 1 to come (slack 0) is the shortest singular one.
         ones = L
-        for p, rs in zip(vacs[1], rigs[1]):
+        for i, (p, rs) in enumerate(zip(vacs[1], rigs[1])):
             p += L
             top = rs[-1]
             if top > p:
-                i = bisect_right(rs, p)
-                if not i:
+                j = bisect_right(rs, p)
+                if not j:
                     continue
-                top = rs[i - 1]
+                top = rs[j - 1]
             if p - top < ones:
                 ones = p - top
+                if not ones:
+                    break
         if ones:
             out += [1] * ones
             L -= ones
             continue
-        # for colors 1, 2, ..., the shortest singular string no shorter than
-        # the previous pick; the letter is one more than the number picked
-        picks = []
-        bound = 1
-        for c in range(1, shape.rank + 1):
+        # that length is color 1's pick; for colors 2, 3, ..., the shortest
+        # singular string no shorter than the previous pick; the letter is one
+        # more than the number picked
+        picks = [(1, i, p)]
+        bound = lens[1][i]
+        for c in range(2, shape.rank + 1):
             ks, vs, rs_c = lens[c], vacs[c], rigs[c]
-            off = L if c == 1 else 0
             for i in range(bisect_left(ks, bound), len(ks)):
-                p, rs = vs[i] + off, rs_c[i]
+                p, rs = vs[i], rs_c[i]
                 if rs[-1] == p or rs[-1] > p and rs[bisect_left(rs, p)] == p:
                     picks.append((c, i, p))
                     bound = ks[i]

@@ -9,6 +9,8 @@ cells capped at 2^BOXBALL_SUBSET_CAP) minimizes exactly and builds the
 whole table of tau_{k,a} once per StringSet (a cached property), which every
 query, path reconstruction and Hirota-Miwa check then reads.  The same pass
 gives the T_infinity update taubar too, so a lone tau query pays for both.
+Each class step costs one in-place min pass over the table per added count
+k, its per-cell terms built once per class.
 
 Also here: the corner ball-count rho of the carrier's T_infinity profile, the path
 reconstruction from second differences of tau, and the ultradiscrete
@@ -31,7 +33,13 @@ from boxball.kkr import RiggedConfiguration
 
 
 def _subset_cap() -> int:
-    return int(os.environ.get("BOXBALL_SUBSET_CAP", "20"))
+    text = os.environ.get("BOXBALL_SUBSET_CAP", "20")
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = text
+    require_int("BOXBALL_SUBSET_CAP", cap, 0)
+    return cap
 
 
 @dataclass(frozen=True)
@@ -96,6 +104,9 @@ class _TauTable:
     lensum_1, as evolve_rc(., None) moves a color-1 rigging r of length j to r + j.
     One DP over (o, K): objective o = 0..2n is color o % (n+1) + 1, bar for o > n;
     taubar's a = n+1 is tau's a = 1, as lensum_{n+1} = 0.
+    Per class the terms k l (2 K_b + [a = b] + [bar and b = 1] - K_{b-1}) are built
+    once; -k l K_{b+1} + l k^2 + prefix[k] is a constant per block and k.  Each k
+    mins the old K_b < top into f in place and writes the fresh K_b = top + k.
     """
 
     def __init__(self, s: StringSet):
@@ -115,52 +126,52 @@ class _TauTable:
         f = [0] * stride[n + 1]  # all objectives o; entries past done never feed reachable ones
         done = [0] * (n + 1)  # so far K_b <= done[b]
         for b, l in sorted(classes, key=lambda c: -c[1]):
-            prefix = accumulate(sorted(classes[b, l]), initial=0)
-            cost = [l * k * k + p for k, p in enumerate(prefix)]
-            top, m, st, blk = done[b], len(cost) - 1, stride[b], stride[b + 1]
-            # K_b leads each block of fixed K_{b+1}, ..., K_n; below it
-            # w = [a = b] + [bar and b = 1] - K_{b-1}, and for b = 1 the index i is o alone
-            below = stride[b - 1] if b > 1 else 0
-            w = [
-                (i % radix[0] % (n + 1) + 1 == b) + (b == 1 and i > n)
-                - (below and i // below % radix[b - 1])
-                for i in range(st)
-            ]
+            prefix = [*accumulate(sorted(classes[b, l]), initial=0)]
+            top, m, st, blk = done[b], len(prefix) - 1, stride[b], stride[b + 1]
+            # K_b leads each block of fixed K_{b+1}, ..., K_n; below it the index
+            # is o, K_1, ..., K_{b-1}, and w = [a = b] + [bar and b = 1] - K_{b-1}
+            w = [(o % (n + 1) + 1 == b) + (b == 1 and o > n) for o in range(radix[0])]
+            if b > 1:
+                w = [x - j for j in range(radix[b - 1]) for x in w * (stride[b - 1] // radix[0])]
+            lin = [l * (2 * j + x) for j in range(top + 1) for x in w]  # less l K_{b+1}
+            steps = [[k * x for x in lin] for k in range(1, m + 1)]
+            cut = top * st  # old[:cut] (K_b < top) mins into f, old[cut:] (K_b = top) makes the fresh slice
             for base in range(0, sum(done[c] * stride[c] for c in range(b + 1, n + 1)) + 1, blk):
                 up = base // blk % radix[b + 1]  # K_{b+1}
-                lin = [l * (2 * j + x - up) for j in range(top + 1) for x in w]
-                old = f[base : base + (top + 1) * st]
-                new = old[:]
-                for k in range(1, m + 1):  # k more strings of class (b, l)
-                    step = [o + k * x + cost[k] for o, x in zip(old, lin)]
-                    new[k * st :] = [*map(min, new[k * st :], step), *step[top * st :]]
-                f[base : base + (top + m + 1) * st] = new
+                old = f[base : base + cut + st]
+                for k, kl in enumerate(steps, 1):  # k more strings of class (b, l): K_b -> K_b + k
+                    c, lo, hi = l * k * (k - up) + prefix[k], base + k * st, base + k * st + cut
+                    f[lo:hi] = [x if x <= (y := a + d + c) else y for x, a, d in zip(f[lo:hi], old, kl)]
+                    f[hi : hi + st] = [a + d + c for a, d in zip(old[cut:], kl[cut:])]
             done[b] += m
-        v = [  # [o][m]
-            [min(f[o + radix[0] * m :: stride[2]]) for m in range(radix[1])] for o in range(radix[0])
-        ]
+        # min over K_2, ..., K_n; blocks[0] twice, so that min gets two arguments when n = 1
+        blocks = [f[i : i + stride[2]] for i in range(0, len(f), stride[2])]
+        low = [*map(min, blocks[0], *blocks)]
+        v = [low[o :: radix[0]] for o in range(radix[0])]  # [o][m]
         self.best = [[None] * radix[1]] + v[: n + 1]  # [a][m]
         cols = [_column(x, s.L) for x in v]
         plain, bar = cols[: n + 1], cols[n + 1 :] + cols[:1]  # columns a = 1..n+1
         self.rows, self.bar_rows = (  # tau_{k,0} = tau_{k,n+1} - k
-            [[r[-1] - k] + list(r) for k, r in enumerate(zip(*c))] for c in (plain, bar)
+            [[r[-1] - k, *r] for k, r in enumerate(zip(*c))] for c in (plain, bar)
         )
 
 
 def _column(v: list[int], L: int) -> list[int]:
     """max_m (k m - v[m]) for k = 0..L, read off the lower convex hull of v."""
-    hull: list[int] = []
+    hull: list[tuple[int, int]] = []  # vertices (m, v[m])
     for m, y in enumerate(v):
-        while len(hull) > 1 and (  # drop a last vertex not strictly below the chord to m
-            (v[hull[-1]] - v[hull[-2]]) * (m - hull[-1]) >= (y - v[hull[-1]]) * (hull[-1] - hull[-2])
-        ):
+        while len(hull) > 1:  # drop a last vertex not strictly below the chord to m
+            (m0, y0), (m1, y1) = hull[-2:]
+            if (y1 - y0) * (m - m1) < (y - y1) * (m1 - m0):
+                break
             hull.pop()
-        hull.append(m)
+        hull.append((m, y))
     col: list[int] = []
-    for m, nxt in zip(hull, hull[1:] + [None]):  # m is optimal up to the next edge's slope
-        hi = L if nxt is None else min(L, (v[nxt] - v[m]) // (nxt - m))
-        col += [k * m - v[m] for k in range(len(col), hi + 1)]
-    return col
+    for (m, y), nxt in zip(hull, [*hull[1:], None]):  # m is optimal up to the next edge's slope
+        hi = L if nxt is None else min(L, (nxt[1] - y) // (nxt[0] - m))
+        col += range(len(col) * m - y, (hi + 1) * m - y, m) if m else [-y] * (hi + 1)
+        if hi == L:
+            return col
 
 
 def tau(s: StringSet, k: int, a: int) -> int:

@@ -75,5 +75,8 @@ def test_kkr_sweep_prints_timings_exponents_and_roundtrip(tmp_path):
     assert tau["sizes"] == [12, 14, 16, 18, 40] and tau["repeats"] == 3
     assert len(tau["table_s"]) == len(tau["hirota_s"]) == 5 and "growth_exp" in tau
     assert tau["oracle"] is True
+    assert tau["sl3_strings"] == [12, 14, 16] and len(tau["sl3_table_s"]) == 3
+    assert all(20 <= L <= 40 for L in tau["sl3_L"]) and len(tau["sl3_L"]) == 3
+    assert tau["sl3_oracle"] is True
     src_lines = sum(len(p.read_text().splitlines()) for p in (ROOT / "src" / "boxball").glob("*.py"))
     assert doc["src_lines"] == src_lines + 1

@@ -122,6 +122,13 @@ def test_tau_cli_one_large_class(capsys, monkeypatch):
     assert len(out.splitlines()) == 44  # header + k = 0..42
 
 
+@pytest.mark.parametrize("value", ["abc", "-1"])
+def test_tau_cli_bad_subset_cap_exit_code(capsys, monkeypatch, value):
+    monkeypatch.setenv("BOXBALL_SUBSET_CAP", value)
+    code, out, err = run(capsys, "tau", "112212")
+    assert code == 3 and out == "" and "BOXBALL_SUBSET_CAP must be" in err and "invalid literal" not in err
+
+
 def test_analyze_action(capsys):
     code, out, _ = run(capsys, "analyze", "action", "1212111222")
     assert code == 0
@@ -434,7 +441,7 @@ def test_integer_options_say_why(capsys, argv, message):
 def test_scatter_non_ascii_label_exit_code(capsys, big, small):
     # before, both printed {"small_out": "3", "big_out": "22", "delta": 2}
     code, out, err = run(capsys, "scatter", big, small)
-    assert code == 3 and out == "" and "letters must be >= 1 and <= 9" in err
+    assert code == 3 and out == "" and "letters must lie in 1..9, one character each" in err
 
 
 def test_embed_leftmost_is_taken_mod_L(capsys):
@@ -490,9 +497,9 @@ def test_bad_input_exit_code(capsys, argv, message):
     "argv, message",
     [
         # before, evolve read the Arabic-Indic digit as 3 and kkr --inverse printed "12345678910"
-        (("evolve", "1٣2"), "letters must be >= 1 and <= 9"),
-        (("kkr", "12٣"), "letters must be >= 1 and <= 9"),
-        (("tau", "120"), "letters must be >= 1 and <= 9"),
+        (("evolve", "1٣2"), "letters must lie in 1..9, one character each"),
+        (("kkr", "12٣"), "letters must lie in 1..9, one character each"),
+        (("tau", "120"), "letters must lie in 1..9, one character each"),
         (("kkr", kkr_phi(tuple(range(1, 11)), rank=9).to_json(), "--inverse"), "above 9"),
     ],
 )

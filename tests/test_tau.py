@@ -1,12 +1,15 @@
 import random
+import re
 
 import pytest
 
 from boxball.bbs import BBSState, evolve_takahashi
 from boxball.cli import main
-from boxball.kkr import evolve_rc, highest_paths, kkr_phi, kkr_phi_inv
+from boxball.kkr import evolve_rc, highest_paths, is_highest, kkr_phi, kkr_phi_inv
 from boxball.tau import (
     StringSet,
+    _column,
+    _TauTable,
     check_hirota,
     cocharge,
     path_from_tau,
@@ -73,6 +76,29 @@ def test_subset_cap(monkeypatch):
     # 4 strings of one class need only 5 x 1 = 5 DP cells, under 2^3
     s = StringSet(1, 8, tuple((1, 1, 0) for _ in range(4)))
     assert tau(s, 0, 1) == 0
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("abc", "BOXBALL_SUBSET_CAP must be an int, got 'abc'"),
+        ("2.5", "BOXBALL_SUBSET_CAP must be an int, got '2.5'"),
+        ("", "BOXBALL_SUBSET_CAP must be an int, got ''"),
+        ("-1", "BOXBALL_SUBSET_CAP must be >= 0, got -1"),
+    ],
+)
+def test_subset_cap_is_an_int_at_least_zero(monkeypatch, value, message):
+    # before, "abc" raised int()'s "invalid literal ..." and -1 refused every set
+    monkeypatch.setenv("BOXBALL_SUBSET_CAP", value)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        tau(_S("112212"), 0, 1)
+
+
+def test_subset_cap_zero_allows_one_cell(monkeypatch):
+    monkeypatch.setenv("BOXBALL_SUBSET_CAP", "0")
+    assert tau_table(StringSet(1, 2, ())) == [[0, 0, 0], [-1, 0, 0], [-2, 0, 0]]
+    with pytest.raises(ValueError, match=r"needs 2 DP cells, over the cap 2\^0"):
+        tau(StringSet(1, 2, ((1, 1, 0),)), 0, 1)
 
 
 def test_one_table_per_string_set(monkeypatch):
@@ -272,6 +298,40 @@ def test_bar_rows_equal_the_evolved_table():
         )
         s = StringSet(rank, rng.randint(0, 12), strings)
         assert s._table.bar_rows == _evolved_rows(s), s
+
+
+def test_column_is_the_brute_force_maximum():
+    # non-convex v with ties and its minimum anywhere, from k = 0 to past every slope
+    rng = random.Random(35)
+    cases = [[0], [7], [3, 3, 3], [4, 1, 0, 2], [0, -1, -1, 0, -3], [30, -30, 30, -30]]
+    cases += [[rng.randint(-30, 30) for _ in range(rng.randint(1, 20))] for _ in range(500)]
+    for v in cases:
+        for L in {0, 1, rng.randint(0, 60), 60}:
+            assert _column(v, L) == [max(k * m - y for m, y in enumerate(v)) for k in range(L + 1)], (v, L)
+
+
+def _sl3_words(rng, count):
+    # highest sl3 paths of the tau workload's shape: L 20..40, 12..14 strings, a length repeated
+    words = []
+    while len(words) < count:
+        word = "".join(rng.choices("123", weights=(3, 3, 1), k=rng.randint(20, 40)))
+        if is_highest(word, 2):
+            classes = [(a, l) for a, l, _ in _S(word, 2).strings]
+            if 12 <= len(classes) <= 14 and len(set(classes)) < len(classes):
+                words.append(word)
+    return words
+
+
+def test_table_matches_the_subset_oracle_at_the_workload_shape():
+    from test_tau_oracle import oracle_table, subset_best
+
+    for word in _sl3_words(random.Random(35), 6):
+        s = _S(word, 2)
+        sbar = StringSet.from_rc(evolve_rc(s.to_rc(), None))
+        table = _TauTable(s)
+        assert table.best == subset_best(s), word
+        assert tau_table(s) == oracle_table(s), word
+        assert table.bar_rows == oracle_table(sbar), word
 
 
 def test_hirota_fixtures():
